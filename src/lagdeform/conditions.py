@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import expressions as ex
-from .expressions import Dual
 from .families import (
     Affine,
     Constant,
@@ -386,67 +385,86 @@ def _rms(values) -> float:
     return float(np.sqrt(np.mean(arr * arr))) if arr.size else 0.0
 
 
-def _gauss_newton(model, theta0, ls, fs, iterations=50):
-    """Damped Gauss-Newton with dual-number Jacobians. ``model(l, theta)``
-    must accept Dual parameters."""
-    theta = [float(t) for t in theta0]
-    k = len(theta)
+class _Model(NamedTuple):
+    """A slope model ``value(ls, theta)`` with its Jacobian in closed form.
+
+    ``value`` is plain arithmetic, so it evaluates on a whole array of L
+    values and also on one L with :class:`~lagdeform.expressions.Dual`
+    parameters; the tests use the latter as the oracle for ``jacobian``.
+    """
+
+    value: Callable
+    jacobian: Callable  # (ls, theta) -> array of shape (len(ls), len(theta))
+
+
+def _gauss_newton(model: _Model, theta0, ls, fs, iterations=50):
+    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud at once.
+
+    A start whose cost is not finite, as when a denominator is exactly zero
+    somewhere in the cloud, returns ``(theta0, inf)``. A step is accepted
+    only when its cost is lower, so a step to a non-finite cost never is."""
+    theta = np.array(theta0, dtype=float)
+    eye = np.eye(len(theta))
 
     def cost_of(th):
-        try:
-            r = [model(l, th) - f for l, f in zip(ls, fs)]
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return None, math.inf
+        r = model.value(ls, th) - fs
         return r, _rms(r)
 
-    residuals, cost = cost_of(theta)
-    if residuals is None:
-        return theta, math.inf
-    lam = 1e-3
-    for _ in range(iterations):
-        jac = np.zeros((len(ls), k))
-        try:
-            for j in range(k):
-                seeded = [
-                    Dual(t, 1.0 if i == j else 0.0) for i, t in enumerate(theta)
-                ]
-                for row, l in enumerate(ls):
-                    jac[row, j] = model(l, seeded).dot
-        except (ZeroDivisionError, ValueError, OverflowError):
-            break
-        r = np.asarray(residuals)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        stepped = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.eye(k), -jtr)
-            except np.linalg.LinAlgError:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        residuals, cost = cost_of(theta)
+        if not math.isfinite(cost):
+            return theta, math.inf
+        lam = 1e-3
+        for _ in range(iterations):
+            jac = model.jacobian(ls, theta)
+            jtj = jac.T @ jac
+            jtr = jac.T @ residuals
+            stepped = False
+            for _ in range(8):
+                try:
+                    delta = np.linalg.solve(jtj + lam * eye, -jtr)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                candidate = theta + delta
+                cand_res, cand_cost = cost_of(candidate)
+                if cand_cost < cost:
+                    theta, residuals, cost = candidate, cand_res, cand_cost
+                    lam = max(lam * 0.3, 1e-12)
+                    stepped = True
+                    break
                 lam *= 10.0
-                continue
-            candidate = [t + dt for t, dt in zip(theta, delta)]
-            cand_res, cand_cost = cost_of(candidate)
-            if cand_res is not None and cand_cost < cost:
-                theta, residuals, cost = candidate, cand_res, cand_cost
-                lam = max(lam * 0.3, 1e-12)
-                stepped = True
+            if not stepped or cost < 1e-15:
                 break
-            lam *= 10.0
-        if not stepped:
-            break
-        if cost < 1e-15:
-            break
     return theta, cost
 
 
-def _model_power_shift(l, theta):
+def _power_shift(l, theta):
     gamma, a = theta
     return gamma / (l + a)
 
 
-def _model_moebius(l, theta):
+def _power_shift_jacobian(ls, theta):
+    # each column as the dual-number quotient rule evaluates it, bit for bit
+    gamma, a = theta
+    s = ls + a
+    ss = s * s
+    return np.column_stack((s / ss, -gamma / ss))
+
+
+def _moebius(l, theta):
     (t,) = theta
     return -2.0 / (l + t)
+
+
+def _moebius_jacobian(ls, theta):
+    (t,) = theta
+    s = ls + t
+    return np.column_stack((2.0 / (s * s),))
+
+
+_model_power_shift = _Model(_power_shift, _power_shift_jacobian)
+_model_moebius = _Model(_moebius, _moebius_jacobian)
 
 
 def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:

@@ -48,6 +48,7 @@ from .deformation import (
     DeformedLagrangian,
     DomainConflict,
     Numeric,
+    OutOfInterval,
     deformed_hessian,
     synthesize,
     verify_deformed_el,
@@ -498,11 +499,16 @@ def _trajectory_stage(doc: ReportDocument, spec, tol) -> Optional[dict]:
         entry["el_residual_L"] = None
     if doc.deformation is not None:
         deformed = DeformedLagrangian(spec.lagrangian, doc.deformation)
+        # What these checks can raise: TooShort (fewer than 3 steps for the
+        # central differences), DomainViolation (L or the composed Phi(L) not
+        # evaluable on a state), OutOfInterval (L leaves the interval on which
+        # Phi is defined) and OverflowError (math.exp or math.pow in Phi's
+        # closed form overflows).
         try:
             _, drift_phi = energy_along(traj, deformed)
             entry["energy_drift_PhiL"] = drift_phi
             entry["el_residual_PhiL"] = el_residual_along(traj, deformed)
-        except Exception as exc:  # out of interval / domain / too short
+        except (TooShort, ex.DomainViolation, OutOfInterval, OverflowError) as exc:
             entry["energy_drift_PhiL"] = None
             entry["el_residual_PhiL"] = None
             doc.notes.append(f"deformed trajectory checks unavailable: {exc}")

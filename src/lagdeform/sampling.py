@@ -123,6 +123,3 @@ def draw_samples(
             accepted.append(point)
     return accepted
 
-
-def box_random_binding(rng, bounds: dict) -> dict:
-    return {name: rng.uniform(lo, hi) for name, (lo, hi) in bounds.items()}

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagdeform.conditions import (
     ConditionReport,
@@ -16,8 +19,11 @@ from lagdeform.conditions import (
     deformation_ratio,
     functional_dependence_test,
     hessian_report,
+    _gauss_newton,
+    _model_moebius,
+    _model_power_shift,
 )
-from lagdeform.expressions import parse
+from lagdeform.expressions import Dual, parse
 from lagdeform.families import (
     Affine,
     Constant,
@@ -372,6 +378,52 @@ def test_classify_tabulated_fallback():
 def test_classify_needs_eight_points():
     with pytest.raises(InsufficientSamples):
         classify([(1.0, 1.0)] * 5)
+
+
+_finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def _dual_jacobian_row(model, l, theta):
+    """Jacobian row of ``model.value`` at one L by forward-mode dual numbers,
+    one seeded parameter at a time."""
+    row = []
+    for j in range(len(theta)):
+        seeded = [Dual(t, 1.0 if i == j else 0.0) for i, t in enumerate(theta)]
+        row.append(model.value(l, seeded).dot)
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(l=_finite, gamma=_finite, a=_finite, t=_finite)
+def test_closed_form_jacobians_equal_dual_numbers(l, gamma, a, t):
+    # L and theta as the fit holds them, float64 array elements: (L + a)^2 may
+    # then underflow to 0 and give inf or nan on both routes instead of raising
+    l = np.float64(l)
+    for model, theta in ((_model_power_shift, (gamma, a)), (_model_moebius, (t,))):
+        theta = np.array(theta)
+        if l + theta[-1] == 0.0:
+            continue
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            jac = model.jacobian(np.array([l]), theta)
+            want = _dual_jacobian_row(model, l, theta)
+        assert jac.shape == (1, len(theta))
+        for got, expected in zip(jac[0], want):
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_gauss_newton_zero_denominator_keeps_start():
+    # one L sits exactly on the pole of the starting model: the dual-number
+    # fit stopped there with cost inf, and so does the closed-form one,
+    # without raising and without letting a numpy warning out
+    ls = np.linspace(0.5, 4.0, 20)
+    ls[7] = -0.5
+    fs = -2.0 / (ls + 1.0)
+    for model, theta0 in ((_model_power_shift, (1.5, 0.5)), (_model_moebius, (0.5,))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, cost = _gauss_newton(model, theta0, ls, fs)
+        assert list(theta) == list(theta0)
+        assert cost == math.inf
 
 
 # ---------------------------------------------------------------------------

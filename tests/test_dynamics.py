@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lagdeform.corpus import load_corpus_problem
 from lagdeform.deformation import DeformedLagrangian, synthesize
 from lagdeform.dynamics import (
     GeodesicError,
@@ -76,6 +77,18 @@ def test_blowup_raises():
     cfg = IntegratorConfig(step=1e-2, horizon=2.0, initial=PhasePoint([0.0], [1.0]))
     with pytest.raises(GeodesicError):
         integrate_geodesic(spray, cfg)
+
+
+def test_homogeneous_blow_up_is_geodesic_error():
+    # shipped homogeneous spray: y2 = y3 = 1 stay constant and y1' = y1^2 + 2,
+    # so y1 = sqrt(2) tan(sqrt(2) t + atan(1/sqrt(2))) blows up at t* ~ 0.676;
+    # math.pow overflows inside an RK4 stage before the state check sees it
+    spec = load_corpus_problem("homogeneous")
+    cfg = IntegratorConfig(step=1e-3, horizon=1.0, initial=PhasePoint([0.0] * 3, [1.0] * 3))
+    t_blow = (0.5 * math.pi - math.atan(1.0 / math.sqrt(2.0))) / math.sqrt(2.0)
+    with pytest.raises(GeodesicError, match="blow-up") as exc:
+        integrate_geodesic(spec.spray, cfg, spec.params)
+    assert abs(exc.value.step * cfg.step - t_blow) < 0.01
 
 
 def test_domain_violation_reports_step():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from lagdeform.corpus import CORPUS_NAMES, corpus_text, load_corpus_problem
+from lagdeform.deformation import synthesize
 from lagdeform.expressions import ParseError
 from lagdeform.families import (
     Affine,
@@ -13,7 +14,9 @@ from lagdeform.families import (
     PowerShift,
 )
 from lagdeform.pipeline import (
+    ReportDocument,
     SchemaError,
+    _trajectory_stage,
     emit_report,
     problem_from_dict,
     report_to_text,
@@ -231,6 +234,29 @@ def test_mode_controls_trajectory_stage():
     assert doc_check.trajectory is None
     assert doc_full.trajectory is not None
     assert doc_check.verdict == doc_full.verdict
+
+
+def test_trajectory_stage_notes_overflowing_deformation():
+    # Phi' = exp(1e4 L) overflows math.exp for the kinetic L >= 1 on the box
+    spec = load_corpus_problem("free-particle")
+    doc = ReportDocument(problem=spec)
+    doc.deformation = synthesize(Constant(1e4), (0.0, 1.0))
+    entry = _trajectory_stage(doc, spec, spec.tolerances)
+    assert entry["energy_drift_PhiL"] is None and entry["el_residual_PhiL"] is None
+    assert entry["energy_drift_L"] is not None
+    assert any("deformed trajectory checks unavailable" in n for n in doc.notes)
+
+
+def test_trajectory_stage_lets_unexpected_errors_through():
+    class Broken:
+        def triple(self, t):
+            raise RuntimeError("bug in a deformation")
+
+    spec = load_corpus_problem("free-particle")
+    doc = ReportDocument(problem=spec)
+    doc.deformation = Broken()
+    with pytest.raises(RuntimeError, match="bug in a deformation"):
+        _trajectory_stage(doc, spec, spec.tolerances)
 
 
 # ---------------------------------------------------------------------------

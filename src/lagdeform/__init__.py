@@ -10,6 +10,7 @@ numerically and along trajectories.
 from .conditions import (
     ConditionReport,
     DependenceResult,
+    DerivedFields,
     FunctionalFit,
     InsufficientSamples,
     NotHomogeneous,
@@ -89,7 +90,7 @@ from .pipeline import (
     problem_from_dict,
     run_pipeline,
 )
-from .sampling import Guards, GuardViolation, SamplePlan, TooManyRejections, draw_samples
+from .sampling import Guards, GuardViolation, SamplePlan, Samples, TooManyRejections, draw_samples
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -43,7 +43,7 @@ from .geometry import (
     lagrange_differential,
     vertical_differential,
 )
-from .sampling import Guards, GuardViolation, SamplePlan, draw_samples
+from .sampling import Guards, GuardViolation, SamplePlan, Samples, draw_samples
 
 
 class InsufficientSamples(Exception):
@@ -130,23 +130,20 @@ class DerivedFields:
 
 
 def deformation_ratio(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     point: PhasePoint,
     params: Optional[dict] = None,
     guard_eps: float = 1e-6,
-    derived: Optional[DerivedFields] = None,
 ) -> float:
     """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
-    d = derived or DerivedFields(spray, lagrangian)
     b = point.binding(params)
-    sl = ex.evaluate(d.spray_of_L.expr, b)
-    cl = ex.evaluate(d.liouville_of_L.expr, b)
+    sl = ex.evaluate(derived.spray_of_L.expr, b)
+    cl = ex.evaluate(derived.liouville_of_L.expr, b)
     if abs(sl) <= guard_eps:
         raise GuardViolation("S(L)", sl, guard_eps)
     if abs(cl) <= guard_eps:
         raise GuardViolation("C(L)", cl, guard_eps)
-    return -ex.evaluate(d.energy_rate.expr, b) / (sl * cl)
+    return -ex.evaluate(derived.energy_rate.expr, b) / (sl * cl)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +152,7 @@ def deformation_ratio(
 
 
 def check_sigma_condition(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     sigma: SemiBasicForm,
     plan: SamplePlan,
     params: Optional[dict] = None,
@@ -165,27 +161,25 @@ def check_sigma_condition(
     """Check sigma = (S(E_L)/C(L)) d_J L at sampled points, per component,
     with residuals relative to 1 + |sigma_i|. Only C(L) is guarded (it is the
     denominator); the conservative case passes vacuously."""
-    d = DerivedFields(spray, lagrangian)
-    guards = d.denominator_guards(extra_evaluable=tuple(c for c in sigma.components))
-    points = draw_samples(plan, guards, params)
-    residuals, kept = [], []
-    rejected = plan.count - len(points)
-    for p in points:
+    samples = draw_samples(plan, derived.denominator_guards(sigma.components), params)
+    residuals = []
+    for p in samples.points:
         b = p.binding(params)
-        scale = ex.evaluate(d.energy_rate.expr, b) / ex.evaluate(d.liouville_of_L.expr, b)
+        rate = ex.evaluate(derived.energy_rate.expr, b)
+        scale = rate / ex.evaluate(derived.liouville_of_L.expr, b)
         worst = 0.0
         for i in range(sigma.n):
             s_i = ex.evaluate(sigma.components[i], b)
-            rhs = scale * ex.evaluate(d.vertical.components[i], b)
+            rhs = scale * ex.evaluate(derived.vertical.components[i], b)
             worst = max(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
-        kept.append(p)
-    return ConditionReport.from_residuals("sigma_condition", residuals, kept, rejected, tol)
+    return ConditionReport.from_residuals(
+        "sigma_condition", residuals, samples.points, samples.rejected, tol
+    )
 
 
 def check_sigma_consistency(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     sigma: SemiBasicForm,
     plan: SamplePlan,
     params: Optional[dict] = None,
@@ -194,25 +188,23 @@ def check_sigma_consistency(
     """Cross-check a user-supplied sigma against the Lagrange differential:
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
-    d = DerivedFields(spray, lagrangian)
     guards = Guards(
-        evaluable=(lagrangian.expr,)
+        evaluable=(derived.lagrangian.expr,)
         + tuple(sigma.components)
-        + tuple(d.defect.components)
+        + tuple(derived.defect.components)
     )
-    points = draw_samples(plan, guards, params)
-    residuals, kept = [], []
-    for p in points:
+    samples = draw_samples(plan, guards, params)
+    residuals = []
+    for p in samples.points:
         b = p.binding(params)
         worst = 0.0
         for i in range(sigma.n):
             s_i = ex.evaluate(sigma.components[i], b)
-            defect_i = ex.evaluate(d.defect.components[i], b)
+            defect_i = ex.evaluate(derived.defect.components[i], b)
             worst = max(worst, abs(s_i - defect_i) / (1.0 + abs(s_i)))
         residuals.append(worst)
-        kept.append(p)
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, kept, plan.count - len(points), tol
+        "sigma_consistency", residuals, samples.points, samples.rejected, tol
     )
 
 
@@ -277,8 +269,8 @@ def _solve_on_level(
 
 
 def functional_dependence_test(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
+    samples: Samples,
     plan: SamplePlan,
     params: Optional[dict] = None,
     tol_dep: float = 1e-6,
@@ -287,14 +279,15 @@ def functional_dependence_test(
 ) -> DependenceResult:
     """Decide whether the slope ratio is a function of L alone.
 
-    Collects the (L, f) cloud over guarded samples, then builds groups of
-    near-equal L by constructing extra points directly on 32 target levels
-    (bisection along fiber segments, level width ~1e-10 relative) and
-    compares the ratio within each group. Genuine level-set variation shows
-    up as within-group spread far above float noise.
+    Collects the (L, f) cloud over ``samples``, the draw of ``plan`` under
+    ``derived.theorem_guards()``, then builds groups of near-equal L by
+    constructing extra points directly on 32 target levels (bisection along
+    fiber segments, level width ~1e-10 relative) and compares the ratio
+    within each group. Genuine level-set variation shows up as within-group
+    spread far above float noise.
     """
-    d = DerivedFields(spray, lagrangian)
-    points = draw_samples(plan, d.theorem_guards(), params)
+    lagrangian = derived.lagrangian
+    points = samples.points
     if len(points) < 8:
         raise InsufficientSamples(f"only {len(points)} accepted points")
 
@@ -302,7 +295,7 @@ def functional_dependence_test(
     for p in points:
         b = p.binding(params)
         l_val = ex.evaluate(lagrangian.expr, b)
-        f_val = deformation_ratio(spray, lagrangian, p, params, plan.guard_eps, d)
+        f_val = deformation_ratio(derived, p, params, plan.guard_eps)
         cloud.append((l_val, f_val))
     cloud.sort(key=lambda t: t[0])
     cleaned = _merge_duplicate_abscissae(cloud)
@@ -314,7 +307,7 @@ def functional_dependence_test(
 
     l_values = np.array([l for l, _ in cleaned])
     rng = np.random.default_rng(plan.seed + 1)
-    names = ex.chart_names(spray.n)
+    names = ex.chart_names(lagrangian.n)
     max_spread = 0.0
     used = 0
     functional = True
@@ -324,11 +317,11 @@ def functional_dependence_test(
         for _ in range(per_level * 3):
             if len(group) >= per_level:
                 break
-            pt = _solve_on_level(lagrangian, plan, params, rng, target, names, spray.n)
+            pt = _solve_on_level(lagrangian, plan, params, rng, target, names, lagrangian.n)
             if pt is None:
                 continue
             try:
-                f_val = deformation_ratio(spray, lagrangian, pt, params, plan.guard_eps, d)
+                f_val = deformation_ratio(derived, pt, params, plan.guard_eps)
             except (GuardViolation, ex.DomainViolation):
                 continue
             group.append(f_val)
@@ -564,25 +557,25 @@ class HessianReport:
 
 def hessian_report(
     matrix,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
-    domain: Guards = Guards(),
     rank_rtol: float = 1e-9,
     nontrivial_tol: float = 1e-10,
 ) -> HessianReport:
     """Evaluate an expression matrix (or a callable ``point -> ndarray``) at
-    sampled points; rank via singular values above ``rank_rtol * s_max``."""
+    the sampled points; rank via singular values above ``rank_rtol * s_max``.
+    A point where the matrix is not evaluable is skipped."""
     if isinstance(matrix, ScalarField):
         matrix = fiber_hessian(matrix)
-    points = draw_samples(plan, domain, params)
     min_rank, max_rank = None, None
     max_entry = 0.0
     evaluated = 0
-    for p in points:
+    for p in samples.points:
         if callable(matrix):
             try:
                 m = np.asarray(matrix(p), dtype=float)
-            except (ex.DomainViolation, ValueError):
+            except (ex.DomainViolation, ValueError, OverflowError):
+                # OverflowError: math.exp or math.pow in a closed-form Phi
                 continue
         else:
             b = p.binding(params)
@@ -639,7 +632,7 @@ def check_homogeneous(
     p > 1 on a spray, and d_J L wedge sigma = 0; then Phi = L^(1/p) works and
     the report carries the non-triviality of its Hessian combination."""
     guards = Guards(evaluable=(lagrangian.expr,) + tuple(sigma.components))
-    points = draw_samples(plan, guards, params)
+    points = draw_samples(plan, guards, params).points
 
     degrees = {}
     p_l = homogeneity_degree(lagrangian, points, params, tol_degree)
@@ -733,33 +726,32 @@ class DissipativeReport:
 
 
 def check_dissipative(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     dissipation: ScalarField,
     plan: SamplePlan,
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> DissipativeReport:
-    d = DerivedFields(spray, lagrangian)
     vertical_d = vertical_differential(dissipation)
     liouville_d = liouville_apply(dissipation)
-    guards = Guards(evaluable=(lagrangian.expr, dissipation.expr, d.energy_rate.expr))
-    points = draw_samples(plan, guards, params)
+    guards = Guards(
+        evaluable=(derived.lagrangian.expr, dissipation.expr, derived.energy_rate.expr)
+    )
+    samples = draw_samples(plan, guards, params)
+    kept, rejected = samples.points, samples.rejected
 
-    grad_res, rate_res, kept = [], [], []
-    for p in points:
+    grad_res, rate_res = [], []
+    for p in kept:
         b = p.binding(params)
         worst = 0.0
-        for i in range(spray.n):
-            defect_i = ex.evaluate(d.defect.components[i], b)
+        for i in range(dissipation.n):
+            defect_i = ex.evaluate(derived.defect.components[i], b)
             grad_i = ex.evaluate(vertical_d.components[i], b)
             worst = max(worst, abs(defect_i - grad_i) / (1.0 + abs(grad_i)))
         grad_res.append(worst)
-        sel = ex.evaluate(d.energy_rate.expr, b)
+        sel = ex.evaluate(derived.energy_rate.expr, b)
         cd = ex.evaluate(liouville_d.expr, b)
         rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
-        kept.append(p)
-    rejected = plan.count - len(points)
     gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, kept, rejected, tol)
     rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, kept, rejected, tol)
 
@@ -772,7 +764,7 @@ def check_dissipative(
         negative = True
         for p in kept:
             b = p.binding(params)
-            sel = ex.evaluate(d.energy_rate.expr, b)
+            sel = ex.evaluate(derived.energy_rate.expr, b)
             dval = ex.evaluate(dissipation.expr, b)
             twice_res.append(abs(sel - 2.0 * dval) / (1.0 + abs(2.0 * dval)))
             if dval >= 0.0:

@@ -2,9 +2,10 @@
 
 Each slope family integrates in closed form (Phi' = exp(int f), Phi = int
 Phi'); the tabulated fallback integrates the sampled slope cloud with the
-trapezoid rule and interpolates monotonically. Deformed Lagrangians compose
-symbolically for closed forms, so the verification residuals rest on exact
-derivatives.
+trapezoid rule and interpolates monotonically. A deformed Lagrangian Phi(L)
+is evaluated by one chain rule for both kinds: (Phi, Phi', Phi'') at the value
+of L, combined with the symbolic derivatives of L. Closed forms also compose
+symbolically, which gives the verification an exact independent route.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from .families import (
 from .geometry import (
     PhasePoint,
     ScalarField,
-    SemiSpray,
     fiber_hessian,
     lagrange_differential,
     vertical_differential,
 )
-from .sampling import Guards, SamplePlan, draw_samples
+from .sampling import Samples
 
 
 class DomainConflict(Exception):
@@ -294,8 +294,11 @@ def affine_rescale(deformation: Deformation, alpha: float, beta: float) -> Defor
 
 @dataclass(frozen=True)
 class DeformedLagrangian:
-    """Phi composed with a base Lagrangian; chain rules are symbolic for
-    closed forms and pointwise for numeric deformations."""
+    """Phi composed with a base Lagrangian. Its derivatives come from one
+    chain rule for every deformation kind: ``triple`` gives (Phi, Phi',
+    Phi'') at the value of L, and callers combine them with the symbolic
+    derivatives of L. ``composed`` is the exact symbolic form of a closed
+    form, kept as an independent oracle."""
 
     base: ScalarField
     deformation: Deformation
@@ -309,15 +312,16 @@ class DeformedLagrangian:
             return ScalarField(self.base.n, self.deformation.compose(self.base.expr))
         return None
 
+    def triple(self, binding) -> tuple:
+        """(Phi(L), Phi'(L), Phi''(L)) at the point."""
+        return self.deformation.triple(ex.evaluate(self.base.expr, binding))
+
     def value(self, binding) -> float:
-        t = ex.evaluate(self.base.expr, binding)
-        return self.deformation.triple(t)[0]
+        return self.triple(binding)[0]
 
     def gradient_pair(self, binding) -> tuple:
         """(Phi'(L), Phi''(L)) at the point."""
-        t = ex.evaluate(self.base.expr, binding)
-        _, d1, d2 = self.deformation.triple(t)
-        return d1, d2
+        return self.triple(binding)[1:]
 
 
 @dataclass
@@ -329,31 +333,28 @@ class DeformedELReport:
 
 
 def verify_deformed_el(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     deformation: Deformation,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> DeformedELReport:
     """Check that the deformed Lagrangian has vanishing Lagrange differential
     along the spray: the direct form S(dPhi(L)/dy_i) - dPhi(L)/dx_i and the
     expanded form Phi'' S(L) dL/dy_i + Phi' (delta_S L)_i are both evaluated
-    and compared; the verdict is on the direct form."""
-    derived = DerivedFields(spray, lagrangian)
-    deformed = DeformedLagrangian(lagrangian, deformation)
+    and compared; the verdict is on the direct form. ``samples`` are points
+    where L is evaluable; those where Phi(L) is not count as rejected."""
+    deformed = DeformedLagrangian(derived.lagrangian, deformation)
     composed = deformed.composed()
     direct_form = (
-        lagrange_differential(spray, composed) if composed is not None else None
+        lagrange_differential(derived.spray, composed) if composed is not None else None
     )
 
-    guards = Guards(evaluable=(lagrangian.expr,))
-    points = draw_samples(plan, guards, params)
     residuals, kept = [], []
     expansion_max = 0.0
     agreement_max = 0.0
     out_of_interval = 0
-    for p in points:
+    for p in samples.points:
         b = p.binding(params)
         try:
             d1, d2 = deformed.gradient_pair(b)
@@ -361,7 +362,7 @@ def verify_deformed_el(
             point_worst = 0.0
             point_exp_worst = 0.0
             point_agree = 0.0
-            for i in range(spray.n):
+            for i in range(deformed.n):
                 dy_i = ex.evaluate(derived.vertical.components[i], b)
                 defect_i = ex.evaluate(derived.defect.components[i], b)
                 term1 = d2 * sl * dy_i
@@ -383,32 +384,18 @@ def verify_deformed_el(
         expansion_max = max(expansion_max, point_exp_worst)
         agreement_max = max(agreement_max, point_agree)
     direct_report = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, plan.count - len(kept), tol
+        "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
     )
     return DeformedELReport(direct_report, expansion_max, agreement_max, out_of_interval)
 
 
-def deformed_hessian(
-    lagrangian: ScalarField,
-    deformation: Deformation,
-    plan: SamplePlan,
-    params: Optional[dict] = None,
-) -> tuple:
-    """Fiber Hessian of Phi(L): Phi'' L_y_i L_y_j + Phi' g_ij. Returns the
-    field representation (expression matrix for closed forms, a pointwise
-    callable otherwise) together with its sampled rank report."""
+def deformed_hessian_matrix(
+    lagrangian: ScalarField, deformation: Deformation, params: Optional[dict] = None
+):
+    """Fiber Hessian of Phi(L) as a callable ``point -> ndarray``:
+    Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
+    alike."""
     deformed = DeformedLagrangian(lagrangian, deformation)
-    composed = deformed.composed()
-    if composed is not None:
-        matrix = fiber_hessian(composed)
-        report = hessian_report(
-            matrix,
-            plan,
-            params,
-            domain=Guards(evaluable=(lagrangian.expr,)),
-        )
-        return matrix, report
-
     vertical = vertical_differential(lagrangian)
     base_hessian = fiber_hessian(lagrangian)
     n = lagrangian.n
@@ -416,15 +403,19 @@ def deformed_hessian(
     def matrix_at(point: PhasePoint):
         b = point.binding(params)
         d1, d2 = deformed.gradient_pair(b)
-        dy = [ex.evaluate(c, b) for c in vertical.components]
+        dy = np.array([ex.evaluate(c, b) for c in vertical.components])
         g = np.array([[ex.evaluate(base_hessian[i][j], b) for j in range(n)] for i in range(n)])
-        dy_arr = np.array(dy)
-        return d2 * np.outer(dy_arr, dy_arr) + d1 * g
+        return d2 * np.outer(dy, dy) + d1 * g
 
-    report = hessian_report(
-        matrix_at,
-        plan,
-        params,
-        domain=Guards(evaluable=(lagrangian.expr,)),
-    )
-    return matrix_at, report
+    return matrix_at
+
+
+def deformed_hessian(
+    lagrangian: ScalarField,
+    deformation: Deformation,
+    samples: Samples,
+    params: Optional[dict] = None,
+) -> HessianReport:
+    """Rank report of the fiber Hessian of Phi(L) over ``samples``."""
+    matrix = deformed_hessian_matrix(lagrangian, deformation, params)
+    return hessian_report(matrix, samples, params)

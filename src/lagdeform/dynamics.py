@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from . import expressions as ex
-from .deformation import DeformedLagrangian, OutOfInterval
+from .deformation import DeformedLagrangian
 from .geometry import (
     PhasePoint,
     ScalarField,
@@ -153,33 +153,26 @@ def integrate_geodesic(
 Lagrangianlike = Union[ScalarField, DeformedLagrangian]
 
 
+def _base_of(lag: Lagrangianlike) -> ScalarField:
+    return lag.base if isinstance(lag, DeformedLagrangian) else lag
+
+
 def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
-    """Per-state values of dLag/dy_i and dLag/dx_i."""
+    """Per-state values of dLag/dy_i and dLag/dx_i: Phi'(L) L_y and
+    Phi'(L) L_x, with Phi' = 1 for a plain L."""
     n = traj.n
     count = len(traj.times)
     momenta = np.empty((count, n))
     forces = np.empty((count, n))
-    if isinstance(lag, DeformedLagrangian):
-        composed = lag.composed()
-        if composed is not None:
-            return _momentum_and_force_values(traj, composed)
-        base = lag.base
-        vert = vertical_differential(base)
-        base_x = [ex.partial(base.expr, f"x{i}") for i in range(1, n + 1)]
-        for k in range(count):
-            b = traj.binding(k)
-            d1, _ = lag.gradient_pair(b)
-            for i in range(n):
-                momenta[k, i] = d1 * ex.evaluate(vert.components[i], b)
-                forces[k, i] = d1 * ex.evaluate(base_x[i], b)
-        return momenta, forces
-    vert = vertical_differential(lag)
-    lag_x = [ex.partial(lag.expr, f"x{i}") for i in range(1, n + 1)]
+    base = _base_of(lag)
+    vert = vertical_differential(base)
+    base_x = [ex.partial(base.expr, f"x{i}") for i in range(1, n + 1)]
     for k in range(count):
         b = traj.binding(k)
+        d1 = 1.0 if lag is base else lag.gradient_pair(b)[0]
         for i in range(n):
-            momenta[k, i] = ex.evaluate(vert.components[i], b)
-            forces[k, i] = ex.evaluate(lag_x[i], b)
+            momenta[k, i] = d1 * ex.evaluate(vert.components[i], b)
+            forces[k, i] = d1 * ex.evaluate(base_x[i], b)
     return momenta, forces
 
 
@@ -196,19 +189,19 @@ def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
 
 
 def energy_along(traj: Trajectory, lag: Lagrangianlike):
-    """Series E(t_k) = C(Lag) - Lag and the drift max |E(t_k) - E(t_0)|."""
+    """Series E(t_k) = C(Lag) - Lag, that is Phi'(L) C(L) - Phi(L) (Phi the
+    identity for a plain L), and the drift max |E(t_k) - E(t_0)|."""
     count = len(traj.times)
     series = np.empty(count)
-    if isinstance(lag, DeformedLagrangian):
-        base_c = liouville_apply(lag.base)
-        for k in range(count):
-            b = traj.binding(k)
-            d1, _ = lag.gradient_pair(b)
-            series[k] = d1 * ex.evaluate(base_c.expr, b) - lag.value(b)
-    else:
-        e_field = energy(lag)
-        for k in range(count):
-            series[k] = ex.evaluate(e_field.expr, traj.binding(k))
+    base = _base_of(lag)
+    base_c = liouville_apply(base)
+    for k in range(count):
+        b = traj.binding(k)
+        if lag is base:
+            phi, d1 = ex.evaluate(base.expr, b), 1.0
+        else:
+            phi, d1, _ = lag.triple(b)
+        series[k] = d1 * ex.evaluate(base_c.expr, b) - phi
     drift = float(np.max(np.abs(series - series[0])))
     return series, drift
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import expressions as ex
 from .conditions import (
     ConditionReport,
@@ -47,7 +45,6 @@ from .deformation import (
     DeformedELReport,
     DeformedLagrangian,
     DomainConflict,
-    Numeric,
     OutOfInterval,
     deformed_hessian,
     synthesize,
@@ -292,16 +289,12 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     derived = DerivedFields(spec.spray, spec.lagrangian)
 
     try:
-        draw_samples(plan, derived.theorem_guards(), spec.params)
-        degenerate = False
+        theorem_samples = draw_samples(plan, derived.theorem_guards(), spec.params)
     except TooManyRejections as exc:
-        degenerate = True
         doc.notes.append(
             f"guards reject the box ({exc.accepted}/{exc.requested} accepted): "
             "S(L) or C(L) vanishes on samples"
         )
-
-    if degenerate:
         _remark_path(doc, spec, derived, plan, tol)
         return doc
 
@@ -310,7 +303,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.sigma_consistency = _stage(
             "sigma_consistency",
             lambda: check_sigma_consistency(
-                spec.spray, spec.lagrangian, spec.sigma, plan, spec.params, tol["identity"]
+                derived, spec.sigma, plan, spec.params, tol["identity"]
             ),
         )
         sigma_ok = doc.sigma_consistency.passed
@@ -324,13 +317,13 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     doc.sigma_condition = _stage(
         "sigma_condition",
         lambda: check_sigma_condition(
-            spec.spray, spec.lagrangian, sigma_use, plan, spec.params, tol["identity"]
+            derived, sigma_use, plan, spec.params, tol["identity"]
         ),
     )
 
     try:
         doc.dependence = functional_dependence_test(
-            spec.spray, spec.lagrangian, plan, spec.params, tol["dependence"]
+            derived, theorem_samples, plan, spec.params, tol["dependence"]
         )
     except InsufficientSamples as exc:
         doc.notes.append(f"dependence test starved: {exc}")
@@ -349,24 +342,21 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.verdict = "Inconclusive"
         return doc
 
+    # Shared by the checks below. It cannot run out of attempts: it reads the
+    # same seeded stream as the theorem-guard draw, whose guards include its.
+    evaluable = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params)
     doc.verify = _stage(
         "verify",
         lambda: verify_deformed_el(
-            spec.spray, spec.lagrangian, doc.deformation, plan, spec.params, tol["identity"]
+            derived, doc.deformation, evaluable, spec.params, tol["identity"]
         ),
     )
     doc.base_hessian = _stage(
-        "hessian",
-        lambda: hessian_report(
-            spec.lagrangian,
-            plan,
-            spec.params,
-            domain=Guards(evaluable=(spec.lagrangian.expr,)),
-        ),
+        "hessian", lambda: hessian_report(spec.lagrangian, evaluable, spec.params)
     )
-    _, doc.deformed_hessian_report = _stage(
+    doc.deformed_hessian_report = _stage(
         "deformed_hessian",
-        lambda: deformed_hessian(spec.lagrangian, doc.deformation, plan, spec.params),
+        lambda: deformed_hessian(spec.lagrangian, doc.deformation, evaluable, spec.params),
     )
 
     try:
@@ -387,7 +377,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.dissipative = _stage(
             "dissipative",
             lambda: check_dissipative(
-                spec.spray, spec.lagrangian, spec.dissipation, plan, spec.params, tol["identity"]
+                derived, spec.dissipation, plan, spec.params, tol["identity"]
             ),
         )
 
@@ -430,7 +420,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         evaluable=(spec.lagrangian.expr,) + tuple(derived.defect.components)
     )
     try:
-        points = draw_samples(plan, guards, spec.params)
+        points = draw_samples(plan, guards, spec.params).points
     except TooManyRejections:
         doc.notes.append("expressions are nowhere evaluable on the box")
         doc.verdict = "Inconclusive"
@@ -448,17 +438,19 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
     sigma_ok = True
     if spec.sigma is not None:
         doc.sigma_consistency = check_sigma_consistency(
-            spec.spray, spec.lagrangian, spec.sigma, plan, spec.params, tol["identity"]
+            derived, spec.sigma, plan, spec.params, tol["identity"]
         )
         doc.sigma_condition = check_sigma_condition(
-            spec.spray, spec.lagrangian, spec.sigma, plan, spec.params, tol["identity"]
+            derived, spec.sigma, plan, spec.params, tol["identity"]
         )
         sigma_ok = doc.sigma_consistency.passed and doc.sigma_condition.passed
         if not sigma_ok:
             doc.notes.append("supplied sigma is inconsistent with the conservative defect")
 
     doc.base_hessian = hessian_report(
-        spec.lagrangian, plan, spec.params, domain=Guards(evaluable=(spec.lagrangian.expr,))
+        spec.lagrangian,
+        draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params),
+        spec.params,
     )
     if conservative and sigma_ok:
         doc.deformation = synthesize(Affine(), (0.0, 1.0))

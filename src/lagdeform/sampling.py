@@ -9,13 +9,13 @@ expression involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import expressions as ex
-from .geometry import PhasePoint, ScalarField
+from .geometry import PhasePoint
 
 
 class SamplingError(Exception):
@@ -98,9 +98,20 @@ class Guards:
         return True
 
 
+class Samples(NamedTuple):
+    """The accepted points of one draw and the number of draws it took."""
+
+    points: list
+    attempts: int
+
+    @property
+    def rejected(self) -> int:
+        return self.attempts - len(self.points)
+
+
 def draw_samples(
     plan: SamplePlan, guards: Guards, params: Optional[dict] = None
-) -> list:
+) -> Samples:
     """Draw exactly ``plan.count`` guard-admissible points, deterministically
     for a fixed seed. Raises :class:`TooManyRejections` if the acceptance
     ratio falls below the plan threshold."""
@@ -121,5 +132,5 @@ def draw_samples(
         point = PhasePoint(draw[:n], draw[n:])
         if guards.admits(point, params, plan.guard_eps):
             accepted.append(point)
-    return accepted
+    return Samples(accepted, attempts)
 

@@ -239,7 +239,7 @@ def test_criterion_4_homogeneous(docs):
     doc, _ = docs["homogeneous"]
     spec = doc.problem
     plan = spec.plan(count=200)
-    points = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params)
+    points = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params).points
     p_l = homogeneity_degree(spec.lagrangian, points, spec.params)
     ok = p_l is not None and abs(p_l - 2.0) <= 1e-9
     for comp in spec.sigma.components:
@@ -275,13 +275,11 @@ def test_criterion_5_lienard(docs):
     doc, _ = docs["lienard"]
     spec = doc.problem
     derived = DerivedFields(spec.spray, spec.lagrangian)
-    points = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params)
+    points = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params).points
     worst = 0.0
     for p in points:
         b = p.binding(spec.params)
-        f_val = deformation_ratio(
-            spec.spray, spec.lagrangian, p, spec.params, derived=derived
-        )
+        f_val = deformation_ratio(derived, p, spec.params)
         l_val = evaluate(spec.lagrangian.expr, b)
         worst = max(worst, abs(f_val - 1.0 / (2.0 * l_val)) / (1.0 + abs(f_val)))
     ok = worst <= 1e-9

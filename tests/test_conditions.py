@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lagdeform.conditions import (
     ConditionReport,
     DependenceResult,
+    DerivedFields,
     InsufficientSamples,
     NotHomogeneous,
     check_dissipative,
@@ -33,7 +34,7 @@ from lagdeform.families import (
     PowerShift,
     Tabulated,
 )
-from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm
+from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
 from lagdeform.sampling import (
     Guards,
     GuardViolation,
@@ -64,6 +65,17 @@ def plan_for(n, count=120, seed=42, **kw):
     return SamplePlan(bounds=box(n), count=count, seed=seed, **kw)
 
 
+def derived(sys):
+    return DerivedFields(sys["spray"], sys["lagrangian"])
+
+
+def dependence(spray, lagrangian, plan, params, **kw):
+    """functional_dependence_test on the theorem-guard draw of ``plan``."""
+    d = DerivedFields(spray, lagrangian)
+    samples = draw_samples(plan, d.theorem_guards(), params)
+    return functional_dependence_test(d, samples, plan, params, **kw)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -75,8 +87,8 @@ def test_draw_samples_deterministic():
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(2, count=50, seed=7)
-    first = draw_samples(plan, d.theorem_guards(), sys["params"])
-    second = draw_samples(plan, d.theorem_guards(), sys["params"])
+    first = draw_samples(plan, d.theorem_guards(), sys["params"]).points
+    second = draw_samples(plan, d.theorem_guards(), sys["params"]).points
     assert [(p.x, p.y) for p in first] == [(p.x, p.y) for p in second]
 
 
@@ -96,8 +108,32 @@ def test_draw_samples_high_acceptance_for_damped_oscillator():
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(2, count=200, seed=11)
-    points = draw_samples(plan, d.theorem_guards(), sys["params"])
+    points = draw_samples(plan, d.theorem_guards(), sys["params"]).points
     assert len(points) == 200
+
+
+def test_reports_count_rejected_draws():
+    # L = y1^2/2 + ln(x1 - 1) is not evaluable for x1 <= 1, a third of the
+    # box [0.5, 2]^2; the attempts are counted on the sampler's seeded stream
+    # against that known region, without the guards
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("-1/(2*(x1 - 1))", names)])
+    d = DerivedFields(spray, ScalarField(1, parse("0.5*y1^2 + ln(x1 - 1)", names)))
+    plan = plan_for(1, count=200, seed=5)
+    rng = np.random.default_rng(plan.seed)
+    attempts = accepted = 0
+    while accepted < plan.count:
+        attempts += 1
+        accepted += bool(rng.uniform([0.5, 0.5], [2.0, 2.0])[0] > 1.0)
+    dissipation = ScalarField(1, parse("y1^2", names))
+    reports = [
+        check_sigma_condition(d, d.defect, plan, {}),
+        check_sigma_consistency(d, d.defect, plan, {}),
+        check_dissipative(d, dissipation, plan, {}).gradient_match,
+    ]
+    for report in reports:
+        assert report.rejected > 0
+        assert report.accepted + report.rejected == attempts
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +144,7 @@ def test_draw_samples_high_acceptance_for_damped_oscillator():
 def test_ratio_damped_oscillator_point():
     sys = damped_oscillator()
     p = PhasePoint([1.0, 0.0], [2.0, 1.0])
-    got = deformation_ratio(sys["spray"], sys["lagrangian"], p, sys["params"])
+    got = deformation_ratio(derived(sys), p, sys["params"])
     assert got == pytest.approx(-0.2, rel=1e-12)
     # equals -1/(2L) with L = 2.5
     assert got == pytest.approx(-1.0 / 5.0)
@@ -120,8 +156,8 @@ def test_ratio_exp_class_is_constant_b():
     from lagdeform.conditions import DerivedFields
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
-    for p in draw_samples(plan, d.theorem_guards(), sys["params"]):
-        got = deformation_ratio(sys["spray"], sys["lagrangian"], p, sys["params"], derived=d)
+    for p in draw_samples(plan, d.theorem_guards(), sys["params"]).points:
+        got = deformation_ratio(d, p, sys["params"])
         assert got == pytest.approx(1.0, abs=1e-9)
 
 
@@ -129,7 +165,7 @@ def test_ratio_lienard_positive_sign():
     # measured slope is +1/(2 alpha L); at (1, 1) with alpha = 1 that is 1/18
     sys = lienard()
     p = PhasePoint([1.0], [1.0])
-    got = deformation_ratio(sys["spray"], sys["lagrangian"], p, sys["params"])
+    got = deformation_ratio(derived(sys), p, sys["params"])
     assert got == pytest.approx(1.0 / 18.0, rel=1e-12)
 
 
@@ -137,7 +173,7 @@ def test_ratio_guard_violation_for_conserved_lagrangian():
     sys = free_particle(2)
     p = PhasePoint([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(GuardViolation):
-        deformation_ratio(sys["spray"], sys["lagrangian"], p, sys["params"])
+        deformation_ratio(derived(sys), p, sys["params"])
 
 
 def _ratio_via_duals(sys, point):
@@ -172,10 +208,8 @@ def test_ratio_symbolic_vs_dual_routes(factory):
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(sys["n"], count=40, seed=23)
-    for p in draw_samples(plan, d.theorem_guards(), sys["params"]):
-        symbolic = deformation_ratio(
-            sys["spray"], sys["lagrangian"], p, sys["params"], derived=d
-        )
+    for p in draw_samples(plan, d.theorem_guards(), sys["params"]).points:
+        symbolic = deformation_ratio(d, p, sys["params"])
         dual = _ratio_via_duals(sys, p)
         assert abs(symbolic - dual) <= 1e-10 * (1.0 + abs(symbolic))
 
@@ -188,7 +222,7 @@ def test_ratio_symbolic_vs_dual_routes(factory):
 def test_sigma_condition_damped_oscillator_passes():
     sys = damped_oscillator()
     report = check_sigma_condition(
-        sys["spray"], sys["lagrangian"], sys["sigma"], plan_for(2, 200), sys["params"]
+        derived(sys), sys["sigma"], plan_for(2, 200), sys["params"]
     )
     assert report.passed
     assert report.max_residual <= 1e-10
@@ -201,7 +235,7 @@ def test_sigma_condition_perturbed_fails():
     comps[0] = parse(f"({comps[0].to_source()}) + 0.1", names)
     perturbed = SemiBasicForm(2, comps)
     report = check_sigma_condition(
-        sys["spray"], sys["lagrangian"], perturbed, plan_for(2, 200), sys["params"]
+        derived(sys), perturbed, plan_for(2, 200), sys["params"]
     )
     assert not report.passed
     assert report.max_residual >= 0.01
@@ -211,7 +245,7 @@ def test_sigma_condition_zero_force_conservative_vacuous():
     sys = free_particle(2)
     zero = SemiBasicForm(2, [parse("0", ("x1",)), parse("0", ("x1",))])
     report = check_sigma_condition(
-        sys["spray"], sys["lagrangian"], zero, plan_for(2, 100), sys["params"]
+        derived(sys), zero, plan_for(2, 100), sys["params"]
     )
     assert report.passed
     assert report.max_residual == 0.0
@@ -220,7 +254,7 @@ def test_sigma_condition_zero_force_conservative_vacuous():
 def test_sigma_consistency_drag_system():
     sys = drag_system()
     report = check_sigma_consistency(
-        sys["spray"], sys["lagrangian"], sys["sigma"], plan_for(2, 150), sys["params"]
+        derived(sys), sys["sigma"], plan_for(2, 150), sys["params"]
     )
     assert report.passed
 
@@ -229,7 +263,7 @@ def test_sigma_consistency_catches_misaligned_force():
     # the rotational oscillator's aligned sigma is NOT its Lagrange defect
     sys = damped_oscillator()
     report = check_sigma_consistency(
-        sys["spray"], sys["lagrangian"], sys["sigma"], plan_for(2, 150), sys["params"]
+        derived(sys), sys["sigma"], plan_for(2, 150), sys["params"]
     )
     assert not report.passed
     assert report.max_residual > 0.01
@@ -242,7 +276,7 @@ def test_sigma_consistency_catches_misaligned_force():
 
 def test_dependence_drag_system_on_half_inverse():
     sys = drag_system()
-    result = functional_dependence_test(
+    result = dependence(
         sys["spray"], sys["lagrangian"], plan_for(2, 200, seed=9), sys["params"]
     )
     assert result.functional
@@ -252,7 +286,7 @@ def test_dependence_drag_system_on_half_inverse():
 
 def test_dependence_log_class_on_minus_inverse():
     sys = log_class()
-    result = functional_dependence_test(
+    result = dependence(
         sys["spray"], sys["lagrangian"], plan_for(3, 150, seed=21), sys["params"]
     )
     assert result.functional
@@ -266,7 +300,7 @@ def test_dependence_detects_level_set_variation():
     names = ("x1", "x2", "y1", "y2")
     sys = free_particle(2)
     lagrangian = ScalarField(2, parse("0.5*(y1^2 + y2^2) + x1", names))
-    result = functional_dependence_test(
+    result = dependence(
         sys["spray"], lagrangian, plan_for(2, 150, seed=13), {}
     )
     assert not result.functional
@@ -276,7 +310,7 @@ def test_dependence_detects_level_set_variation():
 def test_dependence_insufficient_samples():
     sys = drag_system()
     with pytest.raises(InsufficientSamples):
-        functional_dependence_test(
+        dependence(
             sys["spray"], sys["lagrangian"], plan_for(2, 5, seed=3), sys["params"]
         )
 
@@ -433,7 +467,9 @@ def test_gauss_newton_zero_denominator_keeps_start():
 
 def test_hessian_kinetic_full_rank():
     sys = free_particle(2)
-    report = hessian_report(sys["lagrangian"], plan_for(2, 60), sys["params"])
+    report = hessian_report(
+        sys["lagrangian"], draw_samples(plan_for(2, 60), Guards(), sys["params"]), sys["params"]
+    )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
 
@@ -441,7 +477,7 @@ def test_hessian_kinetic_full_rank():
 def test_hessian_root_kinetic_rank_deficient():
     names = ("x1", "x2", "y1", "y2")
     L = ScalarField(2, parse("sqrt(y1^2 + y2^2)", names))
-    report = hessian_report(L, plan_for(2, 60), {})
+    report = hessian_report(L, draw_samples(plan_for(2, 60), Guards(), {}), {})
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
 
@@ -450,9 +486,10 @@ def test_hessian_exp_class_lagrangian_regular():
     sys = exp_class()
     report = hessian_report(
         sys["lagrangian"],
-        plan_for(3, 60),
+        draw_samples(
+            plan_for(3, 60), Guards(evaluable=(sys["lagrangian"].expr,)), sys["params"]
+        ),
         sys["params"],
-        domain=Guards(evaluable=(sys["lagrangian"].expr,)),
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (3, 3)
@@ -461,7 +498,7 @@ def test_hessian_exp_class_lagrangian_regular():
 def test_hessian_trivial_matrix():
     names = ("x1", "y1")
     L = ScalarField(1, parse("x1*y1", names))  # fiber Hessian identically zero
-    report = hessian_report(L, plan_for(1, 30), {})
+    report = hessian_report(L, draw_samples(plan_for(1, 30), Guards(), {}), {})
     assert not report.nontrivial
 
 
@@ -525,7 +562,7 @@ def test_homogeneous_inhomogeneous_rejected():
 def test_dissipative_damped_oscillator_passes():
     sys = damped_oscillator()
     report = check_dissipative(
-        sys["spray"], sys["lagrangian"], sys["dissipation"], plan_for(2, 150), sys["params"]
+        derived(sys), sys["dissipation"], plan_for(2, 150), sys["params"]
     )
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
@@ -536,7 +573,7 @@ def test_dissipative_zero_function_trivial():
     sys = free_particle(2)
     zero = ScalarField(2, parse("0", ("x1",)))
     report = check_dissipative(
-        sys["spray"], sys["lagrangian"], zero, plan_for(2, 60), sys["params"]
+        derived(sys), zero, plan_for(2, 60), sys["params"]
     )
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
@@ -549,7 +586,7 @@ def test_dissipative_perturbed_gradient_fails():
         2, parse(f"({sys['dissipation'].expr.to_source()}) + x1*y1", names)
     )
     report = check_dissipative(
-        sys["spray"], sys["lagrangian"], perturbed, plan_for(2, 150), sys["params"]
+        derived(sys), perturbed, plan_for(2, 150), sys["params"]
     )
     assert not report.gradient_match.passed
 
@@ -557,7 +594,7 @@ def test_dissipative_perturbed_gradient_fails():
 def test_dissipative_rayleigh_reports_negative_quadratic():
     sys = rayleigh_drag()
     report = check_dissipative(
-        sys["spray"], sys["lagrangian"], sys["dissipation"], plan_for(2, 100), sys["params"]
+        derived(sys), sys["dissipation"], plan_for(2, 100), sys["params"]
     )
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lagdeform.conditions import InsufficientSamples, classify, functional_dependence_test
+from lagdeform.conditions import (
+    DerivedFields,
+    InsufficientSamples,
+    classify,
+    functional_dependence_test,
+    hessian_report,
+)
+from lagdeform.corpus import CORPUS_NAMES
 from lagdeform.deformation import (
     ClosedForm,
     DeformedLagrangian,
@@ -12,12 +19,14 @@ from lagdeform.deformation import (
     OutOfInterval,
     affine_rescale,
     deformed_hessian,
+    deformed_hessian_matrix,
     phi_eval,
     synthesize,
     synthesize_numeric,
     verify_deformed_el,
 )
-from lagdeform.expressions import parse
+from lagdeform.dynamics import IntegratorConfig, el_residual_along, integrate_geodesic
+from lagdeform.expressions import chart_names, evaluate, parse
 from lagdeform.families import (
     Affine,
     Constant,
@@ -27,8 +36,8 @@ from lagdeform.families import (
     PowerShift,
     Tabulated,
 )
-from lagdeform.geometry import ScalarField
-from lagdeform.sampling import SamplePlan
+from lagdeform.geometry import PhasePoint, ScalarField, SemiSpray, fiber_hessian
+from lagdeform.sampling import Guards, SamplePlan, draw_samples
 
 from systems import (
     drag_system,
@@ -48,6 +57,11 @@ def box(n, lo=0.5, hi=2.0):
 
 def plan_for(n, count=120, seed=42):
     return SamplePlan(bounds=box(n), count=count, seed=seed)
+
+
+def evaluable(sys, plan):
+    """The draw of ``plan`` at points where L is evaluable."""
+    return draw_samples(plan, Guards(evaluable=(sys["lagrangian"].expr,)), sys["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +197,10 @@ def test_verify_drag_system_with_root():
     sys = drag_system()
     phi = synthesize(PowerShift(-0.5, 0.0), (0.25, 4.0))
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], phi, plan_for(2, 200), sys["params"]
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        phi,
+        evaluable(sys, plan_for(2, 200)),
+        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -192,15 +209,19 @@ def test_verify_drag_system_with_root():
 
 def test_verify_moebius_system():
     sys = moebius_class()
-    result = functional_dependence_test(
-        sys["spray"], sys["lagrangian"], plan_for(3, 150, seed=31), sys["params"]
-    )
+    derived = DerivedFields(sys["spray"], sys["lagrangian"])
+    plan = plan_for(3, 150, seed=31)
+    samples = draw_samples(plan, derived.theorem_guards(), sys["params"])
+    result = functional_dependence_test(derived, samples, plan, sys["params"])
     fit = classify(result.cloud)
     assert isinstance(fit.chosen, Moebius)
     ls = [l for l, _ in result.cloud]
     phi = synthesize(fit.chosen, (min(ls), max(ls)))
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], phi, plan_for(3, 150, seed=33), sys["params"]
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        phi,
+        evaluable(sys, plan_for(3, 150, seed=33)),
+        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -210,7 +231,10 @@ def test_verify_wrong_deformation_fails():
     sys = drag_system()
     wrong = synthesize(PowerShift(1.0, 0.0), (0.25, 4.0))  # Phi = L^2/2
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], wrong, plan_for(2, 100), sys["params"]
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        wrong,
+        evaluable(sys, plan_for(2, 100)),
+        sys["params"],
     )
     assert not report.direct.passed
     assert report.direct.max_residual > 1e-3
@@ -221,7 +245,11 @@ def test_verify_numeric_deformation():
     cloud = [(l, -0.5 / l) for l in np.linspace(0.25, 4.5, 400)]
     phi = synthesize_numeric(cloud)
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], phi, plan_for(2, 100), sys["params"], tol=1e-5
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        phi,
+        evaluable(sys, plan_for(2, 100)),
+        sys["params"],
+        tol=1e-5,
     )
     # numeric quadrature limits the residual, but it stays small
     assert report.direct.max_residual <= 1e-5
@@ -231,7 +259,10 @@ def test_verify_lienard_three_halves():
     sys = lienard()
     phi = synthesize(PowerShift(0.5, 0.0), (2.0, 40.0))
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], phi, plan_for(1, 150), sys["params"]
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        phi,
+        evaluable(sys, plan_for(1, 150)),
+        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -245,7 +276,9 @@ def test_verify_lienard_three_halves():
 def test_deformed_hessian_homogeneous_root_is_singular():
     sys = homogeneous_example()
     phi = synthesize(HomogeneousRoot(2.0), (0.5, 30.0))
-    _, report = deformed_hessian(sys["lagrangian"], phi, plan_for(3, 80), sys["params"])
+    report = deformed_hessian(
+        sys["lagrangian"], phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+    )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
 
@@ -253,14 +286,18 @@ def test_deformed_hessian_homogeneous_root_is_singular():
 def test_deformed_hessian_affine_keeps_rank():
     sys = free_particle(2)
     phi = synthesize(Affine(), (0.25, 4.0))
-    _, report = deformed_hessian(sys["lagrangian"], phi, plan_for(2, 60), sys["params"])
+    report = deformed_hessian(
+        sys["lagrangian"], phi, evaluable(sys, plan_for(2, 60)), sys["params"]
+    )
     assert (report.min_rank, report.max_rank) == (2, 2)
 
 
 def test_deformed_hessian_moebius_regular():
     sys = moebius_class()
     phi = synthesize(Moebius(0.5, 1.0), (-2.95, -2.01))
-    _, report = deformed_hessian(sys["lagrangian"], phi, plan_for(3, 80), sys["params"])
+    report = deformed_hessian(
+        sys["lagrangian"], phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+    )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (3, 3)
 
@@ -268,9 +305,19 @@ def test_deformed_hessian_moebius_regular():
 def test_deformed_hessian_drag_root_rank_one():
     sys = drag_system()
     phi = synthesize(PowerShift(-0.5, 0.0), (0.25, 4.0))
-    _, report = deformed_hessian(sys["lagrangian"], phi, plan_for(2, 80), sys["params"])
+    report = deformed_hessian(
+        sys["lagrangian"], phi, evaluable(sys, plan_for(2, 80)), sys["params"]
+    )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
+
+
+def test_deformed_hessian_skips_points_where_phi_overflows():
+    # Phi = exp(1e4 L)/1e4 overflows math.exp at every sample of the box
+    sys = free_particle(2)
+    phi = synthesize(Constant(1e4), (0.25, 4.0))
+    with pytest.raises(InsufficientSamples):
+        deformed_hessian(sys["lagrangian"], phi, evaluable(sys, plan_for(2, 20)), sys["params"])
 
 
 def test_affine_rescale_preserves_verdicts():
@@ -283,11 +330,18 @@ def test_affine_rescale_preserves_verdicts():
     assert sd1 == pytest.approx(3.5 * d1)
     assert sd2 == pytest.approx(3.5 * d2)
     report = verify_deformed_el(
-        sys["spray"], sys["lagrangian"], scaled, plan_for(2, 100), sys["params"]
+        DerivedFields(sys["spray"], sys["lagrangian"]),
+        scaled,
+        evaluable(sys, plan_for(2, 100)),
+        sys["params"],
     )
     assert report.direct.passed
-    _, h_base = deformed_hessian(sys["lagrangian"], base, plan_for(2, 50), sys["params"])
-    _, h_scaled = deformed_hessian(sys["lagrangian"], scaled, plan_for(2, 50), sys["params"])
+    h_base = deformed_hessian(
+        sys["lagrangian"], base, evaluable(sys, plan_for(2, 50)), sys["params"]
+    )
+    h_scaled = deformed_hessian(
+        sys["lagrangian"], scaled, evaluable(sys, plan_for(2, 50)), sys["params"]
+    )
     assert (h_base.min_rank, h_base.max_rank) == (h_scaled.min_rank, h_scaled.max_rank)
 
 
@@ -314,3 +368,66 @@ def test_composed_expression_matches_pointwise():
     p = PhasePoint([1.0, 1.0, 1.0], [0.8, 1.2, 0.6])
     b = p.binding(sys["params"])
     assert evaluate(composed.expr, b) == pytest.approx(deformed.value(b), rel=1e-14)
+
+
+def test_verify_counts_draw_and_interval_rejections():
+    # L = y1^2/2 + ln(x1 - 1) is not evaluable for x1 <= 1, a third of the
+    # box; Phi = ln(L + 1) is not defined where L <= -1, close to x1 = 1
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("-1/(2*(x1 - 1))", names)])
+    lagrangian = ScalarField(1, parse("0.5*y1^2 + ln(x1 - 1)", names))
+    plan = plan_for(1, 200, seed=8)
+    samples = draw_samples(plan, Guards(evaluable=(lagrangian.expr,)), {})
+    phi = synthesize(Logarithmic(1.0), (0.0, 1.0))
+    report = verify_deformed_el(DerivedFields(spray, lagrangian), phi, samples, {})
+    outside = sum(evaluate(lagrangian.expr, p.binding()) <= -1.0 for p in samples.points)
+    assert samples.attempts > plan.count
+    assert report.out_of_interval == outside > 0
+    assert report.direct.accepted == plan.count - outside
+    assert report.direct.rejected == samples.attempts - plan.count + outside
+    assert report.direct.accepted + report.direct.rejected == samples.attempts
+
+
+# ---------------------------------------------------------------------------
+# the chain rule against the composed symbolic form of a closed form
+# ---------------------------------------------------------------------------
+
+
+def _closed_form_problem(corpus_reports, name):
+    doc = corpus_reports[name]
+    if not isinstance(doc.deformation, ClosedForm):
+        pytest.skip(f"{name}: numeric deformation, no composed form to compare with")
+    return doc.problem, DeformedLagrangian(doc.problem.lagrangian, doc.deformation)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
+    spec, deformed = _closed_form_problem(corpus_reports, name)
+    symbolic = fiber_hessian(deformed.composed())
+    chain = deformed_hessian_matrix(spec.lagrangian, deformed.deformation, spec.params)
+    samples = draw_samples(
+        spec.plan(count=60), Guards(evaluable=(spec.lagrangian.expr,)), spec.params
+    )
+    for p in samples.points:
+        b = p.binding(spec.params)
+        want = np.array([[evaluate(cell, b) for cell in row] for row in symbolic])
+        assert np.all(np.abs(chain(p) - want) <= 1e-9 * (1.0 + np.abs(want))), p
+    by_chain = deformed_hessian(spec.lagrangian, deformed.deformation, samples, spec.params)
+    by_symbols = hessian_report(symbolic, samples, spec.params)
+    assert (by_chain.min_rank, by_chain.max_rank, by_chain.samples) == (
+        by_symbols.min_rank,
+        by_symbols.max_rank,
+        by_symbols.samples,
+    )
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_chain_rule_el_residual_matches_composed_form(corpus_reports, name):
+    spec, deformed = _closed_form_problem(corpus_reports, name)
+    mid = [0.5 * sum(spec.bounds[v]) for v in chart_names(spec.n)]
+    start = PhasePoint(mid[: spec.n], mid[spec.n :])
+    cfg = IntegratorConfig(step=1e-3, horizon=0.05, initial=start)
+    traj = integrate_geodesic(spec.spray, cfg, spec.params)
+    by_chain = el_residual_along(traj, deformed)
+    by_symbols = el_residual_along(traj, deformed.composed())
+    assert abs(by_chain - by_symbols) <= 1e-9

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,14 +126,6 @@ EXPECTED = {
     "homogeneous": ("DeformableSingular", PowerShift),
     "free-particle": ("ConservativeAffineOnly", type(None)),
 }
-
-
-@pytest.fixture(scope="module")
-def corpus_reports():
-    return {
-        name: run_pipeline(load_corpus_problem(name), mode="report")
-        for name in CORPUS_NAMES
-    }
 
 
 def test_corpus_closure_no_inconclusive(corpus_reports):
@@ -281,6 +274,60 @@ def test_json_round_trip_byte_identical(corpus_reports):
             json.dumps(reparsed, indent=2, sort_keys=True, allow_nan=False) + "\n"
         ).encode()
         assert payload == again, name
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _snapshot_mismatches(got, want, path=""):
+    """Paths where a JSON report departs from its snapshot. Strings,
+    booleans, integers (ranks, counts) and nulls must match exactly; floats
+    within 1e-9 (1 + |snapshot|). A ``worst_point`` is not compared when its
+    check's max residual is below 1e-12: there every sample is exact to
+    rounding, so which one is worst is decided by the last bits."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or set(got) != set(want):
+            return [path]
+        tiny = isinstance(want.get("max_residual"), float) and want["max_residual"] < 1e-12
+        return [
+            bad
+            for key in sorted(want)
+            if not (key == "worst_point" and tiny)
+            for bad in _snapshot_mismatches(got[key], want[key], f"{path}/{key}")
+        ]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [path]
+        return [
+            bad
+            for k, (g, w) in enumerate(zip(got, want))
+            for bad in _snapshot_mismatches(g, w, f"{path}/{k}")
+        ]
+    if isinstance(want, float):
+        ok = type(got) is float and abs(got - want) <= 1e-9 * (1.0 + abs(want))
+        return [] if ok else [path]
+    return [] if type(got) is type(want) and got == want else [path]
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_json_report_matches_golden_snapshot(corpus_reports, name):
+    got = json.loads(emit_report(corpus_reports[name], "json"))
+    want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert _snapshot_mismatches(got, want) == []
+
+
+def test_snapshot_comparison_is_strict_where_it_must_be():
+    base = {"rank": 2, "verdict": "DeformableSingular", "ok": True, "x": 1.0}
+    assert _snapshot_mismatches(dict(base, x=1.0 + 1e-10), base) == []
+    assert _snapshot_mismatches(dict(base, x=1.0 + 1e-8), base) == ["/x"]
+    assert _snapshot_mismatches(dict(base, rank=3), base) == ["/rank"]
+    assert _snapshot_mismatches(dict(base, ok=1), base) == ["/ok"]
+    assert _snapshot_mismatches(dict(base, verdict="Inconclusive"), base) == ["/verdict"]
+    check = {"max_residual": 1e-13, "worst_point": {"x": [0.5], "y": [1.0]}}
+    moved = {"max_residual": 1e-13, "worst_point": {"x": [1.5], "y": [1.0]}}
+    assert _snapshot_mismatches(moved, check) == []
+    loud = dict(check, max_residual=1e-3)
+    assert _snapshot_mismatches(dict(moved, max_residual=1e-3), loud) == ["/worst_point/x/0"]
 
 
 def test_text_report_contains_family_and_verdict(corpus_reports):

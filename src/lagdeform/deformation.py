@@ -294,11 +294,9 @@ def affine_rescale(deformation: Deformation, alpha: float, beta: float) -> Defor
 
 @dataclass(frozen=True)
 class DeformedLagrangian:
-    """Phi composed with a base Lagrangian. Its derivatives come from one
-    chain rule for every deformation kind: ``triple`` gives (Phi, Phi',
-    Phi'') at the value of L, and callers combine them with the symbolic
-    derivatives of L. ``composed`` is the exact symbolic form of a closed
-    form, kept as an independent oracle."""
+    """Phi composed with a base Lagrangian. ``triple`` is the one chain-rule
+    entry point for every deformation kind; ``composed`` is the exact
+    symbolic form of a closed form, kept as an independent oracle."""
 
     base: ScalarField
     deformation: Deformation

@@ -7,15 +7,16 @@ reaches the same answer through the slope classification, which is a nice
 cross-check; the Moebius problem exercises the rational family instead.
 """
 
-from lagdeform.conditions import check_homogeneous
+from lagdeform.conditions import DerivedFields, check_homogeneous
 from lagdeform.corpus import load_corpus_problem
 from lagdeform.pipeline import run_pipeline
+from lagdeform.sampling import draw_samples
 
 # --- homogeneous route -----------------------------------------------------
 spec = load_corpus_problem("homogeneous")
-report = check_homogeneous(
-    spec.spray, spec.lagrangian, spec.sigma, spec.plan(), spec.params
-)
+derived = DerivedFields(spec.spray, spec.lagrangian)
+samples = draw_samples(spec.plan(), derived.run_guards(spec.sigma), spec.params)
+report = check_homogeneous(derived, spec.sigma, samples, spec.params)
 print("degree           =", report.degree)
 print("wedge residual   =", f"{report.wedge_residual:.3e}")
 print("prescribed Phi   =", report.phi_class.describe())

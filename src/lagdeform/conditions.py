@@ -43,7 +43,21 @@ from .geometry import (
     lagrange_differential,
     vertical_differential,
 )
-from .sampling import Guards, GuardViolation, SamplePlan, Samples, draw_samples
+from .sampling import Guards, GuardViolation, SamplePlan, Samples
+
+# Bisection steps that put a constructed point on a target level of L.
+_BISECTIONS = 80
+# Target levels of the dependence test and points constructed on each.
+_LEVELS = 32
+_PER_LEVEL = 4
+# Damped Gauss-Newton steps of one start of the classify fit.
+_GN_ITERATIONS = 50
+# A singular value counts towards the rank above this fraction of the largest.
+_RANK_RTOL = 1e-9
+# A Hessian is non-trivial when some entry exceeds this on the samples.
+_NONTRIVIAL_TOL = 1e-10
+# Tolerance of the measured fiber-homogeneity degrees.
+_TOL_DEGREE = 1e-9
 
 
 class InsufficientSamples(Exception):
@@ -102,6 +116,7 @@ class DerivedFields:
     energy_rate: ScalarField = field(init=False)  # S(E_L)
     vertical: SemiBasicForm = field(init=False)  # d_J L
     defect: SemiBasicForm = field(init=False)  # delta_S L
+    hessian: list = field(init=False)  # g_ij, the fiber Hessian of L
 
     def __post_init__(self):
         self.spray_of_L = spray_apply(self.spray, self.lagrangian)
@@ -110,6 +125,7 @@ class DerivedFields:
         self.energy_rate = spray_apply(self.spray, self.energy_of_L)
         self.vertical = vertical_differential(self.lagrangian)
         self.defect = lagrange_differential(self.spray, self.lagrangian)
+        self.hessian = fiber_hessian(self.lagrangian)
 
     def theorem_guards(self) -> Guards:
         return Guards(
@@ -117,11 +133,14 @@ class DerivedFields:
             evaluable=(self.lagrangian.expr, self.energy_rate.expr),
         )
 
-    def denominator_guards(self, extra_evaluable=()) -> Guards:
-        return Guards(
-            nonzero=(self.liouville_of_L,),
-            evaluable=(self.lagrangian.expr, self.energy_rate.expr) + tuple(extra_evaluable),
-        )
+    def run_guards(self, sigma=None, dissipation=None) -> Guards:
+        """The theorem guards with the defect, ``sigma`` and ``dissipation``
+        evaluable: the guards of the one sample set a run's checks share."""
+        theorem = self.theorem_guards()
+        extra = tuple(self.defect.components)
+        extra += tuple(sigma.components) if sigma is not None else ()
+        extra += (dissipation.expr,) if dissipation is not None else ()
+        return Guards(theorem.nonzero, theorem.evaluable + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +173,13 @@ def deformation_ratio(
 def check_sigma_condition(
     derived: DerivedFields,
     sigma: SemiBasicForm,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> ConditionReport:
-    """Check sigma = (S(E_L)/C(L)) d_J L at sampled points, per component,
-    with residuals relative to 1 + |sigma_i|. Only C(L) is guarded (it is the
-    denominator); the conservative case passes vacuously."""
-    samples = draw_samples(plan, derived.denominator_guards(sigma.components), params)
+    """Check sigma = (S(E_L)/C(L)) d_J L at ``samples`` (drawn with C(L)
+    guarded), per component, with residuals relative to 1 + |sigma_i|. The
+    conservative case passes vacuously."""
     residuals = []
     for p in samples.points:
         b = p.binding(params)
@@ -181,19 +199,13 @@ def check_sigma_condition(
 def check_sigma_consistency(
     derived: DerivedFields,
     sigma: SemiBasicForm,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> ConditionReport:
     """Cross-check a user-supplied sigma against the Lagrange differential:
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
-    guards = Guards(
-        evaluable=(derived.lagrangian.expr,)
-        + tuple(sigma.components)
-        + tuple(derived.defect.components)
-    )
-    samples = draw_samples(plan, guards, params)
     residuals = []
     for p in samples.points:
         b = p.binding(params)
@@ -230,7 +242,6 @@ def _solve_on_level(
     target: float,
     names,
     n: int,
-    bisections: int = 80,
 ) -> Optional[PhasePoint]:
     """Construct a point with L exactly (to rounding) equal to ``target`` by
     bisecting L along a random segment of fiber coordinates."""
@@ -253,7 +264,7 @@ def _solve_on_level(
             continue
         lo_c, hi_c = a, b
         try:
-            for _ in range(bisections):
+            for _ in range(_BISECTIONS):
                 mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
                 vm, pm = value_at(mid)
                 if (vm - target) * (va - target) <= 0.0:
@@ -274,13 +285,11 @@ def functional_dependence_test(
     plan: SamplePlan,
     params: Optional[dict] = None,
     tol_dep: float = 1e-6,
-    levels: int = 32,
-    per_level: int = 4,
 ) -> DependenceResult:
     """Decide whether the slope ratio is a function of L alone.
 
-    Collects the (L, f) cloud over ``samples``, the draw of ``plan`` under
-    ``derived.theorem_guards()``, then builds groups of near-equal L by
+    Collects the (L, f) cloud over ``samples``, a draw of ``plan`` under at
+    least ``derived.theorem_guards()``, then builds groups of near-equal L by
     constructing extra points directly on 32 target levels (bisection along
     fiber segments, level width ~1e-10 relative) and compares the ratio
     within each group. Genuine level-set variation shows up as within-group
@@ -311,11 +320,11 @@ def functional_dependence_test(
     max_spread = 0.0
     used = 0
     functional = True
-    for k in range(levels):
-        target = float(np.quantile(l_values, (k + 0.5) / levels))
+    for k in range(_LEVELS):
+        target = float(np.quantile(l_values, (k + 0.5) / _LEVELS))
         group = []
-        for _ in range(per_level * 3):
-            if len(group) >= per_level:
+        for _ in range(_PER_LEVEL * 3):
+            if len(group) >= _PER_LEVEL:
                 break
             pt = _solve_on_level(lagrangian, plan, params, rng, target, names, lagrangian.n)
             if pt is None:
@@ -390,7 +399,7 @@ class _Model(NamedTuple):
     jacobian: Callable  # (ls, theta) -> array of shape (len(ls), len(theta))
 
 
-def _gauss_newton(model: _Model, theta0, ls, fs, iterations=50):
+def _gauss_newton(model: _Model, theta0, ls, fs):
     """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud at once.
 
     A start whose cost is not finite, as when a denominator is exactly zero
@@ -408,7 +417,7 @@ def _gauss_newton(model: _Model, theta0, ls, fs, iterations=50):
         if not math.isfinite(cost):
             return theta, math.inf
         lam = 1e-3
-        for _ in range(iterations):
+        for _ in range(_GN_ITERATIONS):
             jac = model.jacobian(ls, theta)
             jtj = jac.T @ jac
             jtr = jac.T @ residuals
@@ -559,14 +568,10 @@ def hessian_report(
     matrix,
     samples: Samples,
     params: Optional[dict] = None,
-    rank_rtol: float = 1e-9,
-    nontrivial_tol: float = 1e-10,
 ) -> HessianReport:
     """Evaluate an expression matrix (or a callable ``point -> ndarray``) at
-    the sampled points; rank via singular values above ``rank_rtol * s_max``.
+    the sampled points; rank via singular values above ``_RANK_RTOL * s_max``.
     A point where the matrix is not evaluable is skipped."""
-    if isinstance(matrix, ScalarField):
-        matrix = fiber_hessian(matrix)
     min_rank, max_rank = None, None
     max_entry = 0.0
     evaluated = 0
@@ -588,13 +593,13 @@ def hessian_report(
         evaluated += 1
         max_entry = max(max_entry, float(np.max(np.abs(m))))
         s = np.linalg.svd(m, compute_uv=False)
-        rank = int(np.sum(s > rank_rtol * (s[0] if s[0] > 0 else 1.0)))
+        rank = int(np.sum(s > _RANK_RTOL * (s[0] if s[0] > 0 else 1.0)))
         min_rank = rank if min_rank is None else min(min_rank, rank)
         max_rank = rank if max_rank is None else max(max_rank, rank)
     if evaluated == 0:
         raise InsufficientSamples("no evaluable points for the Hessian")
     return HessianReport(
-        nontrivial=max_entry > nontrivial_tol,
+        nontrivial=max_entry > _NONTRIVIAL_TOL,
         min_rank=min_rank,
         max_rank=max_rank,
         samples=evaluated,
@@ -620,41 +625,39 @@ class HomogeneousReport:
 
 
 def check_homogeneous(
-    spray: SemiSpray,
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     sigma: SemiBasicForm,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
     tol_wedge: float = 1e-10,
-    tol_degree: float = 1e-9,
 ) -> HomogeneousReport:
     """Homogeneous-case test: L and sigma fiber-homogeneous of common degree
     p > 1 on a spray, and d_J L wedge sigma = 0; then Phi = L^(1/p) works and
     the report carries the non-triviality of its Hessian combination."""
-    guards = Guards(evaluable=(lagrangian.expr,) + tuple(sigma.components))
-    points = draw_samples(plan, guards, params).points
+    lagrangian = derived.lagrangian
+    points = samples.points
 
     degrees = {}
-    p_l = homogeneity_degree(lagrangian, points, params, tol_degree)
+    p_l = homogeneity_degree(lagrangian, points, params, _TOL_DEGREE)
     degrees["L"] = p_l
     comp_degrees = []
     for i, comp in enumerate(sigma.components):
-        deg = homogeneity_degree(ScalarField(sigma.n, comp), points, params, tol_degree)
+        deg = homogeneity_degree(ScalarField(sigma.n, comp), points, params, _TOL_DEGREE)
         degrees[f"sigma_{i + 1}"] = deg
         if deg is not None:
             comp_degrees.append(deg)
-    spray_ok = homogeneity_degree(spray, points, params, tol_degree) == 2.0
+    spray_ok = homogeneity_degree(derived.spray, points, params, _TOL_DEGREE) == 2.0
     degrees["spray"] = 2.0 if spray_ok else None
 
     if p_l is None:
         raise NotHomogeneous("Lagrangian is not fiber-homogeneous", degrees)
-    if abs(p_l - 1.0) <= tol_degree:
+    if abs(p_l - 1.0) <= _TOL_DEGREE:
         raise NotHomogeneous(
             "degree 1: the energy vanishes, forcing a zero force form", degrees
         )
     if p_l <= 1.0:
         raise NotHomogeneous("degree must exceed 1", degrees)
-    if any(abs(d - p_l) > tol_degree * (1.0 + abs(p_l)) for d in comp_degrees):
+    if any(abs(d - p_l) > _TOL_DEGREE * (1.0 + abs(p_l)) for d in comp_degrees):
         raise NotHomogeneous("force components have a different degree", degrees)
     if not spray_ok:
         raise NotHomogeneous("coefficients are not fiber-quadratic", degrees)
@@ -663,11 +666,11 @@ def check_homogeneous(
         if ex.evaluate(lagrangian.expr, b) <= 0.0:
             raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
 
-    vertical = vertical_differential(lagrangian)
+    vertical = derived.vertical.components
     wedge = 0.0
     for p in points:
         b = p.binding(params)
-        dj = [ex.evaluate(c, b) for c in vertical.components]
+        dj = [ex.evaluate(c, b) for c in vertical]
         sg = [ex.evaluate(c, b) for c in sigma.components]
         for i in range(sigma.n):
             for j in range(i + 1, sigma.n):
@@ -679,13 +682,12 @@ def check_homogeneous(
 
     nontrivial = False
     if passed:
-        g = fiber_hessian(lagrangian)
         coeff = ex.Const((1.0 - p_round) / p_round)
         matrix = [
             [
                 ex.add(
-                    ex.mul(coeff, ex.mul(vertical.components[i], vertical.components[j])),
-                    ex.mul(lagrangian.expr, g[i][j]),
+                    ex.mul(coeff, ex.mul(vertical[i], vertical[j])),
+                    ex.mul(lagrangian.expr, derived.hessian[i][j]),
                 )
                 for j in range(sigma.n)
             ]
@@ -728,16 +730,12 @@ class DissipativeReport:
 def check_dissipative(
     derived: DerivedFields,
     dissipation: ScalarField,
-    plan: SamplePlan,
+    samples: Samples,
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> DissipativeReport:
     vertical_d = vertical_differential(dissipation)
     liouville_d = liouville_apply(dissipation)
-    guards = Guards(
-        evaluable=(derived.lagrangian.expr, dissipation.expr, derived.energy_rate.expr)
-    )
-    samples = draw_samples(plan, guards, params)
     kept, rejected = samples.points, samples.rejected
 
     grad_res, rate_res = [], []

@@ -31,11 +31,13 @@ from .families import (
 from .geometry import (
     PhasePoint,
     ScalarField,
-    fiber_hessian,
     lagrange_differential,
-    vertical_differential,
 )
 from .sampling import Samples
+
+
+# Points of the uniform grid a numeric deformation is integrated on.
+_GRID_SIZE = 4096
 
 
 class DomainConflict(Exception):
@@ -226,7 +228,7 @@ def synthesize(family, data_interval: tuple) -> Deformation:
     raise TypeError(f"cannot synthesize from {family!r}")
 
 
-def synthesize_numeric(cloud: Sequence, grid_size: int = 4096) -> Numeric:
+def synthesize_numeric(cloud: Sequence) -> Numeric:
     """Integrate a sampled slope cloud: F = int f (trapezoid on a uniform
     grid), Phi' = exp(F), Phi = int Phi'."""
     pts = sorted((float(l), float(f)) for l, f in cloud)
@@ -236,7 +238,7 @@ def synthesize_numeric(cloud: Sequence, grid_size: int = 4096) -> Numeric:
     fs = np.array([f for _, f in pts])
     if np.any(np.diff(ls) <= 0.0):
         raise ValueError("cloud abscissae must be strictly increasing")
-    grid = np.linspace(ls[0], ls[-1], grid_size)
+    grid = np.linspace(ls[0], ls[-1], _GRID_SIZE)
     # shape-preserving interpolation of the slope cloud onto the grid; the
     # integration itself stays trapezoid
     f_grid = PchipInterpolator(ls, fs)(grid)
@@ -388,32 +390,29 @@ def verify_deformed_el(
 
 
 def deformed_hessian_matrix(
-    lagrangian: ScalarField, deformation: Deformation, params: Optional[dict] = None
+    derived: DerivedFields, deformation: Deformation, params: Optional[dict] = None
 ):
     """Fiber Hessian of Phi(L) as a callable ``point -> ndarray``:
     Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
     alike."""
-    deformed = DeformedLagrangian(lagrangian, deformation)
-    vertical = vertical_differential(lagrangian)
-    base_hessian = fiber_hessian(lagrangian)
-    n = lagrangian.n
+    deformed = DeformedLagrangian(derived.lagrangian, deformation)
 
     def matrix_at(point: PhasePoint):
         b = point.binding(params)
         d1, d2 = deformed.gradient_pair(b)
-        dy = np.array([ex.evaluate(c, b) for c in vertical.components])
-        g = np.array([[ex.evaluate(base_hessian[i][j], b) for j in range(n)] for i in range(n)])
+        dy = np.array([ex.evaluate(c, b) for c in derived.vertical.components])
+        g = np.array([[ex.evaluate(cell, b) for cell in row] for row in derived.hessian])
         return d2 * np.outer(dy, dy) + d1 * g
 
     return matrix_at
 
 
 def deformed_hessian(
-    lagrangian: ScalarField,
+    derived: DerivedFields,
     deformation: Deformation,
     samples: Samples,
     params: Optional[dict] = None,
 ) -> HessianReport:
     """Rank report of the fiber Hessian of Phi(L) over ``samples``."""
-    matrix = deformed_hessian_matrix(lagrangian, deformation, params)
+    matrix = deformed_hessian_matrix(derived, deformation, params)
     return hessian_report(matrix, samples, params)

@@ -122,11 +122,11 @@ def integrate_geodesic(
             k2 = rhs(state + 0.5 * h * k1)
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
+        except ex.Overflow as exc:
+            # a power overflows inside a stage before the check below sees it
+            raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         except ex.DomainViolation as exc:
             raise GeodesicError(f"domain violation: {exc}", step=k) from exc
-        except OverflowError as exc:
-            # math.pow overflows inside a stage before the check below sees it
-            raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > 1e100:
             raise GeodesicError("non-finite state (blow-up)", step=k)

@@ -64,6 +64,10 @@ class DomainViolation(ExpressionError):
         self.reason = reason
 
 
+class Overflow(DomainViolation):
+    """A power too large for a float: the value blows up at the point."""
+
+
 # ---------------------------------------------------------------------------
 # dual numbers (forward mode)
 # ---------------------------------------------------------------------------
@@ -380,6 +384,8 @@ class Pow(Expr):
         b = self.base.evaluate(binding)
         try:
             return _pow_checked(b, self.exponent)
+        except OverflowError as exc:
+            raise Overflow(self, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainViolation(self, str(exc)) from None
 
@@ -387,6 +393,8 @@ class Pow(Expr):
         b = self.base.evaluate_dual(binding, seed)
         try:
             return b.powc(self.exponent)
+        except OverflowError as exc:
+            raise Overflow(self, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainViolation(self, str(exc)) from None
 

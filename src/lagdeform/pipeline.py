@@ -288,23 +288,32 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     plan = spec.plan()
     derived = DerivedFields(spec.spray, spec.lagrangian)
 
+    # The one sample set every check of the run reads.
     try:
-        theorem_samples = draw_samples(plan, derived.theorem_guards(), spec.params)
-    except TooManyRejections as exc:
-        doc.notes.append(
-            f"guards reject the box ({exc.accepted}/{exc.requested} accepted): "
-            "S(L) or C(L) vanishes on samples"
+        samples = draw_samples(
+            plan, derived.run_guards(spec.sigma, spec.dissipation), spec.params
         )
-        _remark_path(doc, spec, derived, plan, tol)
+    except TooManyRejections as run_exc:
+        try:
+            draw_samples(plan, derived.theorem_guards(), spec.params)
+        except TooManyRejections as exc:
+            doc.notes.append(
+                f"guards reject the box ({exc.accepted}/{exc.requested} accepted): "
+                "S(L) or C(L) vanishes on samples"
+            )
+            _remark_path(doc, spec, derived, plan, tol)
+            return doc
+        doc.notes.append(
+            f"the supplied sigma, the Lagrange differential or D is not evaluable "
+            f"on the box ({run_exc.accepted}/{run_exc.requested} accepted)"
+        )
+        doc.verdict = "Inconclusive"
         return doc
 
     sigma_ok = True
     if spec.sigma is not None:
-        doc.sigma_consistency = _stage(
-            "sigma_consistency",
-            lambda: check_sigma_consistency(
-                derived, spec.sigma, plan, spec.params, tol["identity"]
-            ),
+        doc.sigma_consistency = check_sigma_consistency(
+            derived, spec.sigma, samples, spec.params, tol["identity"]
         )
         sigma_ok = doc.sigma_consistency.passed
         if not sigma_ok:
@@ -314,25 +323,20 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
             )
     sigma_use = spec.sigma if spec.sigma is not None else derived.defect
 
-    doc.sigma_condition = _stage(
-        "sigma_condition",
-        lambda: check_sigma_condition(
-            derived, sigma_use, plan, spec.params, tol["identity"]
-        ),
+    doc.sigma_condition = check_sigma_condition(
+        derived, sigma_use, samples, spec.params, tol["identity"]
     )
 
     try:
         doc.dependence = functional_dependence_test(
-            derived, theorem_samples, plan, spec.params, tol["dependence"]
+            derived, samples, plan, spec.params, tol["dependence"]
         )
     except InsufficientSamples as exc:
         doc.notes.append(f"dependence test starved: {exc}")
         doc.verdict = "Inconclusive"
         return doc
 
-    doc.fit = _stage(
-        "classify", lambda: classify(doc.dependence.cloud, tol["classification"])
-    )
+    doc.fit = classify(doc.dependence.cloud, tol["classification"])
 
     ls = [l for l, _ in doc.dependence.cloud]
     try:
@@ -342,26 +346,20 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.verdict = "Inconclusive"
         return doc
 
-    # Shared by the checks below. It cannot run out of attempts: it reads the
-    # same seeded stream as the theorem-guard draw, whose guards include its.
-    evaluable = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params)
-    doc.verify = _stage(
-        "verify",
-        lambda: verify_deformed_el(
-            derived, doc.deformation, evaluable, spec.params, tol["identity"]
-        ),
+    doc.verify = verify_deformed_el(
+        derived, doc.deformation, samples, spec.params, tol["identity"]
     )
     doc.base_hessian = _stage(
-        "hessian", lambda: hessian_report(spec.lagrangian, evaluable, spec.params)
+        "hessian", lambda: hessian_report(derived.hessian, samples, spec.params)
     )
     doc.deformed_hessian_report = _stage(
         "deformed_hessian",
-        lambda: deformed_hessian(spec.lagrangian, doc.deformation, evaluable, spec.params),
+        lambda: deformed_hessian(derived, doc.deformation, samples, spec.params),
     )
 
     try:
         doc.theorem2 = check_homogeneous(
-            spec.spray, spec.lagrangian, sigma_use, plan, spec.params, tol["wedge"]
+            derived, sigma_use, samples, spec.params, tol["wedge"]
         )
         if spec.homogeneity is not None and abs(spec.homogeneity - doc.theorem2.degree) > 1e-9:
             doc.notes.append(
@@ -374,11 +372,8 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
             doc.notes.append(f"declared homogeneity not confirmed: {exc}")
 
     if spec.dissipation is not None:
-        doc.dissipative = _stage(
-            "dissipative",
-            lambda: check_dissipative(
-                derived, spec.dissipation, plan, spec.params, tol["identity"]
-            ),
+        doc.dissipative = check_dissipative(
+            derived, spec.dissipation, samples, spec.params, tol["identity"]
         )
 
     if mode == "report":
@@ -406,9 +401,10 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
 
 
 def _stage(name: str, thunk):
+    # The Hessian stages raise when no point of the run's set is evaluable.
     try:
         return thunk()
-    except (TooManyRejections, InsufficientSamples, DomainConflict) as exc:
+    except InsufficientSamples as exc:
         raise PipelineError(name, exc) from exc
 
 
@@ -416,42 +412,45 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
     """S(L) = 0 (or C(L) = 0) everywhere in the box: the conservative branch.
     Any deformation is inert, so the report reduces to whether the defect and
     the supplied force vanish."""
-    guards = Guards(
-        evaluable=(spec.lagrangian.expr,) + tuple(derived.defect.components)
-    )
+    sigma = tuple(spec.sigma.components) if spec.sigma is not None else ()
+    guards = Guards(evaluable=(spec.lagrangian.expr,) + tuple(derived.defect.components) + sigma)
     try:
-        points = draw_samples(plan, guards, spec.params).points
+        samples = draw_samples(plan, guards, spec.params)
     except TooManyRejections:
         doc.notes.append("expressions are nowhere evaluable on the box")
         doc.verdict = "Inconclusive"
         return
 
     defect_max = 0.0
-    for p in points:
+    for p in samples.points:
         b = p.binding(spec.params)
         for comp in derived.defect.components:
             v = ex.evaluate(comp, b)
             defect_max = max(defect_max, abs(v) / (1.0 + abs(v)))
     conservative = defect_max <= tol["identity"]
     doc.notes.append(f"Lagrange differential max residual {defect_max:.3e} on samples")
+    doc.base_hessian = hessian_report(derived.hessian, samples, spec.params)
 
     sigma_ok = True
     if spec.sigma is not None:
         doc.sigma_consistency = check_sigma_consistency(
-            derived, spec.sigma, plan, spec.params, tol["identity"]
+            derived, spec.sigma, samples, spec.params, tol["identity"]
         )
+        # C(L) may vanish on this path, so the condition draws its own set.
+        denominator = Guards((derived.liouville_of_L,), derived.theorem_guards().evaluable + sigma)
+        try:
+            denominator_samples = draw_samples(plan, denominator, spec.params)
+        except TooManyRejections:
+            doc.notes.append("C(L) vanishes on the box: the sigma condition is undefined")
+            doc.verdict = "Inconclusive"
+            return
         doc.sigma_condition = check_sigma_condition(
-            derived, spec.sigma, plan, spec.params, tol["identity"]
+            derived, spec.sigma, denominator_samples, spec.params, tol["identity"]
         )
         sigma_ok = doc.sigma_consistency.passed and doc.sigma_condition.passed
         if not sigma_ok:
             doc.notes.append("supplied sigma is inconsistent with the conservative defect")
 
-    doc.base_hessian = hessian_report(
-        spec.lagrangian,
-        draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params),
-        spec.params,
-    )
     if conservative and sigma_ok:
         doc.deformation = synthesize(Affine(), (0.0, 1.0))
         doc.deformed_hessian_report = doc.base_hessian

@@ -114,8 +114,12 @@ def draw_samples(
 ) -> Samples:
     """Draw exactly ``plan.count`` guard-admissible points, deterministically
     for a fixed seed. Raises :class:`TooManyRejections` if the acceptance
-    ratio falls below the plan threshold."""
+    ratio falls below the plan threshold, at once and with no attempt when a
+    ``nonzero`` guard is a constant within ``plan.guard_eps`` of zero."""
     n = plan.dimension
+    for f in guards.nonzero:
+        if isinstance(f.expr, ex.Const) and abs(f.expr.value) <= plan.guard_eps:
+            raise TooManyRejections(0, 0, plan.count)
     rng = np.random.default_rng(plan.seed)
     names = ex.chart_names(n)
     lows = np.array([plan.bounds[v][0] for v in names])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lagdeform
 from lagdeform.cli import main
 
 
@@ -134,3 +139,44 @@ def test_geodesic_dimension_mismatch(capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def _one_dimensional(spray, lagrangian, sigma):
+    return {
+        "name": "degenerate",
+        "dim": 1,
+        "params": {},
+        "spray": spray,
+        "lagrangian": lagrangian,
+        "sigma": sigma,
+        "box": {"x1": [0.5, 2.0], "y1": [0.5, 2.0]},
+        "sampling": {"count": 50, "seed": 1, "guard": 1e-6},
+    }
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        # C(L) = 0 everywhere: the sigma condition is undefined
+        _one_dimensional(["0"], "x1", ["-1"]),
+        # sigma = ln(x1 - 1.99) is evaluable on a sliver of the box only
+        _one_dimensional(["0.5*y1"], "0.5*y1^2", ["ln(x1 - 1.99)"]),
+    ],
+    ids=["vanishing-liouville", "unevaluable-sigma"],
+)
+def test_degenerate_problems_report_inconclusive(tmp_path, problem):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    src = str(Path(lagdeform.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-m", "lagdeform.cli", "report", "--problem", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "verdict: Inconclusive" in done.stdout

@@ -34,7 +34,7 @@ from lagdeform.families import (
     PowerShift,
     Tabulated,
 )
-from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
+from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray, fiber_hessian
 from lagdeform.sampling import (
     Guards,
     GuardViolation,
@@ -69,11 +69,34 @@ def derived(sys):
     return DerivedFields(sys["spray"], sys["lagrangian"])
 
 
-def dependence(spray, lagrangian, plan, params, **kw):
+def dependence(spray, lagrangian, plan, params):
     """functional_dependence_test on the theorem-guard draw of ``plan``."""
     d = DerivedFields(spray, lagrangian)
     samples = draw_samples(plan, d.theorem_guards(), params)
-    return functional_dependence_test(d, samples, plan, params, **kw)
+    return functional_dependence_test(d, samples, plan, params)
+
+
+def evaluable(plan, params, *exprs):
+    """The draw of ``plan`` on which every one of ``exprs`` is evaluable."""
+    return draw_samples(plan, Guards(evaluable=exprs), params)
+
+
+def denominator_samples(d, sigma, plan, params):
+    """The draw of ``plan`` away from C(L) = 0 with L, S(E_L) and sigma
+    evaluable: what the sigma condition divides on."""
+    guards = Guards(
+        nonzero=(d.liouville_of_L,),
+        evaluable=(d.lagrangian.expr, d.energy_rate.expr) + tuple(sigma.components),
+    )
+    return draw_samples(plan, guards, params)
+
+
+def consistency_samples(d, sigma, plan, params):
+    return evaluable(plan, params, d.lagrangian.expr, *sigma.components, *d.defect.components)
+
+
+def dissipative_samples(d, dissipation, plan, params):
+    return evaluable(plan, params, d.lagrangian.expr, dissipation.expr, d.energy_rate.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +125,26 @@ def test_draw_samples_conservative_rejects_everything():
         draw_samples(plan, d.theorem_guards(), sys["params"])
 
 
+def test_draw_samples_constant_zero_guard_raises_before_drawing():
+    names = ("x1", "y1")
+    plan = plan_for(1, count=50, seed=3)
+    for value in ("0", "1e-7"):  # within the plan's guard of 1e-6
+        guards = Guards(nonzero=(ScalarField(1, parse(value, names)),))
+        with pytest.raises(TooManyRejections) as exc:
+            draw_samples(plan, guards, {})
+        assert (exc.value.accepted, exc.value.attempted, exc.value.requested) == (0, 0, 50)
+
+
+def test_draw_samples_nonzero_constant_guard_still_draws():
+    names = ("x1", "y1")
+    plan = plan_for(1, count=50, seed=3)
+    guards = Guards(nonzero=(ScalarField(1, parse("2", names)),))
+    samples = draw_samples(plan, guards, {})
+    unguarded = draw_samples(plan, Guards(), {})
+    assert samples.attempts == 50
+    assert [(p.x, p.y) for p in samples.points] == [(p.x, p.y) for p in unguarded.points]
+
+
 def test_draw_samples_high_acceptance_for_damped_oscillator():
     sys = damped_oscillator()
     from lagdeform.conditions import DerivedFields
@@ -126,10 +169,11 @@ def test_reports_count_rejected_draws():
         attempts += 1
         accepted += bool(rng.uniform([0.5, 0.5], [2.0, 2.0])[0] > 1.0)
     dissipation = ScalarField(1, parse("y1^2", names))
+    samples = draw_samples(plan, d.run_guards(d.defect, dissipation), {})
     reports = [
-        check_sigma_condition(d, d.defect, plan, {}),
-        check_sigma_consistency(d, d.defect, plan, {}),
-        check_dissipative(d, dissipation, plan, {}).gradient_match,
+        check_sigma_condition(d, d.defect, samples, {}),
+        check_sigma_consistency(d, d.defect, samples, {}),
+        check_dissipative(d, dissipation, samples, {}).gradient_match,
     ]
     for report in reports:
         assert report.rejected > 0
@@ -221,9 +265,9 @@ def test_ratio_symbolic_vs_dual_routes(factory):
 
 def test_sigma_condition_damped_oscillator_passes():
     sys = damped_oscillator()
-    report = check_sigma_condition(
-        derived(sys), sys["sigma"], plan_for(2, 200), sys["params"]
-    )
+    d = derived(sys)
+    samples = denominator_samples(d, sys["sigma"], plan_for(2, 200), sys["params"])
+    report = check_sigma_condition(d, sys["sigma"], samples, sys["params"])
     assert report.passed
     assert report.max_residual <= 1e-10
 
@@ -234,9 +278,9 @@ def test_sigma_condition_perturbed_fails():
     comps = list(sys["sigma"].components)
     comps[0] = parse(f"({comps[0].to_source()}) + 0.1", names)
     perturbed = SemiBasicForm(2, comps)
-    report = check_sigma_condition(
-        derived(sys), perturbed, plan_for(2, 200), sys["params"]
-    )
+    d = derived(sys)
+    samples = denominator_samples(d, perturbed, plan_for(2, 200), sys["params"])
+    report = check_sigma_condition(d, perturbed, samples, sys["params"])
     assert not report.passed
     assert report.max_residual >= 0.01
 
@@ -244,27 +288,27 @@ def test_sigma_condition_perturbed_fails():
 def test_sigma_condition_zero_force_conservative_vacuous():
     sys = free_particle(2)
     zero = SemiBasicForm(2, [parse("0", ("x1",)), parse("0", ("x1",))])
-    report = check_sigma_condition(
-        derived(sys), zero, plan_for(2, 100), sys["params"]
-    )
+    d = derived(sys)
+    samples = denominator_samples(d, zero, plan_for(2, 100), sys["params"])
+    report = check_sigma_condition(d, zero, samples, sys["params"])
     assert report.passed
     assert report.max_residual == 0.0
 
 
 def test_sigma_consistency_drag_system():
     sys = drag_system()
-    report = check_sigma_consistency(
-        derived(sys), sys["sigma"], plan_for(2, 150), sys["params"]
-    )
+    d = derived(sys)
+    samples = consistency_samples(d, sys["sigma"], plan_for(2, 150), sys["params"])
+    report = check_sigma_consistency(d, sys["sigma"], samples, sys["params"])
     assert report.passed
 
 
 def test_sigma_consistency_catches_misaligned_force():
     # the rotational oscillator's aligned sigma is NOT its Lagrange defect
     sys = damped_oscillator()
-    report = check_sigma_consistency(
-        derived(sys), sys["sigma"], plan_for(2, 150), sys["params"]
-    )
+    d = derived(sys)
+    samples = consistency_samples(d, sys["sigma"], plan_for(2, 150), sys["params"])
+    report = check_sigma_consistency(d, sys["sigma"], samples, sys["params"])
     assert not report.passed
     assert report.max_residual > 0.01
 
@@ -468,7 +512,9 @@ def test_gauss_newton_zero_denominator_keeps_start():
 def test_hessian_kinetic_full_rank():
     sys = free_particle(2)
     report = hessian_report(
-        sys["lagrangian"], draw_samples(plan_for(2, 60), Guards(), sys["params"]), sys["params"]
+        fiber_hessian(sys["lagrangian"]),
+        draw_samples(plan_for(2, 60), Guards(), sys["params"]),
+        sys["params"],
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
@@ -477,7 +523,7 @@ def test_hessian_kinetic_full_rank():
 def test_hessian_root_kinetic_rank_deficient():
     names = ("x1", "x2", "y1", "y2")
     L = ScalarField(2, parse("sqrt(y1^2 + y2^2)", names))
-    report = hessian_report(L, draw_samples(plan_for(2, 60), Guards(), {}), {})
+    report = hessian_report(fiber_hessian(L), draw_samples(plan_for(2, 60), Guards(), {}), {})
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
 
@@ -485,7 +531,7 @@ def test_hessian_root_kinetic_rank_deficient():
 def test_hessian_exp_class_lagrangian_regular():
     sys = exp_class()
     report = hessian_report(
-        sys["lagrangian"],
+        fiber_hessian(sys["lagrangian"]),
         draw_samples(
             plan_for(3, 60), Guards(evaluable=(sys["lagrangian"].expr,)), sys["params"]
         ),
@@ -498,7 +544,7 @@ def test_hessian_exp_class_lagrangian_regular():
 def test_hessian_trivial_matrix():
     names = ("x1", "y1")
     L = ScalarField(1, parse("x1*y1", names))  # fiber Hessian identically zero
-    report = hessian_report(L, draw_samples(plan_for(1, 30), Guards(), {}), {})
+    report = hessian_report(fiber_hessian(L), draw_samples(plan_for(1, 30), Guards(), {}), {})
     assert not report.nontrivial
 
 
@@ -510,9 +556,8 @@ def test_hessian_trivial_matrix():
 def test_homogeneous_example_passes():
     sys = homogeneous_example()
     plan = SamplePlan(bounds={**box(3, 0.5, 2.0)}, count=150, seed=15)
-    report = check_homogeneous(
-        sys["spray"], sys["lagrangian"], sys["sigma"], plan, sys["params"]
-    )
+    samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *sys["sigma"].components)
+    report = check_homogeneous(derived(sys), sys["sigma"], samples, sys["params"])
     assert report.passed
     assert report.degree == pytest.approx(2.0, abs=1e-9)
     assert report.wedge_residual <= 1e-10
@@ -527,9 +572,8 @@ def test_homogeneous_broken_proportionality_fails():
         3, [parse("2*y1*exp(2*x1)*y1", names), parse("0", names), parse("0", names)]
     )
     plan = SamplePlan(bounds=box(3, 0.5, 2.0), count=100, seed=15)
-    report = check_homogeneous(
-        sys["spray"], sys["lagrangian"], broken, plan, sys["params"]
-    )
+    samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *broken.components)
+    report = check_homogeneous(derived(sys), broken, samples, sys["params"])
     assert not report.passed
     assert report.wedge_residual > 1e-3
 
@@ -540,18 +584,18 @@ def test_homogeneous_degree_one_rejected():
     degree_one = ScalarField(3, parse("exp(x1)*sqrt(y1^2 + y2^2 + y3^2)", names))
     zero = SemiBasicForm(3, [parse("0", names)] * 3)
     plan = SamplePlan(bounds=box(3, 0.5, 2.0), count=60, seed=19)
+    samples = evaluable(plan, {}, degree_one.expr, *zero.components)
     with pytest.raises(NotHomogeneous) as exc:
-        check_homogeneous(sys["spray"], degree_one, zero, plan, {})
+        check_homogeneous(DerivedFields(sys["spray"], degree_one), zero, samples, {})
     assert "degree 1" in str(exc.value)
 
 
 def test_homogeneous_inhomogeneous_rejected():
     sys = damped_oscillator()
     plan = plan_for(2, 60)
+    samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *sys["sigma"].components)
     with pytest.raises(NotHomogeneous):
-        check_homogeneous(
-            sys["spray"], sys["lagrangian"], sys["sigma"], plan, sys["params"]
-        )
+        check_homogeneous(derived(sys), sys["sigma"], samples, sys["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +605,9 @@ def test_homogeneous_inhomogeneous_rejected():
 
 def test_dissipative_damped_oscillator_passes():
     sys = damped_oscillator()
-    report = check_dissipative(
-        derived(sys), sys["dissipation"], plan_for(2, 150), sys["params"]
-    )
+    d = derived(sys)
+    samples = dissipative_samples(d, sys["dissipation"], plan_for(2, 150), sys["params"])
+    report = check_dissipative(d, sys["dissipation"], samples, sys["params"])
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
     assert not report.rayleigh  # D has linear-in-velocity terms
@@ -572,9 +616,9 @@ def test_dissipative_damped_oscillator_passes():
 def test_dissipative_zero_function_trivial():
     sys = free_particle(2)
     zero = ScalarField(2, parse("0", ("x1",)))
-    report = check_dissipative(
-        derived(sys), zero, plan_for(2, 60), sys["params"]
-    )
+    d = derived(sys)
+    samples = dissipative_samples(d, zero, plan_for(2, 60), sys["params"])
+    report = check_dissipative(d, zero, samples, sys["params"])
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
 
@@ -585,17 +629,17 @@ def test_dissipative_perturbed_gradient_fails():
     perturbed = ScalarField(
         2, parse(f"({sys['dissipation'].expr.to_source()}) + x1*y1", names)
     )
-    report = check_dissipative(
-        derived(sys), perturbed, plan_for(2, 150), sys["params"]
-    )
+    d = derived(sys)
+    samples = dissipative_samples(d, perturbed, plan_for(2, 150), sys["params"])
+    report = check_dissipative(d, perturbed, samples, sys["params"])
     assert not report.gradient_match.passed
 
 
 def test_dissipative_rayleigh_reports_negative_quadratic():
     sys = rayleigh_drag()
-    report = check_dissipative(
-        derived(sys), sys["dissipation"], plan_for(2, 100), sys["params"]
-    )
+    d = derived(sys)
+    samples = dissipative_samples(d, sys["dissipation"], plan_for(2, 100), sys["params"])
+    report = check_dissipative(d, sys["dissipation"], samples, sys["params"])
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
     assert report.rayleigh

@@ -59,6 +59,10 @@ def plan_for(n, count=120, seed=42):
     return SamplePlan(bounds=box(n), count=count, seed=seed)
 
 
+def derived(sys):
+    return DerivedFields(sys["spray"], sys["lagrangian"])
+
+
 def evaluable(sys, plan):
     """The draw of ``plan`` at points where L is evaluable."""
     return draw_samples(plan, Guards(evaluable=(sys["lagrangian"].expr,)), sys["params"])
@@ -153,7 +157,7 @@ def test_numeric_zero_slope_is_affine():
 
 def test_numeric_matches_closed_form_root():
     cloud = [(l, -0.5 / l) for l in np.linspace(1.0, 4.0, 400)]
-    phi = synthesize_numeric(cloud, grid_size=4096)
+    phi = synthesize_numeric(cloud)
     for t in np.linspace(1.0, 4.0, 17):
         v, d1, _ = phi_eval(phi, float(t))
         assert v == pytest.approx(2.0 * (math.sqrt(t) - 1.0), abs=1e-6)
@@ -167,7 +171,7 @@ def test_numeric_requires_eight_points():
 
 def test_numeric_vs_closed_affine_alignment():
     cloud = [(l, -0.5 / l) for l in np.linspace(1.0, 4.0, 300)]
-    numeric = synthesize_numeric(cloud, grid_size=4096)
+    numeric = synthesize_numeric(cloud)
     closed = synthesize(PowerShift(-0.5, 0.0), (1.0, 4.0))
     grid = np.asarray(numeric.grid)
     t0, t1 = grid[0], grid[-1]
@@ -277,7 +281,7 @@ def test_deformed_hessian_homogeneous_root_is_singular():
     sys = homogeneous_example()
     phi = synthesize(HomogeneousRoot(2.0), (0.5, 30.0))
     report = deformed_hessian(
-        sys["lagrangian"], phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(3, 80)), sys["params"]
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
@@ -287,7 +291,7 @@ def test_deformed_hessian_affine_keeps_rank():
     sys = free_particle(2)
     phi = synthesize(Affine(), (0.25, 4.0))
     report = deformed_hessian(
-        sys["lagrangian"], phi, evaluable(sys, plan_for(2, 60)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(2, 60)), sys["params"]
     )
     assert (report.min_rank, report.max_rank) == (2, 2)
 
@@ -296,7 +300,7 @@ def test_deformed_hessian_moebius_regular():
     sys = moebius_class()
     phi = synthesize(Moebius(0.5, 1.0), (-2.95, -2.01))
     report = deformed_hessian(
-        sys["lagrangian"], phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(3, 80)), sys["params"]
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (3, 3)
@@ -306,7 +310,7 @@ def test_deformed_hessian_drag_root_rank_one():
     sys = drag_system()
     phi = synthesize(PowerShift(-0.5, 0.0), (0.25, 4.0))
     report = deformed_hessian(
-        sys["lagrangian"], phi, evaluable(sys, plan_for(2, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(2, 80)), sys["params"]
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
@@ -317,7 +321,7 @@ def test_deformed_hessian_skips_points_where_phi_overflows():
     sys = free_particle(2)
     phi = synthesize(Constant(1e4), (0.25, 4.0))
     with pytest.raises(InsufficientSamples):
-        deformed_hessian(sys["lagrangian"], phi, evaluable(sys, plan_for(2, 20)), sys["params"])
+        deformed_hessian(derived(sys), phi, evaluable(sys, plan_for(2, 20)), sys["params"])
 
 
 def test_affine_rescale_preserves_verdicts():
@@ -337,10 +341,10 @@ def test_affine_rescale_preserves_verdicts():
     )
     assert report.direct.passed
     h_base = deformed_hessian(
-        sys["lagrangian"], base, evaluable(sys, plan_for(2, 50)), sys["params"]
+        derived(sys), base, evaluable(sys, plan_for(2, 50)), sys["params"]
     )
     h_scaled = deformed_hessian(
-        sys["lagrangian"], scaled, evaluable(sys, plan_for(2, 50)), sys["params"]
+        derived(sys), scaled, evaluable(sys, plan_for(2, 50)), sys["params"]
     )
     assert (h_base.min_rank, h_base.max_rank) == (h_scaled.min_rank, h_scaled.max_rank)
 
@@ -404,7 +408,8 @@ def _closed_form_problem(corpus_reports, name):
 def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
     spec, deformed = _closed_form_problem(corpus_reports, name)
     symbolic = fiber_hessian(deformed.composed())
-    chain = deformed_hessian_matrix(spec.lagrangian, deformed.deformation, spec.params)
+    derived_fields = DerivedFields(spec.spray, spec.lagrangian)
+    chain = deformed_hessian_matrix(derived_fields, deformed.deformation, spec.params)
     samples = draw_samples(
         spec.plan(count=60), Guards(evaluable=(spec.lagrangian.expr,)), spec.params
     )
@@ -412,7 +417,7 @@ def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
         b = p.binding(spec.params)
         want = np.array([[evaluate(cell, b) for cell in row] for row in symbolic])
         assert np.all(np.abs(chain(p) - want) <= 1e-9 * (1.0 + np.abs(want))), p
-    by_chain = deformed_hessian(spec.lagrangian, deformed.deformation, samples, spec.params)
+    by_chain = deformed_hessian(derived_fields, deformed.deformation, samples, spec.params)
     by_symbols = hessian_report(symbolic, samples, spec.params)
     assert (by_chain.min_rank, by_chain.max_rank, by_chain.samples) == (
         by_symbols.min_rank,

@@ -17,6 +17,8 @@ from lagdeform.expressions import (
     partial,
     to_source,
 )
+from lagdeform.geometry import PhasePoint
+from lagdeform.sampling import Guards
 
 XY2 = ("x1", "x2", "y1", "y2")
 XY3 = ("x1", "x2", "x3", "y1", "y2", "y3")
@@ -105,6 +107,21 @@ def test_evaluate_zero_to_negative_power():
     e = parse("x1^-1", XY2)
     with pytest.raises(DomainViolation):
         evaluate(e, {"x1": 0.0})
+
+
+def test_power_overflow_is_domain_violation():
+    # math.pow raises OverflowError for 100^400, as math.exp does for exp(1000);
+    # both are per-point outcomes, so a sampler rejects the point
+    e = parse("x1^400", XY2)
+    with pytest.raises(DomainViolation):
+        evaluate(e, {"x1": 100.0})
+    with pytest.raises(DomainViolation):
+        evaluate_dual(e, {"x1": 100.0}, "x1")
+    point = PhasePoint([100.0, 1.0], [1.0, 1.0])
+    assert not Guards(evaluable=(e,)).admits(point, None, 1e-6)
+    assert not Guards(evaluable=(parse("exp(x1)", XY2),)).admits(
+        PhasePoint([1000.0, 1.0], [1.0, 1.0]), None, 1e-6
+    )
 
 
 def test_evaluate_missing_binding_is_error():

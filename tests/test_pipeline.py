@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lagdeform.conditions import DerivedFields
 from lagdeform.corpus import CORPUS_NAMES, corpus_text, load_corpus_problem
 from lagdeform.deformation import synthesize
 from lagdeform.expressions import ParseError
@@ -23,6 +25,7 @@ from lagdeform.pipeline import (
     report_to_text,
     run_pipeline,
 )
+from lagdeform.sampling import Guards, TooManyRejections, draw_samples
 
 
 def minimal_problem(**overrides):
@@ -250,6 +253,125 @@ def test_trajectory_stage_lets_unexpected_errors_through():
     doc.deformation = Broken()
     with pytest.raises(RuntimeError, match="bug in a deformation"):
         _trajectory_stage(doc, spec, spec.tolerances)
+
+
+# ---------------------------------------------------------------------------
+# one sample set per run
+# ---------------------------------------------------------------------------
+
+
+def _coordinates(samples):
+    return [p.x + p.y for p in samples.points]
+
+
+def _per_check_guards(spec, derived):
+    """The guard sets of the draws each check once made for itself: the
+    theorem guards, the sigma checks', the L-evaluable set of verification
+    and the Hessians, the homogeneous shortcut's and the dissipative one's."""
+    L, rate = spec.lagrangian.expr, derived.energy_rate.expr
+    defect = tuple(derived.defect.components)
+    sigma = tuple(spec.sigma.components) if spec.sigma is not None else defect
+    sets = [
+        Guards(nonzero=(derived.spray_of_L, derived.liouville_of_L), evaluable=(L, rate)),
+        Guards(nonzero=(derived.liouville_of_L,), evaluable=(L, rate) + sigma),
+        Guards(evaluable=(L,)),
+        Guards(evaluable=(L,) + sigma),
+    ]
+    if spec.sigma is not None:
+        sets.append(Guards(evaluable=(L,) + sigma + defect))
+    if spec.dissipation is not None:
+        sets.append(Guards(evaluable=(L, spec.dissipation.expr, rate)))
+    return sets
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_run_draw_equals_every_per_check_draw(name, offset, sparse):
+    data = json.loads(corpus_text(name))
+    data["sampling"]["seed"] += offset
+    if sparse:
+        data["sampling"]["count"] //= 10
+    spec = problem_from_dict(data)
+    derived = DerivedFields(spec.spray, spec.lagrangian)
+    plan = spec.plan()
+    if name == "free-particle":
+        # S(L) = 0: the run takes the conservative branch, whose one draw
+        # replaces the (L, defect) and the L-evaluable draws
+        with pytest.raises(TooManyRejections):
+            draw_samples(plan, derived.run_guards(spec.sigma, spec.dissipation), spec.params)
+        L = spec.lagrangian.expr
+        run = draw_samples(plan, Guards(evaluable=(L,) + tuple(derived.defect.components)), spec.params)
+        references = [Guards(evaluable=(L,))]
+    else:
+        run = draw_samples(plan, derived.run_guards(spec.sigma, spec.dissipation), spec.params)
+        references = _per_check_guards(spec, derived)
+    assert run.attempts == plan.count
+    for guards in references:
+        reference = draw_samples(plan, guards, spec.params)
+        assert reference.attempts == run.attempts
+        assert _coordinates(reference) == _coordinates(run)
+
+
+def test_every_report_reads_the_one_draw():
+    # L = y1^2/2 + ln(x1 - 1) is not evaluable for x1 <= 1, a third of the
+    # box [0.5, 2]^2; the attempts are counted on the sampler's seeded stream
+    # against that known region, without the guards
+    data = minimal_problem(
+        spray=["-1/(2*(x1 - 1))"],
+        lagrangian="0.5*y1^2 + ln(x1 - 1)",
+        sigma=["0"],
+        dissipation="y1^2",
+        sampling={"count": 200, "seed": 5, "guard": 1e-6},
+    )
+    spec = problem_from_dict(data)
+    rng = np.random.default_rng(spec.seed)
+    attempts = accepted = 0
+    while accepted < spec.count:
+        attempts += 1
+        accepted += bool(rng.uniform([0.5, 0.5], [2.0, 2.0])[0] > 1.0)
+    doc = run_pipeline(spec, mode="verify")
+    diss = doc.dissipative
+    reports = [
+        doc.sigma_consistency,
+        doc.sigma_condition,
+        doc.verify.direct,
+        diss.gradient_match,
+        diss.energy_rate_match,
+        diss.rayleigh_rate,
+    ]
+    assert all(r is not None for r in reports)
+    for report in reports:
+        assert (report.accepted, report.rejected) == (spec.count, attempts - spec.count)
+    assert attempts > spec.count
+
+
+def test_unevaluable_sigma_ends_inconclusive():
+    # sigma = ln(x1 - 1.99) is evaluable on a sliver of the box, so the run's
+    # draw runs out of attempts while the theorem guards alone admit the box
+    data = minimal_problem(
+        spray=["0.5*y1"],
+        lagrangian="0.5*y1^2",
+        sigma=["ln(x1 - 1.99)"],
+        sampling={"count": 50, "seed": 1, "guard": 1e-6},
+    )
+    doc = run_pipeline(problem_from_dict(data))
+    assert doc.verdict == "Inconclusive"
+    assert doc.notes == [
+        "the supplied sigma, the Lagrange differential or D is not evaluable "
+        "on the box (13/50 accepted)"
+    ]
+
+
+def test_vanishing_liouville_with_sigma_ends_inconclusive():
+    # L = x1 has C(L) = 0, so the sigma condition divides by zero everywhere
+    data = minimal_problem(lagrangian="x1", spray=["0"], sigma=["-1"])
+    data["sampling"]["count"] = 50
+    doc = run_pipeline(problem_from_dict(data))
+    assert doc.verdict == "Inconclusive"
+    assert doc.sigma_condition is None
+    assert doc.sigma_consistency.passed
+    assert "C(L) vanishes on the box: the sigma condition is undefined" in doc.notes
 
 
 # ---------------------------------------------------------------------------

@@ -244,20 +244,23 @@ def _solve_on_level(
     n: int,
 ) -> Optional[PhasePoint]:
     """Construct a point with L exactly (to rounding) equal to ``target`` by
-    bisecting L along a random segment of fiber coordinates."""
+    bisecting L along a random segment of fiber coordinates. Coordinates are
+    lists in ``names`` order; only the returned point becomes a PhasePoint."""
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
+    base = dict(params) if params else {}
 
     def value_at(coords):
-        point = PhasePoint(coords[:n], coords[n:])
-        return ex.evaluate(lagrangian.expr, point.binding(params)), point
+        binding = dict(base)
+        binding.update(zip(names, coords))
+        return ex.evaluate(lagrangian.expr, binding)
 
     for _ in range(12):
         a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
         b = list(a[:n]) + [rng.uniform(plan.bounds[v][0], plan.bounds[v][1]) for v in names[n:]]
         try:
-            va, _ = value_at(a)
-            vb, _ = value_at(b)
+            va = value_at(a)
+            vb = value_at(b)
         except ex.DomainViolation:
             continue
         if (va - target) * (vb - target) > 0.0:
@@ -266,16 +269,17 @@ def _solve_on_level(
         try:
             for _ in range(_BISECTIONS):
                 mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm, pm = value_at(mid)
+                vm = value_at(mid)
                 if (vm - target) * (va - target) <= 0.0:
                     hi_c = mid
                 else:
                     lo_c, va = mid, vm
-            vm, pm = value_at([(u + v) / 2.0 for u, v in zip(lo_c, hi_c)])
+            mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
+            vm = value_at(mid)
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return pm
+            return PhasePoint(mid[:n], mid[n:])
     return None
 
 
@@ -570,11 +574,10 @@ def hessian_report(
     params: Optional[dict] = None,
 ) -> HessianReport:
     """Evaluate an expression matrix (or a callable ``point -> ndarray``) at
-    the sampled points; rank via singular values above ``_RANK_RTOL * s_max``.
-    A point where the matrix is not evaluable is skipped."""
-    min_rank, max_rank = None, None
-    max_entry = 0.0
-    evaluated = 0
+    the sampled points; rank via singular values above ``_RANK_RTOL * s_max``,
+    from one batched SVD. A point where the matrix is not evaluable is
+    skipped."""
+    stack = []
     for p in samples.points:
         if callable(matrix):
             try:
@@ -590,19 +593,19 @@ def hessian_report(
                 )
             except ex.DomainViolation:
                 continue
-        evaluated += 1
-        max_entry = max(max_entry, float(np.max(np.abs(m))))
-        s = np.linalg.svd(m, compute_uv=False)
-        rank = int(np.sum(s > _RANK_RTOL * (s[0] if s[0] > 0 else 1.0)))
-        min_rank = rank if min_rank is None else min(min_rank, rank)
-        max_rank = rank if max_rank is None else max(max_rank, rank)
-    if evaluated == 0:
+        stack.append(m)
+    if not stack:
         raise InsufficientSamples("no evaluable points for the Hessian")
+    stack = np.array(stack)
+    max_entry = float(np.max(np.abs(stack)))
+    s = np.linalg.svd(stack, compute_uv=False)
+    s_max = s[:, :1]
+    ranks = np.sum(s > _RANK_RTOL * np.where(s_max > 0, s_max, 1.0), axis=1)
     return HessianReport(
         nontrivial=max_entry > _NONTRIVIAL_TOL,
-        min_rank=min_rank,
-        max_rank=max_rank,
-        samples=evaluated,
+        min_rank=int(ranks.min()),
+        max_rank=int(ranks.max()),
+        samples=len(stack),
         max_entry=max_entry,
     )
 

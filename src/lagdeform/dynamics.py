@@ -123,7 +123,7 @@ def integrate_geodesic(
             k3 = rhs(state + 0.5 * h * k2)
             k4 = rhs(state + h * k3)
         except ex.Overflow as exc:
-            # a power overflows inside a stage before the check below sees it
+            # a power or exp overflows inside a stage before the check below sees it
             raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         except ex.DomainViolation as exc:
             raise GeodesicError(f"domain violation: {exc}", step=k) from exc

@@ -110,11 +110,14 @@ class Dual:
 
     def __truediv__(self, other):
         other = _as_dual(other)
-        if other.val == 0.0:
+        square = other.val * other.val
+        # val^2 can underflow to 0 where val does not; a float64 would then
+        # give inf instead of raising as a Python float does
+        if square == 0.0:
             raise ZeroDivisionError("dual division by zero")
         return Dual(
             self.val / other.val,
-            (self.dot * other.val - self.val * other.dot) / (other.val * other.val),
+            (self.dot * other.val - self.val * other.dot) / square,
         )
 
     def __rtruediv__(self, other):
@@ -197,9 +200,12 @@ _PREC_ATOM = 5
 
 
 class Expr:
-    """Immutable expression node. Subclasses implement the four primitives."""
+    """Immutable expression node. Subclasses implement the four primitives.
 
-    __slots__ = ()
+    The subclasses' ``__slots__`` name the node's structure and nothing else.
+    The base class has none, so that :func:`evaluate` can keep a root's
+    compiled code in the instance dict as ``_compiled``."""
+
     precedence = _PREC_ATOM
 
     def evaluate(self, binding: Binding) -> float:
@@ -452,16 +458,23 @@ class _Func(Expr):
     def evaluate(self, binding):
         try:
             return self._apply(self.arg.evaluate(binding))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except OverflowError as exc:
+            raise Overflow(self, str(exc)) from None
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainViolation(self, str(exc)) from None
 
     def evaluate_dual(self, binding, seed):
         try:
             return self._apply_dual(self.arg.evaluate_dual(binding, seed))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except OverflowError as exc:
+            raise Overflow(self, str(exc)) from None
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainViolation(self, str(exc)) from None
 
-    def _apply(self, v: float) -> float:
+    # a plain function of the argument (static), so that compiled code can
+    # call it without holding the node
+    @staticmethod
+    def _apply(v: float) -> float:
         raise NotImplementedError
 
     def _apply_dual(self, d: Dual) -> Dual:
@@ -472,8 +485,7 @@ class ExpFn(_Func):
     __slots__ = ()
     name = "exp"
 
-    def _apply(self, v):
-        return math.exp(v)
+    _apply = staticmethod(math.exp)
 
     def _apply_dual(self, d):
         return d.exp()
@@ -486,7 +498,8 @@ class LnFn(_Func):
     __slots__ = ()
     name = "ln"
 
-    def _apply(self, v):
+    @staticmethod
+    def _apply(v):
         if v <= 0.0:
             raise ValueError("ln of non-positive value")
         return math.log(v)
@@ -502,7 +515,8 @@ class SqrtFn(_Func):
     __slots__ = ()
     name = "sqrt"
 
-    def _apply(self, v):
+    @staticmethod
+    def _apply(v):
         if v < 0.0:
             raise ValueError("sqrt of negative value")
         return math.sqrt(v)
@@ -518,8 +532,7 @@ class SinFn(_Func):
     __slots__ = ()
     name = "sin"
 
-    def _apply(self, v):
-        return math.sin(v)
+    _apply = staticmethod(math.sin)
 
     def _apply_dual(self, d):
         return d.sin()
@@ -532,8 +545,7 @@ class CosFn(_Func):
     __slots__ = ()
     name = "cos"
 
-    def _apply(self, v):
-        return math.cos(v)
+    _apply = staticmethod(math.cos)
 
     def _apply_dual(self, d):
         return d.cos()
@@ -546,8 +558,7 @@ class AbsFn(_Func):
     __slots__ = ()
     name = "abs"
 
-    def _apply(self, v):
-        return abs(v)
+    _apply = staticmethod(abs)
 
     def _apply_dual(self, d):
         return d.abs()
@@ -561,7 +572,8 @@ class SignFn(_Func):
     __slots__ = ()
     name = "sign"
 
-    def _apply(self, v):
+    @staticmethod
+    def _apply(v):
         if v == 0.0:
             raise ValueError("sign undefined at zero")
         return 1.0 if v > 0.0 else -1.0
@@ -829,6 +841,76 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
+# compiled evaluation
+# ---------------------------------------------------------------------------
+
+
+def _compile(root: Expr):
+    """A function ``binding -> value`` equal to ``root.evaluate`` bit for bit.
+
+    Each distinct subtree (by structure) gets one local, computed where the
+    tree walk first computes it, by the call the tree walk makes on the same
+    operands. Constants reach the code through its namespace, never as
+    literals, so ``-0.0``, ``inf`` and ``nan`` stay exact. The code raises
+    plain ``KeyError``, ``ArithmeticError`` or ``ValueError`` where the walk
+    raises its own errors, and holds no node.
+    """
+    namespace = {"_pow_checked": _pow_checked}
+    lines = []
+    names = {}  # structural key -> name of the subtree's value
+    nonzero = set()  # denominators already checked
+
+    def bind(key, value):
+        if key not in names:
+            names[key] = f"k{len(names)}"
+            namespace[names[key]] = value
+        return names[key]
+
+    def constant(v):
+        return bind((Const, v, math.copysign(1.0, v)), v)  # -0.0 is not 0.0
+
+    def assign(key, source):
+        if key not in names:
+            names[key] = f"t{len(names)}"
+            lines.append(f"    {names[key]} = {source}")
+        return names[key]
+
+    def emit(node):
+        if isinstance(node, Const):
+            return constant(node.value)
+        if isinstance(node, Var):
+            return assign((Var, node.name), f"b[{node.name!r}]")
+        if isinstance(node, Div):
+            r = emit(node.right)
+            if r not in nonzero:
+                # a float64 denominator would give inf rather than raise
+                nonzero.add(r)
+                lines.append(f"    if {r} == 0.0: raise ZeroDivisionError")
+            l = emit(node.left)
+            return assign((Div, l, r), f"{l} / {r}")
+        if isinstance(node, _Binary):
+            l = emit(node.left)
+            r = emit(node.right)
+            return assign((type(node), l, r), f"{l} {node.symbol} {r}")
+        if isinstance(node, Neg):
+            a = emit(node.arg)
+            return assign((Neg, a), f"-{a}")
+        if isinstance(node, Pow):
+            a = emit(node.base)
+            c = constant(node.exponent)
+            return assign((Pow, a, c), f"_pow_checked({a}, {c})")
+        if isinstance(node, _Func):
+            a = emit(node.arg)
+            f = bind(type(node), type(node)._apply)
+            return assign((type(node), a), f"{f}({a})")
+        raise TypeError(f"cannot compile {type(node).__name__}")
+
+    lines.append(f"    return {emit(root)}")
+    exec("def compiled(b):\n" + "\n".join(lines) + "\n", namespace)
+    return namespace.pop("compiled")
+
+
+# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -840,7 +922,20 @@ def parse(source: str, declared: Iterable[str]) -> Expr:
 
 def evaluate(e: Expr, binding: Binding) -> float:
     """Evaluate ``e``; raises :class:`DomainViolation` on invalid points and
-    :class:`UnboundVariable` if the binding is not total."""
+    :class:`UnboundVariable` if the binding is not total.
+
+    Runs the straight-line code of ``e``, compiled on the first call. Where
+    that code raises, the tree walk runs instead and raises the reference
+    error, naming the node it names."""
+    try:
+        run = e._compiled
+    except AttributeError:
+        run = e._compiled = None if isinstance(e, (Const, Var)) else _compile(e)
+    if run is not None:
+        try:
+            return run(binding)
+        except (ArithmeticError, ValueError, KeyError):
+            pass  # leave the handler first: the walk's error has no context
     return e.evaluate(binding)
 
 

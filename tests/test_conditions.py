@@ -474,8 +474,7 @@ def _dual_jacobian_row(model, l, theta):
 @settings(max_examples=300, deadline=None)
 @given(l=_finite, gamma=_finite, a=_finite, t=_finite)
 def test_closed_form_jacobians_equal_dual_numbers(l, gamma, a, t):
-    # L and theta as the fit holds them, float64 array elements: (L + a)^2 may
-    # then underflow to 0 and give inf or nan on both routes instead of raising
+    # L and theta as the fit holds them, float64 array elements
     l = np.float64(l)
     for model, theta in ((_model_power_shift, (gamma, a)), (_model_moebius, (t,))):
         theta = np.array(theta)
@@ -483,7 +482,13 @@ def test_closed_form_jacobians_equal_dual_numbers(l, gamma, a, t):
             continue
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             jac = model.jacobian(np.array([l]), theta)
-            want = _dual_jacobian_row(model, l, theta)
+            try:
+                want = _dual_jacobian_row(model, l, theta)
+            except ZeroDivisionError:
+                # (L + a)^2 underflows to 0: the dual numbers reject the
+                # point as a pole, and the closed form gives no finite slope
+                assert not np.isfinite(jac).any()
+                continue
         assert jac.shape == (1, len(theta))
         for got, expected in zip(jac[0], want):
             assert got == expected or (math.isnan(got) and math.isnan(expected))

@@ -91,6 +91,17 @@ def test_homogeneous_blow_up_is_geodesic_error():
     assert abs(exc.value.step * cfg.step - t_blow) < 0.01
 
 
+@pytest.mark.parametrize("coefficient", ["-0.5*exp(y1)", "-0.5*y1^2"])
+def test_exp_overflow_is_a_blow_up_as_power_overflow_is(coefficient):
+    # y1' = exp(y1) and y1' = y1^2 from y1 = 5 both blow up within a few
+    # steps; math.exp overflows inside an RK4 stage, as math.pow does, and
+    # both end as a blow-up, not as a domain violation
+    spray = SemiSpray(1, [parse(coefficient, ("x1", "y1"))])
+    cfg = IntegratorConfig(step=1e-2, horizon=1.0, initial=PhasePoint([0.0], [5.0]))
+    with pytest.raises(GeodesicError, match=r"^non-finite state \(blow-up\)"):
+        integrate_geodesic(spray, cfg)
+
+
 def test_domain_violation_reports_step():
     names = ("x1", "y1")
     spray = SemiSpray(1, [parse("ln(1 - x1)", names)])  # leaves domain as x1 -> 1

@@ -1,18 +1,31 @@
+import gc
 import math
 import random
+import struct
+import types
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagdeform.expressions import (
+    Const,
     DomainViolation,
+    Dual,
+    ExpressionError,
+    Overflow,
     ParseError,
     UnboundVariable,
     UndeclaredIdentifier,
+    Var,
+    add,
+    div,
     evaluate,
     evaluate_dual,
     free_vars,
+    mul,
     parse,
     partial,
     to_source,
@@ -124,6 +137,18 @@ def test_power_overflow_is_domain_violation():
     )
 
 
+def test_function_overflow_is_overflow():
+    # math.exp overflows as math.pow does, and both are an Overflow, which
+    # the integrator reports as a blow-up
+    e = parse("exp(x1)", XY2)
+    with pytest.raises(Overflow, match="math range error in 'exp\\(x1\\)'"):
+        evaluate(e, {"x1": 1000.0})
+    with pytest.raises(Overflow):
+        evaluate_dual(e, {"x1": 1000.0}, "x1")
+    with pytest.raises(Overflow):
+        evaluate(parse("x1^400", XY2), {"x1": 100.0})
+
+
 def test_evaluate_missing_binding_is_error():
     e = parse("x1 + y1", XY2)
     with pytest.raises(UnboundVariable):
@@ -199,6 +224,16 @@ def test_dual_lienard_lagrangian():
     v, dv = evaluate_dual(e, {"x1": 1.0, "y1": 1.0}, "y1")
     assert v == 9.0
     assert dv == 6.0
+
+
+def test_dual_division_by_underflowing_square_raises_for_both_float_types():
+    # 1.5e-193 is not 0, but its square underflows to 0: the quotient rule
+    # cannot divide by it, whether the value is a Python float or a float64
+    for tiny in (1.5e-193, np.float64(1.5e-193)):
+        with pytest.raises(ZeroDivisionError):
+            -2.0 / Dual(tiny, 1.0)
+        with pytest.raises(DomainViolation, match="division by zero"):
+            evaluate_dual(parse("1/x1", XY2), {"x1": tiny}, "x1")
 
 
 def test_dual_domain_violation_matches_evaluate():
@@ -346,3 +381,146 @@ def test_arithmetic_matches_python(a, b, c):
 def test_free_vars():
     e = parse("x1*y2 + exp(k*y1)", ("x1", "y1", "y2", "k"))
     assert free_vars(e) == frozenset({"x1", "y1", "y2", "k"})
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation against the tree walk
+# ---------------------------------------------------------------------------
+
+
+class _ReadLog(dict):
+    """A binding that records the names read from it, in order."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, name):
+        self.reads.append(name)
+        return super().__getitem__(name)
+
+
+def _outcome(run):
+    """The value's type and bits (any nan alike), or the error's type,
+    message, context and blamed node."""
+    try:
+        v = run()
+    except ExpressionError as exc:
+        context = (type(exc.__context__), exc.__suppress_context__)
+        return ("error", type(exc), str(exc), context, getattr(exc, "expr", None))
+    return ("value", type(v), "nan" if math.isnan(v) else struct.pack("<d", v))
+
+
+_NAMES = ("x1", "x2", "y1", "y2")
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300, 1e154, math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@st.composite
+def _expressions(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    e = random_expression(rng, _NAMES, draw(st.integers(min_value=1, max_value=4)))
+    shape = draw(st.sampled_from(["tree", "shared", "quotient"]))
+    if shape == "shared":
+        # e appears as one object twice and inside its derivative as copies
+        return add(e, mul(e, partial(e, "y1")))
+    if shape == "quotient":
+        return div(e, Var(draw(st.sampled_from(_NAMES))))
+    return e
+
+
+@st.composite
+def _bindings(draw):
+    missing = draw(st.sampled_from((None,) + _NAMES))
+    binding = {}
+    for name in _NAMES:
+        v = draw(_VALUES)
+        if name != missing:
+            binding[name] = np.float64(v) if draw(st.booleans()) else v
+    return binding
+
+
+@settings(max_examples=400, deadline=None)
+@given(_expressions(), st.lists(_bindings(), min_size=1, max_size=3))
+def test_compiled_evaluation_matches_tree_walk(e, bindings):
+    # the first binding compiles e, the others reuse its code
+    for binding in bindings:
+        walk_log, log = _ReadLog(binding), _ReadLog(binding)
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: e.evaluate(walk_log))
+            got = _outcome(lambda: evaluate(e, log))
+        assert got == want, to_source(e)
+        if want[0] == "value":
+            # the same names first read in the same order: the same
+            # operations in the same order, less the repeats
+            assert list(dict.fromkeys(log.reads)) == list(dict.fromkeys(walk_log.reads))
+
+
+def test_float64_zero_denominator_is_domain_violation():
+    # float64 / 0 gives inf with a warning instead of raising
+    cases = (
+        (parse("x1 / y1", XY2), np.float64(0.0)),
+        (parse("x1 / y1", XY2), np.float64(-0.0)),
+        (parse("x1 / (y1 - 1)", XY2), np.float64(1.0)),
+    )
+    for e, y in cases:
+        for _ in range(2):  # the call that compiles and a later one
+            with pytest.raises(DomainViolation, match="division by zero") as exc:
+                evaluate(e, {"x1": np.float64(2.0), "y1": y})
+            assert exc.value.expr is e
+
+
+def test_constant_and_variable_roots():
+    for value in (-0.0, 0.0, math.inf, 2.5):
+        got = evaluate(Const(value), {})
+        assert struct.pack("<d", got) == struct.pack("<d", value)
+    v = np.float64(0.25)
+    assert evaluate(Var("x1"), {"x1": v}) is v
+    with pytest.raises(UnboundVariable, match="'x1'"):
+        evaluate(Var("x1"), {"y1": 1.0})
+    assert math.isnan(evaluate(Const(math.nan), {}))
+
+
+def test_shared_failing_subtree_blames_the_tree_walks_node():
+    first_ln = parse("ln(x1)", XY2)
+    first_sqrt = parse("sqrt(y1)", XY2)
+    # ln(x1) twice as one object and once as an equal copy; the quotient
+    # computes its denominator first, so the walk blames sqrt(y1) first
+    e = add(add(div(first_ln, first_sqrt), mul(first_ln, first_sqrt)), parse("ln(x1)", XY2))
+    for binding, blamed in (
+        ({"x1": -1.0, "y1": -1.0}, first_sqrt),
+        ({"x1": -1.0, "y1": 4.0}, first_ln),
+    ):
+        with pytest.raises(DomainViolation) as walk:
+            e.evaluate(binding)
+        assert walk.value.expr is blamed
+        for _ in range(2):  # the call that compiles and a later one
+            with pytest.raises(DomainViolation) as exc:
+                evaluate(e, binding)
+            assert exc.value.expr is blamed
+            assert str(exc.value) == str(walk.value)
+
+
+def _functions_held_by(obj):
+    held = gc.get_referents(obj)
+    held += [v for r in held if isinstance(r, dict) for v in r.values()]
+    return [r for r in held if isinstance(r, types.FunctionType)]
+
+
+@pytest.mark.parametrize("source", ["x1*y1 + exp(x1)/(1 + y1^2) - sign(x1)", "exp(x1*y1)"])
+def test_compiled_code_is_freed_with_its_root(source):
+    # the code holds no reference back to its root (a function root's own
+    # method included), so it goes with the root without the cycle collector
+    e = parse(source, XY2)
+    assert evaluate(e, {"x1": 0.5, "y1": 2.0}) == e.evaluate({"x1": 0.5, "y1": 2.0})
+    code = _functions_held_by(e)
+    assert len(code) == 1
+    freed = weakref.ref(code.pop())
+    gc.disable()
+    try:
+        del e
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -438,6 +438,22 @@ def test_json_report_matches_golden_snapshot(corpus_reports, name):
     assert _snapshot_mismatches(got, want) == []
 
 
+def _sparse_problem(name):
+    """A corpus problem with a tenth of its samples and its seed moved by 1."""
+    data = json.loads(corpus_text(name))
+    data["sampling"]["count"] //= 10
+    data["sampling"]["seed"] += 1
+    return problem_from_dict(data)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_sparse_json_report_matches_golden_snapshot_bytes(name):
+    # byte for byte, at inputs other than the shipped ones: a change to how
+    # the checks evaluate must leave every report exactly as it was
+    got = emit_report(run_pipeline(_sparse_problem(name), mode="report"), "json")
+    assert got == (GOLDEN / "sparse" / f"{name}.json").read_bytes()
+
+
 def test_snapshot_comparison_is_strict_where_it_must_be():
     base = {"rank": 2, "verdict": "DeformableSingular", "ok": True, "x": 1.0}
     assert _snapshot_mismatches(dict(base, x=1.0 + 1e-10), base) == []

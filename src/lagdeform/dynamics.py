@@ -74,8 +74,14 @@ class Trajectory:
         n = self.n
         return PhasePoint(self.states[k, :n], self.states[k, n:])
 
-    def binding(self, k: int) -> dict:
-        return self.point(k).binding(self.params)
+
+def _row_layout(n: int, params: Optional[dict]):
+    """The names of a positional row (x1..xn, y1..yn, then the parameters)
+    and the parameter values that end each row. A parameter named like a
+    coordinate is left out: the coordinate binds the name."""
+    chart = ex.chart_names(n)
+    extra = {k: v for k, v in (params or {}).items() if k not in chart}
+    return chart + tuple(extra), list(extra.values())
 
 
 def integrate_geodesic(
@@ -92,43 +98,43 @@ def integrate_geodesic(
         raise GeodesicError("initial point dimension mismatch")
     h = cfg.step
     steps = cfg.steps
-    names = ex.chart_names(n)
+    names, extra = _row_layout(n, params)
+    kernel = ex.compile(spray.coefficients, names)
 
     def rhs(state):
-        binding = dict(params) if params else {}
-        for i in range(n):
-            binding[f"x{i + 1}"] = state[i]
-            binding[f"y{i + 1}"] = state[n + i]
-        out = np.empty(2 * n)
-        out[:n] = state[n:]
-        for i, g in enumerate(spray.coefficients):
-            out[n + i] = -2.0 * ex.evaluate(g, binding)
-        return out
+        return state[n:] + [-2.0 * g for g in kernel(state + extra)]
 
     def inside(state):
         if box is None:
             return True
         return all(
-            box[v][0] <= state[k] <= box[v][1] for k, v in enumerate(names)
+            box[v][0] <= state[k] <= box[v][1] for k, v in enumerate(names[: 2 * n])
         )
 
-    state = np.concatenate([cfg.initial.x, cfg.initial.y]).astype(float)
-    states = [state.copy()]
+    # plain float lists, with the operations and order of the array form
+    # state + (h/6) * (k1 + 2 k2 + 2 k3 + k4)
+    half, sixth = 0.5 * h, h / 6.0
+    state = list(cfg.initial.x + cfg.initial.y)
+    states = [state]
     times = [0.0]
     truncated = False
     for k in range(steps):
         try:
             k1 = rhs(state)
-            k2 = rhs(state + 0.5 * h * k1)
-            k3 = rhs(state + 0.5 * h * k2)
-            k4 = rhs(state + h * k3)
+            k2 = rhs([s + half * v for s, v in zip(state, k1)])
+            k3 = rhs([s + half * v for s, v in zip(state, k2)])
+            k4 = rhs([s + h * v for s, v in zip(state, k3)])
         except ex.Overflow as exc:
             # a power or exp overflows inside a stage before the check below sees it
             raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         except ex.DomainViolation as exc:
             raise GeodesicError(f"domain violation: {exc}", step=k) from exc
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > 1e100:
+        state = [
+            s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        # not (|v| <= 1e100) also holds for nan and inf
+        if not all(abs(v) <= 1e100 for v in state):
             raise GeodesicError("non-finite state (blow-up)", step=k)
         if not inside(state):
             truncated = True
@@ -138,14 +144,14 @@ def integrate_geodesic(
                 stacklevel=2,
             )
             break
-        states.append(state.copy())
+        states.append(state)
         times.append((k + 1) * h)
     return Trajectory(
         spray=spray,
         params=dict(params) if params else None,
         step=h,
         times=np.asarray(times),
-        states=np.asarray(states),
+        states=np.asarray(states, dtype=float),
         truncated=truncated,
     )
 
@@ -157,23 +163,47 @@ def _base_of(lag: Lagrangianlike) -> ScalarField:
     return lag.base if isinstance(lag, DeformedLagrangian) else lag
 
 
+def _along(traj: Trajectory, lag: Lagrangianlike, fields):
+    """Per state, ``(Phi(L), Phi'(L), Phi''(L))`` for a deformed Lagrangian
+    (None for a plain L) and the values of ``fields``, from one kernel call.
+    A state fails as ``lag.triple`` and then :func:`ex.evaluate` of each
+    field, in that order, would fail there."""
+    deformed = isinstance(lag, DeformedLagrangian)
+    names, extra = _row_layout(traj.n, traj.params)
+    kernel = ex.compile(((lag.base.expr,) if deformed else ()) + tuple(fields), names)
+    for state in traj.states.tolist():
+        row = state + extra
+        try:
+            values = kernel(row)
+        except ex.ExpressionError as exc:
+            error = exc
+        else:
+            if deformed:
+                yield lag.deformation.triple(values[0]), values[1:]
+            else:
+                yield None, values
+            continue
+        if deformed:
+            # L's own error, or Phi's OutOfInterval at L, comes first
+            lag.triple(dict(zip(names, row)))
+        raise error
+
+
 def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
     """Per-state values of dLag/dy_i and dLag/dx_i: Phi'(L) L_y and
     Phi'(L) L_x, with Phi' = 1 for a plain L."""
     n = traj.n
-    count = len(traj.times)
-    momenta = np.empty((count, n))
-    forces = np.empty((count, n))
     base = _base_of(lag)
     vert = vertical_differential(base)
-    base_x = [ex.partial(base.expr, f"x{i}") for i in range(1, n + 1)]
-    for k in range(count):
-        b = traj.binding(k)
-        d1 = 1.0 if lag is base else lag.gradient_pair(b)[0]
-        for i in range(n):
-            momenta[k, i] = d1 * ex.evaluate(vert.components[i], b)
-            forces[k, i] = d1 * ex.evaluate(base_x[i], b)
-    return momenta, forces
+    fields = []
+    for i in range(n):
+        fields += [vert.components[i], ex.partial(base.expr, f"x{i + 1}")]
+    momenta, forces = [], []
+    for chain, values in _along(traj, lag, fields):
+        d1 = 1.0 if chain is None else chain[1]
+        momenta.append([d1 * v for v in values[0::2]])
+        forces.append([d1 * v for v in values[1::2]])
+    return np.array(momenta, dtype=float), np.array(forces, dtype=float)
 
 
 def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
@@ -191,17 +221,14 @@ def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
 def energy_along(traj: Trajectory, lag: Lagrangianlike):
     """Series E(t_k) = C(Lag) - Lag, that is Phi'(L) C(L) - Phi(L) (Phi the
     identity for a plain L), and the drift max |E(t_k) - E(t_0)|."""
-    count = len(traj.times)
-    series = np.empty(count)
     base = _base_of(lag)
-    base_c = liouville_apply(base)
-    for k in range(count):
-        b = traj.binding(k)
-        if lag is base:
-            phi, d1 = ex.evaluate(base.expr, b), 1.0
-        else:
-            phi, d1, _ = lag.triple(b)
-        series[k] = d1 * ex.evaluate(base_c.expr, b) - phi
+    base_c = liouville_apply(base).expr
+    fields = (base_c,) if lag is not base else (base.expr, base_c)
+    series = []
+    for chain, values in _along(traj, lag, fields):
+        phi, d1 = (values[0], 1.0) if chain is None else chain[:2]
+        series.append(d1 * values[-1] - phi)
+    series = np.array(series, dtype=float)
     drift = float(np.max(np.abs(series - series[0])))
     return series, drift
 
@@ -225,16 +252,14 @@ def dissipation_along(
 ) -> DissipationTrace:
     rate_field = spray_apply(traj.spray, energy(lagrangian))
     c_of_d = liouville_apply(dissipation)
-    count = len(traj.times)
-    sel = np.empty(count)
-    cd = np.empty(count)
-    twice = np.empty(count)
-    for k in range(count):
-        b = traj.binding(k)
-        sel[k] = ex.evaluate(rate_field.expr, b)
-        cd[k] = ex.evaluate(c_of_d.expr, b)
-        twice[k] = 2.0 * ex.evaluate(dissipation.expr, b)
+    names, extra = _row_layout(traj.n, traj.params)
+    kernel = ex.compile((rate_field.expr, c_of_d.expr, dissipation.expr), names)
+    rows = traj.states.tolist()
+    values = np.array([kernel(row + extra) for row in rows], dtype=float)
+    sel, cd = values[:, 0], values[:, 1]
+    twice = 2.0 * values[:, 2]
     rate_matches = bool(np.max(np.abs(sel - cd) / (1.0 + np.abs(cd))) <= tol)
+    count = len(rows)
     points = [traj.point(k) for k in range(0, count, max(1, count // 32))]
     deg = homogeneity_degree(dissipation, points, traj.params)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
@@ -243,10 +268,10 @@ def dissipation_along(
         rayleigh_matches = bool(
             np.max(np.abs(sel - twice) / (1.0 + np.abs(twice))) <= tol
         )
-    nonzero_y = [
-        k for k in range(count) if any(v != 0.0 for v in traj.point(k).y)
-    ]
-    always_negative = bool(all(twice[k] < 0.0 for k in nonzero_y))
+    n = traj.n
+    always_negative = bool(
+        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n:]))
+    )
     return DissipationTrace(
         energy_rate=sel,
         dissipation_rate=cd,

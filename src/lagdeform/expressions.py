@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 
 class ExpressionError(Exception):
@@ -845,17 +845,23 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _compile(root: Expr):
-    """A function ``binding -> value`` equal to ``root.evaluate`` bit for bit.
+def _compile(roots: tuple, row: Optional[tuple] = None):
+    """A function equal to the tree walk of ``roots`` bit for bit.
 
-    Each distinct subtree (by structure) gets one local, computed where the
-    tree walk first computes it, by the call the tree walk makes on the same
-    operands. Constants reach the code through its namespace, never as
-    literals, so ``-0.0``, ``inf`` and ``nan`` stay exact. The code raises
-    plain ``KeyError``, ``ArithmeticError`` or ``ValueError`` where the walk
-    raises its own errors, and holds no node.
+    Without ``row`` it reads a binding ``b[name]`` and returns the value of
+    the one root; given the names of a positional row, it reads ``b[i]`` for
+    ``row[i]`` and returns the tuple of the roots' values.
+
+    Each distinct subtree (by structure, across the roots) gets one local,
+    computed where the tree walk of the roots in order first computes it, by
+    the call the tree walk makes on the same operands. Constants reach the
+    code through its namespace, never as literals, so ``-0.0``, ``inf`` and
+    ``nan`` stay exact. The code raises plain ``LookupError``,
+    ``ArithmeticError`` or ``ValueError`` where the walk raises its own
+    errors, and holds no node.
     """
-    namespace = {"_pow_checked": _pow_checked}
+    namespace = {"_pow": math.pow, "_pow_checked": _pow_checked, "_unbound": _unbound}
+    position = {} if row is None else {name: i for i, name in enumerate(row)}
     lines = []
     names = {}  # structural key -> name of the subtree's value
     nonzero = set()  # denominators already checked
@@ -875,11 +881,18 @@ def _compile(root: Expr):
             lines.append(f"    {names[key]} = {source}")
         return names[key]
 
+    def read(name):
+        if row is None:
+            return f"b[{name!r}]"
+        if name in position:
+            return f"b[{position[name]}]"
+        return f"_unbound({name!r})"
+
     def emit(node):
         if isinstance(node, Const):
             return constant(node.value)
         if isinstance(node, Var):
-            return assign((Var, node.name), f"b[{node.name!r}]")
+            return assign((Var, node.name), read(node.name))
         if isinstance(node, Div):
             r = emit(node.right)
             if r not in nonzero:
@@ -897,17 +910,54 @@ def _compile(root: Expr):
             return assign((Neg, a), f"-{a}")
         if isinstance(node, Pow):
             a = emit(node.base)
-            c = constant(node.exponent)
-            return assign((Pow, a, c), f"_pow_checked({a}, {c})")
+            e = node.exponent
+            c = constant(e)
+            # for an integer exponent math.pow itself raises wherever
+            # _pow_checked does (0 to a negative power: ValueError)
+            power = "_pow" if math.isfinite(e) and e == int(e) else "_pow_checked"
+            return assign((Pow, a, c), f"{power}({a}, {c})")
         if isinstance(node, _Func):
             a = emit(node.arg)
             f = bind(type(node), type(node)._apply)
             return assign((type(node), a), f"{f}({a})")
         raise TypeError(f"cannot compile {type(node).__name__}")
 
-    lines.append(f"    return {emit(root)}")
+    values = [emit(root) for root in roots]
+    if row is None:
+        (value,) = values
+        lines.append(f"    return {value}")
+    else:
+        lines.append(f"    return ({''.join(v + ', ' for v in values)})")
     exec("def compiled(b):\n" + "\n".join(lines) + "\n", namespace)
     return namespace.pop("compiled")
+
+
+def _unbound(name: str):
+    raise KeyError(name)
+
+
+class Kernel:
+    """Roots compiled together for positional rows: ``kernel(row)`` is the
+    tuple of the roots' values with ``names[i]`` bound to ``row[i]``.
+
+    Subtrees shared between the roots are computed once. Where the compiled
+    code raises, the tree walk runs over the roots in order and raises the
+    error that :func:`evaluate` of those roots, in that order, would raise."""
+
+    __slots__ = ("roots", "names", "_run")
+
+    def __init__(self, roots: Iterable[Expr], names: Iterable[str]):
+        self.roots = tuple(roots)
+        self.names = tuple(names)
+        self._run = _compile(self.roots, self.names)
+
+    def __call__(self, row) -> tuple:
+        try:
+            return self._run(row)
+        except (ArithmeticError, ValueError, LookupError):
+            pass  # leave the handler first: the walk's error has no context
+        binding = dict(zip(self.names, row))
+        return tuple(root.evaluate(binding) for root in self.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -930,13 +980,19 @@ def evaluate(e: Expr, binding: Binding) -> float:
     try:
         run = e._compiled
     except AttributeError:
-        run = e._compiled = None if isinstance(e, (Const, Var)) else _compile(e)
+        run = e._compiled = None if isinstance(e, (Const, Var)) else _compile((e,))
     if run is not None:
         try:
             return run(binding)
         except (ArithmeticError, ValueError, KeyError):
             pass  # leave the handler first: the walk's error has no context
     return e.evaluate(binding)
+
+
+def compile(roots: Iterable[Expr], names: Iterable[str]) -> Kernel:
+    """Compile ``roots`` into one :class:`Kernel` over rows laid out as
+    ``names``."""
+    return Kernel(roots, names)
 
 
 def partial(e: Expr, var: str) -> Expr:

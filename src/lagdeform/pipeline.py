@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -467,8 +468,6 @@ def _trajectory_stage(doc: ReportDocument, spec, tol) -> Optional[dict]:
     mid_x = [0.5 * (spec.bounds[f"x{i}"][0] + spec.bounds[f"x{i}"][1]) for i in range(1, spec.n + 1)]
     mid_y = [0.5 * (spec.bounds[f"y{i}"][0] + spec.bounds[f"y{i}"][1]) for i in range(1, spec.n + 1)]
     cfg = IntegratorConfig(step=1e-3, horizon=1.0, initial=PhasePoint(mid_x, mid_y))
-    import warnings
-
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lagdeform.corpus import load_corpus_problem
-from lagdeform.deformation import DeformedLagrangian, synthesize
+from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
+from lagdeform.deformation import DeformedLagrangian, OutOfInterval, synthesize
 from lagdeform.dynamics import (
     GeodesicError,
     IntegratorConfig,
@@ -15,9 +16,15 @@ from lagdeform.dynamics import (
     integrate_geodesic,
     trajectory_to_csv,
 )
-from lagdeform.expressions import parse
-from lagdeform.families import PowerShift
-from lagdeform.geometry import PhasePoint, ScalarField, SemiSpray
+from lagdeform.expressions import DomainViolation, Overflow, chart_names, parse, partial
+from lagdeform.families import Constant, PowerShift
+from lagdeform.geometry import (
+    PhasePoint,
+    ScalarField,
+    SemiSpray,
+    liouville_apply,
+    vertical_differential,
+)
 
 from systems import damped_oscillator, drag_system, free_particle, rayleigh_drag
 
@@ -280,3 +287,208 @@ def test_csv_nan_without_deformation():
     traj = integrate_geodesic(sys["spray"], cfg, sys["params"])
     text = trajectory_to_csv(traj, sys["lagrangian"])
     assert "nan" in text.split("\n")[1]
+
+
+# ---------------------------------------------------------------------------
+# rows and kernels against the array form over dict bindings
+# ---------------------------------------------------------------------------
+#
+# The references below are the integrator and the along-flow loops in their
+# array form: numpy state vectors, one dict binding per state and per RK4
+# stage, and the tree walk of each field. The module's kernels over
+# positional rows must give the same bits and fail at the same step with the
+# same error.
+
+
+def _reference_rk4(spray, cfg, params=None, box=None):
+    n = spray.n
+    h = cfg.step
+    names = chart_names(n)
+
+    def rhs(state):
+        binding = dict(params) if params else {}
+        for i in range(n):
+            binding[f"x{i + 1}"] = state[i]
+            binding[f"y{i + 1}"] = state[n + i]
+        out = np.empty(2 * n)
+        out[:n] = state[n:]
+        for i, g in enumerate(spray.coefficients):
+            out[n + i] = -2.0 * g.evaluate(binding)
+        return out
+
+    state = np.concatenate([cfg.initial.x, cfg.initial.y]).astype(float)
+    states = [state.copy()]
+    times = [0.0]
+    truncated = False
+    for k in range(cfg.steps):
+        try:
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * h * k1)
+            k3 = rhs(state + 0.5 * h * k2)
+            k4 = rhs(state + h * k3)
+        except Overflow:
+            raise GeodesicError("non-finite state (blow-up)", step=k) from None
+        except DomainViolation as exc:
+            raise GeodesicError(f"domain violation: {exc}", step=k) from None
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > 1e100:
+            raise GeodesicError("non-finite state (blow-up)", step=k)
+        if box is not None and not all(
+            box[v][0] <= state[j] <= box[v][1] for j, v in enumerate(names)
+        ):
+            truncated = True
+            break
+        states.append(state.copy())
+        times.append((k + 1) * h)
+    return np.asarray(times), np.asarray(states), [truncated]
+
+
+def _reference_bindings(states, n, params):
+    return [PhasePoint(s[:n], s[n:]).binding(params) for s in states]
+
+
+def _reference_chain(lag, b):
+    """(Lag, dLag/dL) at a binding, L's error first, then Phi's."""
+    if isinstance(lag, DeformedLagrangian):
+        phi, d1, _ = lag.deformation.triple(lag.base.expr.evaluate(b))
+        return phi, d1
+    return None, 1.0
+
+
+def _reference_energy(states, n, params, lag):
+    base = lag.base if isinstance(lag, DeformedLagrangian) else lag
+    base_c = liouville_apply(base)
+    series = np.empty(len(states))
+    for k, b in enumerate(_reference_bindings(states, n, params)):
+        phi, d1 = _reference_chain(lag, b)
+        if phi is None:
+            phi = base.expr.evaluate(b)
+        series[k] = d1 * base_c.expr.evaluate(b) - phi
+    return series, float(np.max(np.abs(series - series[0])))
+
+
+def _reference_el_residual(states, n, params, lag, h):
+    base = lag.base if isinstance(lag, DeformedLagrangian) else lag
+    vert = vertical_differential(base)
+    base_x = [partial(base.expr, f"x{i}") for i in range(1, n + 1)]
+    momenta = np.empty((len(states), n))
+    forces = np.empty((len(states), n))
+    for k, b in enumerate(_reference_bindings(states, n, params)):
+        _, d1 = _reference_chain(lag, b)
+        for i in range(n):
+            momenta[k, i] = d1 * vert.components[i].evaluate(b)
+            forces[k, i] = d1 * base_x[i].evaluate(b)
+    dpdt = (momenta[2:] - momenta[:-2]) / (2.0 * h)
+    return float(np.max(np.abs(dpdt - forces[1:-1])))
+
+
+def _bits(run):
+    """The result as bytes, or the error's type, message and step."""
+    try:
+        value = run()
+    except Exception as exc:  # the comparison is of which error, not its kind
+        return ("error", type(exc), str(exc), getattr(exc, "step", None))
+    if isinstance(value, tuple):
+        return tuple(np.asarray(v, dtype=float).tobytes() for v in value)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_matches_reference(spray, lagrangians, cfg, params, box=None):
+    def integrate():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return integrate_geodesic(spray, cfg, params, box=box)
+
+    def run():
+        traj = integrate()
+        assert traj.states.dtype == np.float64
+        return traj.times, traj.states, [traj.truncated]
+
+    with np.errstate(all="ignore"):
+        want = _bits(lambda: _reference_rk4(spray, cfg, params, box))
+    assert _bits(run) == want
+    if want[0] == "error":
+        return None
+    traj = integrate()
+    n = spray.n
+    for lag in lagrangians:
+        assert _bits(lambda: energy_along(traj, lag)) == _bits(
+            lambda: _reference_energy(traj.states, n, traj.params, lag)
+        )
+        if len(traj.times) > 3:
+            assert _bits(lambda: el_residual_along(traj, lag)) == _bits(
+                lambda: _reference_el_residual(traj.states, n, traj.params, lag, traj.step)
+            )
+    return traj
+
+
+def _starts(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    names = chart_names(spec.n)
+    lows = np.array([spec.bounds[v][0] for v in names])
+    highs = np.array([spec.bounds[v][1] for v in names])
+    mid = 0.5 * (lows + highs)
+    return [mid] + [lows + rng.uniform(size=len(names)) * (highs - lows) for _ in range(count - 1)]
+
+
+def _deformed_for(spec, doc):
+    if doc.deformation is not None:
+        return DeformedLagrangian(spec.lagrangian, doc.deformation)
+    return DeformedLagrangian(spec.lagrangian, synthesize(Constant(0.5), (0.0, 0.0)))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_rows_match_the_array_form_on_the_corpus(corpus_reports, name):
+    spec = load_corpus_problem(name)
+    lagrangians = (spec.lagrangian, _deformed_for(spec, corpus_reports[name]))
+    for start in _starts(spec, 3, seed=17):
+        cfg = IntegratorConfig(
+            step=1e-2, horizon=1.0, initial=PhasePoint(start[: spec.n], start[spec.n :])
+        )
+        _assert_matches_reference(spec.spray, lagrangians, cfg, spec.params)
+
+
+def test_rows_match_the_array_form_on_homogeneous_blow_ups(corpus_reports):
+    spec = load_corpus_problem("homogeneous")
+    lagrangians = (spec.lagrangian, _deformed_for(spec, corpus_reports["homogeneous"]))
+    blown = 0
+    for start in _starts(spec, 6, seed=3):
+        cfg = IntegratorConfig(
+            step=2e-3, horizon=1.0, initial=PhasePoint(start[: spec.n], start[spec.n :])
+        )
+        blown += _assert_matches_reference(spec.spray, lagrangians, cfg, spec.params) is None
+    assert blown >= 3
+
+
+def test_rows_match_the_array_form_on_a_truncated_boxed_run(corpus_reports):
+    spec = load_corpus_problem("free-particle")
+    lagrangians = (spec.lagrangian, _deformed_for(spec, corpus_reports["free-particle"]))
+    mid = _starts(spec, 1, seed=0)[0]
+    cfg = IntegratorConfig(step=1e-2, horizon=1.0, initial=PhasePoint(mid[:2], mid[2:]))
+    traj = _assert_matches_reference(spec.spray, lagrangians, cfg, spec.params, spec.bounds)
+    assert traj.truncated and 3 < len(traj.times) < 100
+
+
+def test_rows_match_the_array_form_on_a_domain_violation():
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("ln(1 - x1)", names)])
+    cfg = IntegratorConfig(step=0.05, horizon=3.0, initial=PhasePoint([0.0], [1.0]))
+    assert _assert_matches_reference(spray, (), cfg, None) is None
+
+
+def test_lagrangian_outside_phi_interval_is_out_of_interval_first():
+    # at y1 = 0, L = |y1| - 1 = -1 lies below Phi's interval (-0.5, inf),
+    # while C(L) = y1 sign(y1) and dL/dy1 = sign(y1) are not evaluable there;
+    # Phi is applied to L before the other fields are evaluated
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("0", names)])
+    lagrangian = ScalarField(1, parse("abs(y1) - 1", names))
+    deformed = DeformedLagrangian(lagrangian, synthesize(PowerShift(-0.5, 0.5), (1.0, 2.0)))
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [0.0]))
+    traj = _assert_matches_reference(spray, (lagrangian, deformed), cfg, None)
+    with pytest.raises(OutOfInterval):
+        energy_along(traj, deformed)
+    with pytest.raises(OutOfInterval):
+        el_residual_along(traj, deformed)
+    with pytest.raises(DomainViolation, match="sign undefined at zero"):
+        energy_along(traj, lagrangian)

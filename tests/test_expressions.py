@@ -21,6 +21,7 @@ from lagdeform.expressions import (
     UndeclaredIdentifier,
     Var,
     add,
+    compile,
     div,
     evaluate,
     evaluate_dual,
@@ -28,6 +29,7 @@ from lagdeform.expressions import (
     mul,
     parse,
     partial,
+    pow_,
     to_source,
 )
 from lagdeform.geometry import PhasePoint
@@ -501,6 +503,114 @@ def test_shared_failing_subtree_blames_the_tree_walks_node():
                 evaluate(e, binding)
             assert exc.value.expr is blamed
             assert str(exc.value) == str(walk.value)
+
+
+# ---------------------------------------------------------------------------
+# multi-root kernels against evaluate of each root
+# ---------------------------------------------------------------------------
+
+_PARAMS = ("k",)
+
+
+@st.composite
+def _kernel_roots(draw):
+    """1-4 roots that share subtrees with the first; some read a parameter."""
+    first = draw(_expressions())
+    roots = [first]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        shape = draw(st.sampled_from(["alone", "sum", "product", "derivative", "scaled"]))
+        if shape == "derivative":
+            roots.append(partial(first, draw(st.sampled_from(_NAMES))))
+            continue
+        other = draw(_expressions())
+        if shape == "sum":
+            other = add(other, first)
+        elif shape == "product":
+            other = mul(first, other)
+        elif shape == "scaled":
+            other = mul(Var("k"), other)
+        roots.append(other)
+    return roots
+
+
+@st.composite
+def _rows(draw):
+    """Row names in any order, one of them possibly left out, and 1-3 rows."""
+    names = list(draw(st.permutations(_NAMES + _PARAMS)))
+    missing = draw(st.sampled_from((None,) + _NAMES + _PARAMS))
+    if missing is not None:
+        names.remove(missing)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        row = [draw(_VALUES) for _ in names]
+        rows.append([np.float64(v) if draw(st.booleans()) else v for v in row])
+    return names, rows
+
+
+def _tuple_outcome(run):
+    """Each value's type and bits, or the error as :func:`_outcome` has it."""
+    try:
+        values = run()
+    except ExpressionError:
+        return _outcome(run)
+    return ("values",) + tuple(_outcome(lambda: v) for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_roots(), _rows())
+def test_kernel_matches_evaluate_of_each_root(roots, layout):
+    names, rows = layout
+    kernel = compile(roots, names)
+    # the first row runs the freshly built code, the others reuse it
+    for row in rows:
+        binding = dict(zip(names, row))
+        with np.errstate(all="ignore"):
+            want = _tuple_outcome(lambda: tuple(evaluate(r, binding) for r in roots))
+            got = _tuple_outcome(lambda: kernel(row))
+        assert got == want, [to_source(r) for r in roots]
+
+
+def test_kernel_of_no_roots_and_of_plain_roots():
+    assert compile([], ("x1",))([1.0]) == ()
+    v = np.float64(0.25)
+    got = compile([Var("x1"), Const(-0.0), Var("y1")], ("y1", "x1"))([2.0, v])
+    assert got[0] is v and got[2] == 2.0
+    assert struct.pack("<d", got[1]) == struct.pack("<d", -0.0)
+    with pytest.raises(UnboundVariable, match="'x2'"):
+        compile([Var("x1"), Var("x2")], ("x1",))([1.0])
+
+
+@pytest.mark.parametrize(
+    "exponent, base, outcome",
+    [
+        # integer exponents: math.pow itself raises where _pow_checked does
+        (-2.0, 0.0, (DomainViolation, "zero raised to a negative power")),
+        (-1.0, -0.0, (DomainViolation, "zero raised to a negative power")),
+        (3.0, -2.0, -8.0),
+        (-3.0, -2.0, -0.125),
+        (3.0, 1e200, (Overflow, "math range error")),
+        (2.0, -math.inf, math.inf),
+        # a non-integer exponent keeps the checked call: math.pow(-inf, 0.5)
+        # is inf, but a negative base has no real root
+        (0.5, -math.inf, (DomainViolation, "negative base with non-integer exponent")),
+        (0.5, -4.0, (DomainViolation, "negative base with non-integer exponent")),
+    ],
+)
+def test_compiled_power_matches_the_tree_walk(exponent, base, outcome):
+    # a sum, so that evaluate compiles the root rather than walking it
+    e = add(pow_(Var("x1"), exponent), Var("y1"))
+    binding = {"x1": base, "y1": 0.0}
+    kernel = compile([e, pow_(Var("x1"), exponent)], ("x1", "y1"))
+    for _ in range(2):  # the call that compiles and a later one
+        if isinstance(outcome, tuple):
+            kind, message = outcome
+            for run in (lambda: e.evaluate(binding), lambda: evaluate(e, binding), lambda: kernel([base, 0.0])):
+                with pytest.raises(kind, match=message) as exc:
+                    run()
+                assert exc.value.expr is e.left
+        else:
+            assert e.evaluate(binding) == evaluate(e, binding) == outcome
+            assert kernel([base, 0.0]) == (outcome, outcome)
 
 
 def _functions_held_by(obj):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -438,11 +439,12 @@ def test_json_report_matches_golden_snapshot(corpus_reports, name):
     assert _snapshot_mismatches(got, want) == []
 
 
-def _sparse_problem(name):
-    """A corpus problem with a tenth of its samples and its seed moved by 1."""
+def _sparse_problem(name, offset=1):
+    """A corpus problem with a tenth of its samples and its seed moved by
+    ``offset``."""
     data = json.loads(corpus_text(name))
     data["sampling"]["count"] //= 10
-    data["sampling"]["seed"] += 1
+    data["sampling"]["seed"] += offset
     return problem_from_dict(data)
 
 
@@ -452,6 +454,18 @@ def test_sparse_json_report_matches_golden_snapshot_bytes(name):
     # the checks evaluate must leave every report exactly as it was
     got = emit_report(run_pipeline(_sparse_problem(name), mode="report"), "json")
     assert got == (GOLDEN / "sparse" / f"{name}.json").read_bytes()
+
+
+def _pinned_digests():
+    lines = (GOLDEN / "sparse" / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
+    return [line.split() for line in lines if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("digest,name,offset", _pinned_digests())
+def test_sparse_json_report_matches_pinned_sha256(digest, name, offset):
+    # the same byte-identity gate at two more seed offsets, pinned by digest
+    got = emit_report(run_pipeline(_sparse_problem(name, int(offset)), mode="report"), "json")
+    assert hashlib.sha256(got).hexdigest() == digest
 
 
 def test_snapshot_comparison_is_strict_where_it_must_be():

@@ -35,6 +35,7 @@ from .geometry import (
     ScalarField,
     SemiBasicForm,
     SemiSpray,
+    cached_kernel,
     energy,
     fiber_hessian,
     homogeneity_degree,
@@ -42,6 +43,7 @@ from .geometry import (
     spray_apply,
     lagrange_differential,
     vertical_differential,
+    row_layout,
 )
 from .sampling import Guards, GuardViolation, SamplePlan, Samples
 
@@ -91,7 +93,10 @@ class ConditionReport:
     ) -> "ConditionReport":
         if not residuals:
             return ConditionReport(condition, 0, rejected, 0.0, 0.0, tolerance, True)
-        worst = max(range(len(residuals)), key=lambda k: residuals[k])
+        # a NaN residual is the worst one, and fails the check
+        worst = next((k for k, r in enumerate(residuals) if r != r), None)
+        if worst is None:
+            worst = max(range(len(residuals)), key=lambda k: residuals[k])
         return ConditionReport(
             condition=condition,
             accepted=len(residuals),
@@ -106,7 +111,8 @@ class ConditionReport:
 
 @dataclass
 class DerivedFields:
-    """The handful of composite fields every check needs, built once."""
+    """The handful of composite fields every check needs, built once, and
+    the kernels the checks compile over them, kept for the run."""
 
     spray: SemiSpray
     lagrangian: ScalarField
@@ -117,6 +123,7 @@ class DerivedFields:
     vertical: SemiBasicForm = field(init=False)  # d_J L
     defect: SemiBasicForm = field(init=False)  # delta_S L
     hessian: list = field(init=False)  # g_ij, the fiber Hessian of L
+    _kernels: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.spray_of_L = spray_apply(self.spray, self.lagrangian)
@@ -142,6 +149,16 @@ class DerivedFields:
         extra += (dissipation.expr,) if dissipation is not None else ()
         return Guards(theorem.nonzero, theorem.evaluable + extra)
 
+    def kernel(self, roots, params: Optional[dict]):
+        """The kernel of ``roots`` over positional rows with ``params``, and
+        the tuple that ends each row; compiled once per run."""
+        return cached_kernel(self._kernels, roots, self.lagrangian.n, params)
+
+
+def _worse(a: float, b: float) -> float:
+    """The larger of two residuals, or NaN when either is NaN."""
+    return b if b > a or b != b else a
+
 
 # ---------------------------------------------------------------------------
 # the slope ratio (condition (ii) pointwise)
@@ -155,14 +172,27 @@ def deformation_ratio(
     guard_eps: float = 1e-6,
 ) -> float:
     """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
-    b = point.binding(params)
-    sl = ex.evaluate(derived.spray_of_L.expr, b)
-    cl = ex.evaluate(derived.liouville_of_L.expr, b)
+    kernel, tail = derived.kernel(_ratio_roots(derived), params)
+    return _slope_ratio(kernel.values(point.x + point.y + tail), guard_eps)
+
+
+def _ratio_roots(derived: DerivedFields) -> tuple:
+    """L, then the fields of the slope ratio, as :func:`_slope_ratio` reads them."""
+    return (
+        derived.lagrangian.expr,
+        derived.spray_of_L.expr,
+        derived.liouville_of_L.expr,
+        derived.energy_rate.expr,
+    )
+
+
+def _slope_ratio(values, guard_eps: float) -> float:
+    sl, cl = values[1], values[2]
     if abs(sl) <= guard_eps:
         raise GuardViolation("S(L)", sl, guard_eps)
     if abs(cl) <= guard_eps:
         raise GuardViolation("C(L)", cl, guard_eps)
-    return -ex.evaluate(derived.energy_rate.expr, b) / (sl * cl)
+    return -values[3] / (sl * cl)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +210,19 @@ def check_sigma_condition(
     """Check sigma = (S(E_L)/C(L)) d_J L at ``samples`` (drawn with C(L)
     guarded), per component, with residuals relative to 1 + |sigma_i|. The
     conservative case passes vacuously."""
+    roots = (derived.energy_rate.expr, derived.liouville_of_L.expr)
+    for s_i, dj_i in zip(sigma.components, derived.vertical.components):
+        roots += (s_i, dj_i)
+    kernel, tail = derived.kernel(roots, params)
     residuals = []
     for p in samples.points:
-        b = p.binding(params)
-        rate = ex.evaluate(derived.energy_rate.expr, b)
-        scale = rate / ex.evaluate(derived.liouville_of_L.expr, b)
+        v = kernel.values(p.x + p.y + tail)
+        scale = v[0] / v[1]
         worst = 0.0
-        for i in range(sigma.n):
-            s_i = ex.evaluate(sigma.components[i], b)
-            rhs = scale * ex.evaluate(derived.vertical.components[i], b)
-            worst = max(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
+        for k in range(2, 2 + 2 * sigma.n, 2):
+            s_i = v[k]
+            rhs = scale * v[k + 1]
+            worst = _worse(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
         "sigma_condition", residuals, samples.points, samples.rejected, tol
@@ -206,14 +239,17 @@ def check_sigma_consistency(
     """Cross-check a user-supplied sigma against the Lagrange differential:
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
+    roots = ()
+    for s_i, defect_i in zip(sigma.components, derived.defect.components):
+        roots += (s_i, defect_i)
+    kernel, tail = derived.kernel(roots, params)
     residuals = []
     for p in samples.points:
-        b = p.binding(params)
+        v = kernel.values(p.x + p.y + tail)
         worst = 0.0
-        for i in range(sigma.n):
-            s_i = ex.evaluate(sigma.components[i], b)
-            defect_i = ex.evaluate(derived.defect.components[i], b)
-            worst = max(worst, abs(s_i - defect_i) / (1.0 + abs(s_i)))
+        for k in range(0, 2 * sigma.n, 2):
+            s_i = v[k]
+            worst = _worse(worst, abs(s_i - v[k + 1]) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
         "sigma_consistency", residuals, samples.points, samples.rejected, tol
@@ -234,33 +270,20 @@ class DependenceResult:
     tolerance: float
 
 
-def _solve_on_level(
-    lagrangian: ScalarField,
-    plan: SamplePlan,
-    params: Optional[dict],
-    rng,
-    target: float,
-    names,
-    n: int,
-) -> Optional[PhasePoint]:
-    """Construct a point with L exactly (to rounding) equal to ``target`` by
-    bisecting L along a random segment of fiber coordinates. Coordinates are
-    lists in ``names`` order; only the returned point becomes a PhasePoint."""
-    lows = [plan.bounds[v][0] for v in names]
-    highs = [plan.bounds[v][1] for v in names]
-    base = dict(params) if params else {}
+def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: float, n: int):
+    """Coordinates (x1..xn, y1..yn) with L exactly (to rounding) equal to
+    ``target``, or None: bisection of L, the one root of the kernel
+    ``level``, along a random segment of fiber coordinates.
 
-    def value_at(coords):
-        binding = dict(base)
-        binding.update(zip(names, coords))
-        return ex.evaluate(lagrangian.expr, binding)
-
+    An iteration that leaves the bracket and L at its lower end bitwise as
+    they were is a fixed point, since every later one repeats it, so the
+    bisection stops there with the point the remaining steps would reach."""
     for _ in range(12):
         a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
-        b = list(a[:n]) + [rng.uniform(plan.bounds[v][0], plan.bounds[v][1]) for v in names[n:]]
+        b = a[:n] + [rng.uniform(lo, hi) for lo, hi in zip(lows[n:], highs[n:])]
         try:
-            va = value_at(a)
-            vb = value_at(b)
+            va = level(a + tail)[0]
+            vb = level(b + tail)[0]
         except ex.DomainViolation:
             continue
         if (va - target) * (vb - target) > 0.0:
@@ -269,18 +292,31 @@ def _solve_on_level(
         try:
             for _ in range(_BISECTIONS):
                 mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = value_at(mid)
+                vm = level(mid + tail)[0]
                 if (vm - target) * (va - target) <= 0.0:
+                    if _same_bits(mid, hi_c):
+                        break
                     hi_c = mid
                 else:
+                    # va is L at lo_c, so it is unchanged when lo_c is
+                    if _same_bits(mid, lo_c):
+                        break
                     lo_c, va = mid, vm
-            mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-            vm = value_at(mid)
+            else:
+                mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
+                vm = level(mid + tail)[0]
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return PhasePoint(mid[:n], mid[n:])
+            return mid
     return None
+
+
+def _same_bits(u: list, v: list) -> bool:
+    # == alone takes -0.0 for 0.0, and the sign changes later midpoints
+    return u == v and all(
+        math.copysign(1.0, s) == math.copysign(1.0, t) for s, t in zip(u, v)
+    )
 
 
 def functional_dependence_test(
@@ -304,12 +340,11 @@ def functional_dependence_test(
     if len(points) < 8:
         raise InsufficientSamples(f"only {len(points)} accepted points")
 
+    ratio, tail = derived.kernel(_ratio_roots(derived), params)
     cloud = []
     for p in points:
-        b = p.binding(params)
-        l_val = ex.evaluate(lagrangian.expr, b)
-        f_val = deformation_ratio(derived, p, params, plan.guard_eps)
-        cloud.append((l_val, f_val))
+        v = ratio.values(p.x + p.y + tail)
+        cloud.append((v[0], _slope_ratio(v, plan.guard_eps)))
     cloud.sort(key=lambda t: t[0])
     cleaned = _merge_duplicate_abscissae(cloud)
     if len(cleaned) < 8:
@@ -321,6 +356,10 @@ def functional_dependence_test(
     l_values = np.array([l for l, _ in cleaned])
     rng = np.random.default_rng(plan.seed + 1)
     names = ex.chart_names(lagrangian.n)
+    lows = [plan.bounds[v][0] for v in names]
+    highs = [plan.bounds[v][1] for v in names]
+    level, _ = derived.kernel((lagrangian.expr,), params)
+    tail = list(tail)
     max_spread = 0.0
     used = 0
     functional = True
@@ -330,11 +369,11 @@ def functional_dependence_test(
         for _ in range(_PER_LEVEL * 3):
             if len(group) >= _PER_LEVEL:
                 break
-            pt = _solve_on_level(lagrangian, plan, params, rng, target, names, lagrangian.n)
-            if pt is None:
+            coords = _solve_on_level(level, tail, lows, highs, rng, target, lagrangian.n)
+            if coords is None:
                 continue
             try:
-                f_val = deformation_ratio(derived, pt, params, plan.guard_eps)
+                f_val = _slope_ratio(ratio.values(coords + tail), plan.guard_eps)
             except (GuardViolation, ex.DomainViolation):
                 continue
             group.append(f_val)
@@ -577,26 +616,31 @@ def hessian_report(
     the sampled points; rank via singular values above ``_RANK_RTOL * s_max``,
     from one batched SVD. A point where the matrix is not evaluable is
     skipped."""
+    points = samples.points
     stack = []
-    for p in samples.points:
-        if callable(matrix):
+    if callable(matrix):
+        for p in points:
             try:
-                m = np.asarray(matrix(p), dtype=float)
+                stack.append(np.asarray(matrix(p), dtype=float))
             except (ex.DomainViolation, ValueError, OverflowError):
                 # OverflowError: math.exp or math.pow in a closed-form Phi
                 continue
-        else:
-            b = p.binding(params)
+    elif points:
+        cells = tuple(cell for row in matrix for cell in row)
+        names, extra = row_layout(points[0].n, params)
+        kernel = ex.compile(cells, names)
+        tail = tuple(extra)
+        for p in points:
+            v = kernel.values(p.x + p.y + tail)
             try:
-                m = np.array(
-                    [[ex.evaluate(cell, b) for cell in row] for row in matrix]
-                )
+                stack.append([v[k] for k in range(len(cells))])
             except ex.DomainViolation:
                 continue
-        stack.append(m)
     if not stack:
         raise InsufficientSamples("no evaluable points for the Hessian")
     stack = np.array(stack)
+    if not callable(matrix):
+        stack = stack.reshape(len(stack), len(matrix), -1)
     max_entry = float(np.max(np.abs(stack)))
     s = np.linalg.svd(stack, compute_uv=False)
     s_max = s[:, :1]
@@ -664,20 +708,23 @@ def check_homogeneous(
         raise NotHomogeneous("force components have a different degree", degrees)
     if not spray_ok:
         raise NotHomogeneous("coefficients are not fiber-quadratic", degrees)
-    for p in points:
-        b = p.binding(params)
-        if ex.evaluate(lagrangian.expr, b) <= 0.0:
+    n = sigma.n
+    vertical = derived.vertical.components
+    kernel, tail = derived.kernel(
+        (lagrangian.expr,) + tuple(vertical) + tuple(sigma.components), params
+    )
+    values = [kernel.values(p.x + p.y + tail) for p in points]
+    for v in values:
+        if v[0] <= 0.0:
             raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
 
-    vertical = derived.vertical.components
     wedge = 0.0
-    for p in points:
-        b = p.binding(params)
-        dj = [ex.evaluate(c, b) for c in vertical]
-        sg = [ex.evaluate(c, b) for c in sigma.components]
-        for i in range(sigma.n):
-            for j in range(i + 1, sigma.n):
-                wedge = max(wedge, abs(dj[i] * sg[j] - dj[j] * sg[i]))
+    for v in values:
+        dj = [v[1 + i] for i in range(n)]
+        sg = [v[1 + n + i] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                wedge = _worse(wedge, abs(dj[i] * sg[j] - dj[j] * sg[i]))
     passed = wedge <= tol_wedge
 
     p_round = float(round(p_l)) if abs(p_l - round(p_l)) <= 1e-9 else p_l
@@ -686,21 +733,18 @@ def check_homogeneous(
     nontrivial = False
     if passed:
         coeff = ex.Const((1.0 - p_round) / p_round)
-        matrix = [
-            [
-                ex.add(
-                    ex.mul(coeff, ex.mul(vertical[i], vertical[j])),
-                    ex.mul(lagrangian.expr, derived.hessian[i][j]),
-                )
-                for j in range(sigma.n)
-            ]
-            for i in range(sigma.n)
-        ]
+        cells = tuple(
+            ex.add(
+                ex.mul(coeff, ex.mul(vertical[i], vertical[j])),
+                ex.mul(lagrangian.expr, derived.hessian[i][j]),
+            )
+            for i in range(n)
+            for j in range(n)
+        )
+        combination = ex.compile(cells, row_layout(n, params)[0])
         for p in points:
-            b = p.binding(params)
-            if any(
-                abs(ex.evaluate(cell, b)) > 1e-10 for row in matrix for cell in row
-            ):
+            v = combination.values(p.x + p.y + tail)
+            if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
                 nontrivial = True
                 break
 
@@ -740,18 +784,25 @@ def check_dissipative(
     vertical_d = vertical_differential(dissipation)
     liouville_d = liouville_apply(dissipation)
     kept, rejected = samples.points, samples.rejected
+    n = dissipation.n
 
+    roots = ()
+    for defect_i, grad_i in zip(derived.defect.components, vertical_d.components):
+        roots += (defect_i, grad_i)
+    roots += (derived.energy_rate.expr, liouville_d.expr, dissipation.expr)
+    kernel, tail = derived.kernel(roots, params)
+    values = []
     grad_res, rate_res = [], []
     for p in kept:
-        b = p.binding(params)
+        v = kernel.values(p.x + p.y + tail)
+        values.append(v)
         worst = 0.0
-        for i in range(dissipation.n):
-            defect_i = ex.evaluate(derived.defect.components[i], b)
-            grad_i = ex.evaluate(vertical_d.components[i], b)
-            worst = max(worst, abs(defect_i - grad_i) / (1.0 + abs(grad_i)))
+        for k in range(0, 2 * n, 2):
+            grad_i = v[k + 1]
+            worst = _worse(worst, abs(v[k] - grad_i) / (1.0 + abs(grad_i)))
         grad_res.append(worst)
-        sel = ex.evaluate(derived.energy_rate.expr, b)
-        cd = ex.evaluate(liouville_d.expr, b)
+        sel = v[2 * n]
+        cd = v[2 * n + 1]
         rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
     gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, kept, rejected, tol)
     rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, kept, rejected, tol)
@@ -763,10 +814,9 @@ def check_dissipative(
     if rayleigh:
         twice_res = []
         negative = True
-        for p in kept:
-            b = p.binding(params)
-            sel = ex.evaluate(derived.energy_rate.expr, b)
-            dval = ex.evaluate(dissipation.expr, b)
+        for v in values:
+            sel = v[2 * n]
+            dval = v[2 * n + 2]
             twice_res.append(abs(sel - 2.0 * dval) / (1.0 + abs(2.0 * dval)))
             if dval >= 0.0:
                 negative = False

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import expressions as ex
-from .conditions import ConditionReport, DerivedFields, HessianReport, InsufficientSamples, hessian_report
+from .conditions import (
+    ConditionReport,
+    DerivedFields,
+    HessianReport,
+    InsufficientSamples,
+    _worse,
+    hessian_report,
+)
 from .families import (
     Affine,
     Constant,
@@ -344,45 +351,46 @@ def verify_deformed_el(
     expanded form Phi'' S(L) dL/dy_i + Phi' (delta_S L)_i are both evaluated
     and compared; the verdict is on the direct form. ``samples`` are points
     where L is evaluable; those where Phi(L) is not count as rejected."""
-    deformed = DeformedLagrangian(derived.lagrangian, deformation)
-    composed = deformed.composed()
+    composed = DeformedLagrangian(derived.lagrangian, deformation).composed()
     direct_form = (
         lagrange_differential(derived.spray, composed) if composed is not None else None
     )
+    # per component: d_J L, delta_S L and, for a closed form, the direct form
+    roots = (derived.lagrangian.expr, derived.spray_of_L.expr)
+    for i in range(derived.lagrangian.n):
+        roots += (derived.vertical.components[i], derived.defect.components[i])
+        roots += (direct_form.components[i],) if direct_form is not None else ()
+    stride = 2 if direct_form is None else 3
+    kernel, tail = derived.kernel(roots, params)
 
     residuals, kept = [], []
     expansion_max = 0.0
     agreement_max = 0.0
     out_of_interval = 0
     for p in samples.points:
-        b = p.binding(params)
+        v = kernel.values(p.x + p.y + tail)
         try:
-            d1, d2 = deformed.gradient_pair(b)
-            sl = ex.evaluate(derived.spray_of_L.expr, b)
+            d1, d2 = deformation.triple(v[0])[1:]
+            sl = v[1]
             point_worst = 0.0
             point_exp_worst = 0.0
             point_agree = 0.0
-            for i in range(deformed.n):
-                dy_i = ex.evaluate(derived.vertical.components[i], b)
-                defect_i = ex.evaluate(derived.defect.components[i], b)
-                term1 = d2 * sl * dy_i
-                term2 = d1 * defect_i
+            for k in range(2, len(roots), stride):
+                term1 = d2 * sl * v[k]
+                term2 = d1 * v[k + 1]
                 expanded = term1 + term2
                 scale = 1.0 + abs(term1) + abs(term2)
-                if direct_form is not None:
-                    direct = ex.evaluate(direct_form.components[i], b)
-                else:
-                    direct = expanded
-                point_worst = max(point_worst, abs(direct) / scale)
-                point_exp_worst = max(point_exp_worst, abs(expanded) / scale)
-                point_agree = max(point_agree, abs(direct - expanded) / scale)
+                direct = v[k + 2] if direct_form is not None else expanded
+                point_worst = _worse(point_worst, abs(direct) / scale)
+                point_exp_worst = _worse(point_exp_worst, abs(expanded) / scale)
+                point_agree = _worse(point_agree, abs(direct - expanded) / scale)
         except (OutOfInterval, ex.DomainViolation):
             out_of_interval += 1
             continue
         residuals.append(point_worst)
         kept.append(p)
-        expansion_max = max(expansion_max, point_exp_worst)
-        agreement_max = max(agreement_max, point_agree)
+        expansion_max = _worse(expansion_max, point_exp_worst)
+        agreement_max = _worse(agreement_max, point_agree)
     direct_report = ConditionReport.from_residuals(
         "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
     )
@@ -395,13 +403,16 @@ def deformed_hessian_matrix(
     """Fiber Hessian of Phi(L) as a callable ``point -> ndarray``:
     Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
     alike."""
-    deformed = DeformedLagrangian(derived.lagrangian, deformation)
+    n = derived.lagrangian.n
+    roots = (derived.lagrangian.expr,) + tuple(derived.vertical.components)
+    roots += tuple(cell for row in derived.hessian for cell in row)
+    kernel, tail = derived.kernel(roots, params)
 
     def matrix_at(point: PhasePoint):
-        b = point.binding(params)
-        d1, d2 = deformed.gradient_pair(b)
-        dy = np.array([ex.evaluate(c, b) for c in derived.vertical.components])
-        g = np.array([[ex.evaluate(cell, b) for cell in row] for row in derived.hessian])
+        v = kernel.values(point.x + point.y + tail)
+        d1, d2 = deformation.triple(v[0])[1:]
+        dy = np.array([v[1 + i] for i in range(n)])
+        g = np.array([[v[1 + n + i * n + j] for j in range(n)] for i in range(n)])
         return d2 * np.outer(dy, dy) + d1 * g
 
     return matrix_at

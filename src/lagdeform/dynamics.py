@@ -24,6 +24,7 @@ from .geometry import (
     energy,
     homogeneity_degree,
     liouville_apply,
+    row_layout,
     spray_apply,
     vertical_differential,
 )
@@ -75,15 +76,6 @@ class Trajectory:
         return PhasePoint(self.states[k, :n], self.states[k, n:])
 
 
-def _row_layout(n: int, params: Optional[dict]):
-    """The names of a positional row (x1..xn, y1..yn, then the parameters)
-    and the parameter values that end each row. A parameter named like a
-    coordinate is left out: the coordinate binds the name."""
-    chart = ex.chart_names(n)
-    extra = {k: v for k, v in (params or {}).items() if k not in chart}
-    return chart + tuple(extra), list(extra.values())
-
-
 def integrate_geodesic(
     spray: SemiSpray,
     cfg: IntegratorConfig,
@@ -98,7 +90,7 @@ def integrate_geodesic(
         raise GeodesicError("initial point dimension mismatch")
     h = cfg.step
     steps = cfg.steps
-    names, extra = _row_layout(n, params)
+    names, extra = row_layout(n, params)
     kernel = ex.compile(spray.coefficients, names)
 
     def rhs(state):
@@ -169,7 +161,7 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
     A state fails as ``lag.triple`` and then :func:`ex.evaluate` of each
     field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
-    names, extra = _row_layout(traj.n, traj.params)
+    names, extra = row_layout(traj.n, traj.params)
     kernel = ex.compile(((lag.base.expr,) if deformed else ()) + tuple(fields), names)
     for state in traj.states.tolist():
         row = state + extra
@@ -252,7 +244,7 @@ def dissipation_along(
 ) -> DissipationTrace:
     rate_field = spray_apply(traj.spray, energy(lagrangian))
     c_of_d = liouville_apply(dissipation)
-    names, extra = _row_layout(traj.n, traj.params)
+    names, extra = row_layout(traj.n, traj.params)
     kernel = ex.compile((rate_field.expr, c_of_d.expr, dissipation.expr), names)
     rows = traj.states.tolist()
     values = np.array([kernel(row + extra) for row in rows], dtype=float)

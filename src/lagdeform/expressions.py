@@ -865,6 +865,7 @@ def _compile(roots: tuple, row: Optional[tuple] = None):
     lines = []
     names = {}  # structural key -> name of the subtree's value
     nonzero = set()  # denominators already checked
+    emitted = {}  # id(node) -> name of its value; the roots keep the nodes alive
 
     def bind(key, value):
         if key not in names:
@@ -889,6 +890,14 @@ def _compile(roots: tuple, row: Optional[tuple] = None):
         return f"_unbound({name!r})"
 
     def emit(node):
+        # a node shared by identity, as derivative trees share them, is
+        # emitted once rather than once per occurrence
+        name = emitted.get(id(node))
+        if name is None:
+            name = emitted[id(node)] = emit_new(node)
+        return name
+
+    def emit_new(node):
         if isinstance(node, Const):
             return constant(node.value)
         if isinstance(node, Var):
@@ -958,6 +967,30 @@ class Kernel:
             pass  # leave the handler first: the walk's error has no context
         binding = dict(zip(self.names, row))
         return tuple(root.evaluate(binding) for root in self.roots)
+
+    def values(self, row):
+        """The roots' values at ``row``: the tuple the kernel returns, or,
+        where the compiled code raises, a sequence whose item ``k`` walks
+        root ``k`` when it is read. A caller that reads the items in the
+        order it would evaluate the roots meets the errors :func:`evaluate`
+        would raise, in that order."""
+        try:
+            return self._run(row)
+        except (ArithmeticError, ValueError, LookupError):
+            return _Walk(self.roots, dict(zip(self.names, row)))
+
+
+class _Walk:
+    """The roots of a kernel at one binding, each walked when it is read."""
+
+    __slots__ = ("roots", "binding")
+
+    def __init__(self, roots: tuple, binding: dict):
+        self.roots = roots
+        self.binding = binding
+
+    def __getitem__(self, k: int) -> float:
+        return self.roots[k].evaluate(self.binding)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,33 @@ class PhasePoint:
         return b
 
 
+def row_layout(n: int, params: Optional[dict]):
+    """The names of a positional row (x1..xn, y1..yn, then the parameters)
+    and the parameter values that end each row. A parameter named like a
+    coordinate is left out: the coordinate binds the name."""
+    chart = ex.chart_names(n)
+    extra = {k: v for k, v in (params or {}).items() if k not in chart}
+    return chart + tuple(extra), list(extra.values())
+
+
+def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[dict]):
+    """The kernel of ``roots`` over the rows of an n-dimensional chart and
+    ``params``, with the tuple that ends each row; compiled on the first
+    request and then kept in ``memo``, where it keeps its roots alive."""
+    key = (tuple(map(id, roots)), n, tuple(params.items()) if params else ())
+    got = memo.get(key)
+    if got is None:
+        names, extra = row_layout(n, params)
+        got = memo[key] = (ex.compile(roots, names), tuple(extra))
+    return got
+
+
+def point_rows(points: Sequence[PhasePoint], extra) -> list:
+    """The positional rows of ``points``, each ending with ``extra``."""
+    tail = tuple(extra)
+    return [p.x + p.y + tail for p in points]
+
+
 def _check_dims(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
@@ -196,13 +223,6 @@ def contract_with_spray(spray: SemiSpray, form: SemiBasicForm) -> ScalarField:
 _HOMOGENEITY_RATIOS = (0.5, 2.0, 3.0)
 
 
-def _fiber_scaled(binding: dict, n: int, r: float) -> dict:
-    scaled = dict(binding)
-    for i in range(1, n + 1):
-        scaled[f"y{i}"] = r * binding[f"y{i}"]
-    return scaled
-
-
 def homogeneity_degree(
     obj,
     points: Sequence[PhasePoint],
@@ -216,39 +236,42 @@ def homogeneity_degree(
     otherwise). For a :class:`SemiSpray`, returns 2.0 when all coefficients
     scale quadratically, else None. Points must have ``y != 0``.
     """
+    names, extra = row_layout(obj.n, params)
+    tail = tuple(extra)
     if isinstance(obj, SemiSpray):
         for g in obj.coefficients:
-            if _field_degree(ScalarField(obj.n, g), points, params, tol) != 2.0:
-                if not _is_zero_at(g, obj.n, points, params, tol):
+            kernel = ex.compile((g,), names)
+            if _field_degree(kernel, points, tail, tol) != 2.0:
+                if not _is_zero_at(kernel, points, tail, tol):
                     return None
         return 2.0
-    return _field_degree(obj, points, params, tol)
+    return _field_degree(ex.compile((obj.expr,), names), points, tail, tol)
 
 
-def _is_zero_at(e: Expr, n, points, params, tol) -> bool:
+def _is_zero_at(kernel, points, tail, tol) -> bool:
     for p in points:
         try:
-            if abs(ex.evaluate(e, p.binding(params))) > tol:
+            if abs(kernel(p.x + p.y + tail)[0]) > tol:
                 return False
         except ex.DomainViolation:
             return False
     return True
 
 
-def _field_degree(field_: ScalarField, points, params, tol) -> Optional[float]:
+def _field_degree(kernel, points, tail, tol) -> Optional[float]:
+    """The degree of the one root of ``kernel``, as in :func:`homogeneity_degree`."""
     estimate = None
     for p in points:
         if all(v == 0.0 for v in p.y):
             continue
-        b = p.binding(params)
         try:
-            base = ex.evaluate(field_.expr, b)
+            base = kernel(p.x + p.y + tail)[0]
         except ex.DomainViolation:
             continue
         if abs(base) < 1e-12:
             continue
         try:
-            scaled2 = ex.evaluate(field_.expr, _fiber_scaled(b, field_.n, 2.0))
+            scaled2 = kernel(p.x + tuple(2.0 * v for v in p.y) + tail)[0]
         except ex.DomainViolation:
             return None
         ratio = scaled2 / base
@@ -260,10 +283,13 @@ def _field_degree(field_: ScalarField, points, params, tol) -> Optional[float]:
         elif abs(p_here - estimate) > tol * (1.0 + abs(estimate)):
             return None
         for r in _HOMOGENEITY_RATIOS:
-            try:
-                scaled = ex.evaluate(field_.expr, _fiber_scaled(b, field_.n, r))
-            except ex.DomainViolation:
-                return None
+            if r == 2.0:
+                scaled = scaled2
+            else:
+                try:
+                    scaled = kernel(p.x + tuple(r * v for v in p.y) + tail)[0]
+                except ex.DomainViolation:
+                    return None
             want = math.pow(r, estimate) * base
             if abs(scaled - want) > tol * (1.0 + abs(scaled) + abs(want)):
                 return None

@@ -32,6 +32,7 @@ from .conditions import (
     DissipativeReport,
     InsufficientSamples,
     NotHomogeneous,
+    _worse,
     check_dissipative,
     check_homogeneous,
     check_sigma_condition,
@@ -423,11 +424,12 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         return
 
     defect_max = 0.0
+    kernel, tail = derived.kernel(tuple(derived.defect.components), spec.params)
     for p in samples.points:
-        b = p.binding(spec.params)
-        for comp in derived.defect.components:
-            v = ex.evaluate(comp, b)
-            defect_max = max(defect_max, abs(v) / (1.0 + abs(v)))
+        values = kernel.values(p.x + p.y + tail)
+        for k in range(spec.n):
+            v = values[k]
+            defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))
     conservative = defect_max <= tol["identity"]
     doc.notes.append(f"Lagrange differential max residual {defect_max:.3e} on samples")
     doc.base_hessian = hessian_report(derived.hessian, samples, spec.params)

@@ -9,13 +9,13 @@ expression involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import expressions as ex
-from .geometry import PhasePoint
+from .geometry import PhasePoint, cached_kernel
 
 
 class SamplingError(Exception):
@@ -81,16 +81,20 @@ class Guards:
 
     nonzero: tuple = ()
     evaluable: tuple = ()
+    # the kernel of the evaluable, then the nonzero roots, per row layout
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def admits(self, point: PhasePoint, params: Optional[dict], eps: float) -> bool:
-        binding = point.binding(params)
+        roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
+        kernel, tail = cached_kernel(self._kernels, roots, point.n, params)
+        values = kernel.values(point.x + point.y + tail)
+        evaluable = len(self.evaluable)
         try:
-            for e in self.evaluable:
-                v = ex.evaluate(e, binding)
-                if not math.isfinite(v):
+            for k in range(evaluable):
+                if not math.isfinite(values[k]):
                     return False
-            for f in self.nonzero:
-                v = ex.evaluate(f.expr, binding)
+            for k in range(evaluable, evaluable + len(self.nonzero)):
+                v = values[k]
                 if not math.isfinite(v) or abs(v) <= eps:
                     return False
         except ex.DomainViolation:

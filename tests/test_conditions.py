@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,8 +23,20 @@ from lagdeform.conditions import (
     functional_dependence_test,
     hessian_report,
     _gauss_newton,
+    _merge_duplicate_abscissae,
     _model_moebius,
     _model_power_shift,
+    _solve_on_level,
+)
+from lagdeform import expressions as ex
+from lagdeform.corpus import CORPUS_NAMES, corpus_text, load_corpus_problem
+from lagdeform.deformation import (
+    DeformedELReport,
+    DeformedLagrangian,
+    OutOfInterval,
+    deformed_hessian_matrix,
+    synthesize,
+    verify_deformed_el,
 )
 from lagdeform.expressions import Dual, parse
 from lagdeform.families import (
@@ -34,11 +48,22 @@ from lagdeform.families import (
     PowerShift,
     Tabulated,
 )
-from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray, fiber_hessian
+from lagdeform.geometry import (
+    PhasePoint,
+    ScalarField,
+    SemiBasicForm,
+    SemiSpray,
+    fiber_hessian,
+    homogeneity_degree,
+    lagrange_differential,
+    liouville_apply,
+)
+from lagdeform.pipeline import problem_from_dict
 from lagdeform.sampling import (
     Guards,
     GuardViolation,
     SamplePlan,
+    Samples,
     TooManyRejections,
     draw_samples,
 )
@@ -650,3 +675,494 @@ def test_dissipative_rayleigh_reports_negative_quadratic():
     assert report.rayleigh
     assert report.rayleigh_rate.passed
     assert report.dissipation_negative is True
+
+
+# ---------------------------------------------------------------------------
+# oracles: the checks on rows and kernels against dict-binding references
+# ---------------------------------------------------------------------------
+#
+# Each _ref_* function evaluates every root separately through a binding
+# dict, as the checks did before they read kernels over positional rows.
+# Their per-point maxima let a NaN through, as the checks' own must.
+
+
+def _ref_max(a, b):
+    return b if (math.isnan(b) or b > a) and not math.isnan(a) else a
+
+
+def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
+    """The 80-step bisection of L along a random fiber segment."""
+    lows = [plan.bounds[v][0] for v in names]
+    highs = [plan.bounds[v][1] for v in names]
+    base = dict(params) if params else {}
+
+    def value_at(coords):
+        binding = dict(base)
+        binding.update(zip(names, coords))
+        return ex.evaluate(lagrangian.expr, binding)
+
+    for _ in range(12):
+        a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
+        b = list(a[:n]) + [rng.uniform(plan.bounds[v][0], plan.bounds[v][1]) for v in names[n:]]
+        try:
+            va = value_at(a)
+            vb = value_at(b)
+        except ex.DomainViolation:
+            continue
+        if (va - target) * (vb - target) > 0.0:
+            continue
+        lo_c, hi_c = a, b
+        try:
+            for _ in range(80):
+                mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
+                vm = value_at(mid)
+                if (vm - target) * (va - target) <= 0.0:
+                    hi_c = mid
+                else:
+                    lo_c, va = mid, vm
+            mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
+            vm = value_at(mid)
+        except ex.DomainViolation:
+            continue
+        if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
+            return PhasePoint(mid[:n], mid[n:])
+    return None
+
+
+def _ref_ratio(d, b, eps):
+    sl = ex.evaluate(d.spray_of_L.expr, b)
+    cl = ex.evaluate(d.liouville_of_L.expr, b)
+    if abs(sl) <= eps:
+        raise GuardViolation("S(L)", sl, eps)
+    if abs(cl) <= eps:
+        raise GuardViolation("C(L)", cl, eps)
+    return -ex.evaluate(d.energy_rate.expr, b) / (sl * cl)
+
+
+def _ref_sigma_condition(d, sigma, samples, params, tol=1e-9):
+    residuals = []
+    for p in samples.points:
+        b = p.binding(params)
+        scale = ex.evaluate(d.energy_rate.expr, b) / ex.evaluate(d.liouville_of_L.expr, b)
+        worst = 0.0
+        for i in range(sigma.n):
+            s_i = ex.evaluate(sigma.components[i], b)
+            rhs = scale * ex.evaluate(d.vertical.components[i], b)
+            worst = _ref_max(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
+        residuals.append(worst)
+    return ConditionReport.from_residuals(
+        "sigma_condition", residuals, samples.points, samples.rejected, tol
+    )
+
+
+def _ref_sigma_consistency(d, sigma, samples, params, tol=1e-9):
+    residuals = []
+    for p in samples.points:
+        b = p.binding(params)
+        worst = 0.0
+        for i in range(sigma.n):
+            s_i = ex.evaluate(sigma.components[i], b)
+            defect_i = ex.evaluate(d.defect.components[i], b)
+            worst = _ref_max(worst, abs(s_i - defect_i) / (1.0 + abs(s_i)))
+        residuals.append(worst)
+    return ConditionReport.from_residuals(
+        "sigma_consistency", residuals, samples.points, samples.rejected, tol
+    )
+
+
+def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
+    """(cloud, per-level groups of slope values) of the dependence test."""
+    cloud = []
+    for p in samples.points:
+        b = p.binding(params)
+        cloud.append((ex.evaluate(d.lagrangian.expr, b), _ref_ratio(d, b, plan.guard_eps)))
+    cloud.sort(key=lambda t: t[0])
+    l_values = np.array([l for l, _ in _merge_duplicate_abscissae(cloud)])
+    rng = np.random.default_rng(plan.seed + 1)
+    names = ex.chart_names(d.lagrangian.n)
+    groups = []
+    for k in range(32):
+        target = float(np.quantile(l_values, (k + 0.5) / 32))
+        group = []
+        for _ in range(12):
+            if len(group) >= 4:
+                break
+            pt = _ref_solve_on_level(d.lagrangian, plan, params, rng, target, names, d.lagrangian.n)
+            if pt is None:
+                continue
+            try:
+                group.append(_ref_ratio(d, pt.binding(params), plan.guard_eps))
+            except (GuardViolation, ex.DomainViolation):
+                continue
+        groups.append(group)
+    return cloud, groups
+
+
+def _ref_hessian_cells(matrix, samples, params):
+    """The evaluable matrices, as hessian_report stacks them."""
+    stack = []
+    for p in samples.points:
+        b = p.binding(params)
+        try:
+            stack.append([[ex.evaluate(cell, b) for cell in row] for row in matrix])
+        except ex.DomainViolation:
+            continue
+    return stack
+
+
+def _ref_deformed_hessian_at(d, deformation, point, params):
+    b = point.binding(params)
+    d1, d2 = deformation.triple(ex.evaluate(d.lagrangian.expr, b))[1:]
+    dy = np.array([ex.evaluate(c, b) for c in d.vertical.components])
+    g = np.array([[ex.evaluate(cell, b) for cell in row] for row in d.hessian])
+    return d2 * np.outer(dy, dy) + d1 * g
+
+
+def _ref_verify(d, deformation, samples, params, tol=1e-9):
+    composed = DeformedLagrangian(d.lagrangian, deformation).composed()
+    direct_form = lagrange_differential(d.spray, composed) if composed is not None else None
+    residuals, kept = [], []
+    expansion_max = agreement_max = 0.0
+    out_of_interval = 0
+    for p in samples.points:
+        b = p.binding(params)
+        try:
+            d1, d2 = deformation.triple(ex.evaluate(d.lagrangian.expr, b))[1:]
+            sl = ex.evaluate(d.spray_of_L.expr, b)
+            worst = exp_worst = agree = 0.0
+            for i in range(d.lagrangian.n):
+                term1 = d2 * sl * ex.evaluate(d.vertical.components[i], b)
+                term2 = d1 * ex.evaluate(d.defect.components[i], b)
+                expanded = term1 + term2
+                scale = 1.0 + abs(term1) + abs(term2)
+                direct = (
+                    ex.evaluate(direct_form.components[i], b)
+                    if direct_form is not None
+                    else expanded
+                )
+                worst = _ref_max(worst, abs(direct) / scale)
+                exp_worst = _ref_max(exp_worst, abs(expanded) / scale)
+                agree = _ref_max(agree, abs(direct - expanded) / scale)
+        except (OutOfInterval, ex.DomainViolation):
+            out_of_interval += 1
+            continue
+        residuals.append(worst)
+        kept.append(p)
+        expansion_max = _ref_max(expansion_max, exp_worst)
+        agreement_max = _ref_max(agreement_max, agree)
+    direct = ConditionReport.from_residuals(
+        "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
+    )
+    return DeformedELReport(direct, expansion_max, agreement_max, out_of_interval)
+
+
+def _ref_homogeneity_degree(e, n, points, params, tol=1e-9):
+    estimate = None
+    for p in points:
+        if all(v == 0.0 for v in p.y):
+            continue
+        b = p.binding(params)
+        try:
+            base = ex.evaluate(e, b)
+        except ex.DomainViolation:
+            continue
+        if abs(base) < 1e-12:
+            continue
+
+        def scaled(r):
+            return ex.evaluate(e, dict(b, **{f"y{i + 1}": r * p.y[i] for i in range(n)}))
+
+        try:
+            ratio = scaled(2.0) / base
+        except ex.DomainViolation:
+            return None
+        if ratio <= 0.0:
+            return None
+        p_here = math.log(ratio) / math.log(2.0)
+        if estimate is None:
+            estimate = p_here
+        elif abs(p_here - estimate) > tol * (1.0 + abs(estimate)):
+            return None
+        for r in (0.5, 2.0, 3.0):
+            try:
+                value = scaled(r)
+            except ex.DomainViolation:
+                return None
+            want = math.pow(r, estimate) * base
+            if abs(value - want) > tol * (1.0 + abs(value) + abs(want)):
+                return None
+    return estimate
+
+
+def _ref_homogeneous_wedge(d, sigma, samples, params):
+    """(L positive on the samples, the wedge residual) of check_homogeneous."""
+    positive = all(
+        ex.evaluate(d.lagrangian.expr, p.binding(params)) > 0.0 for p in samples.points
+    )
+    wedge = 0.0
+    for p in samples.points:
+        b = p.binding(params)
+        dj = [ex.evaluate(c, b) for c in d.vertical.components]
+        sg = [ex.evaluate(c, b) for c in sigma.components]
+        for i in range(sigma.n):
+            for j in range(i + 1, sigma.n):
+                wedge = _ref_max(wedge, abs(dj[i] * sg[j] - dj[j] * sg[i]))
+    return positive, wedge
+
+
+def _ref_dissipative(d, dissipation, samples, params, tol=1e-9):
+    grad_d = [ex.partial(dissipation.expr, f"y{i + 1}") for i in range(dissipation.n)]
+    c_of_d = liouville_apply(dissipation).expr
+    grad_res, rate_res, twice_res = [], [], []
+    for p in samples.points:
+        b = p.binding(params)
+        worst = 0.0
+        for i in range(dissipation.n):
+            defect_i = ex.evaluate(d.defect.components[i], b)
+            grad_i = ex.evaluate(grad_d[i], b)
+            worst = _ref_max(worst, abs(defect_i - grad_i) / (1.0 + abs(grad_i)))
+        grad_res.append(worst)
+        sel = ex.evaluate(d.energy_rate.expr, b)
+        cd = ex.evaluate(c_of_d, b)
+        rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
+        twice = 2.0 * ex.evaluate(dissipation.expr, b)
+        twice_res.append(abs(sel - twice) / (1.0 + abs(twice)))
+    kept, rejected = samples.points, samples.rejected
+    return (
+        ConditionReport.from_residuals("sigma_is_dJD", grad_res, kept, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_CD", rate_res, kept, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_2D", twice_res, kept, rejected, tol),
+    )
+
+
+def _bits(value):
+    """A value with every float replaced by its exact bits, NaN included."""
+    if isinstance(value, float):
+        return value.hex() if value == value else "nan"
+    if isinstance(value, PhasePoint):
+        return _bits(value.x + value.y)
+    if isinstance(value, np.ndarray):
+        return _bits(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _bits(getattr(value, k)) for k in value.__dataclass_fields__}
+    return value
+
+
+def _level_problems():
+    """(name, L, plan, params) for the bisection oracle: the corpus, a box
+    where the coordinates converge to +-0.0, and an L that is NaN on part of
+    its segments (1e307 y1^2 overflows for y1 > 4.2)."""
+    problems = []
+    for name in CORPUS_NAMES:
+        spec = load_corpus_problem(name)
+        problems.append((name, spec.lagrangian, spec.plan(), spec.params))
+    tiny = SamplePlan({"x1": (0.5, 2.0), "y1": (-4e-323, 3e-323)}, 64, 7)
+    problems.append(("subnormal", ScalarField(1, parse("1e300*y1", ("x1", "y1"))), tiny, {}))
+    nan_l = parse("y1 + (1e307*y1*y1 - 1e307*y1*y1)", ("x1", "y1"))
+    wide = SamplePlan({"x1": (0.5, 2.0), "y1": (0.5, 8.0)}, 64, 11)
+    problems.append(("nan-part", ScalarField(1, nan_l), wide, {}))
+    return problems
+
+
+@pytest.mark.parametrize("name,lagrangian,plan,params", _level_problems(), ids=lambda v: v if isinstance(v, str) else "")
+def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, plan, params):
+    n = lagrangian.n
+    names = ex.chart_names(n)
+    draw = draw_samples(SamplePlan(plan.bounds, 64, plan.seed), Guards(evaluable=(lagrangian.expr,)), params)
+    ls = [ex.evaluate(lagrangian.expr, p.binding(params)) for p in draw.points]
+    targets = [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
+    if name == "subnormal":
+        targets = [0.0, -0.0] * 16
+    level, tail = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian).kernel(
+        (lagrangian.expr,), params
+    )
+    lows = [plan.bounds[v][0] for v in names]
+    highs = [plan.bounds[v][1] for v in names]
+    rng_ref = np.random.default_rng(plan.seed + 1)
+    rng = np.random.default_rng(plan.seed + 1)
+    found = []
+    for target in targets:
+        want = _ref_solve_on_level(lagrangian, plan, params, rng_ref, target, names, n)
+        got = _solve_on_level(level, list(tail), lows, highs, rng, target, n)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _bits(got) == _bits(want)
+            found.append(want)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert found
+    if name == "subnormal":
+        zeros = [v for p in found for v in p.y if v == 0.0]
+        assert {math.copysign(1.0, v) for v in zeros} == {1.0, -1.0}
+
+
+def _run_inputs(name, offset):
+    data = json.loads(corpus_text(name))
+    data["sampling"]["seed"] += offset
+    spec = problem_from_dict(data)
+    d = DerivedFields(spec.spray, spec.lagrangian)
+    plan = spec.plan()
+    if name == "free-particle":
+        guards = Guards(evaluable=(spec.lagrangian.expr,) + tuple(d.defect.components))
+    else:
+        guards = d.run_guards(spec.sigma, spec.dissipation)
+    return spec, d, plan, draw_samples(plan, guards, spec.params)
+
+
+@pytest.mark.parametrize("offset", [0, 5])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_checks_on_rows_match_the_dict_binding_references(name, offset):
+    spec, d, plan, samples = _run_inputs(name, offset)
+    params = spec.params
+    sigma = spec.sigma if spec.sigma is not None else d.defect
+
+    assert _bits(check_sigma_consistency(d, sigma, samples, params)) == _bits(
+        _ref_sigma_consistency(d, sigma, samples, params)
+    )
+    base = hessian_report(d.hessian, samples, params)
+    cells = _ref_hessian_cells(d.hessian, samples, params)
+    assert base.samples == len(cells)
+    assert _bits(base.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
+    if name == "free-particle":
+        return  # S(L) = 0: the run takes the conservative branch
+
+    assert _bits(check_sigma_condition(d, sigma, samples, params)) == _bits(
+        _ref_sigma_condition(d, sigma, samples, params)
+    )
+    result = functional_dependence_test(d, samples, plan, params)
+    cloud, groups = _ref_dependence(d, samples, plan, params)
+    assert _bits(result.cloud) == _bits(_merge_duplicate_abscissae(cloud))
+    used = [g for g in groups if len(g) >= 2]
+    assert result.levels_used == len(used)
+    assert _bits(result.max_level_spread) == _bits(max([max(g) - min(g) for g in used] + [0.0]))
+
+    ls = [l for l, _ in result.cloud]
+    deformation = synthesize(classify(result.cloud).chosen, (min(ls), max(ls)))
+    assert _bits(verify_deformed_el(d, deformation, samples, params)) == _bits(
+        _ref_verify(d, deformation, samples, params)
+    )
+    matrix = deformed_hessian_matrix(d, deformation, params)
+    for p in samples.points[:50]:
+        try:
+            want = _ref_deformed_hessian_at(d, deformation, p, params)
+        except (ex.DomainViolation, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                matrix(p)
+        else:
+            assert _bits(matrix(p)) == _bits(want)
+
+    positive, wedge = _ref_homogeneous_wedge(d, sigma, samples, params)
+    degree = _ref_homogeneity_degree(spec.lagrangian.expr, spec.n, samples.points, params)
+    assert homogeneity_degree(spec.lagrangian, samples.points, params) == degree
+    try:
+        report = check_homogeneous(d, sigma, samples, params)
+    except NotHomogeneous:
+        pass
+    else:
+        assert positive and _bits(report.wedge_residual) == _bits(wedge)
+
+    if spec.dissipation is not None:
+        report = check_dissipative(d, spec.dissipation, samples, params)
+        gradient, rate, twice = _ref_dissipative(d, spec.dissipation, samples, params)
+        assert _bits(report.gradient_match) == _bits(gradient)
+        assert _bits(report.energy_rate_match) == _bits(rate)
+        if report.rayleigh:
+            assert _bits(report.rayleigh_rate) == _bits(twice)
+
+
+def _one_dimensional(lagrangian, spray="0"):
+    names = ("x1", "y1")
+    return DerivedFields(SemiSpray(1, [parse(spray, names)]), ScalarField(1, parse(lagrangian, names)))
+
+
+def test_a_hessian_cell_that_raises_skips_its_point_as_the_reference_does():
+    d = _one_dimensional("0.5*y1^2")
+    matrix = [[parse("ln(x1 - 1)*y1", ("x1", "y1"))]]
+    samples = draw_samples(plan_for(1, 60), Guards(), {})
+    report = hessian_report(matrix, samples, {})
+    cells = _ref_hessian_cells(matrix, samples, {})
+    assert 0 < report.samples == len(cells) < len(samples.points)
+    assert _bits(report.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
+
+
+def test_an_out_of_interval_phi_is_counted_as_the_reference_counts_it():
+    # L = y1 - 1 changes sign on the box, and ln(L + 0.2) is defined only above -0.2
+    d = _one_dimensional("y1 - 1", spray="0")
+    samples = draw_samples(plan_for(1, 80), Guards(evaluable=(d.lagrangian.expr,)), {})
+    deformation = synthesize(Logarithmic(0.2), (0.0, 1.0))
+    got = verify_deformed_el(d, deformation, samples, {})
+    assert 0 < got.out_of_interval < len(samples.points)
+    assert _bits(got) == _bits(_ref_verify(d, deformation, samples, {}))
+
+
+def test_a_raising_vertical_differential_propagates_the_reference_error():
+    # d_J L = 1.5 sign(y1) |y1|^0.5 ... raises at y1 = 0 exactly, a point
+    # the sigma condition is handed without a guard
+    d = _one_dimensional("abs(y1)^1.5 + x1*y1")
+    names = ("x1", "y1")
+    sigma = SemiBasicForm(1, [parse("y1", names)])
+    points = [PhasePoint([1.0], [0.5]), PhasePoint([1.0], [0.0])]
+    samples = Samples(points, 2)
+    with pytest.raises(ex.DomainViolation) as want:
+        _ref_sigma_condition(d, sigma, samples, {})
+    with pytest.raises(ex.DomainViolation) as got:
+        check_sigma_condition(d, sigma, samples, {})
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert got.value.expr is want.value.expr
+
+
+# ---------------------------------------------------------------------------
+# a NaN residual fails its check
+# ---------------------------------------------------------------------------
+
+# x1*x1 - x1*x1 is NaN at x1 = 1e200, where x1*x1 overflows, and 0 elsewhere;
+# no DomainViolation is raised on the way
+_NAN_AT_1E200 = "x1*x1 - x1*x1"
+
+
+def _nan_samples(n):
+    fine = PhasePoint([1.0] * n, [1.0] * n)
+    nan = PhasePoint([1e200] + [1.0] * (n - 1), [1.0] * n)
+    return Samples([fine, nan], 2)
+
+
+def test_from_residuals_takes_a_nan_as_the_worst_residual():
+    points = [PhasePoint([1.0], [1.0]), PhasePoint([2.0], [2.0])]
+    report = ConditionReport.from_residuals("c", [0.0, math.nan], points, 0, 1e-9)
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+    assert report.worst_point == points[1]
+
+
+def test_a_nan_residual_fails_the_sigma_verify_and_dissipative_checks():
+    # the spray coefficient is NaN at the second point, and with it the
+    # defect, S(L) and S(E_L); L, d_J L and C(L) stay finite
+    names = ("x1", "y1")
+    d = DerivedFields(
+        SemiSpray(1, [parse(_NAN_AT_1E200, names)]), ScalarField(1, parse("0.5*y1^2", names))
+    )
+    samples = _nan_samples(1)
+    zero = SemiBasicForm(1, [parse("0", names)])
+    reports = [
+        check_sigma_consistency(d, zero, samples, {}),
+        check_sigma_condition(d, d.defect, samples, {}),
+        verify_deformed_el(d, synthesize(Affine(), (0.0, 1.0)), samples, {}).direct,
+        check_dissipative(d, ScalarField(1, parse("y1", names)), samples, {}).gradient_match,
+    ]
+    for report in reports:
+        assert not report.passed, report.condition
+        assert math.isnan(report.max_residual), report.condition
+        assert report.worst_point == samples.points[1]
+
+
+def test_a_nan_wedge_fails_the_homogeneous_check():
+    names = ("x1", "x2", "y1", "y2")
+    lagrangian = ScalarField(2, parse("0.5*(y1^2 + y2^2)", names))
+    d = DerivedFields(SemiSpray(2, [parse("0", names)] * 2), lagrangian)
+    sigma = SemiBasicForm(
+        2, [parse(f"y1*y1 + ({_NAN_AT_1E200})*y1*y1", names), parse("y1*y2", names)]
+    )
+    report = check_homogeneous(d, sigma, _nan_samples(2), {})
+    assert math.isnan(report.wedge_residual)
+    assert not report.passed

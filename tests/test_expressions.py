@@ -580,6 +580,32 @@ def test_kernel_of_no_roots_and_of_plain_roots():
         compile([Var("x1"), Var("x2")], ("x1",))([1.0])
 
 
+def test_compile_emits_a_node_shared_by_identity_once():
+    # 2**40 occurrences of x1 in the tree, 41 distinct nodes in the DAG
+    e = Var("x1")
+    for _ in range(40):
+        e = add(e, e)
+    assert compile([e], ("x1",))([1.0]) == (2.0**40,)
+    assert evaluate(e, {"x1": 1.0}) == 2.0**40
+
+
+def test_kernel_values_walk_each_root_where_the_code_raises():
+    names = ("x1", "y1")
+    roots = [parse(s, names) for s in ("x1 + y1", "ln(x1)", "y1/x1", "sqrt(y1)")]
+    kernel = compile(roots, names)
+    assert kernel.values([2.0, 3.0]) == kernel([2.0, 3.0])
+    row = [0.0, -1.0]
+    values = kernel.values(row)
+    assert values[0] == -1.0
+    binding = dict(zip(names, row))
+    for k in (1, 2, 3):
+        with pytest.raises(DomainViolation) as want:
+            evaluate(roots[k], binding)
+        with pytest.raises(DomainViolation) as got:
+            values[k]
+        assert str(got.value) == str(want.value) and got.value.expr is want.value.expr
+
+
 @pytest.mark.parametrize(
     "exponent, base, outcome",
     [

@@ -155,6 +155,11 @@ class DerivedFields:
         return cached_kernel(self._kernels, roots, self.lagrangian.n, params)
 
 
+def _interleaved(*forms) -> tuple:
+    """The components of ``forms`` component by component: a1, b1, a2, b2, ..."""
+    return tuple(c for components in zip(*forms) for c in components)
+
+
 def _worse(a: float, b: float) -> float:
     """The larger of two residuals, or NaN when either is NaN."""
     return b if b > a or b != b else a
@@ -211,8 +216,7 @@ def check_sigma_condition(
     guarded), per component, with residuals relative to 1 + |sigma_i|. The
     conservative case passes vacuously."""
     roots = (derived.energy_rate.expr, derived.liouville_of_L.expr)
-    for s_i, dj_i in zip(sigma.components, derived.vertical.components):
-        roots += (s_i, dj_i)
+    roots += _interleaved(sigma.components, derived.vertical.components)
     kernel, tail = derived.kernel(roots, params)
     residuals = []
     for p in samples.points:
@@ -239,9 +243,7 @@ def check_sigma_consistency(
     """Cross-check a user-supplied sigma against the Lagrange differential:
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
-    roots = ()
-    for s_i, defect_i in zip(sigma.components, derived.defect.components):
-        roots += (s_i, defect_i)
+    roots = _interleaved(sigma.components, derived.defect.components)
     kernel, tail = derived.kernel(roots, params)
     residuals = []
     for p in samples.points:
@@ -359,7 +361,7 @@ def functional_dependence_test(
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
     level, _ = derived.kernel((lagrangian.expr,), params)
-    tail = list(tail)
+    coords_tail = list(tail)  # coordinates are lists in the bisection
     max_spread = 0.0
     used = 0
     functional = True
@@ -369,11 +371,11 @@ def functional_dependence_test(
         for _ in range(_PER_LEVEL * 3):
             if len(group) >= _PER_LEVEL:
                 break
-            coords = _solve_on_level(level, tail, lows, highs, rng, target, lagrangian.n)
+            coords = _solve_on_level(level, coords_tail, lows, highs, rng, target, lagrangian.n)
             if coords is None:
                 continue
             try:
-                f_val = _slope_ratio(ratio.values(coords + tail), plan.guard_eps)
+                f_val = _slope_ratio(ratio.values(coords + coords_tail), plan.guard_eps)
             except (GuardViolation, ex.DomainViolation):
                 continue
             group.append(f_val)
@@ -741,7 +743,7 @@ def check_homogeneous(
             for i in range(n)
             for j in range(n)
         )
-        combination = ex.compile(cells, row_layout(n, params)[0])
+        combination, _ = derived.kernel(cells, params)
         for p in points:
             v = combination.values(p.x + p.y + tail)
             if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
@@ -786,9 +788,7 @@ def check_dissipative(
     kept, rejected = samples.points, samples.rejected
     n = dissipation.n
 
-    roots = ()
-    for defect_i, grad_i in zip(derived.defect.components, vertical_d.components):
-        roots += (defect_i, grad_i)
+    roots = _interleaved(derived.defect.components, vertical_d.components)
     roots += (derived.energy_rate.expr, liouville_d.expr, dissipation.expr)
     kernel, tail = derived.kernel(roots, params)
     values = []

@@ -23,6 +23,7 @@ from .conditions import (
     DerivedFields,
     HessianReport,
     InsufficientSamples,
+    _interleaved,
     _worse,
     hessian_report,
 )
@@ -356,11 +357,10 @@ def verify_deformed_el(
         lagrange_differential(derived.spray, composed) if composed is not None else None
     )
     # per component: d_J L, delta_S L and, for a closed form, the direct form
-    roots = (derived.lagrangian.expr, derived.spray_of_L.expr)
-    for i in range(derived.lagrangian.n):
-        roots += (derived.vertical.components[i], derived.defect.components[i])
-        roots += (direct_form.components[i],) if direct_form is not None else ()
-    stride = 2 if direct_form is None else 3
+    forms = (derived.vertical.components, derived.defect.components)
+    forms += (direct_form.components,) if direct_form is not None else ()
+    roots = (derived.lagrangian.expr, derived.spray_of_L.expr) + _interleaved(*forms)
+    stride = len(forms)
     kernel, tail = derived.kernel(roots, params)
 
     residuals, kept = [], []

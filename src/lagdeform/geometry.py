@@ -114,12 +114,6 @@ def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[di
     return got
 
 
-def point_rows(points: Sequence[PhasePoint], extra) -> list:
-    """The positional rows of ``points``, each ending with ``extra``."""
-    tail = tuple(extra)
-    return [p.x + p.y + tail for p in points]
-
-
 def _check_dims(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")

@@ -468,6 +468,19 @@ def test_sparse_json_report_matches_pinned_sha256(digest, name, offset):
     assert hashlib.sha256(got).hexdigest() == digest
 
 
+def _full_digests():
+    lines = (GOLDEN / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (l.split() for l in lines if l and l[0] != "#")}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_json_report_matches_pinned_sha256(corpus_reports, name):
+    # the shipped reports byte for byte, where the snapshot above compares
+    # floats within a tolerance
+    got = emit_report(corpus_reports[name], "json")
+    assert hashlib.sha256(got).hexdigest() == _full_digests()[name]
+
+
 def test_snapshot_comparison_is_strict_where_it_must_be():
     base = {"rank": 2, "verdict": "DeformableSingular", "ok": True, "x": 1.0}
     assert _snapshot_mismatches(dict(base, x=1.0 + 1e-10), base) == []

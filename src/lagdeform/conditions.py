@@ -87,10 +87,13 @@ class ConditionReport:
     def from_residuals(
         condition: str,
         residuals: Sequence[float],
-        points: Sequence[PhasePoint],
+        rows: Sequence,
+        n: int,
         rejected: int,
         tolerance: float,
     ) -> "ConditionReport":
+        """The report of one residual per row; the worst row, of an
+        n-dimensional chart, becomes ``worst_point``."""
         if not residuals:
             return ConditionReport(condition, 0, rejected, 0.0, 0.0, tolerance, True)
         # a NaN residual is the worst one, and fails the check
@@ -105,7 +108,7 @@ class ConditionReport:
             mean_residual=float(sum(residuals) / len(residuals)),
             tolerance=float(tolerance),
             passed=bool(residuals[worst] <= tolerance),
-            worst_point=points[worst],
+            worst_point=PhasePoint(rows[worst][:n], rows[worst][n : 2 * n]),
         )
 
 
@@ -150,8 +153,8 @@ class DerivedFields:
         return Guards(theorem.nonzero, theorem.evaluable + extra)
 
     def kernel(self, roots, params: Optional[dict]):
-        """The kernel of ``roots`` over positional rows with ``params``, and
-        the tuple that ends each row; compiled once per run."""
+        """The kernel of ``roots`` over the rows laid out for ``params``;
+        compiled once per run."""
         return cached_kernel(self._kernels, roots, self.lagrangian.n, params)
 
 
@@ -177,8 +180,8 @@ def deformation_ratio(
     guard_eps: float = 1e-6,
 ) -> float:
     """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
-    kernel, tail = derived.kernel(_ratio_roots(derived), params)
-    return _slope_ratio(kernel.values(point.x + point.y + tail), guard_eps)
+    row = [*point.x, *point.y, *row_layout(point.n, params)[1]]
+    return _slope_ratio(derived.kernel(_ratio_roots(derived), params).values(row), guard_eps)
 
 
 def _ratio_roots(derived: DerivedFields) -> tuple:
@@ -217,10 +220,10 @@ def check_sigma_condition(
     conservative case passes vacuously."""
     roots = (derived.energy_rate.expr, derived.liouville_of_L.expr)
     roots += _interleaved(sigma.components, derived.vertical.components)
-    kernel, tail = derived.kernel(roots, params)
+    kernel = derived.kernel(roots, params)
     residuals = []
-    for p in samples.points:
-        v = kernel.values(p.x + p.y + tail)
+    for row in samples.rows:
+        v = kernel.values(row)
         scale = v[0] / v[1]
         worst = 0.0
         for k in range(2, 2 + 2 * sigma.n, 2):
@@ -229,7 +232,7 @@ def check_sigma_condition(
             worst = _worse(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_condition", residuals, samples.points, samples.rejected, tol
+        "sigma_condition", residuals, samples.rows, sigma.n, samples.rejected, tol
     )
 
 
@@ -244,17 +247,17 @@ def check_sigma_consistency(
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
     roots = _interleaved(sigma.components, derived.defect.components)
-    kernel, tail = derived.kernel(roots, params)
+    kernel = derived.kernel(roots, params)
     residuals = []
-    for p in samples.points:
-        v = kernel.values(p.x + p.y + tail)
+    for row in samples.rows:
+        v = kernel.values(row)
         worst = 0.0
         for k in range(0, 2 * sigma.n, 2):
             s_i = v[k]
             worst = _worse(worst, abs(s_i - v[k + 1]) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, samples.points, samples.rejected, tol
+        "sigma_consistency", residuals, samples.rows, sigma.n, samples.rejected, tol
     )
 
 
@@ -273,8 +276,8 @@ class DependenceResult:
 
 
 def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: float, n: int):
-    """Coordinates (x1..xn, y1..yn) with L exactly (to rounding) equal to
-    ``target``, or None: bisection of L, the one root of the kernel
+    """A row (x1..xn, y1..yn, then ``tail``) with L exactly (to rounding)
+    equal to ``target``, or None: bisection of L, the one root of the kernel
     ``level``, along a random segment of fiber coordinates.
 
     An iteration that leaves the bracket and L at its lower end bitwise as
@@ -310,7 +313,7 @@ def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: flo
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return mid
+            return mid + tail
     return None
 
 
@@ -338,14 +341,14 @@ def functional_dependence_test(
     spread far above float noise.
     """
     lagrangian = derived.lagrangian
-    points = samples.points
-    if len(points) < 8:
-        raise InsufficientSamples(f"only {len(points)} accepted points")
+    rows = samples.rows
+    if len(rows) < 8:
+        raise InsufficientSamples(f"only {len(rows)} accepted points")
 
-    ratio, tail = derived.kernel(_ratio_roots(derived), params)
+    ratio = derived.kernel(_ratio_roots(derived), params)
     cloud = []
-    for p in points:
-        v = ratio.values(p.x + p.y + tail)
+    for row in rows:
+        v = ratio.values(row)
         cloud.append((v[0], _slope_ratio(v, plan.guard_eps)))
     cloud.sort(key=lambda t: t[0])
     cleaned = _merge_duplicate_abscissae(cloud)
@@ -360,8 +363,8 @@ def functional_dependence_test(
     names = ex.chart_names(lagrangian.n)
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
-    level, _ = derived.kernel((lagrangian.expr,), params)
-    coords_tail = list(tail)  # coordinates are lists in the bisection
+    level = derived.kernel((lagrangian.expr,), params)
+    tail = row_layout(lagrangian.n, params)[1]
     max_spread = 0.0
     used = 0
     functional = True
@@ -371,11 +374,11 @@ def functional_dependence_test(
         for _ in range(_PER_LEVEL * 3):
             if len(group) >= _PER_LEVEL:
                 break
-            coords = _solve_on_level(level, coords_tail, lows, highs, rng, target, lagrangian.n)
-            if coords is None:
+            row = _solve_on_level(level, tail, lows, highs, rng, target, lagrangian.n)
+            if row is None:
                 continue
             try:
-                f_val = _slope_ratio(ratio.values(coords + coords_tail), plan.guard_eps)
+                f_val = _slope_ratio(ratio.values(row), plan.guard_eps)
             except (GuardViolation, ex.DomainViolation):
                 continue
             group.append(f_val)
@@ -614,30 +617,32 @@ def hessian_report(
     samples: Samples,
     params: Optional[dict] = None,
 ) -> HessianReport:
-    """Evaluate an expression matrix (or a callable ``point -> ndarray``) at
-    the sampled points; rank via singular values above ``_RANK_RTOL * s_max``,
-    from one batched SVD. A point where the matrix is not evaluable is
-    skipped."""
-    points = samples.points
+    """Evaluate an n x n expression matrix (or a callable ``row -> ndarray``)
+    at the sampled rows; rank via singular values above ``_RANK_RTOL *
+    s_max``, from one batched SVD. A row where the matrix is not evaluable,
+    or has an entry that is not finite, is skipped."""
+    rows = samples.rows
     stack = []
     if callable(matrix):
-        for p in points:
+        for row in rows:
             try:
-                stack.append(np.asarray(matrix(p), dtype=float))
+                entries = np.asarray(matrix(row), dtype=float)
             except (ex.DomainViolation, ValueError, OverflowError):
                 # OverflowError: math.exp or math.pow in a closed-form Phi
                 continue
-    elif points:
-        cells = tuple(cell for row in matrix for cell in row)
-        names, extra = row_layout(points[0].n, params)
-        kernel = ex.compile(cells, names)
-        tail = tuple(extra)
-        for p in points:
-            v = kernel.values(p.x + p.y + tail)
+            if np.isfinite(entries).all():
+                stack.append(entries)
+    elif rows:
+        cells = tuple(cell for line in matrix for cell in line)
+        kernel = ex.compile(cells, row_layout(len(matrix), params)[0])
+        for row in rows:
+            v = kernel.values(row)
             try:
-                stack.append([v[k] for k in range(len(cells))])
+                entries = [v[k] for k in range(len(cells))]
             except ex.DomainViolation:
                 continue
+            if all(math.isfinite(e) for e in entries):
+                stack.append(entries)
     if not stack:
         raise InsufficientSamples("no evaluable points for the Hessian")
     stack = np.array(stack)
@@ -684,18 +689,18 @@ def check_homogeneous(
     p > 1 on a spray, and d_J L wedge sigma = 0; then Phi = L^(1/p) works and
     the report carries the non-triviality of its Hessian combination."""
     lagrangian = derived.lagrangian
-    points = samples.points
+    rows = samples.rows
 
     degrees = {}
-    p_l = homogeneity_degree(lagrangian, points, params, _TOL_DEGREE)
+    p_l = homogeneity_degree(lagrangian, rows, params, _TOL_DEGREE)
     degrees["L"] = p_l
     comp_degrees = []
     for i, comp in enumerate(sigma.components):
-        deg = homogeneity_degree(ScalarField(sigma.n, comp), points, params, _TOL_DEGREE)
+        deg = homogeneity_degree(ScalarField(sigma.n, comp), rows, params, _TOL_DEGREE)
         degrees[f"sigma_{i + 1}"] = deg
         if deg is not None:
             comp_degrees.append(deg)
-    spray_ok = homogeneity_degree(derived.spray, points, params, _TOL_DEGREE) == 2.0
+    spray_ok = homogeneity_degree(derived.spray, rows, params, _TOL_DEGREE) == 2.0
     degrees["spray"] = 2.0 if spray_ok else None
 
     if p_l is None:
@@ -712,10 +717,10 @@ def check_homogeneous(
         raise NotHomogeneous("coefficients are not fiber-quadratic", degrees)
     n = sigma.n
     vertical = derived.vertical.components
-    kernel, tail = derived.kernel(
+    kernel = derived.kernel(
         (lagrangian.expr,) + tuple(vertical) + tuple(sigma.components), params
     )
-    values = [kernel.values(p.x + p.y + tail) for p in points]
+    values = [kernel.values(row) for row in rows]
     for v in values:
         if v[0] <= 0.0:
             raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
@@ -743,9 +748,9 @@ def check_homogeneous(
             for i in range(n)
             for j in range(n)
         )
-        combination, _ = derived.kernel(cells, params)
-        for p in points:
-            v = combination.values(p.x + p.y + tail)
+        combination = derived.kernel(cells, params)
+        for row in rows:
+            v = combination.values(row)
             if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
                 nontrivial = True
                 break
@@ -758,7 +763,7 @@ def check_homogeneous(
         nontrivial=nontrivial,
         phi_class=phi_class,
         tolerance=tol_wedge,
-        samples=len(points),
+        samples=len(rows),
     )
 
 
@@ -785,16 +790,16 @@ def check_dissipative(
 ) -> DissipativeReport:
     vertical_d = vertical_differential(dissipation)
     liouville_d = liouville_apply(dissipation)
-    kept, rejected = samples.points, samples.rejected
+    rows, rejected = samples.rows, samples.rejected
     n = dissipation.n
 
     roots = _interleaved(derived.defect.components, vertical_d.components)
     roots += (derived.energy_rate.expr, liouville_d.expr, dissipation.expr)
-    kernel, tail = derived.kernel(roots, params)
+    kernel = derived.kernel(roots, params)
     values = []
     grad_res, rate_res = [], []
-    for p in kept:
-        v = kernel.values(p.x + p.y + tail)
+    for row in rows:
+        v = kernel.values(row)
         values.append(v)
         worst = 0.0
         for k in range(0, 2 * n, 2):
@@ -804,10 +809,10 @@ def check_dissipative(
         sel = v[2 * n]
         cd = v[2 * n + 1]
         rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
-    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, kept, rejected, tol)
-    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, kept, rejected, tol)
+    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, n, rejected, tol)
+    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, n, rejected, tol)
 
-    deg = homogeneity_degree(dissipation, kept, params)
+    deg = homogeneity_degree(dissipation, rows, params)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
     rayleigh_rate = None
     negative = None
@@ -818,9 +823,9 @@ def check_dissipative(
             sel = v[2 * n]
             dval = v[2 * n + 2]
             twice_res.append(abs(sel - 2.0 * dval) / (1.0 + abs(2.0 * dval)))
-            if dval >= 0.0:
+            if not dval < 0.0:  # nor is a NaN
                 negative = False
         rayleigh_rate = ConditionReport.from_residuals(
-            "energy_rate_is_2D", twice_res, kept, rejected, tol
+            "energy_rate_is_2D", twice_res, rows, n, rejected, tol
         )
     return DissipativeReport(gradient, rate, rayleigh, rayleigh_rate, negative)

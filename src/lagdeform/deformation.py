@@ -36,11 +36,7 @@ from .families import (
     PowerShift,
     Tabulated,
 )
-from .geometry import (
-    PhasePoint,
-    ScalarField,
-    lagrange_differential,
-)
+from .geometry import ScalarField, lagrange_differential
 from .sampling import Samples
 
 
@@ -350,7 +346,7 @@ def verify_deformed_el(
     """Check that the deformed Lagrangian has vanishing Lagrange differential
     along the spray: the direct form S(dPhi(L)/dy_i) - dPhi(L)/dx_i and the
     expanded form Phi'' S(L) dL/dy_i + Phi' (delta_S L)_i are both evaluated
-    and compared; the verdict is on the direct form. ``samples`` are points
+    and compared; the verdict is on the direct form. ``samples`` are rows
     where L is evaluable; those where Phi(L) is not count as rejected."""
     composed = DeformedLagrangian(derived.lagrangian, deformation).composed()
     direct_form = (
@@ -361,14 +357,14 @@ def verify_deformed_el(
     forms += (direct_form.components,) if direct_form is not None else ()
     roots = (derived.lagrangian.expr, derived.spray_of_L.expr) + _interleaved(*forms)
     stride = len(forms)
-    kernel, tail = derived.kernel(roots, params)
+    kernel = derived.kernel(roots, params)
 
     residuals, kept = [], []
     expansion_max = 0.0
     agreement_max = 0.0
     out_of_interval = 0
-    for p in samples.points:
-        v = kernel.values(p.x + p.y + tail)
+    for row in samples.rows:
+        v = kernel.values(row)
         try:
             d1, d2 = deformation.triple(v[0])[1:]
             sl = v[1]
@@ -388,11 +384,12 @@ def verify_deformed_el(
             out_of_interval += 1
             continue
         residuals.append(point_worst)
-        kept.append(p)
+        kept.append(row)
         expansion_max = _worse(expansion_max, point_exp_worst)
         agreement_max = _worse(agreement_max, point_agree)
+    rejected = samples.rejected + out_of_interval
     direct_report = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
+        "deformed_euler_lagrange", residuals, kept, derived.lagrangian.n, rejected, tol
     )
     return DeformedELReport(direct_report, expansion_max, agreement_max, out_of_interval)
 
@@ -400,16 +397,16 @@ def verify_deformed_el(
 def deformed_hessian_matrix(
     derived: DerivedFields, deformation: Deformation, params: Optional[dict] = None
 ):
-    """Fiber Hessian of Phi(L) as a callable ``point -> ndarray``:
+    """Fiber Hessian of Phi(L) as a callable ``row -> ndarray``:
     Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
     alike."""
     n = derived.lagrangian.n
     roots = (derived.lagrangian.expr,) + tuple(derived.vertical.components)
-    roots += tuple(cell for row in derived.hessian for cell in row)
-    kernel, tail = derived.kernel(roots, params)
+    roots += tuple(cell for line in derived.hessian for cell in line)
+    kernel = derived.kernel(roots, params)
 
-    def matrix_at(point: PhasePoint):
-        v = kernel.values(point.x + point.y + tail)
+    def matrix_at(row):
+        v = kernel.values(row)
         d1, d2 = deformation.triple(v[0])[1:]
         dy = np.array([v[1 + i] for i in range(n)])
         g = np.array([[v[1 + n + i * n + j] for j in range(n)] for i in range(n)])

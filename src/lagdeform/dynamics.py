@@ -246,14 +246,12 @@ def dissipation_along(
     c_of_d = liouville_apply(dissipation)
     names, extra = row_layout(traj.n, traj.params)
     kernel = ex.compile((rate_field.expr, c_of_d.expr, dissipation.expr), names)
-    rows = traj.states.tolist()
-    values = np.array([kernel(row + extra) for row in rows], dtype=float)
+    rows = [state + extra for state in traj.states.tolist()]
+    values = np.array([kernel(row) for row in rows], dtype=float)
     sel, cd = values[:, 0], values[:, 1]
     twice = 2.0 * values[:, 2]
     rate_matches = bool(np.max(np.abs(sel - cd) / (1.0 + np.abs(cd))) <= tol)
-    count = len(rows)
-    points = [traj.point(k) for k in range(0, count, max(1, count // 32))]
-    deg = homogeneity_degree(dissipation, points, traj.params)
+    deg = homogeneity_degree(dissipation, rows[:: max(1, len(rows) // 32)], traj.params)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
     rayleigh_matches = None
     if rayleigh:
@@ -262,7 +260,7 @@ def dissipation_along(
         )
     n = traj.n
     always_negative = bool(
-        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n:]))
+        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n : 2 * n]))
     )
     return DissipationTrace(
         energy_rate=sel,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 
 class ExpressionError(Exception):
@@ -202,10 +202,11 @@ _PREC_ATOM = 5
 class Expr:
     """Immutable expression node. Subclasses implement the four primitives.
 
-    The subclasses' ``__slots__`` name the node's structure and nothing else.
-    The base class has none, so that :func:`evaluate` can keep a root's
-    compiled code in the instance dict as ``_compiled``."""
+    The subclasses' ``__slots__`` name the node's structure and nothing else,
+    and the base class adds none, so a node has no instance dict. Compiled
+    code lives in a :class:`Kernel`, never on a node."""
 
+    __slots__ = ()
     precedence = _PREC_ATOM
 
     def evaluate(self, binding: Binding) -> float:
@@ -845,12 +846,10 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _compile(roots: tuple, row: Optional[tuple] = None):
-    """A function equal to the tree walk of ``roots`` bit for bit.
-
-    Without ``row`` it reads a binding ``b[name]`` and returns the value of
-    the one root; given the names of a positional row, it reads ``b[i]`` for
-    ``row[i]`` and returns the tuple of the roots' values.
+def _compile(roots: tuple, layout: tuple):
+    """A function equal to the tree walk of ``roots`` bit for bit: it reads
+    ``b[i]`` for the variable ``layout[i]`` of a positional row and returns
+    the tuple of the roots' values.
 
     Each distinct subtree (by structure, across the roots) gets one local,
     computed where the tree walk of the roots in order first computes it, by
@@ -861,7 +860,7 @@ def _compile(roots: tuple, row: Optional[tuple] = None):
     errors, and holds no node.
     """
     namespace = {"_pow": math.pow, "_pow_checked": _pow_checked, "_unbound": _unbound}
-    position = {} if row is None else {name: i for i, name in enumerate(row)}
+    position = {name: i for i, name in enumerate(layout)}
     lines = []
     names = {}  # structural key -> name of the subtree's value
     nonzero = set()  # denominators already checked
@@ -883,8 +882,6 @@ def _compile(roots: tuple, row: Optional[tuple] = None):
         return names[key]
 
     def read(name):
-        if row is None:
-            return f"b[{name!r}]"
         if name in position:
             return f"b[{position[name]}]"
         return f"_unbound({name!r})"
@@ -932,11 +929,7 @@ def _compile(roots: tuple, row: Optional[tuple] = None):
         raise TypeError(f"cannot compile {type(node).__name__}")
 
     values = [emit(root) for root in roots]
-    if row is None:
-        (value,) = values
-        lines.append(f"    return {value}")
-    else:
-        lines.append(f"    return ({''.join(v + ', ' for v in values)})")
+    lines.append(f"    return ({''.join(v + ', ' for v in values)})")
     exec("def compiled(b):\n" + "\n".join(lines) + "\n", namespace)
     return namespace.pop("compiled")
 
@@ -946,8 +939,9 @@ def _unbound(name: str):
 
 
 class Kernel:
-    """Roots compiled together for positional rows: ``kernel(row)`` is the
-    tuple of the roots' values with ``names[i]`` bound to ``row[i]``.
+    """Roots compiled together for positional rows, the one compiled
+    evaluation path: ``kernel(row)`` is the tuple of the roots' values with
+    ``names[i]`` bound to ``row[i]``.
 
     Subtrees shared between the roots are computed once. Where the compiled
     code raises, the tree walk runs over the roots in order and raises the
@@ -1004,21 +998,10 @@ def parse(source: str, declared: Iterable[str]) -> Expr:
 
 
 def evaluate(e: Expr, binding: Binding) -> float:
-    """Evaluate ``e``; raises :class:`DomainViolation` on invalid points and
-    :class:`UnboundVariable` if the binding is not total.
-
-    Runs the straight-line code of ``e``, compiled on the first call. Where
-    that code raises, the tree walk runs instead and raises the reference
-    error, naming the node it names."""
-    try:
-        run = e._compiled
-    except AttributeError:
-        run = e._compiled = None if isinstance(e, (Const, Var)) else _compile((e,))
-    if run is not None:
-        try:
-            return run(binding)
-        except (ArithmeticError, ValueError, KeyError):
-            pass  # leave the handler first: the walk's error has no context
+    """Evaluate ``e`` by walking its tree: the reference that every
+    :class:`Kernel` matches bit for bit. Raises :class:`DomainViolation` on
+    invalid points and :class:`UnboundVariable` if the binding is not
+    total."""
     return e.evaluate(binding)
 
 

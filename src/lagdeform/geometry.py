@@ -94,24 +94,24 @@ class PhasePoint:
 
 
 def row_layout(n: int, params: Optional[dict]):
-    """The names of a positional row (x1..xn, y1..yn, then the parameters)
-    and the parameter values that end each row. A parameter named like a
-    coordinate is left out: the coordinate binds the name."""
+    """The names of a positional row (x1..xn, y1..yn, then one per
+    parameter) and the parameter values that end each row. A parameter named
+    like a coordinate keeps its slot under a name no expression can read:
+    the coordinate binds the name. A row is thus ``2n + len(params)`` long."""
     chart = ex.chart_names(n)
-    extra = {k: v for k, v in (params or {}).items() if k not in chart}
-    return chart + tuple(extra), list(extra.values())
+    extra = tuple("." + k if k in chart else k for k in params or ())
+    return chart + extra, list((params or {}).values())
 
 
 def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[dict]):
     """The kernel of ``roots`` over the rows of an n-dimensional chart and
-    ``params``, with the tuple that ends each row; compiled on the first
-    request and then kept in ``memo``, where it keeps its roots alive."""
-    key = (tuple(map(id, roots)), n, tuple(params.items()) if params else ())
-    got = memo.get(key)
-    if got is None:
-        names, extra = row_layout(n, params)
-        got = memo[key] = (ex.compile(roots, names), tuple(extra))
-    return got
+    ``params``; compiled on the first request and then kept in ``memo``,
+    where it keeps its roots alive."""
+    key = (tuple(map(id, roots)), n, tuple(params) if params else ())
+    kernel = memo.get(key)
+    if kernel is None:
+        kernel = memo[key] = ex.compile(roots, row_layout(n, params)[0])
+    return kernel
 
 
 def _check_dims(a, b):
@@ -219,56 +219,63 @@ _HOMOGENEITY_RATIOS = (0.5, 2.0, 3.0)
 
 def homogeneity_degree(
     obj,
-    points: Sequence[PhasePoint],
+    rows: Sequence[Sequence[float]],
     params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> Optional[float]:
     """Fiber-homogeneity degree of a scalar field, or spray degree-2 check.
 
-    For fields, tests ``F(x, r y) = r^p F(x, y)`` at every point for
+    ``rows`` are laid out by :func:`row_layout` for ``obj.n`` and ``params``.
+    For fields, tests ``F(x, r y) = r^p F(x, y)`` at every row for
     ``r in {0.5, 2, 3}`` and returns the common ``p`` if one exists (None
-    otherwise). For a :class:`SemiSpray`, returns 2.0 when all coefficients
-    scale quadratically, else None. Points must have ``y != 0``.
+    otherwise). A row where F is not evaluable or not finite is skipped, and
+    a scaled value that is neither gives None. For a :class:`SemiSpray`,
+    returns 2.0 when all coefficients scale quadratically, else None. Rows
+    with ``y = 0`` are skipped.
     """
-    names, extra = row_layout(obj.n, params)
-    tail = tuple(extra)
+    n = obj.n
+    names = row_layout(n, params)[0]
     if isinstance(obj, SemiSpray):
         for g in obj.coefficients:
             kernel = ex.compile((g,), names)
-            if _field_degree(kernel, points, tail, tol) != 2.0:
-                if not _is_zero_at(kernel, points, tail, tol):
+            if _field_degree(kernel, rows, n, tol) != 2.0:
+                if not _is_zero_at(kernel, rows, tol):
                     return None
         return 2.0
-    return _field_degree(ex.compile((obj.expr,), names), points, tail, tol)
+    return _field_degree(ex.compile((obj.expr,), names), rows, n, tol)
 
 
-def _is_zero_at(kernel, points, tail, tol) -> bool:
-    for p in points:
+def _is_zero_at(kernel, rows, tol) -> bool:
+    for row in rows:
         try:
-            if abs(kernel(p.x + p.y + tail)[0]) > tol:
+            # not (|v| <= tol) also holds for nan
+            if not abs(kernel(row)[0]) <= tol:
                 return False
         except ex.DomainViolation:
             return False
     return True
 
 
-def _field_degree(kernel, points, tail, tol) -> Optional[float]:
+def _field_degree(kernel, rows, n, tol) -> Optional[float]:
     """The degree of the one root of ``kernel``, as in :func:`homogeneity_degree`."""
     estimate = None
-    for p in points:
-        if all(v == 0.0 for v in p.y):
+    for row in rows:
+        x, y, tail = row[:n], row[n : 2 * n], row[2 * n :]
+        if all(v == 0.0 for v in y):
             continue
         try:
-            base = kernel(p.x + p.y + tail)[0]
+            base = kernel(row)[0]
         except ex.DomainViolation:
             continue
-        if abs(base) < 1e-12:
+        if not math.isfinite(base) or abs(base) < 1e-12:
             continue
         try:
-            scaled2 = kernel(p.x + tuple(2.0 * v for v in p.y) + tail)[0]
+            scaled = [kernel([*x, *(r * v for v in y), *tail])[0] for r in _HOMOGENEITY_RATIOS]
         except ex.DomainViolation:
             return None
-        ratio = scaled2 / base
+        if not all(math.isfinite(v) for v in scaled):
+            return None
+        ratio = scaled[1] / base  # r = 2
         if ratio <= 0.0:
             return None
         p_here = math.log(ratio) / math.log(2.0)
@@ -276,15 +283,8 @@ def _field_degree(kernel, points, tail, tol) -> Optional[float]:
             estimate = p_here
         elif abs(p_here - estimate) > tol * (1.0 + abs(estimate)):
             return None
-        for r in _HOMOGENEITY_RATIOS:
-            if r == 2.0:
-                scaled = scaled2
-            else:
-                try:
-                    scaled = kernel(p.x + tuple(r * v for v in p.y) + tail)[0]
-                except ex.DomainViolation:
-                    return None
+        for r, value in zip(_HOMOGENEITY_RATIOS, scaled):
             want = math.pow(r, estimate) * base
-            if abs(scaled - want) > tol * (1.0 + abs(scaled) + abs(want)):
+            if abs(value - want) > tol * (1.0 + abs(value) + abs(want)):
                 return None
     return estimate

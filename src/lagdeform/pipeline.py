@@ -424,9 +424,9 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         return
 
     defect_max = 0.0
-    kernel, tail = derived.kernel(tuple(derived.defect.components), spec.params)
-    for p in samples.points:
-        values = kernel.values(p.x + p.y + tail)
+    kernel = derived.kernel(tuple(derived.defect.components), spec.params)
+    for row in samples.rows:
+        values = kernel.values(row)
         for k in range(spec.n):
             v = values[k]
             defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import expressions as ex
-from .geometry import PhasePoint, cached_kernel
+from .geometry import cached_kernel, row_layout
 
 
 class SamplingError(Exception):
@@ -84,10 +84,12 @@ class Guards:
     # the kernel of the evaluable, then the nonzero roots, per row layout
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def admits(self, point: PhasePoint, params: Optional[dict], eps: float) -> bool:
+    def admits(self, row, params: Optional[dict], eps: float) -> bool:
+        """Whether the guards accept ``row``, laid out by ``row_layout`` for
+        ``params``."""
         roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
-        kernel, tail = cached_kernel(self._kernels, roots, point.n, params)
-        values = kernel.values(point.x + point.y + tail)
+        n = (len(row) - len(params or ())) // 2
+        values = cached_kernel(self._kernels, roots, n, params).values(row)
         evaluable = len(self.evaluable)
         try:
             for k in range(evaluable):
@@ -103,20 +105,21 @@ class Guards:
 
 
 class Samples(NamedTuple):
-    """The accepted points of one draw and the number of draws it took."""
+    """The accepted rows of one draw, laid out by ``row_layout``, and the
+    number of draws it took."""
 
-    points: list
+    rows: list
     attempts: int
 
     @property
     def rejected(self) -> int:
-        return self.attempts - len(self.points)
+        return self.attempts - len(self.rows)
 
 
 def draw_samples(
     plan: SamplePlan, guards: Guards, params: Optional[dict] = None
 ) -> Samples:
-    """Draw exactly ``plan.count`` guard-admissible points, deterministically
+    """Draw exactly ``plan.count`` guard-admissible rows, deterministically
     for a fixed seed. Raises :class:`TooManyRejections` if the acceptance
     ratio falls below the plan threshold, at once and with no attempt when a
     ``nonzero`` guard is a constant within ``plan.guard_eps`` of zero."""
@@ -128,6 +131,7 @@ def draw_samples(
     names = ex.chart_names(n)
     lows = np.array([plan.bounds[v][0] for v in names])
     highs = np.array([plan.bounds[v][1] for v in names])
+    tail = row_layout(n, params)[1]
 
     budget = max(64, int(math.ceil(plan.count / (1.0 - plan.max_reject_ratio))))
     accepted = []
@@ -135,10 +139,8 @@ def draw_samples(
     while len(accepted) < plan.count:
         if attempts >= budget:
             raise TooManyRejections(len(accepted), attempts, plan.count)
-        draw = rng.uniform(lows, highs)
+        row = rng.uniform(lows, highs).tolist() + tail
         attempts += 1
-        point = PhasePoint(draw[:n], draw[n:])
-        if guards.admits(point, params, plan.guard_eps):
-            accepted.append(point)
+        if guards.admits(row, params, plan.guard_eps):
+            accepted.append(row)
     return Samples(accepted, attempts)
-

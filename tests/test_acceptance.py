@@ -49,6 +49,7 @@ from lagdeform.geometry import (
 from lagdeform.pipeline import problem_from_dict, run_pipeline
 from lagdeform.sampling import Guards, SamplePlan, draw_samples
 
+from systems import points
 from test_expressions import random_expression, sample_valid_point
 
 
@@ -239,11 +240,11 @@ def test_criterion_4_homogeneous(docs):
     doc, _ = docs["homogeneous"]
     spec = doc.problem
     plan = spec.plan(count=200)
-    points = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params).points
-    p_l = homogeneity_degree(spec.lagrangian, points, spec.params)
+    rows = draw_samples(plan, Guards(evaluable=(spec.lagrangian.expr,)), spec.params).rows
+    p_l = homogeneity_degree(spec.lagrangian, rows, spec.params)
     ok = p_l is not None and abs(p_l - 2.0) <= 1e-9
     for comp in spec.sigma.components:
-        deg = homogeneity_degree(ScalarField(3, comp), points, spec.params)
+        deg = homogeneity_degree(ScalarField(3, comp), rows, spec.params)
         ok &= deg is not None and abs(deg - 2.0) <= 1e-9
     ok &= doc.theorem2 is not None and doc.theorem2.passed
     ok &= doc.theorem2.wedge_residual <= 1e-10
@@ -275,9 +276,9 @@ def test_criterion_5_lienard(docs):
     doc, _ = docs["lienard"]
     spec = doc.problem
     derived = DerivedFields(spec.spray, spec.lagrangian)
-    points = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params).points
+    samples = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params)
     worst = 0.0
-    for p in points:
+    for p in points(samples, spec.n):
         b = p.binding(spec.params)
         f_val = deformation_ratio(derived, p, spec.params)
         l_val = evaluate(spec.lagrangian.expr, b)

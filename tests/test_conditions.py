@@ -57,6 +57,7 @@ from lagdeform.geometry import (
     homogeneity_degree,
     lagrange_differential,
     liouville_apply,
+    row_layout,
 )
 from lagdeform.pipeline import problem_from_dict
 from lagdeform.sampling import (
@@ -69,6 +70,7 @@ from lagdeform.sampling import (
 )
 
 from systems import (
+    binding,
     damped_oscillator,
     drag_system,
     exp_class,
@@ -77,6 +79,7 @@ from systems import (
     lienard,
     log_class,
     moebius_class,
+    points,
     rayleigh_drag,
 )
 
@@ -135,9 +138,9 @@ def test_draw_samples_deterministic():
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(2, count=50, seed=7)
-    first = draw_samples(plan, d.theorem_guards(), sys["params"]).points
-    second = draw_samples(plan, d.theorem_guards(), sys["params"]).points
-    assert [(p.x, p.y) for p in first] == [(p.x, p.y) for p in second]
+    first = draw_samples(plan, d.theorem_guards(), sys["params"]).rows
+    second = draw_samples(plan, d.theorem_guards(), sys["params"]).rows
+    assert first == second
 
 
 def test_draw_samples_conservative_rejects_everything():
@@ -167,7 +170,7 @@ def test_draw_samples_nonzero_constant_guard_still_draws():
     samples = draw_samples(plan, guards, {})
     unguarded = draw_samples(plan, Guards(), {})
     assert samples.attempts == 50
-    assert [(p.x, p.y) for p in samples.points] == [(p.x, p.y) for p in unguarded.points]
+    assert samples.rows == unguarded.rows
 
 
 def test_draw_samples_high_acceptance_for_damped_oscillator():
@@ -176,8 +179,8 @@ def test_draw_samples_high_acceptance_for_damped_oscillator():
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(2, count=200, seed=11)
-    points = draw_samples(plan, d.theorem_guards(), sys["params"]).points
-    assert len(points) == 200
+    rows = draw_samples(plan, d.theorem_guards(), sys["params"]).rows
+    assert len(rows) == 200
 
 
 def test_reports_count_rejected_draws():
@@ -225,7 +228,7 @@ def test_ratio_exp_class_is_constant_b():
     from lagdeform.conditions import DerivedFields
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
-    for p in draw_samples(plan, d.theorem_guards(), sys["params"]).points:
+    for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), 3):
         got = deformation_ratio(d, p, sys["params"])
         assert got == pytest.approx(1.0, abs=1e-9)
 
@@ -277,7 +280,7 @@ def test_ratio_symbolic_vs_dual_routes(factory):
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
     plan = plan_for(sys["n"], count=40, seed=23)
-    for p in draw_samples(plan, d.theorem_guards(), sys["params"]).points:
+    for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), sys["n"]):
         symbolic = deformation_ratio(d, p, sys["params"])
         dual = _ratio_via_duals(sys, p)
         assert abs(symbolic - dual) <= 1e-10 * (1.0 + abs(symbolic))
@@ -725,7 +728,7 @@ def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return PhasePoint(mid[:n], mid[n:])
+            return mid + row_layout(n, params)[1]
     return None
 
 
@@ -741,8 +744,8 @@ def _ref_ratio(d, b, eps):
 
 def _ref_sigma_condition(d, sigma, samples, params, tol=1e-9):
     residuals = []
-    for p in samples.points:
-        b = p.binding(params)
+    for row in samples.rows:
+        b = binding(row, sigma.n, params)
         scale = ex.evaluate(d.energy_rate.expr, b) / ex.evaluate(d.liouville_of_L.expr, b)
         worst = 0.0
         for i in range(sigma.n):
@@ -751,14 +754,14 @@ def _ref_sigma_condition(d, sigma, samples, params, tol=1e-9):
             worst = _ref_max(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_condition", residuals, samples.points, samples.rejected, tol
+        "sigma_condition", residuals, samples.rows, sigma.n, samples.rejected, tol
     )
 
 
 def _ref_sigma_consistency(d, sigma, samples, params, tol=1e-9):
     residuals = []
-    for p in samples.points:
-        b = p.binding(params)
+    for row in samples.rows:
+        b = binding(row, sigma.n, params)
         worst = 0.0
         for i in range(sigma.n):
             s_i = ex.evaluate(sigma.components[i], b)
@@ -766,15 +769,16 @@ def _ref_sigma_consistency(d, sigma, samples, params, tol=1e-9):
             worst = _ref_max(worst, abs(s_i - defect_i) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, samples.points, samples.rejected, tol
+        "sigma_consistency", residuals, samples.rows, sigma.n, samples.rejected, tol
     )
 
 
 def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
     """(cloud, per-level groups of slope values) of the dependence test."""
+    n = d.lagrangian.n
     cloud = []
-    for p in samples.points:
-        b = p.binding(params)
+    for row in samples.rows:
+        b = binding(row, n, params)
         cloud.append((ex.evaluate(d.lagrangian.expr, b), _ref_ratio(d, b, plan.guard_eps)))
     cloud.sort(key=lambda t: t[0])
     l_values = np.array([l for l, _ in _merge_duplicate_abscissae(cloud)])
@@ -787,11 +791,11 @@ def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
         for _ in range(12):
             if len(group) >= 4:
                 break
-            pt = _ref_solve_on_level(d.lagrangian, plan, params, rng, target, names, d.lagrangian.n)
-            if pt is None:
+            row = _ref_solve_on_level(d.lagrangian, plan, params, rng, target, names, n)
+            if row is None:
                 continue
             try:
-                group.append(_ref_ratio(d, pt.binding(params), plan.guard_eps))
+                group.append(_ref_ratio(d, binding(row, n, params), plan.guard_eps))
             except (GuardViolation, ex.DomainViolation):
                 continue
         groups.append(group)
@@ -801,17 +805,17 @@ def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
 def _ref_hessian_cells(matrix, samples, params):
     """The evaluable matrices, as hessian_report stacks them."""
     stack = []
-    for p in samples.points:
-        b = p.binding(params)
+    for row in samples.rows:
+        b = binding(row, len(matrix), params)
         try:
-            stack.append([[ex.evaluate(cell, b) for cell in row] for row in matrix])
+            stack.append([[ex.evaluate(cell, b) for cell in line] for line in matrix])
         except ex.DomainViolation:
             continue
     return stack
 
 
-def _ref_deformed_hessian_at(d, deformation, point, params):
-    b = point.binding(params)
+def _ref_deformed_hessian_at(d, deformation, row, params):
+    b = binding(row, d.lagrangian.n, params)
     d1, d2 = deformation.triple(ex.evaluate(d.lagrangian.expr, b))[1:]
     dy = np.array([ex.evaluate(c, b) for c in d.vertical.components])
     g = np.array([[ex.evaluate(cell, b) for cell in row] for row in d.hessian])
@@ -824,13 +828,14 @@ def _ref_verify(d, deformation, samples, params, tol=1e-9):
     residuals, kept = [], []
     expansion_max = agreement_max = 0.0
     out_of_interval = 0
-    for p in samples.points:
-        b = p.binding(params)
+    n = d.lagrangian.n
+    for row in samples.rows:
+        b = binding(row, n, params)
         try:
             d1, d2 = deformation.triple(ex.evaluate(d.lagrangian.expr, b))[1:]
             sl = ex.evaluate(d.spray_of_L.expr, b)
             worst = exp_worst = agree = 0.0
-            for i in range(d.lagrangian.n):
+            for i in range(n):
                 term1 = d2 * sl * ex.evaluate(d.vertical.components[i], b)
                 term2 = d1 * ex.evaluate(d.defect.components[i], b)
                 expanded = term1 + term2
@@ -847,30 +852,34 @@ def _ref_verify(d, deformation, samples, params, tol=1e-9):
             out_of_interval += 1
             continue
         residuals.append(worst)
-        kept.append(p)
+        kept.append(row)
         expansion_max = _ref_max(expansion_max, exp_worst)
         agreement_max = _ref_max(agreement_max, agree)
     direct = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
+        "deformed_euler_lagrange", residuals, kept, n, samples.rejected + out_of_interval, tol
     )
     return DeformedELReport(direct, expansion_max, agreement_max, out_of_interval)
 
 
-def _ref_homogeneity_degree(e, n, points, params, tol=1e-9):
+def _ref_homogeneity_degree(e, n, rows, params, tol=1e-9):
     estimate = None
-    for p in points:
-        if all(v == 0.0 for v in p.y):
+    for row in rows:
+        y = row[n : 2 * n]
+        if all(v == 0.0 for v in y):
             continue
-        b = p.binding(params)
+        b = binding(row, n, params)
         try:
             base = ex.evaluate(e, b)
         except ex.DomainViolation:
             continue
-        if abs(base) < 1e-12:
+        if not math.isfinite(base) or abs(base) < 1e-12:
             continue
 
         def scaled(r):
-            return ex.evaluate(e, dict(b, **{f"y{i + 1}": r * p.y[i] for i in range(n)}))
+            value = ex.evaluate(e, dict(b, **{f"y{i + 1}": r * y[i] for i in range(n)}))
+            if not math.isfinite(value):
+                raise ex.DomainViolation(e, "not finite")
+            return value
 
         try:
             ratio = scaled(2.0) / base
@@ -896,12 +905,13 @@ def _ref_homogeneity_degree(e, n, points, params, tol=1e-9):
 
 def _ref_homogeneous_wedge(d, sigma, samples, params):
     """(L positive on the samples, the wedge residual) of check_homogeneous."""
+    n = d.lagrangian.n
     positive = all(
-        ex.evaluate(d.lagrangian.expr, p.binding(params)) > 0.0 for p in samples.points
+        ex.evaluate(d.lagrangian.expr, binding(row, n, params)) > 0.0 for row in samples.rows
     )
     wedge = 0.0
-    for p in samples.points:
-        b = p.binding(params)
+    for row in samples.rows:
+        b = binding(row, n, params)
         dj = [ex.evaluate(c, b) for c in d.vertical.components]
         sg = [ex.evaluate(c, b) for c in sigma.components]
         for i in range(sigma.n):
@@ -914,8 +924,9 @@ def _ref_dissipative(d, dissipation, samples, params, tol=1e-9):
     grad_d = [ex.partial(dissipation.expr, f"y{i + 1}") for i in range(dissipation.n)]
     c_of_d = liouville_apply(dissipation).expr
     grad_res, rate_res, twice_res = [], [], []
-    for p in samples.points:
-        b = p.binding(params)
+    n = dissipation.n
+    for row in samples.rows:
+        b = binding(row, n, params)
         worst = 0.0
         for i in range(dissipation.n):
             defect_i = ex.evaluate(d.defect.components[i], b)
@@ -927,11 +938,11 @@ def _ref_dissipative(d, dissipation, samples, params, tol=1e-9):
         rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
         twice = 2.0 * ex.evaluate(dissipation.expr, b)
         twice_res.append(abs(sel - twice) / (1.0 + abs(twice)))
-    kept, rejected = samples.points, samples.rejected
+    rows, rejected = samples.rows, samples.rejected
     return (
-        ConditionReport.from_residuals("sigma_is_dJD", grad_res, kept, rejected, tol),
-        ConditionReport.from_residuals("energy_rate_is_CD", rate_res, kept, rejected, tol),
-        ConditionReport.from_residuals("energy_rate_is_2D", twice_res, kept, rejected, tol),
+        ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, n, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, n, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_2D", twice_res, rows, n, rejected, tol),
     )
 
 
@@ -971,11 +982,11 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     n = lagrangian.n
     names = ex.chart_names(n)
     draw = draw_samples(SamplePlan(plan.bounds, 64, plan.seed), Guards(evaluable=(lagrangian.expr,)), params)
-    ls = [ex.evaluate(lagrangian.expr, p.binding(params)) for p in draw.points]
+    ls = [ex.evaluate(lagrangian.expr, binding(row, n, params)) for row in draw.rows]
     targets = [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
     if name == "subnormal":
         targets = [0.0, -0.0] * 16
-    level, tail = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian).kernel(
+    level = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian).kernel(
         (lagrangian.expr,), params
     )
     lows = [plan.bounds[v][0] for v in names]
@@ -985,7 +996,7 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     found = []
     for target in targets:
         want = _ref_solve_on_level(lagrangian, plan, params, rng_ref, target, names, n)
-        got = _solve_on_level(level, list(tail), lows, highs, rng, target, n)
+        got = _solve_on_level(level, row_layout(n, params)[1], lows, highs, rng, target, n)
         assert (got is None) == (want is None)
         if want is not None:
             assert _bits(got) == _bits(want)
@@ -993,7 +1004,7 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
         assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert found
     if name == "subnormal":
-        zeros = [v for p in found for v in p.y if v == 0.0]
+        zeros = [v for row in found for v in row[n : 2 * n] if v == 0.0]
         assert {math.copysign(1.0, v) for v in zeros} == {1.0, -1.0}
 
 
@@ -1043,18 +1054,18 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
         _ref_verify(d, deformation, samples, params)
     )
     matrix = deformed_hessian_matrix(d, deformation, params)
-    for p in samples.points[:50]:
+    for row in samples.rows[:50]:
         try:
-            want = _ref_deformed_hessian_at(d, deformation, p, params)
+            want = _ref_deformed_hessian_at(d, deformation, row, params)
         except (ex.DomainViolation, ValueError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                matrix(p)
+                matrix(row)
         else:
-            assert _bits(matrix(p)) == _bits(want)
+            assert _bits(matrix(row)) == _bits(want)
 
     positive, wedge = _ref_homogeneous_wedge(d, sigma, samples, params)
-    degree = _ref_homogeneity_degree(spec.lagrangian.expr, spec.n, samples.points, params)
-    assert homogeneity_degree(spec.lagrangian, samples.points, params) == degree
+    degree = _ref_homogeneity_degree(spec.lagrangian.expr, spec.n, samples.rows, params)
+    assert homogeneity_degree(spec.lagrangian, samples.rows, params) == degree
     try:
         report = check_homogeneous(d, sigma, samples, params)
     except NotHomogeneous:
@@ -1082,7 +1093,7 @@ def test_a_hessian_cell_that_raises_skips_its_point_as_the_reference_does():
     samples = draw_samples(plan_for(1, 60), Guards(), {})
     report = hessian_report(matrix, samples, {})
     cells = _ref_hessian_cells(matrix, samples, {})
-    assert 0 < report.samples == len(cells) < len(samples.points)
+    assert 0 < report.samples == len(cells) < len(samples.rows)
     assert _bits(report.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
 
 
@@ -1092,7 +1103,7 @@ def test_an_out_of_interval_phi_is_counted_as_the_reference_counts_it():
     samples = draw_samples(plan_for(1, 80), Guards(evaluable=(d.lagrangian.expr,)), {})
     deformation = synthesize(Logarithmic(0.2), (0.0, 1.0))
     got = verify_deformed_el(d, deformation, samples, {})
-    assert 0 < got.out_of_interval < len(samples.points)
+    assert 0 < got.out_of_interval < len(samples.rows)
     assert _bits(got) == _bits(_ref_verify(d, deformation, samples, {}))
 
 
@@ -1102,8 +1113,7 @@ def test_a_raising_vertical_differential_propagates_the_reference_error():
     d = _one_dimensional("abs(y1)^1.5 + x1*y1")
     names = ("x1", "y1")
     sigma = SemiBasicForm(1, [parse("y1", names)])
-    points = [PhasePoint([1.0], [0.5]), PhasePoint([1.0], [0.0])]
-    samples = Samples(points, 2)
+    samples = Samples([[1.0, 0.5], [1.0, 0.0]], 2)
     with pytest.raises(ex.DomainViolation) as want:
         _ref_sigma_condition(d, sigma, samples, {})
     with pytest.raises(ex.DomainViolation) as got:
@@ -1122,17 +1132,17 @@ _NAN_AT_1E200 = "x1*x1 - x1*x1"
 
 
 def _nan_samples(n):
-    fine = PhasePoint([1.0] * n, [1.0] * n)
-    nan = PhasePoint([1e200] + [1.0] * (n - 1), [1.0] * n)
+    fine = [1.0] * (2 * n)
+    nan = [1e200] + [1.0] * (2 * n - 1)
     return Samples([fine, nan], 2)
 
 
 def test_from_residuals_takes_a_nan_as_the_worst_residual():
-    points = [PhasePoint([1.0], [1.0]), PhasePoint([2.0], [2.0])]
-    report = ConditionReport.from_residuals("c", [0.0, math.nan], points, 0, 1e-9)
+    rows = [[1.0, 1.0], [2.0, 2.0]]
+    report = ConditionReport.from_residuals("c", [0.0, math.nan], rows, 1, 0, 1e-9)
     assert not report.passed
     assert math.isnan(report.max_residual)
-    assert report.worst_point == points[1]
+    assert report.worst_point == PhasePoint([2.0], [2.0])
 
 
 def test_a_nan_residual_fails_the_sigma_verify_and_dissipative_checks():
@@ -1153,7 +1163,7 @@ def test_a_nan_residual_fails_the_sigma_verify_and_dissipative_checks():
     for report in reports:
         assert not report.passed, report.condition
         assert math.isnan(report.max_residual), report.condition
-        assert report.worst_point == samples.points[1]
+        assert report.worst_point == PhasePoint([1e200], [1.0])
 
 
 def test_a_nan_wedge_fails_the_homogeneous_check():
@@ -1166,3 +1176,32 @@ def test_a_nan_wedge_fails_the_homogeneous_check():
     report = check_homogeneous(d, sigma, _nan_samples(2), {})
     assert math.isnan(report.wedge_residual)
     assert not report.passed
+
+
+def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
+    # at x1 = 1e200 the cell is NaN, with no DomainViolation, where a batched
+    # SVD of the stack would not converge
+    names = ("x1", "y1")
+    cell = parse(f"{_NAN_AT_1E200} + y1", names)
+    samples = _nan_samples(1)
+    kernel = ex.compile([cell], names)
+    reports = [
+        hessian_report([[cell]], samples, {}),
+        hessian_report(lambda row: np.array([[kernel(row)[0]]]), samples, {}),
+    ]
+    for report in reports:
+        assert report.samples == 1
+        assert report.max_entry == 1.0
+        assert (report.min_rank, report.max_rank) == (1, 1)
+
+
+def test_a_nan_dissipation_is_not_negative_in_either_order():
+    # D = -y1^2 is negative at (1, 1) and NaN at (1e200, 1); the NaN row
+    # neither makes D negative nor stops it being fiber-quadratic
+    d = _one_dimensional("0.5*y1^2")
+    dissipation = ScalarField(1, parse(f"-(y1^2) + ({_NAN_AT_1E200})*y1^2", ("x1", "y1")))
+    rows = _nan_samples(1).rows
+    for order in (rows, rows[::-1]):
+        report = check_dissipative(d, dissipation, Samples(order, 2), {})
+        assert report.rayleigh
+        assert report.dissipation_negative is False

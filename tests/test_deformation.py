@@ -40,6 +40,7 @@ from lagdeform.geometry import PhasePoint, ScalarField, SemiSpray, fiber_hessian
 from lagdeform.sampling import Guards, SamplePlan, draw_samples
 
 from systems import (
+    binding,
     drag_system,
     exp_class,
     free_particle,
@@ -384,7 +385,7 @@ def test_verify_counts_draw_and_interval_rejections():
     samples = draw_samples(plan, Guards(evaluable=(lagrangian.expr,)), {})
     phi = synthesize(Logarithmic(1.0), (0.0, 1.0))
     report = verify_deformed_el(DerivedFields(spray, lagrangian), phi, samples, {})
-    outside = sum(evaluate(lagrangian.expr, p.binding()) <= -1.0 for p in samples.points)
+    outside = sum(evaluate(lagrangian.expr, binding(row, 1)) <= -1.0 for row in samples.rows)
     assert samples.attempts > plan.count
     assert report.out_of_interval == outside > 0
     assert report.direct.accepted == plan.count - outside
@@ -413,10 +414,10 @@ def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
     samples = draw_samples(
         spec.plan(count=60), Guards(evaluable=(spec.lagrangian.expr,)), spec.params
     )
-    for p in samples.points:
-        b = p.binding(spec.params)
-        want = np.array([[evaluate(cell, b) for cell in row] for row in symbolic])
-        assert np.all(np.abs(chain(p) - want) <= 1e-9 * (1.0 + np.abs(want))), p
+    for row in samples.rows:
+        b = binding(row, spec.n, spec.params)
+        want = np.array([[evaluate(cell, b) for cell in line] for line in symbolic])
+        assert np.all(np.abs(chain(row) - want) <= 1e-9 * (1.0 + np.abs(want))), row
     by_chain = deformed_hessian(derived_fields, deformed.deformation, samples, spec.params)
     by_symbols = hessian_report(symbolic, samples, spec.params)
     assert (by_chain.min_rank, by_chain.max_rank, by_chain.samples) == (

@@ -14,6 +14,7 @@ from lagdeform.expressions import (
     Const,
     DomainViolation,
     Dual,
+    Expr,
     ExpressionError,
     Overflow,
     ParseError,
@@ -32,7 +33,6 @@ from lagdeform.expressions import (
     pow_,
     to_source,
 )
-from lagdeform.geometry import PhasePoint
 from lagdeform.sampling import Guards
 
 XY2 = ("x1", "x2", "y1", "y2")
@@ -132,10 +132,9 @@ def test_power_overflow_is_domain_violation():
         evaluate(e, {"x1": 100.0})
     with pytest.raises(DomainViolation):
         evaluate_dual(e, {"x1": 100.0}, "x1")
-    point = PhasePoint([100.0, 1.0], [1.0, 1.0])
-    assert not Guards(evaluable=(e,)).admits(point, None, 1e-6)
+    assert not Guards(evaluable=(e,)).admits([100.0, 1.0, 1.0, 1.0], None, 1e-6)
     assert not Guards(evaluable=(parse("exp(x1)", XY2),)).admits(
-        PhasePoint([1000.0, 1.0], [1.0, 1.0]), None, 1e-6
+        [1000.0, 1.0, 1.0, 1.0], None, 1e-6
     )
 
 
@@ -386,7 +385,7 @@ def test_free_vars():
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation against the tree walk
+# compiled kernels against the tree walk
 # ---------------------------------------------------------------------------
 
 
@@ -400,6 +399,18 @@ class _ReadLog(dict):
     def __getitem__(self, name):
         self.reads.append(name)
         return super().__getitem__(name)
+
+
+class _RowLog(list):
+    """A positional row that records the indices read from it, in order."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
 
 
 def _outcome(run):
@@ -447,17 +458,23 @@ def _bindings(draw):
 @settings(max_examples=400, deadline=None)
 @given(_expressions(), st.lists(_bindings(), min_size=1, max_size=3))
 def test_compiled_evaluation_matches_tree_walk(e, bindings):
-    # the first binding compiles e, the others reuse its code
+    # a one-root kernel over the names a binding binds; a later binding of
+    # the same names reuses the code the first one ran
+    kernels = {}
     for binding in bindings:
-        walk_log, log = _ReadLog(binding), _ReadLog(binding)
+        names = tuple(binding)
+        if names not in kernels:
+            kernels[names] = compile([e], names)
+        walk_log, row = _ReadLog(binding), _RowLog(binding.values())
         with np.errstate(all="ignore"):
             want = _outcome(lambda: e.evaluate(walk_log))
-            got = _outcome(lambda: evaluate(e, log))
+            got = _outcome(lambda: kernels[names](row)[0])
         assert got == want, to_source(e)
         if want[0] == "value":
             # the same names first read in the same order: the same
             # operations in the same order, less the repeats
-            assert list(dict.fromkeys(log.reads)) == list(dict.fromkeys(walk_log.reads))
+            first_reads = [names[i] for i in dict.fromkeys(row.reads)]
+            assert first_reads == list(dict.fromkeys(walk_log.reads))
 
 
 def test_float64_zero_denominator_is_domain_violation():
@@ -468,9 +485,10 @@ def test_float64_zero_denominator_is_domain_violation():
         (parse("x1 / (y1 - 1)", XY2), np.float64(1.0)),
     )
     for e, y in cases:
-        for _ in range(2):  # the call that compiles and a later one
+        kernel = compile([e], ("x1", "y1"))
+        for _ in range(2):  # the first run of the code and a later one
             with pytest.raises(DomainViolation, match="division by zero") as exc:
-                evaluate(e, {"x1": np.float64(2.0), "y1": y})
+                kernel([np.float64(2.0), y])
             assert exc.value.expr is e
 
 
@@ -491,6 +509,7 @@ def test_shared_failing_subtree_blames_the_tree_walks_node():
     # ln(x1) twice as one object and once as an equal copy; the quotient
     # computes its denominator first, so the walk blames sqrt(y1) first
     e = add(add(div(first_ln, first_sqrt), mul(first_ln, first_sqrt)), parse("ln(x1)", XY2))
+    kernel = compile([e], ("x1", "y1"))
     for binding, blamed in (
         ({"x1": -1.0, "y1": -1.0}, first_sqrt),
         ({"x1": -1.0, "y1": 4.0}, first_ln),
@@ -498,9 +517,9 @@ def test_shared_failing_subtree_blames_the_tree_walks_node():
         with pytest.raises(DomainViolation) as walk:
             e.evaluate(binding)
         assert walk.value.expr is blamed
-        for _ in range(2):  # the call that compiles and a later one
+        for _ in range(2):  # the first run of the code and a later one
             with pytest.raises(DomainViolation) as exc:
-                evaluate(e, binding)
+                kernel([binding["x1"], binding["y1"]])
             assert exc.value.expr is blamed
             assert str(exc.value) == str(walk.value)
 
@@ -586,7 +605,6 @@ def test_compile_emits_a_node_shared_by_identity_once():
     for _ in range(40):
         e = add(e, e)
     assert compile([e], ("x1",))([1.0]) == (2.0**40,)
-    assert evaluate(e, {"x1": 1.0}) == 2.0**40
 
 
 def test_kernel_values_walk_each_root_where_the_code_raises():
@@ -623,19 +641,20 @@ def test_kernel_values_walk_each_root_where_the_code_raises():
     ],
 )
 def test_compiled_power_matches_the_tree_walk(exponent, base, outcome):
-    # a sum, so that evaluate compiles the root rather than walking it
+    # the power inside a sum, alone and beside the power as a root of its own
     e = add(pow_(Var("x1"), exponent), Var("y1"))
     binding = {"x1": base, "y1": 0.0}
+    alone = compile([e], ("x1", "y1"))
     kernel = compile([e, pow_(Var("x1"), exponent)], ("x1", "y1"))
-    for _ in range(2):  # the call that compiles and a later one
+    for _ in range(2):  # the first run of the code and a later one
         if isinstance(outcome, tuple):
             kind, message = outcome
-            for run in (lambda: e.evaluate(binding), lambda: evaluate(e, binding), lambda: kernel([base, 0.0])):
+            for run in (lambda: e.evaluate(binding), lambda: alone([base, 0.0]), lambda: kernel([base, 0.0])):
                 with pytest.raises(kind, match=message) as exc:
                     run()
                 assert exc.value.expr is e.left
         else:
-            assert e.evaluate(binding) == evaluate(e, binding) == outcome
+            assert (e.evaluate(binding),) == alone([base, 0.0]) == (outcome,)
             assert kernel([base, 0.0]) == (outcome, outcome)
 
 
@@ -647,16 +666,22 @@ def _functions_held_by(obj):
 
 @pytest.mark.parametrize("source", ["x1*y1 + exp(x1)/(1 + y1^2) - sign(x1)", "exp(x1*y1)"])
 def test_compiled_code_is_freed_with_its_root(source):
-    # the code holds no reference back to its root (a function root's own
-    # method included), so it goes with the root without the cycle collector
+    # a kernel's code holds no node (a function node's own method included),
+    # only values and plain functions, so it goes with the kernel that holds
+    # its roots, without the cycle collector; a node has no dict to hold code
     e = parse(source, XY2)
-    assert evaluate(e, {"x1": 0.5, "y1": 2.0}) == e.evaluate({"x1": 0.5, "y1": 2.0})
-    code = _functions_held_by(e)
+    assert not hasattr(e, "__dict__")
+    kernel = compile([e], ("x1", "y1"))
+    assert kernel([0.5, 2.0]) == (e.evaluate({"x1": 0.5, "y1": 2.0}),)
+    code = _functions_held_by(kernel)
     assert len(code) == 1
+    run = code[0]
+    assert run.__closure__ is None and run.__defaults__ is None
+    assert not any(isinstance(getattr(v, "__self__", v), Expr) for v in run.__globals__.values())
     freed = weakref.ref(code.pop())
     gc.disable()
     try:
-        del e
+        del kernel, e, run
         assert freed() is None
     finally:
         gc.enable()

@@ -21,7 +21,7 @@ from lagdeform.geometry import (
     vertical_differential,
 )
 
-from systems import damped_oscillator, free_particle, homogeneous_example, lienard
+from systems import damped_oscillator, free_particle, homogeneous_example, lienard, row_of
 
 XY2 = ("x1", "x2", "y1", "y2")
 
@@ -36,6 +36,10 @@ def random_points(rng, n, count, lo=0.3, hi=1.8):
             )
         )
     return pts
+
+
+def rows(pts, params=None):
+    return [row_of(p, params) for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +291,13 @@ def test_homogeneity_conformal_kinetic_is_two():
     sys = homogeneous_example()
     rng = random.Random(17)
     pts = random_points(rng, 3, 20)
-    assert homogeneity_degree(sys["lagrangian"], pts) == pytest.approx(2.0, abs=1e-9)
+    assert homogeneity_degree(sys["lagrangian"], rows(pts)) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_homogeneity_inhomogeneous_sum_is_none():
     L = ScalarField(2, parse("0.5*(y1^2 + y2^2) + x1", XY2))
     rng = random.Random(19)
-    assert homogeneity_degree(L, random_points(rng, 2, 20)) is None
+    assert homogeneity_degree(L, rows(random_points(rng, 2, 20))) is None
 
 
 def test_homogeneity_root_lagrangian_is_one():
@@ -301,34 +305,59 @@ def test_homogeneity_root_lagrangian_is_one():
     root = ScalarField(3, parse("sqrt(0.5*exp(2*x1)*(y1^2 + y2^2 + y3^2))", sys["lagrangian"].expr.free_vars()))
     rng = random.Random(23)
     pts = random_points(rng, 3, 20)
-    assert homogeneity_degree(root, pts) == pytest.approx(1.0, abs=1e-9)
+    assert homogeneity_degree(root, rows(pts)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_homogeneity_spray_degree_two():
     sys = homogeneous_example()
     rng = random.Random(29)
     pts = random_points(rng, 3, 20)
-    assert homogeneity_degree(sys["spray"], pts) == 2.0
+    assert homogeneity_degree(sys["spray"], rows(pts)) == 2.0
 
 
 def test_homogeneity_spray_not_quadratic():
     sys = damped_oscillator()
     rng = random.Random(31)
     pts = random_points(rng, 2, 20)
-    assert homogeneity_degree(sys["spray"], pts, params=sys["params"]) is None
+    assert homogeneity_degree(sys["spray"], rows(pts, sys["params"]), params=sys["params"]) is None
 
 
 def test_euler_relation_at_detected_degree():
     sys = homogeneous_example()
     rng = random.Random(37)
     pts = random_points(rng, 3, 20)
-    p = homogeneity_degree(sys["lagrangian"], pts)
+    p = homogeneity_degree(sys["lagrangian"], rows(pts))
     CL = liouville_apply(sys["lagrangian"])
     for pt in pts:
         b = pt.binding()
         cl = evaluate(CL.expr, b)
         l = evaluate(sys["lagrangian"].expr, b)
         assert abs(cl - p * l) <= 1e-9 * (1.0 + abs(l))
+
+
+# x1*x1 - x1*x1 is NaN at x1 = 1e200, where x1*x1 overflows, and 0 elsewhere;
+# no DomainViolation is raised on the way
+_NAN_ROWS = [[1.0, 1.0], [1e200, 1.0]]
+
+
+def test_homogeneity_skips_a_row_where_the_field_is_nan_in_either_order():
+    field = ScalarField(1, parse("y1*y1 + (x1*x1 - x1*x1)*y1", ("x1", "y1")))
+    assert homogeneity_degree(field, _NAN_ROWS) == 2.0
+    assert homogeneity_degree(field, _NAN_ROWS[::-1]) == 2.0
+
+
+def test_homogeneity_is_none_where_a_scaled_value_is_nan_in_either_order():
+    # x1*x1*y1 overflows at x1 = 1e154 only once y1 is scaled by 2 or 3
+    field = ScalarField(1, parse("y1*y1 + (x1*x1*y1 - x1*x1*y1)", ("x1", "y1")))
+    rows_ = [[1.0, 1.0], [1e154, 1.0]]
+    assert homogeneity_degree(field, rows_) is None
+    assert homogeneity_degree(field, rows_[::-1]) is None
+
+
+def test_a_spray_coefficient_that_is_nan_somewhere_is_not_zero():
+    spray = SemiSpray(1, [parse("x1*x1 - x1*x1", ("x1", "y1"))])
+    assert homogeneity_degree(spray, _NAN_ROWS) is None
+    assert homogeneity_degree(spray, _NAN_ROWS[::-1]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -261,10 +261,6 @@ def test_trajectory_stage_lets_unexpected_errors_through():
 # ---------------------------------------------------------------------------
 
 
-def _coordinates(samples):
-    return [p.x + p.y for p in samples.points]
-
-
 def _per_check_guards(spec, derived):
     """The guard sets of the draws each check once made for itself: the
     theorem guards, the sigma checks', the L-evaluable set of verification
@@ -311,7 +307,7 @@ def test_run_draw_equals_every_per_check_draw(name, offset, sparse):
     for guards in references:
         reference = draw_samples(plan, guards, spec.params)
         assert reference.attempts == run.attempts
-        assert _coordinates(reference) == _coordinates(run)
+        assert reference.rows == run.rows
 
 
 def test_every_report_reads_the_one_draw():

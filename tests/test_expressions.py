@@ -673,12 +673,10 @@ def test_compiled_code_is_freed_with_its_root(source):
     assert not hasattr(e, "__dict__")
     kernel = compile([e], ("x1", "y1"))
     assert kernel([0.5, 2.0]) == (e.evaluate({"x1": 0.5, "y1": 2.0}),)
-    code = _functions_held_by(kernel)
-    assert len(code) == 1
-    run = code[0]
+    (run,) = _functions_held_by(kernel)
     assert run.__closure__ is None and run.__defaults__ is None
     assert not any(isinstance(getattr(v, "__self__", v), Expr) for v in run.__globals__.values())
-    freed = weakref.ref(code.pop())
+    freed = weakref.ref(run)
     gc.disable()
     try:
         del kernel, e, run

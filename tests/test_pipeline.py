@@ -435,38 +435,41 @@ def test_json_report_matches_golden_snapshot(corpus_reports, name):
     assert _snapshot_mismatches(got, want) == []
 
 
-def _sparse_problem(name, offset=1):
-    """A corpus problem with a tenth of its samples and its seed moved by
-    ``offset``."""
+def _moved_problem(name, offset, divisor=1):
+    """A corpus problem with its seed moved by ``offset`` and its sample
+    count divided by ``divisor``."""
     data = json.loads(corpus_text(name))
-    data["sampling"]["count"] //= 10
+    data["sampling"]["count"] //= divisor
     data["sampling"]["seed"] += offset
     return problem_from_dict(data)
+
+
+def _moved_report(name, offset, divisor=1) -> bytes:
+    return emit_report(run_pipeline(_moved_problem(name, offset, divisor), mode="report"), "json")
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_sparse_json_report_matches_golden_snapshot_bytes(name):
     # byte for byte, at inputs other than the shipped ones: a change to how
     # the checks evaluate must leave every report exactly as it was
-    got = emit_report(run_pipeline(_sparse_problem(name), mode="report"), "json")
+    got = _moved_report(name, 1, 10)
     assert got == (GOLDEN / "sparse" / f"{name}.json").read_bytes()
 
 
-def _pinned_digests():
-    lines = (GOLDEN / "sparse" / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
+def _digests(path):
+    """The ``(sha256, problem, offset)`` lines of a digest file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
     return [line.split() for line in lines if line and not line.startswith("#")]
 
 
-@pytest.mark.parametrize("digest,name,offset", _pinned_digests())
+@pytest.mark.parametrize("digest,name,offset", _digests(GOLDEN / "sparse" / "SHA256SUMS"))
 def test_sparse_json_report_matches_pinned_sha256(digest, name, offset):
     # the same byte-identity gate at two more seed offsets, pinned by digest
-    got = emit_report(run_pipeline(_sparse_problem(name, int(offset)), mode="report"), "json")
+    got = _moved_report(name, int(offset), 10)
     assert hashlib.sha256(got).hexdigest() == digest
 
 
-def _full_digests():
-    lines = (GOLDEN / "SHA256SUMS").read_text(encoding="utf-8").splitlines()
-    return {name: digest for digest, name in (l.split() for l in lines if l and l[0] != "#")}
+_FULL_DIGESTS = _digests(GOLDEN / "SHA256SUMS")
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -474,7 +477,15 @@ def test_json_report_matches_pinned_sha256(corpus_reports, name):
     # the shipped reports byte for byte, where the snapshot above compares
     # floats within a tolerance
     got = emit_report(corpus_reports[name], "json")
-    assert hashlib.sha256(got).hexdigest() == _full_digests()[name]
+    assert [hashlib.sha256(got).hexdigest(), name, "0"] in _FULL_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "digest,name,offset", [line for line in _FULL_DIGESTS if line[2] != "0"]
+)
+def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, offset):
+    got = _moved_report(name, int(offset))
+    assert hashlib.sha256(got).hexdigest() == digest
 
 
 def test_snapshot_comparison_is_strict_where_it_must_be():

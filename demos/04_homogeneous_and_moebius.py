@@ -14,9 +14,9 @@ from lagdeform.sampling import draw_samples
 
 # --- homogeneous route -----------------------------------------------------
 spec = load_corpus_problem("homogeneous")
-derived = DerivedFields(spec.spray, spec.lagrangian)
+derived = DerivedFields(spec.spray, spec.lagrangian, spec.params)
 samples = draw_samples(spec.plan(), derived.run_guards(spec.sigma), spec.params)
-report = check_homogeneous(derived, spec.sigma, samples, spec.params)
+report = check_homogeneous(derived, spec.sigma, samples)
 print("degree           =", report.degree)
 print("wedge residual   =", f"{report.wedge_residual:.3e}")
 print("prescribed Phi   =", report.phi_class.describe())

@@ -43,7 +43,6 @@ from .geometry import (
     spray_apply,
     lagrange_differential,
     vertical_differential,
-    row_layout,
 )
 from .sampling import Guards, GuardViolation, SamplePlan, Samples
 
@@ -88,18 +87,19 @@ class ConditionReport:
         condition: str,
         residuals: Sequence[float],
         rows: Sequence,
-        n: int,
         rejected: int,
         tolerance: float,
     ) -> "ConditionReport":
-        """The report of one residual per row; the worst row, of an
-        n-dimensional chart, becomes ``worst_point``."""
+        """The report of one residual per row; the worst row, a chart point
+        ``(x1..xn, y1..yn)``, becomes ``worst_point``."""
         if not residuals:
             return ConditionReport(condition, 0, rejected, 0.0, 0.0, tolerance, True)
         # a NaN residual is the worst one, and fails the check
         worst = next((k for k, r in enumerate(residuals) if r != r), None)
         if worst is None:
             worst = max(range(len(residuals)), key=lambda k: residuals[k])
+        row = rows[worst]
+        n = len(row) // 2
         return ConditionReport(
             condition=condition,
             accepted=len(residuals),
@@ -108,17 +108,19 @@ class ConditionReport:
             mean_residual=float(sum(residuals) / len(residuals)),
             tolerance=float(tolerance),
             passed=bool(residuals[worst] <= tolerance),
-            worst_point=PhasePoint(rows[worst][:n], rows[worst][n : 2 * n]),
+            worst_point=PhasePoint(row[:n], row[n:]),
         )
 
 
 @dataclass
 class DerivedFields:
     """The handful of composite fields every check needs, built once, and
-    the kernels the checks compile over them, kept for the run."""
+    the kernels the checks compile over them with the run's parameter
+    values ``params`` bound in, kept for the run."""
 
     spray: SemiSpray
     lagrangian: ScalarField
+    params: Optional[dict] = None
     spray_of_L: ScalarField = field(init=False)
     liouville_of_L: ScalarField = field(init=False)
     energy_of_L: ScalarField = field(init=False)
@@ -152,10 +154,10 @@ class DerivedFields:
         extra += (dissipation.expr,) if dissipation is not None else ()
         return Guards(theorem.nonzero, theorem.evaluable + extra)
 
-    def kernel(self, roots, params: Optional[dict]):
-        """The kernel of ``roots`` over the rows laid out for ``params``;
-        compiled once per run."""
-        return cached_kernel(self._kernels, roots, self.lagrangian.n, params)
+    def kernel(self, roots):
+        """The kernel of ``roots`` over the chart points, with ``params``
+        bound in; compiled once per run."""
+        return cached_kernel(self._kernels, roots, self.lagrangian.n, self.params)
 
 
 def _interleaved(*forms) -> tuple:
@@ -176,12 +178,11 @@ def _worse(a: float, b: float) -> float:
 def deformation_ratio(
     derived: DerivedFields,
     point: PhasePoint,
-    params: Optional[dict] = None,
     guard_eps: float = 1e-6,
 ) -> float:
     """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
-    row = [*point.x, *point.y, *row_layout(point.n, params)[1]]
-    return _slope_ratio(derived.kernel(_ratio_roots(derived), params).values(row), guard_eps)
+    row = [*point.x, *point.y]
+    return _slope_ratio(derived.kernel(_ratio_roots(derived)).values(row), guard_eps)
 
 
 def _ratio_roots(derived: DerivedFields) -> tuple:
@@ -212,7 +213,6 @@ def check_sigma_condition(
     derived: DerivedFields,
     sigma: SemiBasicForm,
     samples: Samples,
-    params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> ConditionReport:
     """Check sigma = (S(E_L)/C(L)) d_J L at ``samples`` (drawn with C(L)
@@ -220,7 +220,7 @@ def check_sigma_condition(
     conservative case passes vacuously."""
     roots = (derived.energy_rate.expr, derived.liouville_of_L.expr)
     roots += _interleaved(sigma.components, derived.vertical.components)
-    kernel = derived.kernel(roots, params)
+    kernel = derived.kernel(roots)
     residuals = []
     for row in samples.rows:
         v = kernel.values(row)
@@ -232,7 +232,7 @@ def check_sigma_condition(
             worst = _worse(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_condition", residuals, samples.rows, sigma.n, samples.rejected, tol
+        "sigma_condition", residuals, samples.rows, samples.rejected, tol
     )
 
 
@@ -240,14 +240,13 @@ def check_sigma_consistency(
     derived: DerivedFields,
     sigma: SemiBasicForm,
     samples: Samples,
-    params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> ConditionReport:
     """Cross-check a user-supplied sigma against the Lagrange differential:
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
     roots = _interleaved(sigma.components, derived.defect.components)
-    kernel = derived.kernel(roots, params)
+    kernel = derived.kernel(roots)
     residuals = []
     for row in samples.rows:
         v = kernel.values(row)
@@ -257,7 +256,7 @@ def check_sigma_consistency(
             worst = _worse(worst, abs(s_i - v[k + 1]) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, samples.rows, sigma.n, samples.rejected, tol
+        "sigma_consistency", residuals, samples.rows, samples.rejected, tol
     )
 
 
@@ -275,8 +274,8 @@ class DependenceResult:
     tolerance: float
 
 
-def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: float, n: int):
-    """A row (x1..xn, y1..yn, then ``tail``) with L exactly (to rounding)
+def _solve_on_level(level, lows: list, highs: list, rng, target: float, n: int):
+    """A chart point (x1..xn, y1..yn) with L exactly (to rounding)
     equal to ``target``, or None: bisection of L, the one root of the kernel
     ``level``, along a random segment of fiber coordinates.
 
@@ -287,8 +286,8 @@ def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: flo
         a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
         b = a[:n] + [rng.uniform(lo, hi) for lo, hi in zip(lows[n:], highs[n:])]
         try:
-            va = level(a + tail)[0]
-            vb = level(b + tail)[0]
+            va = level(a)[0]
+            vb = level(b)[0]
         except ex.DomainViolation:
             continue
         if (va - target) * (vb - target) > 0.0:
@@ -297,7 +296,7 @@ def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: flo
         try:
             for _ in range(_BISECTIONS):
                 mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = level(mid + tail)[0]
+                vm = level(mid)[0]
                 if (vm - target) * (va - target) <= 0.0:
                     if _same_bits(mid, hi_c):
                         break
@@ -309,11 +308,11 @@ def _solve_on_level(level, tail: list, lows: list, highs: list, rng, target: flo
                     lo_c, va = mid, vm
             else:
                 mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = level(mid + tail)[0]
+                vm = level(mid)[0]
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return mid + tail
+            return mid
     return None
 
 
@@ -328,7 +327,6 @@ def functional_dependence_test(
     derived: DerivedFields,
     samples: Samples,
     plan: SamplePlan,
-    params: Optional[dict] = None,
     tol_dep: float = 1e-6,
 ) -> DependenceResult:
     """Decide whether the slope ratio is a function of L alone.
@@ -345,7 +343,7 @@ def functional_dependence_test(
     if len(rows) < 8:
         raise InsufficientSamples(f"only {len(rows)} accepted points")
 
-    ratio = derived.kernel(_ratio_roots(derived), params)
+    ratio = derived.kernel(_ratio_roots(derived))
     cloud = []
     for row in rows:
         v = ratio.values(row)
@@ -363,8 +361,7 @@ def functional_dependence_test(
     names = ex.chart_names(lagrangian.n)
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
-    level = derived.kernel((lagrangian.expr,), params)
-    tail = row_layout(lagrangian.n, params)[1]
+    level = derived.kernel((lagrangian.expr,))
     max_spread = 0.0
     used = 0
     functional = True
@@ -374,7 +371,7 @@ def functional_dependence_test(
         for _ in range(_PER_LEVEL * 3):
             if len(group) >= _PER_LEVEL:
                 break
-            row = _solve_on_level(level, tail, lows, highs, rng, target, lagrangian.n)
+            row = _solve_on_level(level, lows, highs, rng, target, lagrangian.n)
             if row is None:
                 continue
             try:
@@ -634,7 +631,7 @@ def hessian_report(
                 stack.append(entries)
     elif rows:
         cells = tuple(cell for line in matrix for cell in line)
-        kernel = ex.compile(cells, row_layout(len(matrix), params)[0])
+        kernel = ex.compile(cells, ex.chart_names(len(matrix)), params)
         for row in rows:
             v = kernel.values(row)
             try:
@@ -682,14 +679,13 @@ def check_homogeneous(
     derived: DerivedFields,
     sigma: SemiBasicForm,
     samples: Samples,
-    params: Optional[dict] = None,
     tol_wedge: float = 1e-10,
 ) -> HomogeneousReport:
     """Homogeneous-case test: L and sigma fiber-homogeneous of common degree
     p > 1 on a spray, and d_J L wedge sigma = 0; then Phi = L^(1/p) works and
     the report carries the non-triviality of its Hessian combination."""
     lagrangian = derived.lagrangian
-    rows = samples.rows
+    rows, params = samples.rows, derived.params
 
     degrees = {}
     p_l = homogeneity_degree(lagrangian, rows, params, _TOL_DEGREE)
@@ -717,12 +713,10 @@ def check_homogeneous(
         raise NotHomogeneous("coefficients are not fiber-quadratic", degrees)
     n = sigma.n
     vertical = derived.vertical.components
-    kernel = derived.kernel(
-        (lagrangian.expr,) + tuple(vertical) + tuple(sigma.components), params
-    )
+    kernel = derived.kernel((lagrangian.expr,) + tuple(vertical) + tuple(sigma.components))
     values = [kernel.values(row) for row in rows]
     for v in values:
-        if v[0] <= 0.0:
+        if not v[0] > 0.0:  # nor is a NaN
             raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
 
     wedge = 0.0
@@ -748,7 +742,7 @@ def check_homogeneous(
             for i in range(n)
             for j in range(n)
         )
-        combination = derived.kernel(cells, params)
+        combination = derived.kernel(cells)
         for row in rows:
             v = combination.values(row)
             if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
@@ -785,7 +779,6 @@ def check_dissipative(
     derived: DerivedFields,
     dissipation: ScalarField,
     samples: Samples,
-    params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> DissipativeReport:
     vertical_d = vertical_differential(dissipation)
@@ -795,7 +788,7 @@ def check_dissipative(
 
     roots = _interleaved(derived.defect.components, vertical_d.components)
     roots += (derived.energy_rate.expr, liouville_d.expr, dissipation.expr)
-    kernel = derived.kernel(roots, params)
+    kernel = derived.kernel(roots)
     values = []
     grad_res, rate_res = [], []
     for row in rows:
@@ -809,10 +802,10 @@ def check_dissipative(
         sel = v[2 * n]
         cd = v[2 * n + 1]
         rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
-    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, n, rejected, tol)
-    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, n, rejected, tol)
+    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, rejected, tol)
+    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, rejected, tol)
 
-    deg = homogeneity_degree(dissipation, rows, params)
+    deg = homogeneity_degree(dissipation, rows, derived.params)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
     rayleigh_rate = None
     negative = None
@@ -826,6 +819,6 @@ def check_dissipative(
             if not dval < 0.0:  # nor is a NaN
                 negative = False
         rayleigh_rate = ConditionReport.from_residuals(
-            "energy_rate_is_2D", twice_res, rows, n, rejected, tol
+            "energy_rate_is_2D", twice_res, rows, rejected, tol
         )
     return DissipativeReport(gradient, rate, rayleigh, rayleigh_rate, negative)

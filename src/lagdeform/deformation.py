@@ -250,13 +250,19 @@ def synthesize_numeric(cloud: Sequence) -> Numeric:
     big_f = np.concatenate(([0.0], np.cumsum(0.5 * (f_grid[1:] + f_grid[:-1]) * dl)))
     dphi = np.exp(big_f)
     phi = np.concatenate(([0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dl)))
-    interp_phi = PchipInterpolator(grid, phi)
-    interp_dphi = PchipInterpolator(grid, dphi)
+    return _numeric(tuple(grid), tuple(phi), tuple(dphi))
+
+
+def _numeric(grid: tuple, values: tuple, derivatives: tuple) -> Numeric:
+    """The grid deformation through ``values`` of Phi and ``derivatives``
+    of Phi' at the ``grid`` points."""
+    points = np.asarray(grid)
+    interp_dphi = PchipInterpolator(points, np.asarray(derivatives))
     return Numeric(
-        grid=tuple(grid),
-        values=tuple(phi),
-        derivatives=tuple(dphi),
-        _phi=interp_phi,
+        grid=grid,
+        values=values,
+        derivatives=derivatives,
+        _phi=PchipInterpolator(points, np.asarray(values)),
         _dphi=interp_dphi,
         _ddphi=interp_dphi.derivative(),
     )
@@ -278,18 +284,10 @@ def affine_rescale(deformation: Deformation, alpha: float, beta: float) -> Defor
             scale=alpha * deformation.scale,
             shift=alpha * deformation.shift + beta,
         )
-    values = tuple(alpha * v + beta for v in deformation.values)
-    derivs = tuple(alpha * v for v in deformation.derivatives)
-    grid = np.asarray(deformation.grid)
-    interp_phi = PchipInterpolator(grid, np.asarray(values))
-    interp_dphi = PchipInterpolator(grid, np.asarray(derivs))
-    return Numeric(
-        grid=deformation.grid,
-        values=values,
-        derivatives=derivs,
-        _phi=interp_phi,
-        _dphi=interp_dphi,
-        _ddphi=interp_dphi.derivative(),
+    return _numeric(
+        deformation.grid,
+        tuple(alpha * v + beta for v in deformation.values),
+        tuple(alpha * v for v in deformation.derivatives),
     )
 
 
@@ -340,7 +338,6 @@ def verify_deformed_el(
     derived: DerivedFields,
     deformation: Deformation,
     samples: Samples,
-    params: Optional[dict] = None,
     tol: float = 1e-9,
 ) -> DeformedELReport:
     """Check that the deformed Lagrangian has vanishing Lagrange differential
@@ -357,7 +354,7 @@ def verify_deformed_el(
     forms += (direct_form.components,) if direct_form is not None else ()
     roots = (derived.lagrangian.expr, derived.spray_of_L.expr) + _interleaved(*forms)
     stride = len(forms)
-    kernel = derived.kernel(roots, params)
+    kernel = derived.kernel(roots)
 
     residuals, kept = [], []
     expansion_max = 0.0
@@ -389,21 +386,19 @@ def verify_deformed_el(
         agreement_max = _worse(agreement_max, point_agree)
     rejected = samples.rejected + out_of_interval
     direct_report = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, derived.lagrangian.n, rejected, tol
+        "deformed_euler_lagrange", residuals, kept, rejected, tol
     )
     return DeformedELReport(direct_report, expansion_max, agreement_max, out_of_interval)
 
 
-def deformed_hessian_matrix(
-    derived: DerivedFields, deformation: Deformation, params: Optional[dict] = None
-):
+def deformed_hessian_matrix(derived: DerivedFields, deformation: Deformation):
     """Fiber Hessian of Phi(L) as a callable ``row -> ndarray``:
     Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
     alike."""
     n = derived.lagrangian.n
     roots = (derived.lagrangian.expr,) + tuple(derived.vertical.components)
     roots += tuple(cell for line in derived.hessian for cell in line)
-    kernel = derived.kernel(roots, params)
+    kernel = derived.kernel(roots)
 
     def matrix_at(row):
         v = kernel.values(row)
@@ -419,8 +414,6 @@ def deformed_hessian(
     derived: DerivedFields,
     deformation: Deformation,
     samples: Samples,
-    params: Optional[dict] = None,
 ) -> HessianReport:
     """Rank report of the fiber Hessian of Phi(L) over ``samples``."""
-    matrix = deformed_hessian_matrix(derived, deformation, params)
-    return hessian_report(matrix, samples, params)
+    return hessian_report(deformed_hessian_matrix(derived, deformation), samples)

@@ -24,7 +24,6 @@ from .geometry import (
     energy,
     homogeneity_degree,
     liouville_apply,
-    row_layout,
     spray_apply,
     vertical_differential,
 )
@@ -90,18 +89,16 @@ def integrate_geodesic(
         raise GeodesicError("initial point dimension mismatch")
     h = cfg.step
     steps = cfg.steps
-    names, extra = row_layout(n, params)
-    kernel = ex.compile(spray.coefficients, names)
+    names = ex.chart_names(n)
+    kernel = ex.compile(spray.coefficients, names, params)
 
     def rhs(state):
-        return state[n:] + [-2.0 * g for g in kernel(state + extra)]
+        return state[n:] + [-2.0 * g for g in kernel(state)]
 
     def inside(state):
         if box is None:
             return True
-        return all(
-            box[v][0] <= state[k] <= box[v][1] for k, v in enumerate(names[: 2 * n])
-        )
+        return all(box[v][0] <= state[k] <= box[v][1] for k, v in enumerate(names))
 
     # plain float lists, with the operations and order of the array form
     # state + (h/6) * (k1 + 2 k2 + 2 k3 + k4)
@@ -161,10 +158,9 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
     A state fails as ``lag.triple`` and then :func:`ex.evaluate` of each
     field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
-    names, extra = row_layout(traj.n, traj.params)
-    kernel = ex.compile(((lag.base.expr,) if deformed else ()) + tuple(fields), names)
-    for state in traj.states.tolist():
-        row = state + extra
+    roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
+    kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
+    for row in traj.states.tolist():
         try:
             values = kernel(row)
         except ex.ExpressionError as exc:
@@ -177,7 +173,7 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
             continue
         if deformed:
             # L's own error, or Phi's OutOfInterval at L, comes first
-            lag.triple(dict(zip(names, row)))
+            lag.triple(kernel.binding(row))
         raise error
 
 
@@ -244,9 +240,9 @@ def dissipation_along(
 ) -> DissipationTrace:
     rate_field = spray_apply(traj.spray, energy(lagrangian))
     c_of_d = liouville_apply(dissipation)
-    names, extra = row_layout(traj.n, traj.params)
-    kernel = ex.compile((rate_field.expr, c_of_d.expr, dissipation.expr), names)
-    rows = [state + extra for state in traj.states.tolist()]
+    roots = (rate_field.expr, c_of_d.expr, dissipation.expr)
+    kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
+    rows = traj.states.tolist()
     values = np.array([kernel(row) for row in rows], dtype=float)
     sel, cd = values[:, 0], values[:, 1]
     twice = 2.0 * values[:, 2]
@@ -260,7 +256,7 @@ def dissipation_along(
         )
     n = traj.n
     always_negative = bool(
-        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n : 2 * n]))
+        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n:]))
     )
     return DissipationTrace(
         energy_rate=sel,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 
 class ExpressionError(Exception):
@@ -846,10 +846,11 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _compile(roots: tuple, layout: tuple):
+def _compile(roots: tuple, layout: tuple, constants: dict):
     """A function equal to the tree walk of ``roots`` bit for bit: it reads
-    ``b[i]`` for the variable ``layout[i]`` of a positional row and returns
-    the tuple of the roots' values.
+    ``b[i]`` for the variable ``layout[i]`` of a positional row, takes any
+    other variable from ``constants``, and returns the tuple of the roots'
+    values.
 
     Each distinct subtree (by structure, across the roots) gets one local,
     computed where the tree walk of the roots in order first computes it, by
@@ -873,7 +874,8 @@ def _compile(roots: tuple, layout: tuple):
         return names[key]
 
     def constant(v):
-        return bind((Const, v, math.copysign(1.0, v)), v)  # -0.0 is not 0.0
+        # -0.0 is not 0.0, and a parameter 0 (an int) negates to 0, not -0.0
+        return bind((Const, type(v), v, math.copysign(1.0, v)), v)
 
     def assign(key, source):
         if key not in names:
@@ -898,6 +900,8 @@ def _compile(roots: tuple, layout: tuple):
         if isinstance(node, Const):
             return constant(node.value)
         if isinstance(node, Var):
+            if node.name not in position and node.name in constants:
+                return constant(constants[node.name])
             return assign((Var, node.name), read(node.name))
         if isinstance(node, Div):
             r = emit(node.right)
@@ -940,26 +944,35 @@ def _unbound(name: str):
 
 class Kernel:
     """Roots compiled together for positional rows, the one compiled
-    evaluation path: ``kernel(row)`` is the tuple of the roots' values with
-    ``names[i]`` bound to ``row[i]``.
+    evaluation path: ``kernel(row)`` is the tuple of the roots' values at
+    :meth:`binding` of the row, with ``names[i]`` bound to ``row[i]`` and any
+    other variable to its value in ``constants``, compiled into the code.
 
     Subtrees shared between the roots are computed once. Where the compiled
     code raises, the tree walk runs over the roots in order and raises the
     error that :func:`evaluate` of those roots, in that order, would raise."""
 
-    __slots__ = ("roots", "names", "_run")
+    __slots__ = ("roots", "names", "constants", "_run")
 
-    def __init__(self, roots: Iterable[Expr], names: Iterable[str]):
+    def __init__(
+        self, roots: Iterable[Expr], names: Iterable[str], constants: Optional[Binding] = None
+    ):
         self.roots = tuple(roots)
         self.names = tuple(names)
-        self._run = _compile(self.roots, self.names)
+        self.constants = dict(constants or {})
+        self._run = _compile(self.roots, self.names, self.constants)
+
+    def binding(self, row) -> dict:
+        """The dict binding of ``row``: the constants, then the names, so a
+        name shadows a constant of the same name."""
+        return {**self.constants, **dict(zip(self.names, row))}
 
     def __call__(self, row) -> tuple:
         try:
             return self._run(row)
         except (ArithmeticError, ValueError, LookupError):
             pass  # leave the handler first: the walk's error has no context
-        binding = dict(zip(self.names, row))
+        binding = self.binding(row)
         return tuple(root.evaluate(binding) for root in self.roots)
 
     def values(self, row):
@@ -971,7 +984,7 @@ class Kernel:
         try:
             return self._run(row)
         except (ArithmeticError, ValueError, LookupError):
-            return _Walk(self.roots, dict(zip(self.names, row)))
+            return _Walk(self.roots, self.binding(row))
 
 
 class _Walk:
@@ -1005,10 +1018,13 @@ def evaluate(e: Expr, binding: Binding) -> float:
     return e.evaluate(binding)
 
 
-def compile(roots: Iterable[Expr], names: Iterable[str]) -> Kernel:
+def compile(
+    roots: Iterable[Expr], names: Iterable[str], constants: Optional[Binding] = None
+) -> Kernel:
     """Compile ``roots`` into one :class:`Kernel` over rows laid out as
-    ``names``."""
-    return Kernel(roots, names)
+    ``names``, with the values of ``constants`` (a problem's parameters)
+    bound into the code; a name in ``names`` shadows a constant."""
+    return Kernel(roots, names, constants)
 
 
 def partial(e: Expr, var: str) -> Expr:

@@ -9,7 +9,7 @@ on exact derivatives rather than finite differencing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import expressions as ex
@@ -93,24 +93,16 @@ class PhasePoint:
         return b
 
 
-def row_layout(n: int, params: Optional[dict]):
-    """The names of a positional row (x1..xn, y1..yn, then one per
-    parameter) and the parameter values that end each row. A parameter named
-    like a coordinate keeps its slot under a name no expression can read:
-    the coordinate binds the name. A row is thus ``2n + len(params)`` long."""
-    chart = ex.chart_names(n)
-    extra = tuple("." + k if k in chart else k for k in params or ())
-    return chart + extra, list((params or {}).values())
-
-
 def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[dict]):
-    """The kernel of ``roots`` over the rows of an n-dimensional chart and
-    ``params``; compiled on the first request and then kept in ``memo``,
-    where it keeps its roots alive."""
-    key = (tuple(map(id, roots)), n, tuple(params) if params else ())
+    """The kernel of ``roots`` over the chart points ``(x1..xn, y1..yn)``
+    with the values of ``params`` compiled in; compiled on the first request
+    and then kept in ``memo``, where it keeps its roots alive."""
+    # the values are compiled in: -0.0 is not 0.0, nor an int 0 a float 0.0
+    values = tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in (params or {}).items())
+    key = (tuple(map(id, roots)), n, values)
     kernel = memo.get(key)
     if kernel is None:
-        kernel = memo[key] = ex.compile(roots, row_layout(n, params)[0])
+        kernel = memo[key] = ex.compile(roots, ex.chart_names(n), params)
     return kernel
 
 
@@ -225,24 +217,24 @@ def homogeneity_degree(
 ) -> Optional[float]:
     """Fiber-homogeneity degree of a scalar field, or spray degree-2 check.
 
-    ``rows`` are laid out by :func:`row_layout` for ``obj.n`` and ``params``.
-    For fields, tests ``F(x, r y) = r^p F(x, y)`` at every row for
-    ``r in {0.5, 2, 3}`` and returns the common ``p`` if one exists (None
-    otherwise). A row where F is not evaluable or not finite is skipped, and
-    a scaled value that is neither gives None. For a :class:`SemiSpray`,
-    returns 2.0 when all coefficients scale quadratically, else None. Rows
-    with ``y = 0`` are skipped.
+    ``rows`` are chart points ``(x1..xn, y1..yn)``, and ``params`` holds
+    the parameter values. For fields, tests ``F(x, r y) = r^p F(x, y)`` at
+    every row for ``r in {0.5, 2, 3}`` and returns the common ``p`` if one
+    exists (None otherwise). A row where F is not evaluable or not finite
+    is skipped, and a scaled value that is neither gives None. For a
+    :class:`SemiSpray`, returns 2.0 when all coefficients scale
+    quadratically, else None. Rows with ``y = 0`` are skipped.
     """
     n = obj.n
-    names = row_layout(n, params)[0]
+    names = ex.chart_names(n)
     if isinstance(obj, SemiSpray):
         for g in obj.coefficients:
-            kernel = ex.compile((g,), names)
+            kernel = ex.compile((g,), names, params)
             if _field_degree(kernel, rows, n, tol) != 2.0:
                 if not _is_zero_at(kernel, rows, tol):
                     return None
         return 2.0
-    return _field_degree(ex.compile((obj.expr,), names), rows, n, tol)
+    return _field_degree(ex.compile((obj.expr,), names, params), rows, n, tol)
 
 
 def _is_zero_at(kernel, rows, tol) -> bool:
@@ -260,7 +252,7 @@ def _field_degree(kernel, rows, n, tol) -> Optional[float]:
     """The degree of the one root of ``kernel``, as in :func:`homogeneity_degree`."""
     estimate = None
     for row in rows:
-        x, y, tail = row[:n], row[n : 2 * n], row[2 * n :]
+        x, y = row[:n], row[n:]
         if all(v == 0.0 for v in y):
             continue
         try:
@@ -270,7 +262,7 @@ def _field_degree(kernel, rows, n, tol) -> Optional[float]:
         if not math.isfinite(base) or abs(base) < 1e-12:
             continue
         try:
-            scaled = [kernel([*x, *(r * v for v in y), *tail])[0] for r in _HOMOGENEITY_RATIOS]
+            scaled = [kernel([*x, *(r * v for v in y)])[0] for r in _HOMOGENEITY_RATIOS]
         except ex.DomainViolation:
             return None
         if not all(math.isfinite(v) for v in scaled):

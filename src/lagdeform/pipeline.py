@@ -288,7 +288,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     doc = ReportDocument(problem=spec)
     tol = spec.tolerances
     plan = spec.plan()
-    derived = DerivedFields(spec.spray, spec.lagrangian)
+    derived = DerivedFields(spec.spray, spec.lagrangian, spec.params)
 
     # The one sample set every check of the run reads.
     try:
@@ -314,9 +314,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
 
     sigma_ok = True
     if spec.sigma is not None:
-        doc.sigma_consistency = check_sigma_consistency(
-            derived, spec.sigma, samples, spec.params, tol["identity"]
-        )
+        doc.sigma_consistency = check_sigma_consistency(derived, spec.sigma, samples, tol["identity"])
         sigma_ok = doc.sigma_consistency.passed
         if not sigma_ok:
             doc.notes.append(
@@ -325,14 +323,10 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
             )
     sigma_use = spec.sigma if spec.sigma is not None else derived.defect
 
-    doc.sigma_condition = check_sigma_condition(
-        derived, sigma_use, samples, spec.params, tol["identity"]
-    )
+    doc.sigma_condition = check_sigma_condition(derived, sigma_use, samples, tol["identity"])
 
     try:
-        doc.dependence = functional_dependence_test(
-            derived, samples, plan, spec.params, tol["dependence"]
-        )
+        doc.dependence = functional_dependence_test(derived, samples, plan, tol["dependence"])
     except InsufficientSamples as exc:
         doc.notes.append(f"dependence test starved: {exc}")
         doc.verdict = "Inconclusive"
@@ -348,21 +342,17 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.verdict = "Inconclusive"
         return doc
 
-    doc.verify = verify_deformed_el(
-        derived, doc.deformation, samples, spec.params, tol["identity"]
-    )
+    doc.verify = verify_deformed_el(derived, doc.deformation, samples, tol["identity"])
     doc.base_hessian = _stage(
         "hessian", lambda: hessian_report(derived.hessian, samples, spec.params)
     )
     doc.deformed_hessian_report = _stage(
         "deformed_hessian",
-        lambda: deformed_hessian(derived, doc.deformation, samples, spec.params),
+        lambda: deformed_hessian(derived, doc.deformation, samples),
     )
 
     try:
-        doc.theorem2 = check_homogeneous(
-            derived, sigma_use, samples, spec.params, tol["wedge"]
-        )
+        doc.theorem2 = check_homogeneous(derived, sigma_use, samples, tol["wedge"])
         if spec.homogeneity is not None and abs(spec.homogeneity - doc.theorem2.degree) > 1e-9:
             doc.notes.append(
                 f"declared homogeneity {spec.homogeneity:g} != measured "
@@ -374,9 +364,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
             doc.notes.append(f"declared homogeneity not confirmed: {exc}")
 
     if spec.dissipation is not None:
-        doc.dissipative = check_dissipative(
-            derived, spec.dissipation, samples, spec.params, tol["identity"]
-        )
+        doc.dissipative = check_dissipative(derived, spec.dissipation, samples, tol["identity"])
 
     if mode == "report":
         doc.trajectory = _trajectory_stage(doc, spec, tol)
@@ -424,7 +412,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         return
 
     defect_max = 0.0
-    kernel = derived.kernel(tuple(derived.defect.components), spec.params)
+    kernel = derived.kernel(tuple(derived.defect.components))
     for row in samples.rows:
         values = kernel.values(row)
         for k in range(spec.n):
@@ -436,9 +424,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
 
     sigma_ok = True
     if spec.sigma is not None:
-        doc.sigma_consistency = check_sigma_consistency(
-            derived, spec.sigma, samples, spec.params, tol["identity"]
-        )
+        doc.sigma_consistency = check_sigma_consistency(derived, spec.sigma, samples, tol["identity"])
         # C(L) may vanish on this path, so the condition draws its own set.
         denominator = Guards((derived.liouville_of_L,), derived.theorem_guards().evaluable + sigma)
         try:
@@ -448,7 +434,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
             doc.verdict = "Inconclusive"
             return
         doc.sigma_condition = check_sigma_condition(
-            derived, spec.sigma, denominator_samples, spec.params, tol["identity"]
+            derived, spec.sigma, denominator_samples, tol["identity"]
         )
         sigma_ok = doc.sigma_consistency.passed and doc.sigma_condition.passed
         if not sigma_ok:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import expressions as ex
-from .geometry import cached_kernel, row_layout
+from .geometry import cached_kernel
 
 
 class SamplingError(Exception):
@@ -81,14 +81,14 @@ class Guards:
 
     nonzero: tuple = ()
     evaluable: tuple = ()
-    # the kernel of the evaluable, then the nonzero roots, per row layout
+    # the kernel of the evaluable, then the nonzero roots, per chart and params
     _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def admits(self, row, params: Optional[dict], eps: float) -> bool:
-        """Whether the guards accept ``row``, laid out by ``row_layout`` for
-        ``params``."""
+        """Whether the guards accept the chart point ``row`` under the
+        parameter values ``params``."""
         roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
-        n = (len(row) - len(params or ())) // 2
+        n = len(row) // 2
         values = cached_kernel(self._kernels, roots, n, params).values(row)
         evaluable = len(self.evaluable)
         try:
@@ -105,8 +105,8 @@ class Guards:
 
 
 class Samples(NamedTuple):
-    """The accepted rows of one draw, laid out by ``row_layout``, and the
-    number of draws it took."""
+    """The accepted rows of one draw, each a chart point ``(x1..xn,
+    y1..yn)``, and the number of draws it took."""
 
     rows: list
     attempts: int
@@ -131,7 +131,6 @@ def draw_samples(
     names = ex.chart_names(n)
     lows = np.array([plan.bounds[v][0] for v in names])
     highs = np.array([plan.bounds[v][1] for v in names])
-    tail = row_layout(n, params)[1]
 
     budget = max(64, int(math.ceil(plan.count / (1.0 - plan.max_reject_ratio))))
     accepted = []
@@ -139,7 +138,7 @@ def draw_samples(
     while len(accepted) < plan.count:
         if attempts >= budget:
             raise TooManyRejections(len(accepted), attempts, plan.count)
-        row = rng.uniform(lows, highs).tolist() + tail
+        row = rng.uniform(lows, highs).tolist()
         attempts += 1
         if guards.admits(row, params, plan.guard_eps):
             accepted.append(row)

@@ -6,7 +6,7 @@ evaluating expressions.
 """
 
 from lagdeform.expressions import chart_names, parse
-from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray, row_layout
+from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
 
 XY1 = ("x1", "y1")
 XY2 = ("x1", "x2", "y1", "y2")
@@ -18,9 +18,9 @@ def points(samples, n):
     return [PhasePoint(row[:n], row[n : 2 * n]) for row in samples.rows]
 
 
-def row_of(point, params=None):
-    """The positional row of ``point``, laid out for ``params``."""
-    return [*point.x, *point.y, *row_layout(point.n, params)[1]]
+def row_of(point):
+    """The positional row of ``point``: its chart coordinates."""
+    return [*point.x, *point.y]
 
 
 def binding(row, n, params=None):

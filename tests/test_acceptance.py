@@ -275,12 +275,12 @@ def test_criterion_4_homogeneous(docs):
 def test_criterion_5_lienard(docs):
     doc, _ = docs["lienard"]
     spec = doc.problem
-    derived = DerivedFields(spec.spray, spec.lagrangian)
+    derived = DerivedFields(spec.spray, spec.lagrangian, spec.params)
     samples = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params)
     worst = 0.0
     for p in points(samples, spec.n):
         b = p.binding(spec.params)
-        f_val = deformation_ratio(derived, p, spec.params)
+        f_val = deformation_ratio(derived, p)
         l_val = evaluate(spec.lagrangian.expr, b)
         worst = max(worst, abs(f_val - 1.0 / (2.0 * l_val)) / (1.0 + abs(f_val)))
     ok = worst <= 1e-9

@@ -53,11 +53,11 @@ from lagdeform.geometry import (
     ScalarField,
     SemiBasicForm,
     SemiSpray,
+    cached_kernel,
     fiber_hessian,
     homogeneity_degree,
     lagrange_differential,
     liouville_apply,
-    row_layout,
 )
 from lagdeform.pipeline import problem_from_dict
 from lagdeform.sampling import (
@@ -94,14 +94,14 @@ def plan_for(n, count=120, seed=42, **kw):
 
 
 def derived(sys):
-    return DerivedFields(sys["spray"], sys["lagrangian"])
+    return DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
 
 
 def dependence(spray, lagrangian, plan, params):
     """functional_dependence_test on the theorem-guard draw of ``plan``."""
-    d = DerivedFields(spray, lagrangian)
+    d = DerivedFields(spray, lagrangian, params)
     samples = draw_samples(plan, d.theorem_guards(), params)
-    return functional_dependence_test(d, samples, plan, params)
+    return functional_dependence_test(d, samples, plan)
 
 
 def evaluable(plan, params, *exprs):
@@ -173,6 +173,19 @@ def test_draw_samples_nonzero_constant_guard_still_draws():
     assert samples.rows == unguarded.rows
 
 
+def test_one_guards_admits_a_row_by_the_parameter_values_it_is_given():
+    # the kernel a Guards keeps has the values compiled in, so it is kept
+    # per value and not per parameter name, and -0.0 is not 0.0
+    names = ("x1", "y1", "a")
+    guards = Guards(evaluable=(parse("ln(a*x1)", names),))
+    assert guards.admits([1.0, 1.0], {"a": 1.0}, 1e-6)
+    assert not guards.admits([1.0, 1.0], {"a": -1.0}, 1e-6)
+    memo, roots = {}, (parse("a*x1", names),)
+    for a in (0.0, -0.0, 0.0):
+        value = cached_kernel(memo, roots, 1, {"a": a})([1.0, 1.0])[0]
+        assert math.copysign(1.0, value) == math.copysign(1.0, a)
+
+
 def test_draw_samples_high_acceptance_for_damped_oscillator():
     sys = damped_oscillator()
     from lagdeform.conditions import DerivedFields
@@ -199,9 +212,9 @@ def test_reports_count_rejected_draws():
     dissipation = ScalarField(1, parse("y1^2", names))
     samples = draw_samples(plan, d.run_guards(d.defect, dissipation), {})
     reports = [
-        check_sigma_condition(d, d.defect, samples, {}),
-        check_sigma_consistency(d, d.defect, samples, {}),
-        check_dissipative(d, dissipation, samples, {}).gradient_match,
+        check_sigma_condition(d, d.defect, samples),
+        check_sigma_consistency(d, d.defect, samples),
+        check_dissipative(d, dissipation, samples).gradient_match,
     ]
     for report in reports:
         assert report.rejected > 0
@@ -216,7 +229,7 @@ def test_reports_count_rejected_draws():
 def test_ratio_damped_oscillator_point():
     sys = damped_oscillator()
     p = PhasePoint([1.0, 0.0], [2.0, 1.0])
-    got = deformation_ratio(derived(sys), p, sys["params"])
+    got = deformation_ratio(derived(sys), p)
     assert got == pytest.approx(-0.2, rel=1e-12)
     # equals -1/(2L) with L = 2.5
     assert got == pytest.approx(-1.0 / 5.0)
@@ -227,9 +240,9 @@ def test_ratio_exp_class_is_constant_b():
     plan = plan_for(3, count=40, seed=5)
     from lagdeform.conditions import DerivedFields
 
-    d = DerivedFields(sys["spray"], sys["lagrangian"])
+    d = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
     for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), 3):
-        got = deformation_ratio(d, p, sys["params"])
+        got = deformation_ratio(d, p)
         assert got == pytest.approx(1.0, abs=1e-9)
 
 
@@ -237,7 +250,7 @@ def test_ratio_lienard_positive_sign():
     # measured slope is +1/(2 alpha L); at (1, 1) with alpha = 1 that is 1/18
     sys = lienard()
     p = PhasePoint([1.0], [1.0])
-    got = deformation_ratio(derived(sys), p, sys["params"])
+    got = deformation_ratio(derived(sys), p)
     assert got == pytest.approx(1.0 / 18.0, rel=1e-12)
 
 
@@ -245,7 +258,7 @@ def test_ratio_guard_violation_for_conserved_lagrangian():
     sys = free_particle(2)
     p = PhasePoint([1.0, 1.0], [1.0, 1.0])
     with pytest.raises(GuardViolation):
-        deformation_ratio(derived(sys), p, sys["params"])
+        deformation_ratio(derived(sys), p)
 
 
 def _ratio_via_duals(sys, point):
@@ -278,10 +291,10 @@ def test_ratio_symbolic_vs_dual_routes(factory):
     sys = factory()
     from lagdeform.conditions import DerivedFields
 
-    d = DerivedFields(sys["spray"], sys["lagrangian"])
+    d = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
     plan = plan_for(sys["n"], count=40, seed=23)
     for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), sys["n"]):
-        symbolic = deformation_ratio(d, p, sys["params"])
+        symbolic = deformation_ratio(d, p)
         dual = _ratio_via_duals(sys, p)
         assert abs(symbolic - dual) <= 1e-10 * (1.0 + abs(symbolic))
 
@@ -295,7 +308,7 @@ def test_sigma_condition_damped_oscillator_passes():
     sys = damped_oscillator()
     d = derived(sys)
     samples = denominator_samples(d, sys["sigma"], plan_for(2, 200), sys["params"])
-    report = check_sigma_condition(d, sys["sigma"], samples, sys["params"])
+    report = check_sigma_condition(d, sys["sigma"], samples)
     assert report.passed
     assert report.max_residual <= 1e-10
 
@@ -308,7 +321,7 @@ def test_sigma_condition_perturbed_fails():
     perturbed = SemiBasicForm(2, comps)
     d = derived(sys)
     samples = denominator_samples(d, perturbed, plan_for(2, 200), sys["params"])
-    report = check_sigma_condition(d, perturbed, samples, sys["params"])
+    report = check_sigma_condition(d, perturbed, samples)
     assert not report.passed
     assert report.max_residual >= 0.01
 
@@ -318,7 +331,7 @@ def test_sigma_condition_zero_force_conservative_vacuous():
     zero = SemiBasicForm(2, [parse("0", ("x1",)), parse("0", ("x1",))])
     d = derived(sys)
     samples = denominator_samples(d, zero, plan_for(2, 100), sys["params"])
-    report = check_sigma_condition(d, zero, samples, sys["params"])
+    report = check_sigma_condition(d, zero, samples)
     assert report.passed
     assert report.max_residual == 0.0
 
@@ -327,7 +340,7 @@ def test_sigma_consistency_drag_system():
     sys = drag_system()
     d = derived(sys)
     samples = consistency_samples(d, sys["sigma"], plan_for(2, 150), sys["params"])
-    report = check_sigma_consistency(d, sys["sigma"], samples, sys["params"])
+    report = check_sigma_consistency(d, sys["sigma"], samples)
     assert report.passed
 
 
@@ -336,7 +349,7 @@ def test_sigma_consistency_catches_misaligned_force():
     sys = damped_oscillator()
     d = derived(sys)
     samples = consistency_samples(d, sys["sigma"], plan_for(2, 150), sys["params"])
-    report = check_sigma_consistency(d, sys["sigma"], samples, sys["params"])
+    report = check_sigma_consistency(d, sys["sigma"], samples)
     assert not report.passed
     assert report.max_residual > 0.01
 
@@ -590,7 +603,7 @@ def test_homogeneous_example_passes():
     sys = homogeneous_example()
     plan = SamplePlan(bounds={**box(3, 0.5, 2.0)}, count=150, seed=15)
     samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *sys["sigma"].components)
-    report = check_homogeneous(derived(sys), sys["sigma"], samples, sys["params"])
+    report = check_homogeneous(derived(sys), sys["sigma"], samples)
     assert report.passed
     assert report.degree == pytest.approx(2.0, abs=1e-9)
     assert report.wedge_residual <= 1e-10
@@ -606,7 +619,7 @@ def test_homogeneous_broken_proportionality_fails():
     )
     plan = SamplePlan(bounds=box(3, 0.5, 2.0), count=100, seed=15)
     samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *broken.components)
-    report = check_homogeneous(derived(sys), broken, samples, sys["params"])
+    report = check_homogeneous(derived(sys), broken, samples)
     assert not report.passed
     assert report.wedge_residual > 1e-3
 
@@ -619,7 +632,7 @@ def test_homogeneous_degree_one_rejected():
     plan = SamplePlan(bounds=box(3, 0.5, 2.0), count=60, seed=19)
     samples = evaluable(plan, {}, degree_one.expr, *zero.components)
     with pytest.raises(NotHomogeneous) as exc:
-        check_homogeneous(DerivedFields(sys["spray"], degree_one), zero, samples, {})
+        check_homogeneous(DerivedFields(sys["spray"], degree_one), zero, samples)
     assert "degree 1" in str(exc.value)
 
 
@@ -628,7 +641,7 @@ def test_homogeneous_inhomogeneous_rejected():
     plan = plan_for(2, 60)
     samples = evaluable(plan, sys["params"], sys["lagrangian"].expr, *sys["sigma"].components)
     with pytest.raises(NotHomogeneous):
-        check_homogeneous(derived(sys), sys["sigma"], samples, sys["params"])
+        check_homogeneous(derived(sys), sys["sigma"], samples)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +653,7 @@ def test_dissipative_damped_oscillator_passes():
     sys = damped_oscillator()
     d = derived(sys)
     samples = dissipative_samples(d, sys["dissipation"], plan_for(2, 150), sys["params"])
-    report = check_dissipative(d, sys["dissipation"], samples, sys["params"])
+    report = check_dissipative(d, sys["dissipation"], samples)
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
     assert not report.rayleigh  # D has linear-in-velocity terms
@@ -651,7 +664,7 @@ def test_dissipative_zero_function_trivial():
     zero = ScalarField(2, parse("0", ("x1",)))
     d = derived(sys)
     samples = dissipative_samples(d, zero, plan_for(2, 60), sys["params"])
-    report = check_dissipative(d, zero, samples, sys["params"])
+    report = check_dissipative(d, zero, samples)
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
 
@@ -664,7 +677,7 @@ def test_dissipative_perturbed_gradient_fails():
     )
     d = derived(sys)
     samples = dissipative_samples(d, perturbed, plan_for(2, 150), sys["params"])
-    report = check_dissipative(d, perturbed, samples, sys["params"])
+    report = check_dissipative(d, perturbed, samples)
     assert not report.gradient_match.passed
 
 
@@ -672,7 +685,7 @@ def test_dissipative_rayleigh_reports_negative_quadratic():
     sys = rayleigh_drag()
     d = derived(sys)
     samples = dissipative_samples(d, sys["dissipation"], plan_for(2, 100), sys["params"])
-    report = check_dissipative(d, sys["dissipation"], samples, sys["params"])
+    report = check_dissipative(d, sys["dissipation"], samples)
     assert report.gradient_match.passed
     assert report.energy_rate_match.passed
     assert report.rayleigh
@@ -728,7 +741,7 @@ def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
         except ex.DomainViolation:
             continue
         if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return mid + row_layout(n, params)[1]
+            return mid
     return None
 
 
@@ -754,7 +767,7 @@ def _ref_sigma_condition(d, sigma, samples, params, tol=1e-9):
             worst = _ref_max(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_condition", residuals, samples.rows, sigma.n, samples.rejected, tol
+        "sigma_condition", residuals, samples.rows, samples.rejected, tol
     )
 
 
@@ -769,7 +782,7 @@ def _ref_sigma_consistency(d, sigma, samples, params, tol=1e-9):
             worst = _ref_max(worst, abs(s_i - defect_i) / (1.0 + abs(s_i)))
         residuals.append(worst)
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, samples.rows, sigma.n, samples.rejected, tol
+        "sigma_consistency", residuals, samples.rows, samples.rejected, tol
     )
 
 
@@ -856,7 +869,7 @@ def _ref_verify(d, deformation, samples, params, tol=1e-9):
         expansion_max = _ref_max(expansion_max, exp_worst)
         agreement_max = _ref_max(agreement_max, agree)
     direct = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, n, samples.rejected + out_of_interval, tol
+        "deformed_euler_lagrange", residuals, kept, samples.rejected + out_of_interval, tol
     )
     return DeformedELReport(direct, expansion_max, agreement_max, out_of_interval)
 
@@ -940,9 +953,9 @@ def _ref_dissipative(d, dissipation, samples, params, tol=1e-9):
         twice_res.append(abs(sel - twice) / (1.0 + abs(twice)))
     rows, rejected = samples.rows, samples.rejected
     return (
-        ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, n, rejected, tol),
-        ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, n, rejected, tol),
-        ConditionReport.from_residuals("energy_rate_is_2D", twice_res, rows, n, rejected, tol),
+        ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, rejected, tol),
+        ConditionReport.from_residuals("energy_rate_is_2D", twice_res, rows, rejected, tol),
     )
 
 
@@ -986,8 +999,8 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     targets = [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
     if name == "subnormal":
         targets = [0.0, -0.0] * 16
-    level = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian).kernel(
-        (lagrangian.expr,), params
+    level = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian, params).kernel(
+        (lagrangian.expr,)
     )
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
@@ -996,7 +1009,7 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     found = []
     for target in targets:
         want = _ref_solve_on_level(lagrangian, plan, params, rng_ref, target, names, n)
-        got = _solve_on_level(level, row_layout(n, params)[1], lows, highs, rng, target, n)
+        got = _solve_on_level(level, lows, highs, rng, target, n)
         assert (got is None) == (want is None)
         if want is not None:
             assert _bits(got) == _bits(want)
@@ -1012,7 +1025,7 @@ def _run_inputs(name, offset):
     data = json.loads(corpus_text(name))
     data["sampling"]["seed"] += offset
     spec = problem_from_dict(data)
-    d = DerivedFields(spec.spray, spec.lagrangian)
+    d = DerivedFields(spec.spray, spec.lagrangian, spec.params)
     plan = spec.plan()
     if name == "free-particle":
         guards = Guards(evaluable=(spec.lagrangian.expr,) + tuple(d.defect.components))
@@ -1028,7 +1041,7 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
     params = spec.params
     sigma = spec.sigma if spec.sigma is not None else d.defect
 
-    assert _bits(check_sigma_consistency(d, sigma, samples, params)) == _bits(
+    assert _bits(check_sigma_consistency(d, sigma, samples)) == _bits(
         _ref_sigma_consistency(d, sigma, samples, params)
     )
     base = hessian_report(d.hessian, samples, params)
@@ -1038,10 +1051,10 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
     if name == "free-particle":
         return  # S(L) = 0: the run takes the conservative branch
 
-    assert _bits(check_sigma_condition(d, sigma, samples, params)) == _bits(
+    assert _bits(check_sigma_condition(d, sigma, samples)) == _bits(
         _ref_sigma_condition(d, sigma, samples, params)
     )
-    result = functional_dependence_test(d, samples, plan, params)
+    result = functional_dependence_test(d, samples, plan)
     cloud, groups = _ref_dependence(d, samples, plan, params)
     assert _bits(result.cloud) == _bits(_merge_duplicate_abscissae(cloud))
     used = [g for g in groups if len(g) >= 2]
@@ -1050,10 +1063,10 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
 
     ls = [l for l, _ in result.cloud]
     deformation = synthesize(classify(result.cloud).chosen, (min(ls), max(ls)))
-    assert _bits(verify_deformed_el(d, deformation, samples, params)) == _bits(
+    assert _bits(verify_deformed_el(d, deformation, samples)) == _bits(
         _ref_verify(d, deformation, samples, params)
     )
-    matrix = deformed_hessian_matrix(d, deformation, params)
+    matrix = deformed_hessian_matrix(d, deformation)
     for row in samples.rows[:50]:
         try:
             want = _ref_deformed_hessian_at(d, deformation, row, params)
@@ -1067,14 +1080,14 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
     degree = _ref_homogeneity_degree(spec.lagrangian.expr, spec.n, samples.rows, params)
     assert homogeneity_degree(spec.lagrangian, samples.rows, params) == degree
     try:
-        report = check_homogeneous(d, sigma, samples, params)
+        report = check_homogeneous(d, sigma, samples)
     except NotHomogeneous:
         pass
     else:
         assert positive and _bits(report.wedge_residual) == _bits(wedge)
 
     if spec.dissipation is not None:
-        report = check_dissipative(d, spec.dissipation, samples, params)
+        report = check_dissipative(d, spec.dissipation, samples)
         gradient, rate, twice = _ref_dissipative(d, spec.dissipation, samples, params)
         assert _bits(report.gradient_match) == _bits(gradient)
         assert _bits(report.energy_rate_match) == _bits(rate)
@@ -1102,7 +1115,7 @@ def test_an_out_of_interval_phi_is_counted_as_the_reference_counts_it():
     d = _one_dimensional("y1 - 1", spray="0")
     samples = draw_samples(plan_for(1, 80), Guards(evaluable=(d.lagrangian.expr,)), {})
     deformation = synthesize(Logarithmic(0.2), (0.0, 1.0))
-    got = verify_deformed_el(d, deformation, samples, {})
+    got = verify_deformed_el(d, deformation, samples)
     assert 0 < got.out_of_interval < len(samples.rows)
     assert _bits(got) == _bits(_ref_verify(d, deformation, samples, {}))
 
@@ -1117,7 +1130,7 @@ def test_a_raising_vertical_differential_propagates_the_reference_error():
     with pytest.raises(ex.DomainViolation) as want:
         _ref_sigma_condition(d, sigma, samples, {})
     with pytest.raises(ex.DomainViolation) as got:
-        check_sigma_condition(d, sigma, samples, {})
+        check_sigma_condition(d, sigma, samples)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     assert got.value.expr is want.value.expr
 
@@ -1139,7 +1152,7 @@ def _nan_samples(n):
 
 def test_from_residuals_takes_a_nan_as_the_worst_residual():
     rows = [[1.0, 1.0], [2.0, 2.0]]
-    report = ConditionReport.from_residuals("c", [0.0, math.nan], rows, 1, 0, 1e-9)
+    report = ConditionReport.from_residuals("c", [0.0, math.nan], rows, 0, 1e-9)
     assert not report.passed
     assert math.isnan(report.max_residual)
     assert report.worst_point == PhasePoint([2.0], [2.0])
@@ -1155,10 +1168,10 @@ def test_a_nan_residual_fails_the_sigma_verify_and_dissipative_checks():
     samples = _nan_samples(1)
     zero = SemiBasicForm(1, [parse("0", names)])
     reports = [
-        check_sigma_consistency(d, zero, samples, {}),
-        check_sigma_condition(d, d.defect, samples, {}),
-        verify_deformed_el(d, synthesize(Affine(), (0.0, 1.0)), samples, {}).direct,
-        check_dissipative(d, ScalarField(1, parse("y1", names)), samples, {}).gradient_match,
+        check_sigma_consistency(d, zero, samples),
+        check_sigma_condition(d, d.defect, samples),
+        verify_deformed_el(d, synthesize(Affine(), (0.0, 1.0)), samples).direct,
+        check_dissipative(d, ScalarField(1, parse("y1", names)), samples).gradient_match,
     ]
     for report in reports:
         assert not report.passed, report.condition
@@ -1173,9 +1186,17 @@ def test_a_nan_wedge_fails_the_homogeneous_check():
     sigma = SemiBasicForm(
         2, [parse(f"y1*y1 + ({_NAN_AT_1E200})*y1*y1", names), parse("y1*y2", names)]
     )
-    report = check_homogeneous(d, sigma, _nan_samples(2), {})
+    report = check_homogeneous(d, sigma, _nan_samples(2))
     assert math.isnan(report.wedge_residual)
     assert not report.passed
+
+
+def test_a_nan_lagrangian_is_not_positive_in_the_homogeneous_check():
+    # L is NaN at (1e200, 1), where the positivity test must not let it pass
+    d = _one_dimensional(f"0.5*y1^2 + ({_NAN_AT_1E200})")
+    sigma = SemiBasicForm(1, [parse("y1^2", ("x1", "y1"))])
+    with pytest.raises(NotHomogeneous, match="must be positive"):
+        check_homogeneous(d, sigma, _nan_samples(1))
 
 
 def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
@@ -1202,6 +1223,6 @@ def test_a_nan_dissipation_is_not_negative_in_either_order():
     dissipation = ScalarField(1, parse(f"-(y1^2) + ({_NAN_AT_1E200})*y1^2", ("x1", "y1")))
     rows = _nan_samples(1).rows
     for order in (rows, rows[::-1]):
-        report = check_dissipative(d, dissipation, Samples(order, 2), {})
+        report = check_dissipative(d, dissipation, Samples(order, 2))
         assert report.rayleigh
         assert report.dissipation_negative is False

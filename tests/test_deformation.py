@@ -61,7 +61,7 @@ def plan_for(n, count=120, seed=42):
 
 
 def derived(sys):
-    return DerivedFields(sys["spray"], sys["lagrangian"])
+    return DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
 
 
 def evaluable(sys, plan):
@@ -202,10 +202,9 @@ def test_verify_drag_system_with_root():
     sys = drag_system()
     phi = synthesize(PowerShift(-0.5, 0.0), (0.25, 4.0))
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         phi,
         evaluable(sys, plan_for(2, 200)),
-        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -214,19 +213,18 @@ def test_verify_drag_system_with_root():
 
 def test_verify_moebius_system():
     sys = moebius_class()
-    derived = DerivedFields(sys["spray"], sys["lagrangian"])
+    derived = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
     plan = plan_for(3, 150, seed=31)
     samples = draw_samples(plan, derived.theorem_guards(), sys["params"])
-    result = functional_dependence_test(derived, samples, plan, sys["params"])
+    result = functional_dependence_test(derived, samples, plan)
     fit = classify(result.cloud)
     assert isinstance(fit.chosen, Moebius)
     ls = [l for l, _ in result.cloud]
     phi = synthesize(fit.chosen, (min(ls), max(ls)))
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         phi,
         evaluable(sys, plan_for(3, 150, seed=33)),
-        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -236,10 +234,9 @@ def test_verify_wrong_deformation_fails():
     sys = drag_system()
     wrong = synthesize(PowerShift(1.0, 0.0), (0.25, 4.0))  # Phi = L^2/2
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         wrong,
         evaluable(sys, plan_for(2, 100)),
-        sys["params"],
     )
     assert not report.direct.passed
     assert report.direct.max_residual > 1e-3
@@ -250,10 +247,9 @@ def test_verify_numeric_deformation():
     cloud = [(l, -0.5 / l) for l in np.linspace(0.25, 4.5, 400)]
     phi = synthesize_numeric(cloud)
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         phi,
         evaluable(sys, plan_for(2, 100)),
-        sys["params"],
         tol=1e-5,
     )
     # numeric quadrature limits the residual, but it stays small
@@ -264,10 +260,9 @@ def test_verify_lienard_three_halves():
     sys = lienard()
     phi = synthesize(PowerShift(0.5, 0.0), (2.0, 40.0))
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         phi,
         evaluable(sys, plan_for(1, 150)),
-        sys["params"],
     )
     assert report.direct.passed
     assert report.direct.max_residual <= 1e-9
@@ -282,7 +277,7 @@ def test_deformed_hessian_homogeneous_root_is_singular():
     sys = homogeneous_example()
     phi = synthesize(HomogeneousRoot(2.0), (0.5, 30.0))
     report = deformed_hessian(
-        derived(sys), phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(3, 80))
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
@@ -292,7 +287,7 @@ def test_deformed_hessian_affine_keeps_rank():
     sys = free_particle(2)
     phi = synthesize(Affine(), (0.25, 4.0))
     report = deformed_hessian(
-        derived(sys), phi, evaluable(sys, plan_for(2, 60)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(2, 60))
     )
     assert (report.min_rank, report.max_rank) == (2, 2)
 
@@ -301,7 +296,7 @@ def test_deformed_hessian_moebius_regular():
     sys = moebius_class()
     phi = synthesize(Moebius(0.5, 1.0), (-2.95, -2.01))
     report = deformed_hessian(
-        derived(sys), phi, evaluable(sys, plan_for(3, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(3, 80))
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (3, 3)
@@ -311,7 +306,7 @@ def test_deformed_hessian_drag_root_rank_one():
     sys = drag_system()
     phi = synthesize(PowerShift(-0.5, 0.0), (0.25, 4.0))
     report = deformed_hessian(
-        derived(sys), phi, evaluable(sys, plan_for(2, 80)), sys["params"]
+        derived(sys), phi, evaluable(sys, plan_for(2, 80))
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
@@ -322,7 +317,7 @@ def test_deformed_hessian_skips_points_where_phi_overflows():
     sys = free_particle(2)
     phi = synthesize(Constant(1e4), (0.25, 4.0))
     with pytest.raises(InsufficientSamples):
-        deformed_hessian(derived(sys), phi, evaluable(sys, plan_for(2, 20)), sys["params"])
+        deformed_hessian(derived(sys), phi, evaluable(sys, plan_for(2, 20)))
 
 
 def test_affine_rescale_preserves_verdicts():
@@ -335,17 +330,16 @@ def test_affine_rescale_preserves_verdicts():
     assert sd1 == pytest.approx(3.5 * d1)
     assert sd2 == pytest.approx(3.5 * d2)
     report = verify_deformed_el(
-        DerivedFields(sys["spray"], sys["lagrangian"]),
+        DerivedFields(sys["spray"], sys["lagrangian"], sys["params"]),
         scaled,
         evaluable(sys, plan_for(2, 100)),
-        sys["params"],
     )
     assert report.direct.passed
     h_base = deformed_hessian(
-        derived(sys), base, evaluable(sys, plan_for(2, 50)), sys["params"]
+        derived(sys), base, evaluable(sys, plan_for(2, 50))
     )
     h_scaled = deformed_hessian(
-        derived(sys), scaled, evaluable(sys, plan_for(2, 50)), sys["params"]
+        derived(sys), scaled, evaluable(sys, plan_for(2, 50))
     )
     assert (h_base.min_rank, h_base.max_rank) == (h_scaled.min_rank, h_scaled.max_rank)
 
@@ -384,7 +378,7 @@ def test_verify_counts_draw_and_interval_rejections():
     plan = plan_for(1, 200, seed=8)
     samples = draw_samples(plan, Guards(evaluable=(lagrangian.expr,)), {})
     phi = synthesize(Logarithmic(1.0), (0.0, 1.0))
-    report = verify_deformed_el(DerivedFields(spray, lagrangian), phi, samples, {})
+    report = verify_deformed_el(DerivedFields(spray, lagrangian), phi, samples)
     outside = sum(evaluate(lagrangian.expr, binding(row, 1)) <= -1.0 for row in samples.rows)
     assert samples.attempts > plan.count
     assert report.out_of_interval == outside > 0
@@ -409,8 +403,8 @@ def _closed_form_problem(corpus_reports, name):
 def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
     spec, deformed = _closed_form_problem(corpus_reports, name)
     symbolic = fiber_hessian(deformed.composed())
-    derived_fields = DerivedFields(spec.spray, spec.lagrangian)
-    chain = deformed_hessian_matrix(derived_fields, deformed.deformation, spec.params)
+    derived_fields = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+    chain = deformed_hessian_matrix(derived_fields, deformed.deformation)
     samples = draw_samples(
         spec.plan(count=60), Guards(evaluable=(spec.lagrangian.expr,)), spec.params
     )
@@ -418,7 +412,7 @@ def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
         b = binding(row, spec.n, spec.params)
         want = np.array([[evaluate(cell, b) for cell in line] for line in symbolic])
         assert np.all(np.abs(chain(row) - want) <= 1e-9 * (1.0 + np.abs(want))), row
-    by_chain = deformed_hessian(derived_fields, deformed.deformation, samples, spec.params)
+    by_chain = deformed_hessian(derived_fields, deformed.deformation, samples)
     by_symbols = hessian_report(symbolic, samples, spec.params)
     assert (by_chain.min_rank, by_chain.max_rank, by_chain.samples) == (
         by_symbols.min_rank,

@@ -17,7 +17,7 @@ from lagdeform.dynamics import (
     trajectory_to_csv,
 )
 from lagdeform.expressions import DomainViolation, Overflow, chart_names, parse, partial
-from lagdeform.families import Constant, PowerShift
+from lagdeform.families import Affine, Constant, PowerShift
 from lagdeform.geometry import (
     PhasePoint,
     ScalarField,
@@ -492,3 +492,17 @@ def test_lagrangian_outside_phi_interval_is_out_of_interval_first():
         el_residual_along(traj, deformed)
     with pytest.raises(DomainViolation, match="sign undefined at zero"):
         energy_along(traj, lagrangian)
+
+
+def test_a_parameterized_lagrangian_fails_along_the_flow_with_its_own_error():
+    # L = y1^2/2 + ln(a - x1) with a = 1 is not evaluable once x1 reaches 1;
+    # the walk that finds the error binds the parameter beside the state
+    names = ("x1", "y1", "a")
+    spray = SemiSpray(1, [parse("0", names)])
+    lagrangian = ScalarField(1, parse("0.5*y1^2 + ln(a - x1)", names))
+    deformed = DeformedLagrangian(lagrangian, synthesize(Affine(), (0.0, 1.0)))
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.5], [1.0]))
+    traj = _assert_matches_reference(spray, (lagrangian, deformed), cfg, {"a": 1.0})
+    for lag in (lagrangian, deformed):
+        with pytest.raises(DomainViolation, match=r"in 'ln\(a - x1\)'"):
+            energy_along(traj, lag)

@@ -456,25 +456,35 @@ def _bindings(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_expressions(), st.lists(_bindings(), min_size=1, max_size=3))
-def test_compiled_evaluation_matches_tree_walk(e, bindings):
-    # a one-root kernel over the names a binding binds; a later binding of
-    # the same names reuses the code the first one ran
+@given(
+    _expressions(),
+    st.lists(_bindings(), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=len(_NAMES)),
+)
+def test_compiled_evaluation_matches_tree_walk(e, bindings, split):
+    # a one-root kernel over the first ``split`` names a binding binds, with
+    # the rest bound in as constants, beside a constant named like the first
+    # row entry that the row must shadow; a later binding of the same names
+    # and constants reuses the code the first one ran
     kernels = {}
     for binding in bindings:
-        names = tuple(binding)
-        if names not in kernels:
-            kernels[names] = compile([e], names)
-        walk_log, row = _ReadLog(binding), _RowLog(binding.values())
+        names = tuple(binding)[:split]
+        constants = {name: binding[name] for name in tuple(binding)[split:]}
+        if names:
+            constants[names[0]] = 7.0  # no binding holds 7.0
+        key = (names, tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in constants.items()))
+        if key not in kernels:
+            kernels[key] = compile([e], names, constants)
+        walk_log, row = _ReadLog(binding), _RowLog(binding[name] for name in names)
         with np.errstate(all="ignore"):
             want = _outcome(lambda: e.evaluate(walk_log))
-            got = _outcome(lambda: kernels[names](row)[0])
+            got = _outcome(lambda: kernels[key](row)[0])
         assert got == want, to_source(e)
         if want[0] == "value":
-            # the same names first read in the same order: the same
+            # the same row names first read in the same order: the same
             # operations in the same order, less the repeats
             first_reads = [names[i] for i in dict.fromkeys(row.reads)]
-            assert first_reads == list(dict.fromkeys(walk_log.reads))
+            assert first_reads == [v for v in dict.fromkeys(walk_log.reads) if v in names]
 
 
 def test_float64_zero_denominator_is_domain_violation():

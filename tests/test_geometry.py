@@ -38,8 +38,8 @@ def random_points(rng, n, count, lo=0.3, hi=1.8):
     return pts
 
 
-def rows(pts, params=None):
-    return [row_of(p, params) for p in pts]
+def rows(pts):
+    return [row_of(p) for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def test_homogeneity_spray_not_quadratic():
     sys = damped_oscillator()
     rng = random.Random(31)
     pts = random_points(rng, 2, 20)
-    assert homogeneity_degree(sys["spray"], rows(pts, sys["params"]), params=sys["params"]) is None
+    assert homogeneity_degree(sys["spray"], rows(pts), params=sys["params"]) is None
 
 
 def test_euler_relation_at_detected_degree():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from lagdeform.pipeline import (
     _trajectory_stage,
     emit_report,
     problem_from_dict,
+    report_to_dict,
     report_to_text,
     run_pipeline,
 )
@@ -106,6 +108,24 @@ def test_bad_sampling_rejected():
 def test_unknown_tolerance_rejected():
     with pytest.raises(SchemaError):
         problem_from_dict(minimal_problem(tolerances={"bogus": 1.0}))
+
+
+def test_a_parameter_named_like_a_coordinate_is_shadowed_by_it():
+    # in a 1-D chart the coordinate x1 shadows the parameter x1, while x2
+    # reads its parameter; the run is the one of L = (y1 + 2*x1)^2
+    spec = problem_from_dict(
+        minimal_problem(params={"x1": 100.0, "x2": 2.0}, lagrangian="(y1 + x2*x1)^2")
+    )
+    derived = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+    samples = draw_samples(spec.plan(), derived.run_guards(), spec.params)
+    assert {len(row) for row in samples.rows} == {2 * spec.n}
+    kernel = derived.kernel((spec.lagrangian.expr,))
+    for x1, y1 in samples.rows[:10]:
+        assert kernel([x1, y1])[0] == math.pow(y1 + 2.0 * x1, 2.0)
+    shadowed = report_to_dict(run_pipeline(spec, mode="verify"))
+    plain = report_to_dict(run_pipeline(problem_from_dict(minimal_problem()), mode="verify"))
+    del shadowed["problem"], plain["problem"]
+    assert shadowed == plain
 
 
 def test_load_problem_from_file(tmp_path):

@@ -8,7 +8,8 @@ integration with CSV export.
 
 Exit codes: 0 for DeformableRegular / DeformableSingular /
 ConservativeAffineOnly, 1 for NotOfTheoremForm, 2 for Inconclusive,
-3 for input errors.
+3 for input errors, and for a ``geodesic`` run that blows up or leaves the
+domain of L.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ import sys
 from dataclasses import replace
 
 from .deformation import DeformedLagrangian
-from .dynamics import IntegratorConfig, integrate_geodesic, trajectory_to_csv
-from .expressions import ParseError
+from .dynamics import (
+    GeodesicError,
+    IntegratorConfig,
+    integrate_geodesic,
+    trajectory_to_csv,
+)
+from .expressions import ExpressionError, ParseError
 from .geometry import PhasePoint
 from .pipeline import (
     ReportDocument,
@@ -113,14 +119,22 @@ def _run_geodesic(args) -> int:
     cfg = IntegratorConfig(
         step=args.step, horizon=args.horizon, initial=PhasePoint(args.x0, args.y0)
     )
-    traj = integrate_geodesic(spec.spray, cfg, spec.params)
+    try:
+        traj = integrate_geodesic(spec.spray, cfg, spec.params)
+    except GeodesicError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     doc = run_pipeline(spec, mode="synthesize")
     deformed = (
         DeformedLagrangian(spec.lagrangian, doc.deformation)
         if doc.deformation is not None
         else None
     )
-    csv_text = trajectory_to_csv(traj, spec.lagrangian, deformed)
+    try:
+        csv_text = trajectory_to_csv(traj, spec.lagrangian, deformed)
+    except ExpressionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import expressions as ex
 from .conditions import (
@@ -38,6 +37,9 @@ from .families import (
 )
 from .geometry import ScalarField, lagrange_differential
 from .sampling import Samples
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 
 # Points of the uniform grid a numeric deformation is integrated on.
@@ -235,6 +237,9 @@ def synthesize(family, data_interval: tuple) -> Deformation:
 def synthesize_numeric(cloud: Sequence) -> Numeric:
     """Integrate a sampled slope cloud: F = int f (trapezoid on a uniform
     grid), Phi' = exp(F), Phi = int Phi'."""
+    # scipy is loaded here, not at module level: closed-form runs never need it
+    from scipy.interpolate import PchipInterpolator
+
     pts = sorted((float(l), float(f)) for l, f in cloud)
     if len(pts) < 8:
         raise InsufficientSamples("numeric synthesis needs at least 8 points")
@@ -256,6 +261,8 @@ def synthesize_numeric(cloud: Sequence) -> Numeric:
 def _numeric(grid: tuple, values: tuple, derivatives: tuple) -> Numeric:
     """The grid deformation through ``values`` of Phi and ``derivatives``
     of Phi' at the ``grid`` points."""
+    from scipy.interpolate import PchipInterpolator
+
     points = np.asarray(grid)
     interp_dphi = PchipInterpolator(points, np.asarray(derivatives))
     return Numeric(

@@ -141,6 +141,25 @@ def test_geodesic_dimension_mismatch(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "problem, x0, y0, horizon, message",
+    [
+        ("homogeneous", "1 1 1", "5 5 5", "2", "non-finite state (blow-up)"),
+        ("exp-class", "0 0 0", "0 0 1", "0.1", "ln of non-positive value"),
+    ],
+    ids=["blow-up", "off-the-domain-of-L"],
+)
+def test_geodesic_failure_is_an_input_error(capsys, problem, x0, y0, horizon, message):
+    code = main(
+        ["geodesic", "--problem", corpus_file(problem)]
+        + ["--x0", *x0.split(), "--y0", *y0.split(), "--horizon", horizon]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 def _one_dimensional(spray, lagrangian, sigma):
     return {
         "name": "degenerate",

@@ -1,0 +1,70 @@
+"""scipy is loaded only when a numeric (tabulated) deformation is built.
+
+The check runs in a fresh interpreter: in this process another test module
+may already have imported scipy.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import lagdeform
+
+SRC = Path(lagdeform.__file__).resolve().parents[1]
+
+_PROBE = r"""
+import math
+import sys
+from dataclasses import replace
+
+import lagdeform, lagdeform.cli
+assert "scipy.interpolate" not in sys.modules, "loaded by import"
+
+from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
+from lagdeform.pipeline import emit_report, run_pipeline
+
+docs = []
+for name in CORPUS_NAMES:
+    spec = load_corpus_problem(name)
+    docs.append(run_pipeline(replace(spec, count=spec.count // 10), "report"))
+assert "scipy.interpolate" not in sys.modules, "loaded by run_pipeline"
+for doc in docs:
+    emit_report(doc, "json")
+assert "scipy.interpolate" not in sys.modules, "loaded by emit_report"
+
+from lagdeform.deformation import synthesize_numeric
+
+numeric = synthesize_numeric([(0.1 * i, math.sin(0.1 * i)) for i in range(12)])
+assert "scipy.interpolate" in sys.modules, "numeric synthesis without scipy"
+assert all(math.isfinite(v) for v in numeric.triple(0.55))
+print("ok")
+"""
+
+
+def test_scipy_is_loaded_only_for_numeric_deformations():
+    paths = [str(SRC)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_no_module_level_scipy_import():
+    # an indented import (inside a function or under TYPE_CHECKING) is fine
+    module_level = re.compile(r"^(import scipy|from scipy[\s.])", re.MULTILINE)
+    offenders = [
+        path.name
+        for path in sorted((SRC / "lagdeform").rglob("*.py"))
+        if module_level.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands run progressively more of the pipeline on a problem file:
-``check`` (conditions), ``classify`` (slope family), ``synthesize``
-(deformation), ``verify`` (deformed Euler-Lagrange residuals), ``report``
-(everything including a trajectory pass), plus ``geodesic`` for raw
-integration with CSV export.
+``check``, ``classify``, ``synthesize`` and ``verify`` run the whole
+pipeline on a problem file (the conditions, the slope family, the
+deformation and its Euler-Lagrange residuals) and emit the same report;
+``report`` adds a trajectory pass, and ``geodesic`` integrates a geodesic
+and exports it as CSV.
 
 Exit codes: 0 for DeformableRegular / DeformableSingular /
 ConservativeAffineOnly, 1 for NotOfTheoremForm, 2 for Inconclusive,
@@ -62,15 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
         "deformation with genuine Euler-Lagrange form, construct it, verify it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "run the alignment/consistency condition checks"),
-        ("classify", "check conditions and classify the slope family"),
-        ("synthesize", "additionally synthesize the deformation"),
-        ("verify", "additionally verify the deformed Euler-Lagrange equations"),
-        ("report", "full pipeline including a trajectory pass"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    for name in ("check", "classify", "synthesize", "verify"):
+        _add_common(sub.add_parser(name, help="run every stage but the trajectory pass"))
+    _add_common(sub.add_parser("report", help="run every stage and a trajectory pass"))
     g = sub.add_parser("geodesic", help="integrate a geodesic and export CSV")
     _add_common(g)
     g.add_argument("--x0", type=float, nargs="+", required=True, help="initial base point")

@@ -182,7 +182,7 @@ def deformation_ratio(
 ) -> float:
     """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
     row = [*point.x, *point.y]
-    return _slope_ratio(derived.kernel(_ratio_roots(derived)).values(row), guard_eps)
+    return _slope_ratio(derived.kernel(_ratio_roots(derived))(row), guard_eps)
 
 
 def _ratio_roots(derived: DerivedFields) -> tuple:
@@ -223,7 +223,7 @@ def check_sigma_condition(
     kernel = derived.kernel(roots)
     residuals = []
     for row in samples.rows:
-        v = kernel.values(row)
+        v = kernel(row)
         scale = v[0] / v[1]
         worst = 0.0
         for k in range(2, 2 + 2 * sigma.n, 2):
@@ -249,7 +249,7 @@ def check_sigma_consistency(
     kernel = derived.kernel(roots)
     residuals = []
     for row in samples.rows:
-        v = kernel.values(row)
+        v = kernel(row)
         worst = 0.0
         for k in range(0, 2 * sigma.n, 2):
             s_i = v[k]
@@ -346,7 +346,7 @@ def functional_dependence_test(
     ratio = derived.kernel(_ratio_roots(derived))
     cloud = []
     for row in rows:
-        v = ratio.values(row)
+        v = ratio(row)
         cloud.append((v[0], _slope_ratio(v, plan.guard_eps)))
     cloud.sort(key=lambda t: t[0])
     cleaned = _merge_duplicate_abscissae(cloud)
@@ -375,7 +375,7 @@ def functional_dependence_test(
             if row is None:
                 continue
             try:
-                f_val = _slope_ratio(ratio.values(row), plan.guard_eps)
+                f_val = _slope_ratio(ratio(row), plan.guard_eps)
             except (GuardViolation, ex.DomainViolation):
                 continue
             group.append(f_val)
@@ -614,37 +614,27 @@ def hessian_report(
     samples: Samples,
     params: Optional[dict] = None,
 ) -> HessianReport:
-    """Evaluate an n x n expression matrix (or a callable ``row -> ndarray``)
-    at the sampled rows; rank via singular values above ``_RANK_RTOL *
-    s_max``, from one batched SVD. A row where the matrix is not evaluable,
-    or has an entry that is not finite, is skipped."""
-    rows = samples.rows
-    stack = []
-    if callable(matrix):
-        for row in rows:
-            try:
-                entries = np.asarray(matrix(row), dtype=float)
-            except (ex.DomainViolation, ValueError, OverflowError):
-                # OverflowError: math.exp or math.pow in a closed-form Phi
-                continue
-            if np.isfinite(entries).all():
-                stack.append(entries)
-    elif rows:
+    """Evaluate an n x n expression matrix, or a callable ``row -> tuple``
+    of its n*n entries in row-major order, at the sampled rows; rank via
+    singular values above ``_RANK_RTOL * s_max``, from one batched SVD. A
+    row where the matrix is not evaluable, or has an entry that is not
+    finite, is skipped."""
+    if not callable(matrix):
         cells = tuple(cell for line in matrix for cell in line)
-        kernel = ex.compile(cells, ex.chart_names(len(matrix)), params)
-        for row in rows:
-            v = kernel.values(row)
-            try:
-                entries = [v[k] for k in range(len(cells))]
-            except ex.DomainViolation:
-                continue
-            if all(math.isfinite(e) for e in entries):
-                stack.append(entries)
+        matrix = ex.compile(cells, ex.chart_names(len(matrix)), params)
+    stack = []
+    for row in samples.rows:
+        try:
+            entries = tuple(matrix(row))
+        except (ex.DomainViolation, ValueError, OverflowError):
+            # OverflowError: math.exp or math.pow in a closed-form Phi
+            continue
+        if all(map(math.isfinite, entries)):
+            stack.append(entries)
     if not stack:
         raise InsufficientSamples("no evaluable points for the Hessian")
-    stack = np.array(stack)
-    if not callable(matrix):
-        stack = stack.reshape(len(stack), len(matrix), -1)
+    n = math.isqrt(len(stack[0]))
+    stack = np.array(stack).reshape(len(stack), n, n)
     max_entry = float(np.max(np.abs(stack)))
     s = np.linalg.svd(stack, compute_uv=False)
     s_max = s[:, :1]
@@ -714,7 +704,7 @@ def check_homogeneous(
     n = sigma.n
     vertical = derived.vertical.components
     kernel = derived.kernel((lagrangian.expr,) + tuple(vertical) + tuple(sigma.components))
-    values = [kernel.values(row) for row in rows]
+    values = [kernel(row) for row in rows]
     for v in values:
         if not v[0] > 0.0:  # nor is a NaN
             raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
@@ -744,7 +734,7 @@ def check_homogeneous(
         )
         combination = derived.kernel(cells)
         for row in rows:
-            v = combination.values(row)
+            v = combination(row)
             if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
                 nontrivial = True
                 break
@@ -792,7 +782,7 @@ def check_dissipative(
     values = []
     grad_res, rate_res = [], []
     for row in rows:
-        v = kernel.values(row)
+        v = kernel(row)
         values.append(v)
         worst = 0.0
         for k in range(0, 2 * n, 2):

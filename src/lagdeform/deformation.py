@@ -368,7 +368,7 @@ def verify_deformed_el(
     agreement_max = 0.0
     out_of_interval = 0
     for row in samples.rows:
-        v = kernel.values(row)
+        v = kernel(row)
         try:
             d1, d2 = deformation.triple(v[0])[1:]
             sl = v[1]
@@ -399,20 +399,23 @@ def verify_deformed_el(
 
 
 def deformed_hessian_matrix(derived: DerivedFields, deformation: Deformation):
-    """Fiber Hessian of Phi(L) as a callable ``row -> ndarray``:
-    Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
-    alike."""
+    """Fiber Hessian of Phi(L) as a callable ``row -> tuple`` of its entries
+    in row-major order: Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and
+    numeric deformations alike, by the float operations of
+    ``Phi'' outer(L_y, L_y) + Phi' g``."""
     n = derived.lagrangian.n
     roots = (derived.lagrangian.expr,) + tuple(derived.vertical.components)
     roots += tuple(cell for line in derived.hessian for cell in line)
     kernel = derived.kernel(roots)
 
     def matrix_at(row):
-        v = kernel.values(row)
+        v = kernel(row)
         d1, d2 = deformation.triple(v[0])[1:]
-        dy = np.array([v[1 + i] for i in range(n)])
-        g = np.array([[v[1 + n + i * n + j] for j in range(n)] for i in range(n)])
-        return d2 * np.outer(dy, dy) + d1 * g
+        dy = v[1 : 1 + n]
+        g = v[1 + n :]
+        return tuple(
+            d2 * (dy[i] * dy[j]) + d1 * g[i * n + j] for i in range(n) for j in range(n)
+        )
 
     return matrix_at
 

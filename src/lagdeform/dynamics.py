@@ -70,10 +70,6 @@ class Trajectory:
     def n(self) -> int:
         return self.spray.n
 
-    def point(self, k: int) -> PhasePoint:
-        n = self.n
-        return PhasePoint(self.states[k, :n], self.states[k, n:])
-
 
 def integrate_geodesic(
     spray: SemiSpray,
@@ -158,23 +154,13 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
     A state fails as ``lag.triple`` and then :func:`ex.evaluate` of each
     field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
+    first = 1 if deformed else 0
     roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
     kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
     for row in traj.states.tolist():
-        try:
-            values = kernel(row)
-        except ex.ExpressionError as exc:
-            error = exc
-        else:
-            if deformed:
-                yield lag.deformation.triple(values[0]), values[1:]
-            else:
-                yield None, values
-            continue
-        if deformed:
-            # L's own error, or Phi's OutOfInterval at L, comes first
-            lag.triple(kernel.binding(row))
-        raise error
+        v = kernel(row)
+        chain = lag.deformation.triple(v[0]) if deformed else None
+        yield chain, v[first:]
 
 
 def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
@@ -243,7 +229,7 @@ def dissipation_along(
     roots = (rate_field.expr, c_of_d.expr, dissipation.expr)
     kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
     rows = traj.states.tolist()
-    values = np.array([kernel(row) for row in rows], dtype=float)
+    values = np.array([tuple(kernel(row)) for row in rows], dtype=float)
     sel, cd = values[:, 0], values[:, 1]
     twice = 2.0 * values[:, 2]
     rate_matches = bool(np.max(np.abs(sel - cd) / (1.0 + np.abs(cd))) <= tol)

@@ -944,13 +944,16 @@ def _unbound(name: str):
 
 class Kernel:
     """Roots compiled together for positional rows, the one compiled
-    evaluation path: ``kernel(row)`` is the tuple of the roots' values at
-    :meth:`binding` of the row, with ``names[i]`` bound to ``row[i]`` and any
-    other variable to its value in ``constants``, compiled into the code.
+    evaluation path: ``kernel(row)`` is the tuple of the roots' values with
+    ``names[i]`` bound to ``row[i]`` and any other variable to its value in
+    ``constants``, compiled into the code. Subtrees shared between the roots
+    are computed once.
 
-    Subtrees shared between the roots are computed once. Where the compiled
-    code raises, the tree walk runs over the roots in order and raises the
-    error that :func:`evaluate` of those roots, in that order, would raise."""
+    Where the compiled code raises, ``kernel(row)`` is a sequence whose item
+    ``k`` walks root ``k`` when it is read: ``tuple()`` of it, unpacking and
+    slicing read in root order and raise the error :func:`evaluate` of those
+    roots, in that order, would raise; a caller that reads the items in its
+    own order meets its own errors in its own order."""
 
     __slots__ = ("roots", "names", "constants", "_run")
 
@@ -962,29 +965,12 @@ class Kernel:
         self.constants = dict(constants or {})
         self._run = _compile(self.roots, self.names, self.constants)
 
-    def binding(self, row) -> dict:
-        """The dict binding of ``row``: the constants, then the names, so a
-        name shadows a constant of the same name."""
-        return {**self.constants, **dict(zip(self.names, row))}
-
-    def __call__(self, row) -> tuple:
+    def __call__(self, row):
         try:
             return self._run(row)
         except (ArithmeticError, ValueError, LookupError):
-            pass  # leave the handler first: the walk's error has no context
-        binding = self.binding(row)
-        return tuple(root.evaluate(binding) for root in self.roots)
-
-    def values(self, row):
-        """The roots' values at ``row``: the tuple the kernel returns, or,
-        where the compiled code raises, a sequence whose item ``k`` walks
-        root ``k`` when it is read. A caller that reads the items in the
-        order it would evaluate the roots meets the errors :func:`evaluate`
-        would raise, in that order."""
-        try:
-            return self._run(row)
-        except (ArithmeticError, ValueError, LookupError):
-            return _Walk(self.roots, self.binding(row))
+            # a name shadows a constant of the same name
+            return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})
 
 
 class _Walk:
@@ -996,7 +982,12 @@ class _Walk:
         self.roots = roots
         self.binding = binding
 
-    def __getitem__(self, k: int) -> float:
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(root.evaluate(self.binding) for root in self.roots[k])
         return self.roots[k].evaluate(self.binding)
 
 

@@ -106,14 +106,3 @@ class Tabulated:
     def describe(self) -> str:
         ts = [t for t, _ in self.points]
         return f"Tabulated(points={len(self.points)}, range=[{min(ts):g}, {max(ts):g}])"
-
-
-DeformationClass = (
-    Affine,
-    Constant,
-    PowerShift,
-    Logarithmic,
-    Moebius,
-    HomogeneousRoot,
-    Tabulated,
-)

@@ -133,6 +133,30 @@ def _expect(data: dict, key: str, types, where: str):
     return value
 
 
+def _real(value, field_name: str, what: str) -> float:
+    """``value`` as a float, if it is a JSON number and not a boolean."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(field_name, f"{what} must be a number")
+    return float(value)
+
+
+def _expressions(data: dict, key: str, n: int, declared: set) -> list:
+    """The ``n`` expressions of the list ``data[key]``, parsed."""
+    sources = data[key]
+    if not isinstance(sources, list) or len(sources) != n:
+        raise SchemaError(key, f"expected a list of {n} expressions")
+    if not all(isinstance(s, str) for s in sources):
+        raise SchemaError(key, "each expression must be a string")
+    return [ex.parse(s, declared) for s in sources]
+
+
+def _integer(value, field_name: str, what: str, least: int) -> int:
+    """``value``, if it is a JSON integer (not a boolean) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise SchemaError(field_name, what)
+    return value
+
+
 def problem_from_dict(data: dict) -> ProblemSpec:
     if not isinstance(data, dict):
         raise SchemaError("<root>", "problem file must hold a JSON object")
@@ -144,20 +168,12 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         raise SchemaError(sorted(missing)[0], "required key missing")
 
     name = _expect(data, "name", str, "problem")
-    n = _expect(data, "dim", int, "problem")
-    if isinstance(n, bool) or n < 1:
-        raise SchemaError("dim", "must be an integer >= 1")
+    n = _integer(data["dim"], "dim", "must be an integer >= 1", 1)
     params = _expect(data, "params", dict, "problem")
-    for k, v in params.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SchemaError("params", f"parameter '{k}' must be a number")
-    params = {k: float(v) for k, v in params.items()}
+    params = {k: _real(v, "params", f"parameter '{k}'") for k, v in params.items()}
 
     declared = set(ex.chart_names(n)) | set(params)
-    spray_sources = _expect(data, "spray", list, "problem")
-    if len(spray_sources) != n:
-        raise SchemaError("spray", f"expected {n} expressions, got {len(spray_sources)}")
-    spray = SemiSpray(n, [ex.parse(s, declared) for s in spray_sources])
+    spray = SemiSpray(n, _expressions(data, "spray", n, declared))
     lagrangian = ScalarField(n, ex.parse(_expect(data, "lagrangian", str, "problem"), declared))
     validate_chart_vars(lagrangian.expr, n, tuple(params))
     for g in spray.coefficients:
@@ -165,10 +181,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
     sigma = None
     if "sigma" in data:
-        sigma_sources = data["sigma"]
-        if not isinstance(sigma_sources, list) or len(sigma_sources) != n:
-            raise SchemaError("sigma", f"expected a list of {n} expressions")
-        sigma = SemiBasicForm(n, [ex.parse(s, declared) for s in sigma_sources])
+        sigma = SemiBasicForm(n, _expressions(data, "sigma", n, declared))
 
     dissipation = None
     if "dissipation" in data:
@@ -176,10 +189,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
 
     homogeneity = None
     if "homogeneity" in data:
-        h = data["homogeneity"]
-        if not isinstance(h, (int, float)) or isinstance(h, bool):
-            raise SchemaError("homogeneity", "must be a number")
-        homogeneity = float(h)
+        homogeneity = _real(data["homogeneity"], "homogeneity", "homogeneity")
 
     box = _expect(data, "box", dict, "problem")
     expected_vars = set(ex.chart_names(n))
@@ -189,7 +199,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     for v, pair in box.items():
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError("box", f"{v} needs [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
+        lo, hi = (_real(b, "box", f"each bound of {v}") for b in pair)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise SchemaError("box", f"{v} has degenerate bounds")
         bounds[v] = (lo, hi)
@@ -197,13 +207,9 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     sampling = _expect(data, "sampling", dict, "problem")
     if set(sampling) != {"count", "seed", "guard"}:
         raise SchemaError("sampling", "must hold exactly {count, seed, guard}")
-    count = sampling["count"]
-    seed = sampling["seed"]
-    guard = float(sampling["guard"])
-    if not isinstance(count, int) or count < 1:
-        raise SchemaError("sampling", "count must be a positive integer")
-    if not isinstance(seed, int) or seed < 0:
-        raise SchemaError("sampling", "seed must be a non-negative integer")
+    count = _integer(sampling["count"], "sampling", "count must be a positive integer", 1)
+    seed = _integer(sampling["seed"], "sampling", "seed must be a non-negative integer", 0)
+    guard = _real(sampling["guard"], "sampling", "guard")
     if guard <= 0:
         raise SchemaError("sampling", "guard must be positive")
 
@@ -214,7 +220,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         if unknown_tol:
             raise SchemaError("tolerances", f"unknown key '{sorted(unknown_tol)[0]}'")
         for k, v in tol.items():
-            tolerances[k] = float(v)
+            tolerances[k] = _real(v, "tolerances", f"tolerance '{k}'")
 
     return ProblemSpec(
         name=name,
@@ -414,7 +420,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
     defect_max = 0.0
     kernel = derived.kernel(tuple(derived.defect.components))
     for row in samples.rows:
-        values = kernel.values(row)
+        values = kernel(row)
         for k in range(spec.n):
             v = values[k]
             defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))

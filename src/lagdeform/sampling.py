@@ -17,6 +17,10 @@ import numpy as np
 from . import expressions as ex
 from .geometry import cached_kernel
 
+# A draw that would have to reject more than this share of its attempts
+# fails with TooManyRejections.
+_MAX_REJECT_RATIO = 0.98
+
 
 class SamplingError(Exception):
     pass
@@ -50,15 +54,12 @@ class SamplePlan:
     count: int
     seed: int
     guard_eps: float = 1e-6
-    max_reject_ratio: float = 0.98
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("sample count must be >= 1")
         if self.guard_eps <= 0:
             raise ValueError("guard threshold must be positive")
-        if not 0.0 <= self.max_reject_ratio < 1.0:
-            raise ValueError("max_reject_ratio must lie in [0, 1)")
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"degenerate bounds for {name}: [{lo}, {hi}]")
@@ -89,7 +90,7 @@ class Guards:
         parameter values ``params``."""
         roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
         n = len(row) // 2
-        values = cached_kernel(self._kernels, roots, n, params).values(row)
+        values = cached_kernel(self._kernels, roots, n, params)(row)
         evaluable = len(self.evaluable)
         try:
             for k in range(evaluable):
@@ -121,8 +122,8 @@ def draw_samples(
 ) -> Samples:
     """Draw exactly ``plan.count`` guard-admissible rows, deterministically
     for a fixed seed. Raises :class:`TooManyRejections` if the acceptance
-    ratio falls below the plan threshold, at once and with no attempt when a
-    ``nonzero`` guard is a constant within ``plan.guard_eps`` of zero."""
+    ratio falls below ``1 - _MAX_REJECT_RATIO``, at once and with no attempt
+    when a ``nonzero`` guard is a constant within ``plan.guard_eps`` of zero."""
     n = plan.dimension
     for f in guards.nonzero:
         if isinstance(f.expr, ex.Const) and abs(f.expr.value) <= plan.guard_eps:
@@ -132,7 +133,7 @@ def draw_samples(
     lows = np.array([plan.bounds[v][0] for v in names])
     highs = np.array([plan.bounds[v][1] for v in names])
 
-    budget = max(64, int(math.ceil(plan.count / (1.0 - plan.max_reject_ratio))))
+    budget = max(64, int(math.ceil(plan.count / (1.0 - _MAX_REJECT_RATIO))))
     accepted = []
     attempts = 0
     while len(accepted) < plan.count:

@@ -76,6 +76,15 @@ def test_exit_code_input_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_malformed_value_is_an_input_error(tmp_path, capsys):
+    problem = json.loads(open(corpus_file("lienard")).read())
+    problem["sampling"]["guard"] = [1e-6]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(problem))
+    assert main(["check", "--problem", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: problem field 'sampling'")
+
+
 def test_sample_and_seed_overrides(tmp_path):
     out = tmp_path / "r.json"
     code = main(

@@ -148,7 +148,7 @@ def test_draw_samples_conservative_rejects_everything():
     from lagdeform.conditions import DerivedFields
 
     d = DerivedFields(sys["spray"], sys["lagrangian"])
-    plan = SamplePlan(bounds=box(2, 1.0, 2.0), count=50, seed=3, max_reject_ratio=0.9)
+    plan = SamplePlan(bounds=box(2, 1.0, 2.0), count=50, seed=3)
     with pytest.raises(TooManyRejections):
         draw_samples(plan, d.theorem_guards(), sys["params"])
 
@@ -1074,7 +1074,7 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 matrix(row)
         else:
-            assert _bits(matrix(row)) == _bits(want)
+            assert _bits(np.reshape(matrix(row), (spec.n, spec.n))) == _bits(want)
 
     positive, wedge = _ref_homogeneous_wedge(d, sigma, samples, params)
     degree = _ref_homogeneity_degree(spec.lagrangian.expr, spec.n, samples.rows, params)
@@ -1208,12 +1208,36 @@ def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
     kernel = ex.compile([cell], names)
     reports = [
         hessian_report([[cell]], samples, {}),
-        hessian_report(lambda row: np.array([[kernel(row)[0]]]), samples, {}),
+        hessian_report(lambda row: (kernel(row)[0],), samples, {}),
     ]
     for report in reports:
         assert report.samples == 1
         assert report.max_entry == 1.0
         assert (report.min_rank, report.max_rank) == (1, 1)
+
+
+def test_both_hessian_inputs_skip_raising_and_nan_rows_in_one_loop():
+    # a 2 x 2 matrix with a cell that raises at x1 = -1 and one that is NaN
+    # at x1 = 1e200, as an expression matrix and as a callable giving the
+    # row-major entries (a kernel itself, whose walk raises when it is read)
+    names = ("x1", "x2", "y1", "y2")
+    matrix = [
+        [parse("y1", names), parse(f"sqrt(x1) + ({_NAN_AT_1E200})", names)],
+        [parse("2*y1", names), parse("y2", names)],
+    ]
+    kernel = ex.compile([cell for line in matrix for cell in line], names)
+    rows = [[1.0, 1.0, 3.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1e200, 1.0, 1.0, 1.0]]
+    reports = [
+        hessian_report(matrix, Samples(rows, 3), {}),
+        hessian_report(kernel, Samples(rows, 3)),
+        hessian_report(lambda row: tuple(kernel(row)), Samples(rows, 3)),
+    ]
+    for report in reports:
+        # only the first row is kept: [[3, 1], [6, 1]], of rank 2
+        assert (report.samples, report.max_entry) == (1, 6.0)
+        assert (report.min_rank, report.max_rank) == (2, 2)
+    with pytest.raises(InsufficientSamples):
+        hessian_report(matrix, Samples(rows[1:], 2), {})
 
 
 def test_a_nan_dissipation_is_not_negative_in_either_order():

@@ -411,7 +411,8 @@ def test_chain_rule_hessian_matches_composed_form(corpus_reports, name):
     for row in samples.rows:
         b = binding(row, spec.n, spec.params)
         want = np.array([[evaluate(cell, b) for cell in line] for line in symbolic])
-        assert np.all(np.abs(chain(row) - want) <= 1e-9 * (1.0 + np.abs(want))), row
+        got = np.reshape(chain(row), (spec.n, spec.n))
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))), row
     by_chain = deformed_hessian(derived_fields, deformed.deformation, samples)
     by_symbols = hessian_report(symbolic, samples, spec.params)
     assert (by_chain.min_rank, by_chain.max_rank, by_chain.samples) == (

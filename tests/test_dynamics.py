@@ -506,3 +506,27 @@ def test_a_parameterized_lagrangian_fails_along_the_flow_with_its_own_error():
     for lag in (lagrangian, deformed):
         with pytest.raises(DomainViolation, match=r"in 'ln\(a - x1\)'"):
             energy_along(traj, lag)
+
+
+@pytest.mark.parametrize(
+    "x1, error, message",
+    [
+        # L = |y1| + ln(x1) is not evaluable: L's own error
+        pytest.param(-1.0, DomainViolation, r"in 'ln\(x1\)'", id="L-fails"),
+        # L = ln(0.1) lies below Phi's interval (-0.5, inf): Phi's error,
+        # although C(L) and dL/dy1 fail at y1 = 0 too
+        pytest.param(0.1, OutOfInterval, "outside", id="phi-out-of-interval"),
+        # L = ln(2) lies inside it: the first failing field's error
+        pytest.param(2.0, DomainViolation, "sign undefined at zero", id="field-fails"),
+    ],
+)
+def test_along_flow_errors_come_as_the_reference_orders_them(x1, error, message):
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("0", names)])
+    lagrangian = ScalarField(1, parse("abs(y1) + ln(x1)", names))
+    deformed = DeformedLagrangian(lagrangian, synthesize(PowerShift(-0.5, 0.5), (1.0, 2.0)))
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([x1], [0.0]))
+    traj = _assert_matches_reference(spray, (lagrangian, deformed), cfg, None)
+    for check in (energy_along, el_residual_along):
+        with pytest.raises(error, match=message):
+            check(traj, deformed)

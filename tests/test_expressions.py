@@ -498,7 +498,7 @@ def test_float64_zero_denominator_is_domain_violation():
         kernel = compile([e], ("x1", "y1"))
         for _ in range(2):  # the first run of the code and a later one
             with pytest.raises(DomainViolation, match="division by zero") as exc:
-                kernel([np.float64(2.0), y])
+                tuple(kernel([np.float64(2.0), y]))
             assert exc.value.expr is e
 
 
@@ -529,7 +529,7 @@ def test_shared_failing_subtree_blames_the_tree_walks_node():
         assert walk.value.expr is blamed
         for _ in range(2):  # the first run of the code and a later one
             with pytest.raises(DomainViolation) as exc:
-                kernel([binding["x1"], binding["y1"]])
+                tuple(kernel([binding["x1"], binding["y1"]]))
             assert exc.value.expr is blamed
             assert str(exc.value) == str(walk.value)
 
@@ -595,7 +595,7 @@ def test_kernel_matches_evaluate_of_each_root(roots, layout):
         binding = dict(zip(names, row))
         with np.errstate(all="ignore"):
             want = _tuple_outcome(lambda: tuple(evaluate(r, binding) for r in roots))
-            got = _tuple_outcome(lambda: kernel(row))
+            got = _tuple_outcome(lambda: tuple(kernel(row)))
         assert got == want, [to_source(r) for r in roots]
 
 
@@ -606,7 +606,7 @@ def test_kernel_of_no_roots_and_of_plain_roots():
     assert got[0] is v and got[2] == 2.0
     assert struct.pack("<d", got[1]) == struct.pack("<d", -0.0)
     with pytest.raises(UnboundVariable, match="'x2'"):
-        compile([Var("x1"), Var("x2")], ("x1",))([1.0])
+        tuple(compile([Var("x1"), Var("x2")], ("x1",))([1.0]))
 
 
 def test_compile_emits_a_node_shared_by_identity_once():
@@ -621,9 +621,9 @@ def test_kernel_values_walk_each_root_where_the_code_raises():
     names = ("x1", "y1")
     roots = [parse(s, names) for s in ("x1 + y1", "ln(x1)", "y1/x1", "sqrt(y1)")]
     kernel = compile(roots, names)
-    assert kernel.values([2.0, 3.0]) == kernel([2.0, 3.0])
+    assert kernel([2.0, 3.0]) == tuple(evaluate(r, {"x1": 2.0, "y1": 3.0}) for r in roots)
     row = [0.0, -1.0]
-    values = kernel.values(row)
+    values = kernel(row)
     assert values[0] == -1.0
     binding = dict(zip(names, row))
     for k in (1, 2, 3):
@@ -632,6 +632,43 @@ def test_kernel_values_walk_each_root_where_the_code_raises():
         with pytest.raises(DomainViolation) as got:
             values[k]
         assert str(got.value) == str(want.value) and got.value.expr is want.value.expr
+
+
+def test_a_failing_row_walks_each_root_when_it_is_read():
+    # each root reads one name of its own; at the row, roots 1 and 3 fail
+    names = ("x1", "x2", "y1", "y2")
+    roots = [parse(s, names) for s in ("x1", "ln(x2)", "y1 + 1", "sqrt(y2)")]
+    row = [2.0, -1.0, 3.0, -4.0]
+    binding = dict(zip(names, row))
+    errors = []
+    for k in (1, 3):
+        with pytest.raises(DomainViolation) as want:
+            evaluate(roots[k], binding)
+        errors.append(want.value)
+    kernel = compile(roots, names)
+
+    def walk():
+        values = kernel(row)
+        values.binding = _ReadLog(values.binding)
+        return values
+
+    def assert_raises(run, error):
+        with pytest.raises(DomainViolation) as got:
+            run()
+        assert str(got.value) == str(error) and got.value.expr is error.expr
+
+    values = walk()
+    assert len(values) == 4 and values.binding.reads == []
+    assert (values[2], values[0], values[-2]) == (4.0, 2.0, 4.0)
+    assert values.binding.reads == ["y1", "x1", "y1"]
+    assert values[:1] == (2.0,) and values[4:] == ()
+    assert_raises(lambda: values[3], errors[1])
+    assert_raises(lambda: values[2:], errors[1])
+    # tuple(), unpacking and a slice over both failing roots meet root 1 first
+    for read in (tuple, lambda v: [*v], lambda v: v[1:]):
+        values = walk()
+        assert_raises(lambda: read(values), errors[0])
+        assert values.binding.reads[-1] == "x2" and "y2" not in values.binding.reads
 
 
 @pytest.mark.parametrize(
@@ -659,7 +696,11 @@ def test_compiled_power_matches_the_tree_walk(exponent, base, outcome):
     for _ in range(2):  # the first run of the code and a later one
         if isinstance(outcome, tuple):
             kind, message = outcome
-            for run in (lambda: e.evaluate(binding), lambda: alone([base, 0.0]), lambda: kernel([base, 0.0])):
+            for run in (
+                lambda: e.evaluate(binding),
+                lambda: tuple(alone([base, 0.0])),
+                lambda: tuple(kernel([base, 0.0])),
+            ):
                 with pytest.raises(kind, match=message) as exc:
                     run()
                 assert exc.value.expr is e.left

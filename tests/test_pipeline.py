@@ -110,6 +110,41 @@ def test_unknown_tolerance_rejected():
         problem_from_dict(minimal_problem(tolerances={"bogus": 1.0}))
 
 
+def _malformed(key, value):
+    """The minimal problem with ``value`` at ``key``, a path of keys."""
+    data = minimal_problem()
+    data["sigma"] = ["0"]
+    *path, last = key
+    target = data
+    for step in path:
+        target = target[step]
+    target[last] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(("sampling", "guard"), [1e-6], id="guard-list"),
+        pytest.param(("sampling", "guard"), True, id="guard-bool"),
+        pytest.param(("sampling", "guard"), "1e-6", id="guard-string"),
+        pytest.param(("box", "x1"), [{}, 1.0], id="bound-object"),
+        pytest.param(("box", "y1"), [0.5, True], id="bound-bool"),
+        pytest.param(("tolerances",), {"identity": [1]}, id="tolerance-list"),
+        pytest.param(("tolerances",), {"identity": True}, id="tolerance-bool"),
+        pytest.param(("spray",), [0], id="spray-number"),
+        pytest.param(("sigma",), [1.5], id="sigma-number"),
+        pytest.param(("sampling", "seed"), True, id="seed-bool"),
+        pytest.param(("sampling", "count"), True, id="count-bool"),
+        pytest.param(("sampling", "count"), 10.0, id="count-float"),
+    ],
+)
+def test_a_malformed_value_is_a_schema_error(key, value):
+    with pytest.raises(SchemaError) as exc:
+        problem_from_dict(_malformed(key, value))
+    assert exc.value.field == key[0]
+
+
 def test_a_parameter_named_like_a_coordinate_is_shadowed_by_it():
     # in a 1-D chart the coordinate x1 shadows the parameter x1, while x2
     # reads its parameter; the run is the one of L = (y1 + 2*x1)^2
@@ -251,6 +286,12 @@ def test_mode_controls_trajectory_stage():
     assert doc_check.trajectory is None
     assert doc_full.trajectory is not None
     assert doc_check.verdict == doc_full.verdict
+    # the four lighter modes do the same work and emit the same report
+    lighter = {
+        emit_report(run_pipeline(spec, mode=mode), "json")
+        for mode in ("classify", "synthesize", "verify")
+    }
+    assert lighter == {emit_report(doc_check, "json")}
 
 
 def test_trajectory_stage_notes_overflowing_deformation():

@@ -51,6 +51,8 @@ _BISECTIONS = 80
 # Target levels of the dependence test and points constructed on each.
 _LEVELS = 32
 _PER_LEVEL = 4
+# Fiber segments one solve for a point on a level tries at most.
+_ATTEMPTS = 12
 # Damped Gauss-Newton steps of one start of the classify fit.
 _GN_ITERATIONS = 50
 # A singular value counts towards the rank above this fraction of the largest.
@@ -274,53 +276,202 @@ class DependenceResult:
     tolerance: float
 
 
-def _solve_on_level(level, lows: list, highs: list, rng, target: float, n: int):
-    """A chart point (x1..xn, y1..yn) with L exactly (to rounding)
-    equal to ``target``, or None: bisection of L, the one root of the kernel
-    ``level``, along a random segment of fiber coordinates.
+# Stand-ins in the level solver's walk: the result of a lane (segment, level)
+# not bisected yet, and the outcome of a lane whose bisection missed the level.
+_PENDING = object()
+_MISSED = object()
 
-    An iteration that leaves the bracket and L at its lower end bitwise as
-    they were is a fixed point, since every later one repeats it, so the
-    bisection stops there with the point the remaining steps would reach."""
-    for _ in range(12):
-        a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
-        b = a[:n] + [rng.uniform(lo, hi) for lo, hi in zip(lows[n:], highs[n:])]
+
+class _LevelSolver:
+    """Points on target levels of L, the one root of the kernel ``level``,
+    each bisected along a random fiber segment in ``[lows, highs]`` drawn
+    from ``rng``, with all the bisections of a walk run in lockstep, bit for
+    bit as one after another.
+
+    ``run(walk)`` runs ``walk(self)``, sequential code that calls
+    ``solve(k)``, until a walk meets no (segment, level) lane that no walk
+    before it met: the first walk takes every lane it meets to give an
+    accepted point, and each later one knows what the lanes before gave."""
+
+    def __init__(self, level, lows: list, highs: list, rng, targets: list, accept: Callable):
+        self.level = level
+        self.n = len(lows) // 2
+        self.lows = lows + lows[self.n :]
+        self.highs = highs + highs[self.n :]
+        self.rng = rng
+        self.targets = targets
+        self.accept = accept
+        # the segments' ends as columns, and per segment (L at a, L at b)
+        # or the error that stops their evaluation
+        self.a = self.b = np.empty((2 * self.n, 0))
+        self.ends = []
+        self.outcomes = {}  # (segment, level) -> accept(point), _MISSED or an error
+        self.used = 0
+        self._pending = []
+
+    def run(self, walk: Callable):
+        rounds = 0
+        while True:
+            self.used = 0
+            self._pending = []
+            result = walk(self)
+            if not self._pending:
+                return result
+            # after a lane has failed, the lanes after it may move on to later
+            # segments, so a later round bisects those as well
+            ahead = self._ahead(self._pending) if rounds else []
+            self._bisect(self._pending + ahead)
+            rounds += 1
+
+    def _ahead(self, pending: list) -> list:
+        """The lanes that no walk has met on the segments that the solve of
+        each pending lane would try after it, in its level."""
+        ahead = {}
+        for i, k in pending:
+            for j in range(i + 1, min(i + _ATTEMPTS, len(self.ends))):
+                if self._brackets(j, self.targets[k]):
+                    ahead[j, k] = None
+        met = set(pending)
+        return [lane for lane in ahead if lane not in met and lane not in self.outcomes]
+
+    def _brackets(self, i: int, target: float) -> bool:
+        # a NaN at an end brackets every target: the product is not > 0
+        ends = self.ends[i]
+        if isinstance(ends, Exception):
+            return False
+        return not (ends[0] - target) * (ends[1] - target) > 0.0
+
+    def solve(self, k: int):
+        """``accept(point)`` at the first point found on the level
+        ``targets[k]`` within the next _ATTEMPTS unused segments, or None. A
+        segment is skipped where L cannot be evaluated at an end or does not
+        bracket the target, or where its bisection meets a domain violation
+        or misses the target by more than the level width. A lane not yet
+        bisected gives ``_PENDING``; an error that bisecting one segment
+        after another would raise is raised where no lane before it is
+        pending. ``used`` counts the segments the walk has used."""
+        target = self.targets[k]
+        for _ in range(_ATTEMPTS):
+            i = self.used
+            self.used += 1
+            if i == len(self.ends):
+                self._draw()
+            ends = self.ends[i]
+            if isinstance(ends, Exception) and not isinstance(ends, ex.DomainViolation):
+                return self._reached(ends)
+            if not self._brackets(i, target):
+                continue
+            outcome = self.outcomes.get((i, k), _PENDING)
+            if outcome is _PENDING:
+                self._pending.append((i, k))
+            elif outcome is _MISSED:
+                continue
+            elif isinstance(outcome, Exception):
+                return self._reached(outcome)
+            return outcome
+        return None
+
+    def _reached(self, error: Exception):
+        # a lane pending before it may yet change what the walk reaches
+        if self._pending:
+            return _PENDING
+        raise error
+
+    def _draw(self):
+        """A block of segments, as many as a walk has points: a chart point
+        a, and b with a's positions and fresh fibers, drawn in the order of
+        one ``rng.uniform`` call per coordinate."""
+        n = self.n
+        block = self.rng.uniform(self.lows, self.highs, size=(_LEVELS * _PER_LEVEL, 3 * n)).T
+        a, b = block[: 2 * n], np.concatenate((block[:n], block[2 * n :]))
+        va, a_errors = self._level_at(a)
+        vb, b_errors = self._level_at(b)
+        self.a = np.concatenate((self.a, a), axis=1)
+        self.b = np.concatenate((self.b, b), axis=1)
+        for j, ends in enumerate(zip(va.tolist(), vb.tolist())):
+            self.ends.append(a_errors.get(j) or b_errors.get(j) or ends)
+
+    def _level_at(self, stack):
+        """L at the columns of ``stack``, and the error of each column where
+        L cannot be evaluated."""
         try:
-            va = level(a)[0]
-            vb = level(b)[0]
-        except ex.DomainViolation:
-            continue
-        if (va - target) * (vb - target) > 0.0:
-            continue
-        lo_c, hi_c = a, b
-        try:
-            for _ in range(_BISECTIONS):
-                mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = level(mid)[0]
-                if (vm - target) * (va - target) <= 0.0:
-                    if _same_bits(mid, hi_c):
-                        break
-                    hi_c = mid
-                else:
-                    # va is L at lo_c, so it is unchanged when lo_c is
-                    if _same_bits(mid, lo_c):
-                        break
-                    lo_c, va = mid, vm
+            return self.level.columns(stack)[0], {}
+        except (ArithmeticError, ValueError, LookupError):
+            values, errors = np.zeros(stack.shape[1]), {}
+            for j, row in enumerate(stack.T.tolist()):
+                try:
+                    values[j] = self.level(row)[0]
+                except Exception as exc:  # raised only if a walk reaches the lane
+                    errors[j] = exc
+            return values, errors
+
+    def _bisect(self, lanes: list):
+        """Bisect the ``lanes`` in lockstep and record their outcomes.
+
+        A lane whose midpoint leaves its bracket and L at its lower end
+        bitwise as they were is at a fixed point, since every later step
+        repeats it, so it stops there with the point the remaining steps
+        would reach; after the last step the midpoint is taken once more."""
+        segments = [i for i, _ in lanes]
+        goal = np.array([self.targets[k] for _, k in lanes])
+        # the lanes still bisecting, their targets, brackets and L at lo
+        index, target = np.arange(len(lanes)), goal
+        lo, hi = self.a[:, segments], self.b[:, segments]
+        va = np.array([self.ends[i][0] for i in segments])
+        points, values = np.zeros(lo.shape), np.zeros(len(lanes))
+        errors = {}
+        for step in range(_BISECTIONS + 1):
+            mid = (lo + hi) / 2.0
+            vm, failed = self._level_at(mid)
+            live = np.ones(len(index), dtype=bool)
+            for j, exc in failed.items():
+                errors[int(index[j])] = exc
+                live[j] = False
+            if step == _BISECTIONS:
+                stop, live = live, np.zeros_like(live)
             else:
-                mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = level(mid)[0]
-        except ex.DomainViolation:
-            continue
-        if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return mid
-    return None
+                lower = (vm - target) * (va - target) <= 0.0  # mid becomes hi
+                end = np.where(lower, hi, lo)
+                fixed = ((mid == end) & (np.signbit(mid) == np.signbit(end))).all(axis=0)
+                stop = live & fixed
+                live &= ~fixed
+            points[:, index[stop]] = mid[:, stop]
+            values[index[stop]] = vm[stop]
+            if not live.any():
+                break
+            index, target, lower = index[live], target[live], lower[live]
+            mid, vm = mid[:, live], vm[live]
+            hi = np.where(lower, mid, hi[:, live])
+            lo = np.where(lower, lo[:, live], mid)
+            va = np.where(lower, va[live], vm)
+        on_level = np.abs(values - goal) <= 1e-10 * (1.0 + np.abs(goal))
+        for j, lane in enumerate(lanes):
+            if j in errors:
+                exc = errors[j]
+                self.outcomes[lane] = _MISSED if isinstance(exc, ex.DomainViolation) else exc
+            elif not on_level[j]:
+                self.outcomes[lane] = _MISSED
+            else:
+                try:
+                    self.outcomes[lane] = self.accept(points[:, j].tolist())
+                except Exception as exc:  # raised only if a walk reaches the lane
+                    self.outcomes[lane] = exc
 
 
-def _same_bits(u: list, v: list) -> bool:
-    # == alone takes -0.0 for 0.0, and the sign changes later midpoints
-    return u == v and all(
-        math.copysign(1.0, s) == math.copysign(1.0, t) for s, t in zip(u, v)
-    )
+def _level_groups(solver: _LevelSolver) -> list:
+    """The slope values on each target level: up to _PER_LEVEL points from
+    up to three times as many solves."""
+    groups = []
+    for k in range(len(solver.targets)):
+        group = []
+        for _ in range(_PER_LEVEL * 3):
+            if len(group) >= _PER_LEVEL:
+                break
+            f_val = solver.solve(k)
+            if f_val is not None:
+                group.append(f_val)
+        groups.append(group)
+    return groups
 
 
 def functional_dependence_test(
@@ -356,29 +507,26 @@ def functional_dependence_test(
     f_median = float(np.median([f for _, f in cleaned]))
     tolerance = tol_dep * (1.0 + abs(f_median))
 
+    def accept(row):
+        try:
+            return _slope_ratio(ratio(row), plan.guard_eps)
+        except (GuardViolation, ex.DomainViolation):
+            return None
+
     l_values = np.array([l for l, _ in cleaned])
-    rng = np.random.default_rng(plan.seed + 1)
     names = ex.chart_names(lagrangian.n)
-    lows = [plan.bounds[v][0] for v in names]
-    highs = [plan.bounds[v][1] for v in names]
-    level = derived.kernel((lagrangian.expr,))
+    solver = _LevelSolver(
+        derived.kernel((lagrangian.expr,)),
+        [plan.bounds[v][0] for v in names],
+        [plan.bounds[v][1] for v in names],
+        np.random.default_rng(plan.seed + 1),
+        [float(np.quantile(l_values, (k + 0.5) / _LEVELS)) for k in range(_LEVELS)],
+        accept,
+    )
     max_spread = 0.0
     used = 0
     functional = True
-    for k in range(_LEVELS):
-        target = float(np.quantile(l_values, (k + 0.5) / _LEVELS))
-        group = []
-        for _ in range(_PER_LEVEL * 3):
-            if len(group) >= _PER_LEVEL:
-                break
-            row = _solve_on_level(level, lows, highs, rng, target, lagrangian.n)
-            if row is None:
-                continue
-            try:
-                f_val = _slope_ratio(ratio(row), plan.guard_eps)
-            except (GuardViolation, ex.DomainViolation):
-                continue
-            group.append(f_val)
+    for group in solver.run(_level_groups):
         if len(group) >= 2:
             used += 1
             spread = max(group) - min(group)

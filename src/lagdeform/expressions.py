@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 
 class ExpressionError(Exception):
@@ -846,7 +849,7 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _compile(roots: tuple, layout: tuple, constants: dict):
+def _compile(roots: tuple, layout: tuple, constants: dict, columns: bool = False):
     """A function equal to the tree walk of ``roots`` bit for bit: it reads
     ``b[i]`` for the variable ``layout[i]`` of a positional row, takes any
     other variable from ``constants``, and returns the tuple of the roots'
@@ -859,13 +862,21 @@ def _compile(roots: tuple, layout: tuple, constants: dict):
     ``nan`` stay exact. The code raises plain ``LookupError``,
     ``ArithmeticError`` or ``ValueError`` where the walk raises its own
     errors, and holds no node.
+
+    With ``columns``, ``b[i]`` is a float64 array of values of ``layout[i]``,
+    one per row, and every root's value is such an array: ``+ - * /`` and
+    negation of a column are the array operations, which round as the float
+    operations do; powers and functions of a column call the scalar code on
+    each element; and the code raises where any row would.
     """
     namespace = {"_pow": math.pow, "_pow_checked": _pow_checked, "_unbound": _unbound}
+    namespace.update(_each=_each, _full=_full)  # the column code's helpers
     position = {name: i for i, name in enumerate(layout)}
     lines = []
     names = {}  # structural key -> name of the subtree's value
     nonzero = set()  # denominators already checked
     emitted = {}  # id(node) -> name of its value; the roots keep the nodes alive
+    column = set()  # names of the values that are columns
 
     def bind(key, value):
         if key not in names:
@@ -877,16 +888,24 @@ def _compile(roots: tuple, layout: tuple, constants: dict):
         # -0.0 is not 0.0, and a parameter 0 (an int) negates to 0, not -0.0
         return bind((Const, type(v), v, math.copysign(1.0, v)), v)
 
-    def assign(key, source):
+    def assign(key, source, *operands):
         if key not in names:
             names[key] = f"t{len(names)}"
             lines.append(f"    {names[key]} = {source}")
+            if columns and (key[0] is Var or column.intersection(operands)):
+                column.add(names[key])
         return names[key]
 
     def read(name):
         if name in position:
             return f"b[{position[name]}]"
         return f"_unbound({name!r})"
+
+    def call(f, a, *args):
+        # scalar code on each element of a column
+        if a in column:
+            return f"_each({', '.join((f, a) + args)})"
+        return f"{f}({', '.join((a,) + args)})"
 
     def emit(node):
         # a node shared by identity, as derivative trees share them, is
@@ -908,16 +927,17 @@ def _compile(roots: tuple, layout: tuple, constants: dict):
             if r not in nonzero:
                 # a float64 denominator would give inf rather than raise
                 nonzero.add(r)
-                lines.append(f"    if {r} == 0.0: raise ZeroDivisionError")
+                test = f"({r} == 0.0).any()" if r in column else f"{r} == 0.0"
+                lines.append(f"    if {test}: raise ZeroDivisionError")
             l = emit(node.left)
-            return assign((Div, l, r), f"{l} / {r}")
+            return assign((Div, l, r), f"{l} / {r}", l, r)
         if isinstance(node, _Binary):
             l = emit(node.left)
             r = emit(node.right)
-            return assign((type(node), l, r), f"{l} {node.symbol} {r}")
+            return assign((type(node), l, r), f"{l} {node.symbol} {r}", l, r)
         if isinstance(node, Neg):
             a = emit(node.arg)
-            return assign((Neg, a), f"-{a}")
+            return assign((Neg, a), f"-{a}", a)
         if isinstance(node, Pow):
             a = emit(node.base)
             e = node.exponent
@@ -925,17 +945,28 @@ def _compile(roots: tuple, layout: tuple, constants: dict):
             # for an integer exponent math.pow itself raises wherever
             # _pow_checked does (0 to a negative power: ValueError)
             power = "_pow" if math.isfinite(e) and e == int(e) else "_pow_checked"
-            return assign((Pow, a, c), f"{power}({a}, {c})")
+            return assign((Pow, a, c), call(power, a, c), a)
         if isinstance(node, _Func):
             a = emit(node.arg)
             f = bind(type(node), type(node)._apply)
-            return assign((type(node), a), f"{f}({a})")
+            return assign((type(node), a), call(f, a), a)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
     values = [emit(root) for root in roots]
+    if columns:
+        values = [v if v in column else f"_full({v}, b)" for v in values]
     lines.append(f"    return ({''.join(v + ', ' for v in values)})")
     exec("def compiled(b):\n" + "\n".join(lines) + "\n", namespace)
     return namespace.pop("compiled")
+
+
+def _each(f, column, *args):
+    values = map(f, column.tolist(), *map(repeat, args))
+    return np.fromiter(values, dtype=float, count=len(column))
+
+
+def _full(value, b):
+    return np.full(b.shape[1], value, dtype=float)
 
 
 def _unbound(name: str):
@@ -953,9 +984,11 @@ class Kernel:
     ``k`` walks root ``k`` when it is read: ``tuple()`` of it, unpacking and
     slicing read in root order and raise the error :func:`evaluate` of those
     roots, in that order, would raise; a caller that reads the items in its
-    own order meets its own errors in its own order."""
+    own order meets its own errors in its own order.
 
-    __slots__ = ("roots", "names", "constants", "_run")
+    ``kernel.columns(stack)`` evaluates many rows at once."""
+
+    __slots__ = ("roots", "names", "constants", "_run", "_columns")
 
     def __init__(
         self, roots: Iterable[Expr], names: Iterable[str], constants: Optional[Binding] = None
@@ -964,6 +997,7 @@ class Kernel:
         self.names = tuple(names)
         self.constants = dict(constants or {})
         self._run = _compile(self.roots, self.names, self.constants)
+        self._columns = None
 
     def __call__(self, row):
         try:
@@ -971,6 +1005,19 @@ class Kernel:
         except (ArithmeticError, ValueError, LookupError):
             # a name shadows a constant of the same name
             return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})
+
+    def columns(self, stack):
+        """The roots' values at many rows: ``stack`` is a 2-D float64 array
+        whose line ``i`` holds the values of ``names[i]``, one per row, and
+        the result holds one float64 array per root, equal bit for bit to the
+        items of ``kernel(row)`` at each row. Raises ``ArithmeticError``,
+        ``ValueError`` or ``LookupError`` where the compiled code raises at
+        some row; the caller then reads the rows through ``kernel(row)``. The
+        column code is compiled at the first call."""
+        if self._columns is None:
+            self._columns = _compile(self.roots, self.names, self.constants, columns=True)
+        with np.errstate(all="ignore"):
+            return self._columns(stack)
 
 
 class _Walk:

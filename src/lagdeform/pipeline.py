@@ -134,10 +134,18 @@ def _expect(data: dict, key: str, types, where: str):
 
 
 def _real(value, field_name: str, what: str) -> float:
-    """``value`` as a float, if it is a JSON number and not a boolean."""
+    """``value`` as a float, if it is a JSON number, not a boolean, and a
+    finite float: ``json`` reads ``NaN`` and ``Infinity``, and an integer
+    too large for a float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SchemaError(field_name, f"{what} must be a number")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:
+        raise SchemaError(field_name, f"{what} is too large for a float") from None
+    if not math.isfinite(real):
+        raise SchemaError(field_name, f"{what} must be finite")
+    return real
 
 
 def _expressions(data: dict, key: str, n: int, declared: set) -> list:
@@ -200,7 +208,7 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError("box", f"{v} needs [lo, hi]")
         lo, hi = (_real(b, "box", f"each bound of {v}") for b in pair)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not lo < hi:
             raise SchemaError("box", f"{v} has degenerate bounds")
         bounds[v] = (lo, hi)
 

@@ -424,6 +424,32 @@ def _outcome(run):
     return ("value", type(v), "nan" if math.isnan(v) else struct.pack("<d", v))
 
 
+def _column_bits(v):
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _assert_columns_match_rows(kernel, rows):
+    """The stacked ``rows`` as columns give the bits of ``kernel(row)`` at
+    each row (any nan alike), or, where the compiled code of some row raises,
+    the column call raises, and the rows are read through ``kernel(row)``."""
+    rows = [[float(v) for v in row] for row in rows]
+    stack = np.array(rows, dtype=float).reshape(len(rows), len(kernel.names)).T
+    with np.errstate(all="ignore"):  # a constant may be a float64
+        per_row = [kernel(row) for row in rows]
+    try:
+        columns = kernel.columns(stack)
+    except (ArithmeticError, ValueError, LookupError):
+        assert not all(isinstance(values, tuple) for values in per_row)
+        return
+    assert all(isinstance(values, tuple) for values in per_row)
+    assert len(columns) == len(kernel.roots)
+    for column in columns:
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        assert column.shape == (len(rows),)
+    for j, values in enumerate(per_row):
+        assert [_column_bits(c[j]) for c in columns] == [_column_bits(v) for v in values]
+
+
 _NAMES = ("x1", "x2", "y1", "y2")
 _VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300, 1e154, math.inf, -math.inf, math.nan]),
@@ -466,7 +492,7 @@ def test_compiled_evaluation_matches_tree_walk(e, bindings, split):
     # the rest bound in as constants, beside a constant named like the first
     # row entry that the row must shadow; a later binding of the same names
     # and constants reuses the code the first one ran
-    kernels = {}
+    kernels, stacked = {}, {}
     for binding in bindings:
         names = tuple(binding)[:split]
         constants = {name: binding[name] for name in tuple(binding)[split:]}
@@ -485,6 +511,37 @@ def test_compiled_evaluation_matches_tree_walk(e, bindings, split):
             # operations in the same order, less the repeats
             first_reads = [names[i] for i in dict.fromkeys(row.reads)]
             assert first_reads == [v for v in dict.fromkeys(walk_log.reads) if v in names]
+        stacked.setdefault(key, []).append([binding[name] for name in names])
+    for key, rows in stacked.items():
+        _assert_columns_match_rows(kernels[key], rows)
+
+
+def test_columns_of_signed_zeros_nan_and_inf_match_each_row():
+    names = ("x1", "y1")
+    sources = ("-x1", "x1*y1 - y1", "y1/x1", "a*x1", "a", "2.5", "x1^0.5 + y1", "sign(y1) + exp(x1)")
+    roots = [parse(source, names + ("a",)) for source in sources]
+    for constants in ({"a": 2.0}, {"a": -0.0}, {"a": 3}):
+        kernel = compile(roots, names, constants)
+        finite = [[2.0, -0.0], [-0.0, 3.0], [1e300, 1e300], [0.25, -7.5]]
+        special = [[math.inf, 1.0], [math.nan, 2.0], [4.0, -math.inf], [1e-310, math.nan]]
+        _assert_columns_match_rows(kernel, finite)
+        _assert_columns_match_rows(kernel, finite + special)
+        # one lane alone raises: a zero denominator, or a non-integer power
+        # of a negative base, or sign(0)
+        for lane in ([0.0, 1.0], [-0.0, 1.0], [-4.0, 1.0], [1.0, 0.0]):
+            _assert_columns_match_rows(kernel, finite + [lane] + special)
+            with pytest.raises((ArithmeticError, ValueError)):
+                kernel.columns(np.array(finite + [lane]).T)
+    # numpy's own power and transcendental functions differ from math's in
+    # the last bit at some of these rows
+    powers = compile([parse("x1^3.0 + y1^2.0 + exp(x1) + ln(y1) + x1^0.7", names)], names)
+    draws = np.random.default_rng(3).uniform(0.1, 9.0, size=(2000, 2))
+    _assert_columns_match_rows(powers, draws.tolist())
+    # no rows at all, and a kernel of no names
+    empty = compile(roots, names, {"a": 1.0}).columns(np.zeros((2, 0)))
+    assert [column.shape for column in empty] == [(0,)] * len(roots)
+    constant = compile([parse("a + 1", ("a",))], (), {"a": 1.0})
+    assert constant.columns(np.zeros((0, 3)))[0].tolist() == [2.0, 2.0, 2.0]
 
 
 def test_float64_zero_denominator_is_domain_violation():
@@ -707,6 +764,10 @@ def test_compiled_power_matches_the_tree_walk(exponent, base, outcome):
         else:
             assert (e.evaluate(binding),) == alone([base, 0.0]) == (outcome,)
             assert kernel([base, 0.0]) == (outcome, outcome)
+    # the power in one lane of a column beside lanes that do not raise
+    for rows in ([[base, 0.0]], [[2.0, -0.0], [base, 0.0], [math.nan, math.inf]]):
+        _assert_columns_match_rows(alone, rows)
+        _assert_columns_match_rows(kernel, rows)
 
 
 def _functions_held_by(obj):

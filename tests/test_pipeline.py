@@ -137,6 +137,9 @@ def _malformed(key, value):
         pytest.param(("sampling", "seed"), True, id="seed-bool"),
         pytest.param(("sampling", "count"), True, id="count-bool"),
         pytest.param(("sampling", "count"), 10.0, id="count-float"),
+        # json reads NaN, and an integer no float holds
+        pytest.param(("sampling", "guard"), math.nan, id="guard-nan"),
+        pytest.param(("params",), {"alpha": 10**400}, id="param-too-large"),
     ],
 )
 def test_a_malformed_value_is_a_schema_error(key, value):

@@ -421,17 +421,17 @@ def _outcome(run):
     except ExpressionError as exc:
         context = (type(exc.__context__), exc.__suppress_context__)
         return ("error", type(exc), str(exc), context, getattr(exc, "expr", None))
-    return ("value", type(v), "nan" if math.isnan(v) else struct.pack("<d", v))
+    return ("value", type(v), _value_bits(v))
 
 
-def _column_bits(v):
+def _value_bits(v):
     return "nan" if math.isnan(v) else struct.pack("<d", v)
 
 
 def _assert_columns_match_rows(kernel, rows):
     """The stacked ``rows`` as columns give the bits of ``kernel(row)`` at
-    each row (any nan alike), or, where the compiled code of some row raises,
-    the column call raises, and the rows are read through ``kernel(row)``."""
+    each row (any nan alike), or the column call raises and the compiled
+    code of some row raises too, so that ``kernel(row)`` walks it."""
     rows = [[float(v) for v in row] for row in rows]
     stack = np.array(rows, dtype=float).reshape(len(rows), len(kernel.names)).T
     with np.errstate(all="ignore"):  # a constant may be a float64
@@ -447,7 +447,7 @@ def _assert_columns_match_rows(kernel, rows):
         assert isinstance(column, np.ndarray) and column.dtype == np.float64
         assert column.shape == (len(rows),)
     for j, values in enumerate(per_row):
-        assert [_column_bits(c[j]) for c in columns] == [_column_bits(v) for v in values]
+        assert [_value_bits(c[j]) for c in columns] == [_value_bits(v) for v in values]
 
 
 _NAMES = ("x1", "x2", "y1", "y2")

@@ -19,7 +19,6 @@ from .conditions import (
     check_sigma_condition,
     check_sigma_consistency,
     classify,
-    deformation_ratio,
     functional_dependence_test,
     hessian_report,
 )
@@ -29,9 +28,7 @@ from .deformation import (
     DomainConflict,
     Numeric,
     OutOfInterval,
-    affine_rescale,
     deformed_hessian,
-    phi_eval,
     synthesize,
     synthesize_numeric,
     verify_deformed_el,
@@ -40,7 +37,6 @@ from .dynamics import (
     GeodesicError,
     IntegratorConfig,
     Trajectory,
-    dissipation_along,
     el_residual_along,
     energy_along,
     integrate_geodesic,
@@ -72,7 +68,6 @@ from .geometry import (
     ScalarField,
     SemiBasicForm,
     SemiSpray,
-    contract_with_spray,
     energy,
     fiber_hessian,
     homogeneity_degree,

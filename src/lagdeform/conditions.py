@@ -177,16 +177,6 @@ def _worse(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def deformation_ratio(
-    derived: DerivedFields,
-    point: PhasePoint,
-    guard_eps: float = 1e-6,
-) -> float:
-    """-S(E_L) / (S(L) C(L)) at one point: the target value for Phi''/Phi'."""
-    row = [*point.x, *point.y]
-    return _slope_ratio(derived.kernel(_ratio_roots(derived))(row), guard_eps)
-
-
 def _ratio_roots(derived: DerivedFields) -> tuple:
     """L, then the fields of the slope ratio, as :func:`_slope_ratio` reads them."""
     return (
@@ -198,6 +188,8 @@ def _ratio_roots(derived: DerivedFields) -> tuple:
 
 
 def _slope_ratio(values, guard_eps: float) -> float:
+    """-S(E_L) / (S(L) C(L)) from the values of :func:`_ratio_roots`: the
+    target value for Phi''/Phi'."""
     sl, cl = values[1], values[2]
     if abs(sl) <= guard_eps:
         raise GuardViolation("S(L)", sl, guard_eps)
@@ -757,19 +749,12 @@ class HessianReport:
     max_entry: float
 
 
-def hessian_report(
-    matrix,
-    samples: Samples,
-    params: Optional[dict] = None,
-) -> HessianReport:
-    """Evaluate an n x n expression matrix, or a callable ``row -> tuple``
-    of its n*n entries in row-major order, at the sampled rows; rank via
+def hessian_report(matrix: Callable, samples: Samples) -> HessianReport:
+    """Evaluate ``matrix``, a callable ``row -> tuple`` of the n*n entries
+    of an n x n matrix in row-major order, at the sampled rows; rank via
     singular values above ``_RANK_RTOL * s_max``, from one batched SVD. A
     row where the matrix is not evaluable, or has an entry that is not
     finite, is skipped."""
-    if not callable(matrix):
-        cells = tuple(cell for line in matrix for cell in line)
-        matrix = ex.compile(cells, ex.chart_names(len(matrix)), params)
     stack = []
     for row in samples.rows:
         try:

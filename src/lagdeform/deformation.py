@@ -11,7 +11,7 @@ symbolically, which gives the verification an exact independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -255,46 +255,14 @@ def synthesize_numeric(cloud: Sequence) -> Numeric:
     big_f = np.concatenate(([0.0], np.cumsum(0.5 * (f_grid[1:] + f_grid[:-1]) * dl)))
     dphi = np.exp(big_f)
     phi = np.concatenate(([0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dl)))
-    return _numeric(tuple(grid), tuple(phi), tuple(dphi))
-
-
-def _numeric(grid: tuple, values: tuple, derivatives: tuple) -> Numeric:
-    """The grid deformation through ``values`` of Phi and ``derivatives``
-    of Phi' at the ``grid`` points."""
-    from scipy.interpolate import PchipInterpolator
-
-    points = np.asarray(grid)
-    interp_dphi = PchipInterpolator(points, np.asarray(derivatives))
+    interp_dphi = PchipInterpolator(grid, dphi)
     return Numeric(
-        grid=grid,
-        values=values,
-        derivatives=derivatives,
-        _phi=PchipInterpolator(points, np.asarray(values)),
+        grid=tuple(grid),
+        values=tuple(phi),
+        derivatives=tuple(dphi),
+        _phi=PchipInterpolator(grid, phi),
         _dphi=interp_dphi,
         _ddphi=interp_dphi.derivative(),
-    )
-
-
-def phi_eval(deformation: Deformation, t: float) -> tuple:
-    """(Phi, Phi', Phi'') at ``t``; exact for closed forms, interpolated for
-    numeric deformations."""
-    return deformation.triple(t)
-
-
-def affine_rescale(deformation: Deformation, alpha: float, beta: float) -> Deformation:
-    """alpha * Phi + beta with alpha > 0: inert for every verdict."""
-    if alpha <= 0.0:
-        raise ValueError("affine rescaling must keep Phi increasing")
-    if isinstance(deformation, ClosedForm):
-        return replace(
-            deformation,
-            scale=alpha * deformation.scale,
-            shift=alpha * deformation.shift + beta,
-        )
-    return _numeric(
-        deformation.grid,
-        tuple(alpha * v + beta for v in deformation.values),
-        tuple(alpha * v for v in deformation.derivatives),
     )
 
 
@@ -305,32 +273,18 @@ def affine_rescale(deformation: Deformation, alpha: float, beta: float) -> Defor
 
 @dataclass(frozen=True)
 class DeformedLagrangian:
-    """Phi composed with a base Lagrangian. ``triple`` is the one chain-rule
-    entry point for every deformation kind; ``composed`` is the exact
-    symbolic form of a closed form, kept as an independent oracle."""
+    """Phi composed with a base Lagrangian. ``deformation.triple`` at the
+    value of L is the one chain-rule entry point for every deformation kind;
+    ``composed`` is the exact symbolic form of a closed form, kept as an
+    independent oracle."""
 
     base: ScalarField
     deformation: Deformation
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
     def composed(self) -> Optional[ScalarField]:
         if isinstance(self.deformation, ClosedForm):
             return ScalarField(self.base.n, self.deformation.compose(self.base.expr))
         return None
-
-    def triple(self, binding) -> tuple:
-        """(Phi(L), Phi'(L), Phi''(L)) at the point."""
-        return self.deformation.triple(ex.evaluate(self.base.expr, binding))
-
-    def value(self, binding) -> float:
-        return self.triple(binding)[0]
-
-    def gradient_pair(self, binding) -> tuple:
-        """(Phi'(L), Phi''(L)) at the point."""
-        return self.triple(binding)[1:]
 
 
 @dataclass

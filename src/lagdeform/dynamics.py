@@ -17,16 +17,7 @@ import numpy as np
 
 from . import expressions as ex
 from .deformation import DeformedLagrangian
-from .geometry import (
-    PhasePoint,
-    ScalarField,
-    SemiSpray,
-    energy,
-    homogeneity_degree,
-    liouville_apply,
-    spray_apply,
-    vertical_differential,
-)
+from .geometry import PhasePoint, ScalarField, SemiSpray, liouville_apply, vertical_differential
 
 
 class GeodesicError(Exception):
@@ -151,8 +142,8 @@ def _base_of(lag: Lagrangianlike) -> ScalarField:
 def _along(traj: Trajectory, lag: Lagrangianlike, fields):
     """Per state, ``(Phi(L), Phi'(L), Phi''(L))`` for a deformed Lagrangian
     (None for a plain L) and the values of ``fields``, from one kernel call.
-    A state fails as ``lag.triple`` and then :func:`ex.evaluate` of each
-    field, in that order, would fail there."""
+    A state fails as :func:`ex.evaluate` of L, ``Phi``'s ``triple`` and then
+    :func:`ex.evaluate` of each field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
     first = 1 if deformed else 0
     roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
@@ -205,54 +196,6 @@ def energy_along(traj: Trajectory, lag: Lagrangianlike):
     series = np.array(series, dtype=float)
     drift = float(np.max(np.abs(series - series[0])))
     return series, drift
-
-
-@dataclass
-class DissipationTrace:
-    energy_rate: np.ndarray  # S(E_L) along the flow
-    dissipation_rate: np.ndarray  # C(D)
-    twice_dissipation: np.ndarray  # 2 D
-    rate_matches: bool  # S(E_L) = C(D)
-    rayleigh: bool  # D fiber-quadratic
-    rayleigh_matches: Optional[bool]  # S(E_L) = 2D, when quadratic
-    always_negative: bool  # D < 0 wherever y != 0
-
-
-def dissipation_along(
-    traj: Trajectory,
-    lagrangian: ScalarField,
-    dissipation: ScalarField,
-    tol: float = 1e-9,
-) -> DissipationTrace:
-    rate_field = spray_apply(traj.spray, energy(lagrangian))
-    c_of_d = liouville_apply(dissipation)
-    roots = (rate_field.expr, c_of_d.expr, dissipation.expr)
-    kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
-    rows = traj.states.tolist()
-    values = np.array([tuple(kernel(row)) for row in rows], dtype=float)
-    sel, cd = values[:, 0], values[:, 1]
-    twice = 2.0 * values[:, 2]
-    rate_matches = bool(np.max(np.abs(sel - cd) / (1.0 + np.abs(cd))) <= tol)
-    deg = homogeneity_degree(dissipation, rows[:: max(1, len(rows) // 32)], traj.params)
-    rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
-    rayleigh_matches = None
-    if rayleigh:
-        rayleigh_matches = bool(
-            np.max(np.abs(sel - twice) / (1.0 + np.abs(twice))) <= tol
-        )
-    n = traj.n
-    always_negative = bool(
-        all(t < 0.0 for t, row in zip(twice, rows) if any(v != 0.0 for v in row[n:]))
-    )
-    return DissipationTrace(
-        energy_rate=sel,
-        dissipation_rate=cd,
-        twice_dissipation=twice,
-        rate_matches=rate_matches,
-        rayleigh=rayleigh,
-        rayleigh_matches=rayleigh_matches,
-        always_negative=always_negative,
-    )
 
 
 def trajectory_to_csv(

@@ -1076,10 +1076,6 @@ def evaluate_dual(e: Expr, binding: Binding, seed: str) -> tuple:
     return (d.val, d.dot)
 
 
-def free_vars(e: Expr) -> frozenset:
-    return e.free_vars()
-
-
 def to_source(e: Expr) -> str:
     return e.to_source()
 

@@ -84,14 +84,6 @@ class PhasePoint:
     def n(self):
         return len(self.x)
 
-    def binding(self, params: Optional[dict] = None) -> dict:
-        b = dict(params) if params else {}
-        for i, v in enumerate(self.x, start=1):
-            b[f"x{i}"] = v
-        for i, v in enumerate(self.y, start=1):
-            b[f"y{i}"] = v
-        return b
-
 
 def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[dict]):
     """The kernel of ``roots`` over the chart points ``(x1..xn, y1..yn)``
@@ -109,14 +101,6 @@ def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[di
 def _check_dims(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
-
-
-def validate_chart_vars(e: Expr, n: int, params: Sequence[str] = ()) -> None:
-    """Reject expressions whose free variables fall outside the chart."""
-    allowed = set(ex.chart_names(n)) | set(params)
-    extra = ex.free_vars(e) - allowed
-    if extra:
-        raise ValueError(f"variables outside the chart/parameters: {sorted(extra)}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +175,6 @@ def fiber_hessian(lagrangian: ScalarField) -> list:
     return [
         [ex.partial(firsts[i], f"y{j + 1}") for j in range(n)] for i in range(n)
     ]
-
-
-def contract_with_spray(spray: SemiSpray, form: SemiBasicForm) -> ScalarField:
-    """i_S omega = sum omega_i y_i (semi-basic forms only see the dx part)."""
-    _check_dims(spray, form)
-    acc: Expr = ex.Const(0.0)
-    for i, comp in enumerate(form.components, start=1):
-        acc = ex.add(acc, ex.mul(comp, ex.Var(f"y{i}")))
-    return ScalarField(spray.n, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,7 @@ from .dynamics import (
     integrate_geodesic,
 )
 from .families import Affine
-from .geometry import (
-    PhasePoint,
-    ScalarField,
-    SemiBasicForm,
-    SemiSpray,
-    validate_chart_vars,
-)
+from .geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
 from .sampling import Guards, SamplePlan, TooManyRejections, draw_samples
 
 
@@ -183,9 +177,6 @@ def problem_from_dict(data: dict) -> ProblemSpec:
     declared = set(ex.chart_names(n)) | set(params)
     spray = SemiSpray(n, _expressions(data, "spray", n, declared))
     lagrangian = ScalarField(n, ex.parse(_expect(data, "lagrangian", str, "problem"), declared))
-    validate_chart_vars(lagrangian.expr, n, tuple(params))
-    for g in spray.coefficients:
-        validate_chart_vars(g, n, tuple(params))
 
     sigma = None
     if "sigma" in data:
@@ -358,7 +349,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
 
     doc.verify = verify_deformed_el(derived, doc.deformation, samples, tol["identity"])
     doc.base_hessian = _stage(
-        "hessian", lambda: hessian_report(derived.hessian, samples, spec.params)
+        "hessian", lambda: hessian_report(_base_hessian(derived), samples)
     )
     doc.deformed_hessian_report = _stage(
         "deformed_hessian",
@@ -404,6 +395,11 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     return doc
 
 
+def _base_hessian(derived: DerivedFields):
+    """The fiber Hessian g of L as the run's kernel of its row-major cells."""
+    return derived.kernel(tuple(cell for line in derived.hessian for cell in line))
+
+
 def _stage(name: str, thunk):
     # The Hessian stages raise when no point of the run's set is evaluable.
     try:
@@ -434,7 +430,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
             defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))
     conservative = defect_max <= tol["identity"]
     doc.notes.append(f"Lagrange differential max residual {defect_max:.3e} on samples")
-    doc.base_hessian = hessian_report(derived.hessian, samples, spec.params)
+    doc.base_hessian = hessian_report(_base_hessian(derived), samples)
 
     sigma_ok = True
     if spec.sigma is not None:

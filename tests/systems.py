@@ -5,17 +5,12 @@ force form / dissipation function, and the parameter binding used when
 evaluating expressions.
 """
 
-from lagdeform.expressions import chart_names, parse
-from lagdeform.geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
+from lagdeform.expressions import chart_names, compile, parse
+from lagdeform.geometry import ScalarField, SemiBasicForm, SemiSpray
 
 XY1 = ("x1", "y1")
 XY2 = ("x1", "x2", "y1", "y2")
 XY3 = ("x1", "x2", "x3", "y1", "y2", "y3")
-
-
-def points(samples, n):
-    """The phase points of a draw's rows in an n-dimensional chart."""
-    return [PhasePoint(row[:n], row[n : 2 * n]) for row in samples.rows]
 
 
 def row_of(point):
@@ -27,6 +22,13 @@ def binding(row, n, params=None):
     """The dict binding of a row of an n-dimensional chart: the parameters,
     then the coordinates, which bind a name they share with a parameter."""
     return {**(params or {}), **dict(zip(chart_names(n), row))}
+
+
+def matrix_kernel(matrix, params=None):
+    """An n x n expression matrix compiled into the callable ``row -> n*n
+    entries`` in row-major order that ``hessian_report`` reads."""
+    cells = tuple(cell for line in matrix for cell in line)
+    return compile(cells, chart_names(len(matrix)), params)
 
 
 def damped_oscillator(a=1.0, b=1.0, w=1.0):

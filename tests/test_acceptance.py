@@ -15,16 +15,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from lagdeform.conditions import DerivedFields, deformation_ratio
+from lagdeform.conditions import DerivedFields
 from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
-from lagdeform.deformation import DeformedLagrangian, phi_eval, synthesize
-from lagdeform.dynamics import (
-    IntegratorConfig,
-    dissipation_along,
-    el_residual_along,
-    energy_along,
-    integrate_geodesic,
-)
+from lagdeform.deformation import DeformedLagrangian, synthesize
+from lagdeform.dynamics import IntegratorConfig, energy_along, integrate_geodesic
 from lagdeform.expressions import (
     DomainViolation,
     chart_names,
@@ -38,18 +32,11 @@ from lagdeform.geometry import (
     PhasePoint,
     ScalarField,
     SemiSpray,
-    contract_with_spray,
-    energy,
     homogeneity_degree,
     lagrange_differential,
-    liouville_apply,
-    spray_apply,
-    vertical_differential,
 )
 from lagdeform.pipeline import problem_from_dict, run_pipeline
-from lagdeform.sampling import Guards, SamplePlan, draw_samples
-
-from systems import points
+from lagdeform.sampling import Guards, draw_samples
 from test_expressions import random_expression, sample_valid_point
 
 
@@ -91,7 +78,7 @@ def test_criterion_1_dissipative(docs):
     ok &= abs(doc.fit.chosen.a) <= 1e-6
     ts = np.linspace(0.3, 4.0, 50)
     gap, alpha = affine_gap(
-        [phi_eval(doc.deformation, t)[0] for t in ts], [math.sqrt(t) for t in ts]
+        [doc.deformation.triple(t)[0] for t in ts], [math.sqrt(t) for t in ts]
     )
     ok &= gap <= 1e-9 and alpha > 0
     ok &= doc.verify.direct.passed and doc.verify.direct.max_residual <= 1e-9
@@ -144,7 +131,10 @@ def test_criterion_2_exp_class(docs):
 
     # Phi(L) affine-equivalent to b*Q - c at 100 points
     rng = random.Random(2026)
-    deformed = DeformedLagrangian(spec.lagrangian, doc.deformation)
+
+    def value(b):
+        return doc.deformation.triple(evaluate(spec.lagrangian.expr, b))[0]
+
     names = chart_names(3)
     target_expr = parse(
         "b*(x1*y1 + x2*y2 + x3*y3 + y1^2 + y2^2) - c", tuple(names) + ("b", "c")
@@ -154,7 +144,7 @@ def test_criterion_2_exp_class(docs):
         b = {v: rng.uniform(0.5, 2.0) for v in names}
         b.update(spec.params)
         try:
-            phi_vals.append(deformed.value(b))
+            phi_vals.append(value(b))
         except DomainViolation:
             continue
         points.append(b)
@@ -167,7 +157,7 @@ def test_criterion_2_exp_class(docs):
     s2_min, s3_max, y3_row_max = math.inf, 0.0, 0.0
     oracle = []
     for b in points:
-        hess = fd_fiber_hessian(deformed.value, b, 3)
+        hess = fd_fiber_hessian(value, b, 3)
         s = np.linalg.svd(hess, compute_uv=False)
         s2_min = min(s2_min, s[1] / s[0])
         s3_max = max(s3_max, s[2] / s[0])
@@ -252,7 +242,7 @@ def test_criterion_4_homogeneous(docs):
     phi2 = synthesize(doc.theorem2.phi_class, (0.3, 30.0))
     ts = np.linspace(0.3, 30.0, 60)
     gap, alpha = affine_gap(
-        [phi_eval(phi2, float(t))[0] for t in ts], [math.sqrt(t) for t in ts]
+        [phi2.triple(float(t))[0] for t in ts], [math.sqrt(t) for t in ts]
     )
     ok &= gap <= 1e-9 and alpha > 0
     ranks = (doc.deformed_hessian_report.min_rank, doc.deformed_hessian_report.max_rank)
@@ -274,19 +264,15 @@ def test_criterion_4_homogeneous(docs):
 
 def test_criterion_5_lienard(docs):
     doc, _ = docs["lienard"]
-    spec = doc.problem
-    derived = DerivedFields(spec.spray, spec.lagrangian, spec.params)
-    samples = draw_samples(spec.plan(count=300), derived.theorem_guards(), spec.params)
+    # the (L, f) cloud of the run's dependence test, against +1/(2 alpha L)
+    alpha = doc.problem.params["alpha"]
     worst = 0.0
-    for p in points(samples, spec.n):
-        b = p.binding(spec.params)
-        f_val = deformation_ratio(derived, p)
-        l_val = evaluate(spec.lagrangian.expr, b)
-        worst = max(worst, abs(f_val - 1.0 / (2.0 * l_val)) / (1.0 + abs(f_val)))
-    ok = worst <= 1e-9
+    for l_val, f_val in doc.dependence.cloud:
+        worst = max(worst, abs(f_val - 1.0 / (2.0 * alpha * l_val)) / (1.0 + abs(f_val)))
+    ok = len(doc.dependence.cloud) >= 300 and worst <= 1e-9
     ts = np.linspace(2.0, 36.0, 50)
     gap, alpha = affine_gap(
-        [phi_eval(doc.deformation, float(t))[0] for t in ts], [t**1.5 for t in ts]
+        [doc.deformation.triple(float(t))[0] for t in ts], [t**1.5 for t in ts]
     )
     ok &= gap <= 1e-8 and alpha > 0
     ok &= doc.verify.direct.passed and doc.verify.direct.max_residual <= 1e-9
@@ -336,33 +322,34 @@ def test_criterion_6_identity_suite():
     for idx in range(20):
         n, spray, lagrangian = _random_system(rng, idx)
         derived = DerivedFields(spray, lagrangian)
-        lhs_c = contract_with_spray(spray, derived.vertical)
-        lhs_e = contract_with_spray(spray, derived.defect)
         phi = synthesize(Constant(0.4), (-10.0, 10.0))
-        deformed = DeformedLagrangian(lagrangian, phi)
-        composed = deformed.composed()
+        composed = DeformedLagrangian(lagrangian, phi).composed()
         direct = lagrange_differential(spray, composed)
+        # L, C(L), S(E_L), S(L), then d_J L, delta_S L and the direct form
+        kernel = derived.kernel(
+            (lagrangian.expr, derived.liouville_of_L.expr, derived.energy_rate.expr)
+            + (derived.spray_of_L.expr,)
+            + derived.vertical.components
+            + derived.defect.components
+            + direct.components
+        )
         for _ in range(200):
-            point = PhasePoint(
-                [rng.uniform(-1.0, 1.0) for _ in range(n)],
-                [rng.uniform(-1.0, 1.0) for _ in range(n)],
-            )
-            b = point.binding()
-            a1, b1 = evaluate(lhs_c.expr, b), evaluate(derived.liouville_of_L.expr, b)
+            x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            y = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            v = kernel(x + y)
+            vertical, defect, direct_values = v[4 : 4 + n], v[4 + n : 4 + 2 * n], v[4 + 2 * n :]
+            a1, b1 = sum(y_i * w_i for y_i, w_i in zip(y, vertical)), v[1]
             worst["contraction"] = max(
                 worst["contraction"], abs(a1 - b1) / (1.0 + abs(a1) + abs(b1))
             )
-            a2, b2 = evaluate(lhs_e.expr, b), evaluate(derived.energy_rate.expr, b)
+            a2, b2 = sum(y_i * w_i for y_i, w_i in zip(y, defect)), v[2]
             worst["energy_rate"] = max(
                 worst["energy_rate"], abs(a2 - b2) / (1.0 + abs(a2) + abs(b2))
             )
-            d1, d2 = deformed.gradient_pair(b)
-            sl = evaluate(derived.spray_of_L.expr, b)
+            d1, d2 = phi.triple(v[0])[1:]
             for i in range(n):
-                lhs = evaluate(direct.components[i], b)
-                rhs = d2 * sl * evaluate(derived.vertical.components[i], b) + d1 * evaluate(
-                    derived.defect.components[i], b
-                )
+                lhs = direct_values[i]
+                rhs = d2 * v[3] * vertical[i] + d1 * defect[i]
                 worst["expansion"] = max(
                     worst["expansion"], abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
                 )
@@ -481,11 +468,14 @@ def test_criterion_8_dynamics(docs):
             "sampling": {"count": 100, "seed": 8, "guard": 1e-6},
         }
     )
+    # S(E_L) = C(D) = 2D with D < 0 on the run's samples
+    dissipative = run_pipeline(rayleigh, mode="verify").dissipative
+    ok &= dissipative.gradient_match.passed and dissipative.energy_rate_match.passed
+    ok &= dissipative.rayleigh and dissipative.rayleigh_rate.passed
+    ok &= dissipative.dissipation_negative is True
     cfg = IntegratorConfig(step=1e-3, horizon=1.0, initial=PhasePoint([1.0, 1.0], [1.0, 0.7]))
     rtraj = integrate_geodesic(rayleigh.spray, cfg, rayleigh.params)
-    trace = dissipation_along(rtraj, rayleigh.lagrangian, rayleigh.dissipation)
     series, _ = energy_along(rtraj, rayleigh.lagrangian)
-    ok &= trace.rayleigh and trace.rayleigh_matches and trace.always_negative
     ok &= bool(np.all(np.diff(series) < 0.0))
 
     emit(

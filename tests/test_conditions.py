@@ -19,7 +19,6 @@ from lagdeform.conditions import (
     check_sigma_condition,
     check_sigma_consistency,
     classify,
-    deformation_ratio,
     functional_dependence_test,
     hessian_report,
     _gauss_newton,
@@ -78,8 +77,8 @@ from systems import (
     homogeneous_example,
     lienard,
     log_class,
+    matrix_kernel,
     moebius_class,
-    points,
     rayleigh_drag,
 )
 
@@ -226,50 +225,53 @@ def test_reports_count_rejected_draws():
 # ---------------------------------------------------------------------------
 
 
+def _cloud(sys, count, seed):
+    """The (L, f) cloud of functional_dependence_test on the theorem-guard
+    draw of ``count`` points of the box [0.5, 2]."""
+    plan = plan_for(sys["n"], count=count, seed=seed)
+    return dependence(sys["spray"], sys["lagrangian"], plan, sys["params"]).cloud
+
+
 def test_ratio_damped_oscillator_point():
-    sys = damped_oscillator()
-    p = PhasePoint([1.0, 0.0], [2.0, 1.0])
-    got = deformation_ratio(derived(sys), p)
-    assert got == pytest.approx(-0.2, rel=1e-12)
-    # equals -1/(2L) with L = 2.5
-    assert got == pytest.approx(-1.0 / 5.0)
+    # S(E_L) = S(L) for the kinetic L, so f = -1/C(L) = -1/(2L)
+    cloud = _cloud(damped_oscillator(), 40, 5)
+    assert len(cloud) == 40
+    for l, f in cloud:
+        assert f == pytest.approx(-1.0 / (2.0 * l), rel=1e-12)
 
 
 def test_ratio_exp_class_is_constant_b():
-    sys = exp_class(a=1.0, b=1.0, c=0.1)
-    plan = plan_for(3, count=40, seed=5)
-    from lagdeform.conditions import DerivedFields
-
-    d = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
-    for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), 3):
-        got = deformation_ratio(d, p)
-        assert got == pytest.approx(1.0, abs=1e-9)
+    cloud = _cloud(exp_class(a=1.0, b=1.0, c=0.1), 40, 5)
+    assert len(cloud) == 40
+    for _, f in cloud:
+        assert f == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ratio_lienard_positive_sign():
-    # measured slope is +1/(2 alpha L); at (1, 1) with alpha = 1 that is 1/18
-    sys = lienard()
-    p = PhasePoint([1.0], [1.0])
-    got = deformation_ratio(derived(sys), p)
-    assert got == pytest.approx(1.0 / 18.0, rel=1e-12)
+    # measured slope is +1/(2 alpha L), with alpha = 1
+    cloud = _cloud(lienard(), 40, 5)
+    assert len(cloud) == 40
+    for l, f in cloud:
+        assert f == pytest.approx(1.0 / (2.0 * l), rel=1e-12)
 
 
 def test_ratio_guard_violation_for_conserved_lagrangian():
+    # S(L) = 0 for a free particle: the ratio of an unguarded draw raises
     sys = free_particle(2)
-    p = PhasePoint([1.0, 1.0], [1.0, 1.0])
+    plan = plan_for(2, count=40, seed=5)
     with pytest.raises(GuardViolation):
-        deformation_ratio(derived(sys), p)
+        functional_dependence_test(derived(sys), draw_samples(plan, Guards(), {}), plan)
 
 
-def _ratio_via_duals(sys, point):
+def _ratio_via_duals(sys, row):
     """Recompute the slope ratio with dual-number outer derivatives: an
-    independent route that shares no symbolic differentiation with
-    deformation_ratio beyond the energy's inner layer."""
+    independent route that shares no symbolic differentiation with the
+    dependence test's ratio beyond the energy's inner layer."""
     from lagdeform.expressions import evaluate, evaluate_dual
     from lagdeform.geometry import energy as energy_field
 
     n = sys["n"]
-    b = point.binding(sys["params"])
+    b = binding(row, n, sys["params"])
     L = sys["lagrangian"].expr
     g_vals = [evaluate(g, b) for g in sys["spray"].coefficients]
 
@@ -289,13 +291,18 @@ def _ratio_via_duals(sys, point):
 @pytest.mark.parametrize("factory", [damped_oscillator, lienard, exp_class])
 def test_ratio_symbolic_vs_dual_routes(factory):
     sys = factory()
-    from lagdeform.conditions import DerivedFields
-
-    d = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
+    d = derived(sys)
     plan = plan_for(sys["n"], count=40, seed=23)
-    for p in points(draw_samples(plan, d.theorem_guards(), sys["params"]), sys["n"]):
-        symbolic = deformation_ratio(d, p)
-        dual = _ratio_via_duals(sys, p)
+    samples = draw_samples(plan, d.theorem_guards(), sys["params"])
+    cloud = functional_dependence_test(d, samples, plan).cloud
+    bindings = [binding(row, sys["n"], sys["params"]) for row in samples.rows]
+    by_duals = sorted(
+        (ex.evaluate(d.lagrangian.expr, b), _ratio_via_duals(sys, row))
+        for b, row in zip(bindings, samples.rows)
+    )
+    assert len(cloud) == len(by_duals)
+    for (l, symbolic), (l_dual, dual) in zip(cloud, by_duals):
+        assert l == l_dual
         assert abs(symbolic - dual) <= 1e-10 * (1.0 + abs(symbolic))
 
 
@@ -558,9 +565,8 @@ def test_gauss_newton_zero_denominator_keeps_start():
 def test_hessian_kinetic_full_rank():
     sys = free_particle(2)
     report = hessian_report(
-        fiber_hessian(sys["lagrangian"]),
+        matrix_kernel(fiber_hessian(sys["lagrangian"]), sys["params"]),
         draw_samples(plan_for(2, 60), Guards(), sys["params"]),
-        sys["params"],
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (2, 2)
@@ -569,7 +575,8 @@ def test_hessian_kinetic_full_rank():
 def test_hessian_root_kinetic_rank_deficient():
     names = ("x1", "x2", "y1", "y2")
     L = ScalarField(2, parse("sqrt(y1^2 + y2^2)", names))
-    report = hessian_report(fiber_hessian(L), draw_samples(plan_for(2, 60), Guards(), {}), {})
+    samples = draw_samples(plan_for(2, 60), Guards(), {})
+    report = hessian_report(matrix_kernel(fiber_hessian(L)), samples)
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (1, 1)
 
@@ -577,11 +584,10 @@ def test_hessian_root_kinetic_rank_deficient():
 def test_hessian_exp_class_lagrangian_regular():
     sys = exp_class()
     report = hessian_report(
-        fiber_hessian(sys["lagrangian"]),
+        matrix_kernel(fiber_hessian(sys["lagrangian"]), sys["params"]),
         draw_samples(
             plan_for(3, 60), Guards(evaluable=(sys["lagrangian"].expr,)), sys["params"]
         ),
-        sys["params"],
     )
     assert report.nontrivial
     assert (report.min_rank, report.max_rank) == (3, 3)
@@ -590,7 +596,8 @@ def test_hessian_exp_class_lagrangian_regular():
 def test_hessian_trivial_matrix():
     names = ("x1", "y1")
     L = ScalarField(1, parse("x1*y1", names))  # fiber Hessian identically zero
-    report = hessian_report(fiber_hessian(L), draw_samples(plan_for(1, 30), Guards(), {}), {})
+    samples = draw_samples(plan_for(1, 30), Guards(), {})
+    report = hessian_report(matrix_kernel(fiber_hessian(L)), samples)
     assert not report.nontrivial
 
 
@@ -691,6 +698,13 @@ def test_dissipative_rayleigh_reports_negative_quadratic():
     assert report.rayleigh
     assert report.rayleigh_rate.passed
     assert report.dissipation_negative is True
+    # anti-damping x'' = y with D = |y|^2/2 meets the same identities, D > 0
+    names = ("x1", "x2", "y1", "y2")
+    anti = SemiSpray(2, [parse("-y1/2", names), parse("-y2/2", names)])
+    gain = ScalarField(2, parse("0.5*(y1^2 + y2^2)", names))
+    report = check_dissipative(DerivedFields(anti, sys["lagrangian"]), gain, samples)
+    assert report.gradient_match.passed and report.rayleigh_rate.passed
+    assert report.dissipation_negative is False
 
 
 # ---------------------------------------------------------------------------
@@ -1052,7 +1066,7 @@ def test_checks_on_rows_match_the_dict_binding_references(name, offset):
     assert _bits(check_sigma_consistency(d, sigma, samples)) == _bits(
         _ref_sigma_consistency(d, sigma, samples, params)
     )
-    base = hessian_report(d.hessian, samples, params)
+    base = hessian_report(matrix_kernel(d.hessian, params), samples)
     cells = _ref_hessian_cells(d.hessian, samples, params)
     assert base.samples == len(cells)
     assert _bits(base.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
@@ -1112,7 +1126,7 @@ def test_a_hessian_cell_that_raises_skips_its_point_as_the_reference_does():
     d = _one_dimensional("0.5*y1^2")
     matrix = [[parse("ln(x1 - 1)*y1", ("x1", "y1"))]]
     samples = draw_samples(plan_for(1, 60), Guards(), {})
-    report = hessian_report(matrix, samples, {})
+    report = hessian_report(matrix_kernel(matrix), samples)
     cells = _ref_hessian_cells(matrix, samples, {})
     assert 0 < report.samples == len(cells) < len(samples.rows)
     assert _bits(report.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
@@ -1209,14 +1223,15 @@ def test_a_nan_lagrangian_is_not_positive_in_the_homogeneous_check():
 
 def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
     # at x1 = 1e200 the cell is NaN, with no DomainViolation, where a batched
-    # SVD of the stack would not converge
+    # SVD of the stack would not converge; the matrix is read as a kernel
+    # and as a callable that reads the kernel's one item
     names = ("x1", "y1")
     cell = parse(f"{_NAN_AT_1E200} + y1", names)
     samples = _nan_samples(1)
-    kernel = ex.compile([cell], names)
+    kernel = matrix_kernel([[cell]])
     reports = [
-        hessian_report([[cell]], samples, {}),
-        hessian_report(lambda row: (kernel(row)[0],), samples, {}),
+        hessian_report(kernel, samples),
+        hessian_report(lambda row: (kernel(row)[0],), samples),
     ]
     for report in reports:
         assert report.samples == 1
@@ -1226,17 +1241,16 @@ def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
 
 def test_both_hessian_inputs_skip_raising_and_nan_rows_in_one_loop():
     # a 2 x 2 matrix with a cell that raises at x1 = -1 and one that is NaN
-    # at x1 = 1e200, as an expression matrix and as a callable giving the
-    # row-major entries (a kernel itself, whose walk raises when it is read)
+    # at x1 = 1e200, as a kernel of its row-major entries (whose walk raises
+    # when it is read) and as a callable that raises itself
     names = ("x1", "x2", "y1", "y2")
     matrix = [
         [parse("y1", names), parse(f"sqrt(x1) + ({_NAN_AT_1E200})", names)],
         [parse("2*y1", names), parse("y2", names)],
     ]
-    kernel = ex.compile([cell for line in matrix for cell in line], names)
+    kernel = matrix_kernel(matrix)
     rows = [[1.0, 1.0, 3.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1e200, 1.0, 1.0, 1.0]]
     reports = [
-        hessian_report(matrix, Samples(rows, 3), {}),
         hessian_report(kernel, Samples(rows, 3)),
         hessian_report(lambda row: tuple(kernel(row)), Samples(rows, 3)),
     ]
@@ -1245,7 +1259,7 @@ def test_both_hessian_inputs_skip_raising_and_nan_rows_in_one_loop():
         assert (report.samples, report.max_entry) == (1, 6.0)
         assert (report.min_rank, report.max_rank) == (2, 2)
     with pytest.raises(InsufficientSamples):
-        hessian_report(matrix, Samples(rows[1:], 2), {})
+        hessian_report(kernel, Samples(rows[1:], 2))
 
 
 def test_a_nan_dissipation_is_not_negative_in_either_order():

@@ -4,13 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+from lagdeform.conditions import DerivedFields, check_dissipative
 from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
 from lagdeform.deformation import DeformedLagrangian, OutOfInterval, synthesize
 from lagdeform.dynamics import (
     GeodesicError,
     IntegratorConfig,
     TooShort,
-    dissipation_along,
     el_residual_along,
     energy_along,
     integrate_geodesic,
@@ -25,8 +25,9 @@ from lagdeform.geometry import (
     liouville_apply,
     vertical_differential,
 )
+from lagdeform.sampling import Samples
 
-from systems import damped_oscillator, drag_system, free_particle, rayleigh_drag
+from systems import binding, damped_oscillator, drag_system, free_particle, rayleigh_drag
 
 
 def oscillator_system():
@@ -215,8 +216,16 @@ def test_energy_drag_drifts_but_deformed_energy_flat():
 
 
 # ---------------------------------------------------------------------------
-# dissipation traces
+# dissipation along a flow, checked by check_dissipative on its states
 # ---------------------------------------------------------------------------
+
+
+def _dissipation_along(sys, dissipation, cfg):
+    """The trajectory from ``cfg`` and check_dissipative on its states."""
+    traj = integrate_geodesic(sys["spray"], cfg, sys["params"])
+    derived = DerivedFields(sys["spray"], sys["lagrangian"], sys["params"])
+    states = Samples(traj.states.tolist(), len(traj.states))
+    return traj, check_dissipative(derived, dissipation, states)
 
 
 def test_dissipation_damped_oscillator_rate_identity():
@@ -224,10 +233,9 @@ def test_dissipation_damped_oscillator_rate_identity():
     cfg = IntegratorConfig(
         step=1e-3, horizon=1.0, initial=PhasePoint([1.0, 0.5], [1.0, 0.8])
     )
-    traj = integrate_geodesic(sys["spray"], cfg, sys["params"])
-    trace = dissipation_along(traj, sys["lagrangian"], sys["dissipation"])
-    assert trace.rate_matches
-    assert not trace.rayleigh
+    _, report = _dissipation_along(sys, sys["dissipation"], cfg)
+    assert report.energy_rate_match.passed
+    assert not report.rayleigh
 
 
 def test_dissipation_zero_on_conservative():
@@ -236,11 +244,11 @@ def test_dissipation_zero_on_conservative():
     cfg = IntegratorConfig(
         step=1e-2, horizon=1.0, initial=PhasePoint([0.0, 0.0], [1.0, 1.0])
     )
-    traj = integrate_geodesic(sys["spray"], cfg, sys["params"])
-    trace = dissipation_along(traj, sys["lagrangian"], zero)
-    assert trace.rate_matches
-    assert np.all(trace.energy_rate == 0.0)
-    assert np.all(trace.dissipation_rate == 0.0)
+    _, report = _dissipation_along(sys, zero, cfg)
+    # S(E_L) = C(D) = 0 exactly at every state
+    assert report.energy_rate_match.passed
+    assert report.energy_rate_match.max_residual == 0.0
+    assert report.gradient_match.max_residual == 0.0
 
 
 def test_dissipation_rayleigh_monotone_decay():
@@ -248,12 +256,11 @@ def test_dissipation_rayleigh_monotone_decay():
     cfg = IntegratorConfig(
         step=1e-3, horizon=1.0, initial=PhasePoint([0.0, 0.0], [1.0, 0.7])
     )
-    traj = integrate_geodesic(sys["spray"], cfg, sys["params"])
-    trace = dissipation_along(traj, sys["lagrangian"], sys["dissipation"])
-    assert trace.rate_matches
-    assert trace.rayleigh
-    assert trace.rayleigh_matches
-    assert trace.always_negative
+    traj, report = _dissipation_along(sys, sys["dissipation"], cfg)
+    assert report.energy_rate_match.passed
+    assert report.rayleigh
+    assert report.rayleigh_rate.passed
+    assert report.dissipation_negative
     series, _ = energy_along(traj, sys["lagrangian"])
     assert np.all(np.diff(series) < 0.0)
 
@@ -344,7 +351,7 @@ def _reference_rk4(spray, cfg, params=None, box=None):
 
 
 def _reference_bindings(states, n, params):
-    return [PhasePoint(s[:n], s[n:]).binding(params) for s in states]
+    return [binding(s, n, params) for s in states]
 
 
 def _reference_chain(lag, b):

@@ -26,7 +26,6 @@ from lagdeform.expressions import (
     div,
     evaluate,
     evaluate_dual,
-    free_vars,
     mul,
     parse,
     partial,
@@ -381,7 +380,7 @@ def test_arithmetic_matches_python(a, b, c):
 
 def test_free_vars():
     e = parse("x1*y2 + exp(k*y1)", ("x1", "y1", "y2", "k"))
-    assert free_vars(e) == frozenset({"x1", "y1", "y2", "k"})
+    assert e.free_vars() == frozenset({"x1", "y1", "y2", "k"})
 
 
 # ---------------------------------------------------------------------------

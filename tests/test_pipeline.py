@@ -83,8 +83,11 @@ def test_unknown_key_rejected():
 
 
 def test_undeclared_identifier_in_expression():
+    # every expression is parsed against the chart names and the params
     with pytest.raises(ParseError):
         problem_from_dict(minimal_problem(lagrangian="(y1 + q)^2"))
+    with pytest.raises(ParseError):
+        problem_from_dict(minimal_problem(spray=["(y1 - 2*x2)/2"]))
 
 
 def test_bad_box_rejected():

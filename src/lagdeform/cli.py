@@ -7,9 +7,10 @@ deformation and its Euler-Lagrange residuals) and emit the same report;
 and exports it as CSV.
 
 Exit codes: 0 for DeformableRegular / DeformableSingular /
-ConservativeAffineOnly, 1 for NotOfTheoremForm, 2 for Inconclusive,
-3 for input errors, and for a ``geodesic`` run that blows up or leaves the
-domain of L.
+ConservativeAffineOnly, 1 for NotOfTheoremForm, 2 for Inconclusive, and 3
+for every error ``main`` reports as ``error: <message>``: a bad problem file
+or flag, and a ``geodesic`` run that blows up, leaves the domain of L or
+meets an L at which Phi has no float value.
 """
 
 from __future__ import annotations
@@ -25,15 +26,9 @@ from .dynamics import (
     integrate_geodesic,
     trajectory_to_csv,
 )
-from .expressions import ExpressionError, ParseError
+from .expressions import ExpressionError
 from .geometry import PhasePoint
-from .pipeline import (
-    ReportDocument,
-    SchemaError,
-    emit_report,
-    load_problem,
-    run_pipeline,
-)
+from .pipeline import SchemaError, emit_report, load_problem, run_pipeline
 
 _VERDICT_EXIT = {
     "DeformableRegular": 0,
@@ -108,27 +103,18 @@ def _run_report(args, mode: str) -> int:
 def _run_geodesic(args) -> int:
     spec = _load(args)
     if len(args.x0) != spec.n or len(args.y0) != spec.n:
-        print(f"error: --x0/--y0 must have {spec.n} entries", file=sys.stderr)
-        return INPUT_ERROR
+        raise ValueError(f"--x0/--y0 must have {spec.n} entries")
     cfg = IntegratorConfig(
         step=args.step, horizon=args.horizon, initial=PhasePoint(args.x0, args.y0)
     )
-    try:
-        traj = integrate_geodesic(spec.spray, cfg, spec.params)
-    except GeodesicError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    traj = integrate_geodesic(spec.spray, cfg, spec.params)
     doc = run_pipeline(spec, mode="synthesize")
     deformed = (
         DeformedLagrangian(spec.lagrangian, doc.deformation)
         if doc.deformation is not None
         else None
     )
-    try:
-        csv_text = trajectory_to_csv(traj, spec.lagrangian, deformed)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    csv_text = trajectory_to_csv(traj, spec.lagrangian, deformed)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -149,7 +135,7 @@ def main(argv=None) -> int:
         if args.command == "geodesic":
             return _run_geodesic(args)
         return _run_report(args, mode=args.command)
-    except (SchemaError, ParseError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, ExpressionError, GeodesicError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

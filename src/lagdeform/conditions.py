@@ -753,14 +753,14 @@ def hessian_report(matrix: Callable, samples: Samples) -> HessianReport:
     """Evaluate ``matrix``, a callable ``row -> tuple`` of the n*n entries
     of an n x n matrix in row-major order, at the sampled rows; rank via
     singular values above ``_RANK_RTOL * s_max``, from one batched SVD. A
-    row where the matrix is not evaluable, or has an entry that is not
-    finite, is skipped."""
+    row is skipped where the matrix raises ``DomainViolation`` or
+    ``ValueError`` (a deformed matrix's ``OutOfInterval``: Phi has no float
+    value at L), or has an entry that is not finite."""
     stack = []
     for row in samples.rows:
         try:
             entries = tuple(matrix(row))
-        except (ex.DomainViolation, ValueError, OverflowError):
-            # OverflowError: math.exp or math.pow in a closed-form Phi
+        except (ex.DomainViolation, ValueError):
             continue
         if all(map(math.isfinite, entries)):
             stack.append(entries)

@@ -51,8 +51,11 @@ class DomainConflict(Exception):
 
 
 class OutOfInterval(ValueError):
-    def __init__(self, t: float, interval):
-        super().__init__(f"t = {t:g} outside ({interval[0]:g}, {interval[1]:g})")
+    """Phi has no float value at t: t lies outside its interval, or its
+    closed form overflows there."""
+
+    def __init__(self, t: float, interval, message: Optional[str] = None):
+        super().__init__(message or f"t = {t:g} outside ({interval[0]:g}, {interval[1]:g})")
         self.t = t
         self.interval = interval
 
@@ -73,7 +76,10 @@ class ClosedForm:
         lo, hi = self.interval
         if not (lo < t < hi):
             raise OutOfInterval(t, self.interval)
-        v, d1, d2 = _base_triple(self.family, t, self.numerator)
+        try:
+            v, d1, d2 = _base_triple(self.family, t, self.numerator)
+        except OverflowError:  # math.exp or math.pow
+            raise OutOfInterval(t, self.interval, f"Phi overflows at t = {t:g}") from None
         return (self.scale * v + self.shift, self.scale * d1, self.scale * d2)
 
     def compose(self, base_expr: ex.Expr) -> ex.Expr:
@@ -94,8 +100,6 @@ class Numeric:
     Phi'-interpolant rather than double-differencing Phi."""
 
     grid: tuple
-    values: tuple
-    derivatives: tuple
     _phi: PchipInterpolator = field(repr=False, compare=False)
     _dphi: PchipInterpolator = field(repr=False, compare=False)
     _ddphi: object = field(repr=False, compare=False)
@@ -258,8 +262,6 @@ def synthesize_numeric(cloud: Sequence) -> Numeric:
     interp_dphi = PchipInterpolator(grid, dphi)
     return Numeric(
         grid=tuple(grid),
-        values=tuple(phi),
-        derivatives=tuple(dphi),
         _phi=PchipInterpolator(grid, phi),
         _dphi=interp_dphi,
         _ddphi=interp_dphi.derivative(),

@@ -72,13 +72,6 @@ class SchemaError(Exception):
         self.reason = reason
 
 
-class PipelineError(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"pipeline stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 DEFAULT_TOLERANCES = {
     "identity": 1e-9,
     "classification": 1e-6,
@@ -308,14 +301,12 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
                 f"guards reject the box ({exc.accepted}/{exc.requested} accepted): "
                 "S(L) or C(L) vanishes on samples"
             )
-            _remark_path(doc, spec, derived, plan, tol)
-            return doc
-        doc.notes.append(
+            return _remark_path(doc, spec, derived, plan, tol)
+        return _inconclusive(
+            doc,
             f"the supplied sigma, the Lagrange differential or D is not evaluable "
-            f"on the box ({run_exc.accepted}/{run_exc.requested} accepted)"
+            f"on the box ({run_exc.accepted}/{run_exc.requested} accepted)",
         )
-        doc.verdict = "Inconclusive"
-        return doc
 
     sigma_ok = True
     if spec.sigma is not None:
@@ -333,9 +324,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     try:
         doc.dependence = functional_dependence_test(derived, samples, plan, tol["dependence"])
     except InsufficientSamples as exc:
-        doc.notes.append(f"dependence test starved: {exc}")
-        doc.verdict = "Inconclusive"
-        return doc
+        return _inconclusive(doc, f"dependence test starved: {exc}")
 
     doc.fit = classify(doc.dependence.cloud, tol["classification"])
 
@@ -343,18 +332,17 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
     try:
         doc.deformation = synthesize(doc.fit.chosen, (min(ls), max(ls)))
     except DomainConflict as exc:
-        doc.notes.append(f"no monotone deformation on the sampled range: {exc}")
-        doc.verdict = "Inconclusive"
-        return doc
+        return _inconclusive(doc, f"no monotone deformation on the sampled range: {exc}")
 
     doc.verify = verify_deformed_el(derived, doc.deformation, samples, tol["identity"])
-    doc.base_hessian = _stage(
-        "hessian", lambda: hessian_report(_base_hessian(derived), samples)
-    )
-    doc.deformed_hessian_report = _stage(
-        "deformed_hessian",
-        lambda: deformed_hessian(derived, doc.deformation, samples),
-    )
+    try:
+        doc.base_hessian = hessian_report(_base_hessian(derived), samples)
+    except InsufficientSamples as exc:
+        return _inconclusive(doc, f"Hessian of L starved: {exc}")
+    try:
+        doc.deformed_hessian_report = deformed_hessian(derived, doc.deformation, samples)
+    except InsufficientSamples as exc:
+        return _inconclusive(doc, f"Hessian of Phi(L) starved: {exc}")
 
     try:
         doc.theorem2 = check_homogeneous(derived, sigma_use, samples, tol["wedge"])
@@ -400,15 +388,14 @@ def _base_hessian(derived: DerivedFields):
     return derived.kernel(tuple(cell for line in derived.hessian for cell in line))
 
 
-def _stage(name: str, thunk):
-    # The Hessian stages raise when no point of the run's set is evaluable.
-    try:
-        return thunk()
-    except InsufficientSamples as exc:
-        raise PipelineError(name, exc) from exc
+def _inconclusive(doc: ReportDocument, note: str) -> ReportDocument:
+    """Stop the run early: ``Inconclusive``, with ``note`` saying why."""
+    doc.notes.append(note)
+    doc.verdict = "Inconclusive"
+    return doc
 
 
-def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
+def _remark_path(doc: ReportDocument, spec, derived, plan, tol) -> ReportDocument:
     """S(L) = 0 (or C(L) = 0) everywhere in the box: the conservative branch.
     Any deformation is inert, so the report reduces to whether the defect and
     the supplied force vanish."""
@@ -417,9 +404,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
     try:
         samples = draw_samples(plan, guards, spec.params)
     except TooManyRejections:
-        doc.notes.append("expressions are nowhere evaluable on the box")
-        doc.verdict = "Inconclusive"
-        return
+        return _inconclusive(doc, "expressions are nowhere evaluable on the box")
 
     defect_max = 0.0
     kernel = derived.kernel(tuple(derived.defect.components))
@@ -430,7 +415,10 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
             defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))
     conservative = defect_max <= tol["identity"]
     doc.notes.append(f"Lagrange differential max residual {defect_max:.3e} on samples")
-    doc.base_hessian = hessian_report(_base_hessian(derived), samples)
+    try:
+        doc.base_hessian = hessian_report(_base_hessian(derived), samples)
+    except InsufficientSamples as exc:
+        return _inconclusive(doc, f"Hessian of L starved: {exc}")
 
     sigma_ok = True
     if spec.sigma is not None:
@@ -440,9 +428,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         try:
             denominator_samples = draw_samples(plan, denominator, spec.params)
         except TooManyRejections:
-            doc.notes.append("C(L) vanishes on the box: the sigma condition is undefined")
-            doc.verdict = "Inconclusive"
-            return
+            return _inconclusive(doc, "C(L) vanishes on the box: the sigma condition is undefined")
         doc.sigma_condition = check_sigma_condition(
             derived, spec.sigma, denominator_samples, tol["identity"]
         )
@@ -460,6 +446,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol):
         )
     else:
         doc.verdict = "Inconclusive"
+    return doc
 
 
 def _trajectory_stage(doc: ReportDocument, spec, tol) -> Optional[dict]:
@@ -489,14 +476,13 @@ def _trajectory_stage(doc: ReportDocument, spec, tol) -> Optional[dict]:
         deformed = DeformedLagrangian(spec.lagrangian, doc.deformation)
         # What these checks can raise: TooShort (fewer than 3 steps for the
         # central differences), DomainViolation (L or the composed Phi(L) not
-        # evaluable on a state), OutOfInterval (L leaves the interval on which
-        # Phi is defined) and OverflowError (math.exp or math.pow in Phi's
-        # closed form overflows).
+        # evaluable on a state) and OutOfInterval (Phi has no float value at
+        # L: L leaves Phi's interval, or Phi's closed form overflows).
         try:
             _, drift_phi = energy_along(traj, deformed)
             entry["energy_drift_PhiL"] = drift_phi
             entry["el_residual_PhiL"] = el_residual_along(traj, deformed)
-        except (TooShort, ex.DomainViolation, OutOfInterval, OverflowError) as exc:
+        except (TooShort, ex.DomainViolation, OutOfInterval) as exc:
             entry["energy_drift_PhiL"] = None
             entry["el_residual_PhiL"] = None
             doc.notes.append(f"deformed trajectory checks unavailable: {exc}")

@@ -15,6 +15,17 @@ def corpus_file(name: str) -> str:
     return str(resources.files("lagdeform") / "corpus" / f"{name}.json")
 
 
+def corpus_problem(name: str) -> dict:
+    return json.loads(open(corpus_file(name)).read())
+
+
+def shifted_exp_class() -> dict:
+    # L shifted by 999: Phi' = exp(L) overflows math.exp at every sample
+    problem = corpus_problem("exp-class")
+    problem["params"]["a"] = 1000.0
+    return problem
+
+
 def test_report_json_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -60,7 +71,7 @@ def test_exit_code_not_of_theorem_form(tmp_path):
 
 
 def test_exit_code_inconclusive(tmp_path):
-    problem = json.loads(open(corpus_file("free-particle")).read())
+    problem = corpus_problem("free-particle")
     problem["sigma"] = ["0.1", "0"]
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps(problem))
@@ -77,7 +88,7 @@ def test_exit_code_input_errors(tmp_path, capsys):
 
 
 def test_a_malformed_value_is_an_input_error(tmp_path, capsys):
-    problem = json.loads(open(corpus_file("lienard")).read())
+    problem = corpus_problem("lienard")
     problem["sampling"]["guard"] = [1e-6]
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(problem))
@@ -153,14 +164,19 @@ def test_geodesic_dimension_mismatch(capsys):
 @pytest.mark.parametrize(
     "problem, x0, y0, horizon, message",
     [
-        ("homogeneous", "1 1 1", "5 5 5", "2", "non-finite state (blow-up)"),
-        ("exp-class", "0 0 0", "0 0 1", "0.1", "ln of non-positive value"),
+        (corpus_problem("homogeneous"), "1 1 1", "5 5 5", "2", "non-finite state (blow-up)"),
+        (corpus_problem("exp-class"), "0 0 0", "0 0 1", "0.1", "ln of non-positive value"),
+        (shifted_exp_class(), "1 1 1", "1 1 1", "0.1", "Phi overflows at t = "),
     ],
-    ids=["blow-up", "off-the-domain-of-L"],
+    ids=["blow-up", "off-the-domain-of-L", "phi-overflow"],
 )
-def test_geodesic_failure_is_an_input_error(capsys, problem, x0, y0, horizon, message):
+def test_geodesic_failure_is_an_input_error(
+    tmp_path, capsys, problem, x0, y0, horizon, message
+):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
     code = main(
-        ["geodesic", "--problem", corpus_file(problem)]
+        ["geodesic", "--problem", str(path)]
         + ["--x0", *x0.split(), "--y0", *y0.split(), "--horizon", horizon]
     )
     captured = capsys.readouterr()
@@ -189,8 +205,10 @@ def _one_dimensional(spray, lagrangian, sigma):
         _one_dimensional(["0"], "x1", ["-1"]),
         # sigma = ln(x1 - 1.99) is evaluable on a sliver of the box only
         _one_dimensional(["0.5*y1"], "0.5*y1^2", ["ln(x1 - 1.99)"]),
+        # Phi has no float value at any sampled L, so the deformed Hessian starves
+        shifted_exp_class(),
     ],
-    ids=["vanishing-liouville", "unevaluable-sigma"],
+    ids=["vanishing-liouville", "unevaluable-sigma", "phi-overflow"],
 )
 def test_degenerate_problems_report_inconclusive(tmp_path, problem):
     path = tmp_path / "problem.json"

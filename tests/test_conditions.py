@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from lagdeform.conditions import (
     ConditionReport,
-    DependenceResult,
     DerivedFields,
     InsufficientSamples,
     NotHomogeneous,
@@ -78,7 +77,6 @@ from systems import (
     lienard,
     log_class,
     matrix_kernel,
-    moebius_class,
     rayleigh_drag,
 )
 

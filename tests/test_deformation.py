@@ -45,7 +45,6 @@ from systems import (
     free_particle,
     homogeneous_example,
     lienard,
-    log_class,
     matrix_kernel,
     moebius_class,
 )

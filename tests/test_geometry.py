@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from lagdeform.geometry import (
     DimensionMismatch,
     PhasePoint,
     ScalarField,
-    SemiBasicForm,
     SemiSpray,
     energy,
     fiber_hessian,

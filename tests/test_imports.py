@@ -4,6 +4,7 @@ The check runs in a fresh interpreter: in this process another test module
 may already have imported scipy.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -68,3 +69,26 @@ def test_no_module_level_scipy_import():
         if module_level.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def _unread_imports(path: Path) -> list:
+    """The names ``path`` imports and never reads again."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # the package __init__ imports to re-export, so it is exempt
+    package = SRC / "lagdeform"
+    files = [p for p in sorted(package.rglob("*.py")) if p != package / "__init__.py"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    assert [entry for path in files for entry in _unread_imports(path)] == []

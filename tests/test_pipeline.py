@@ -427,6 +427,20 @@ def test_unevaluable_sigma_ends_inconclusive():
     ]
 
 
+def test_a_phi_overflow_starves_the_deformed_hessian():
+    # L shifted by 999: Phi' = exp(L) overflows math.exp at every sample, so
+    # verify counts each row out of Phi's interval and the deformed Hessian
+    # has no row left
+    data = json.loads(corpus_text("exp-class"))
+    data["params"]["a"] = 1000.0
+    doc = run_pipeline(problem_from_dict(data))
+    assert doc.verdict == "Inconclusive"
+    assert doc.notes == ["Hessian of Phi(L) starved: no evaluable points for the Hessian"]
+    assert doc.verify.direct.accepted == 0
+    assert doc.verify.out_of_interval == 400
+    assert doc.deformed_hessian_report is None and doc.trajectory is None
+
+
 def test_vanishing_liouville_with_sigma_ends_inconclusive():
     # L = x1 has C(L) = 0, so the sigma condition divides by zero everywhere
     data = minimal_problem(lagrangian="x1", spray=["0"], sigma=["-1"])
@@ -584,9 +598,62 @@ def test_text_report_theorem2_line(corpus_reports):
 
 
 def test_seed_change_changes_samples_not_verdict():
-    spec = load_corpus_problem("lienard")
-    from dataclasses import replace
+    for name in CORPUS_NAMES:
+        doc = run_pipeline(_moved_problem(name, 1), mode="verify")
+        assert doc.verdict == EXPECTED[name][0], name
 
-    doc_a = run_pipeline(spec, mode="verify")
-    doc_b = run_pipeline(replace(spec, seed=spec.seed + 1), mode="verify")
-    assert doc_a.verdict == doc_b.verdict == "DeformableRegular"
+
+# ---------------------------------------------------------------------------
+# metamorphic: Phi acts on L through its value, so a constant added to L
+# changes neither the dynamics nor whether a deformation exists
+# ---------------------------------------------------------------------------
+
+# The parameter of each chosen family that moves when L -> L + s, and by how
+# many s it moves: the PowerShift and Logarithmic offset a, the Moebius pole.
+_MOVES = {
+    PowerShift: (lambda family: family.a, -1.0),
+    Logarithmic: (lambda family: family.a, -1.0),
+    Moebius: (lambda family: -family.d / family.c, 1.0),
+    Constant: (lambda family: family.gamma, 0.0),
+}
+
+
+def _base_and_shifted(name, shift):
+    """Sparse runs of a corpus problem with L and with (L) + shift."""
+    data = json.loads(corpus_text(name))
+    data["sampling"]["count"] //= 10
+    base = run_pipeline(problem_from_dict(data), mode="verify")
+    data["lagrangian"] = f"({data['lagrangian']}) + {shift!r}"
+    return base, run_pipeline(problem_from_dict(data), mode="verify")
+
+
+@pytest.mark.parametrize(
+    "name, shift",
+    [(name, 0.25) for name in CORPUS_NAMES]
+    + [
+        pytest.param(
+            "moebius",
+            10.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="no closed-form fit reaches the pole moved to 8 from its "
+                "restarts, so the fit falls back to Tabulated and verify misses by 2e-5",
+            ),
+            id="moebius-far",
+        )
+    ],
+)
+def test_a_constant_added_to_L_moves_only_the_family_along_L(name, shift):
+    base, shifted = _base_and_shifted(name, shift)
+    assert shifted.verdict == base.verdict
+    rank = shifted.deformed_hessian_report.min_rank
+    assert rank == base.deformed_hessian_report.min_rank
+    if base.fit is None:
+        assert shifted.fit is None
+        return
+    family, moved = base.fit.chosen, shifted.fit.chosen
+    assert type(moved) is type(family)
+    read, per_shift = _MOVES[type(family)]
+    want = read(family) + per_shift * shift
+    assert abs(read(moved) - want) <= 1e-9 * (1.0 + abs(want))

@@ -237,3 +237,36 @@ def rayleigh_drag(n=2):
         "dissipation": dissipation,
         "params": {},
     }
+
+
+def rayleigh_problem():
+    """``rayleigh_drag`` as a problem file: D = -|y|^2/2 is fiber-quadratic,
+    so the report checks S(E_L) = 2D and the sign of D."""
+    return {
+        "name": "rayleigh",
+        "dim": 2,
+        "params": {},
+        "spray": ["y1/2", "y2/2"],
+        "lagrangian": "0.5*(y1^2 + y2^2)",
+        "sigma": ["-y1", "-y2"],
+        "dissipation": "-0.5*(y1^2 + y2^2)",
+        "box": {v: [0.5, 2.0] for v in XY2},
+        "sampling": {"count": 100, "seed": 8, "guard": 1e-6},
+    }
+
+
+def damped_problem():
+    """``damped_oscillator`` as a problem file: its D is linear in the
+    velocities, not fiber-quadratic, so the report has no rate of 2D."""
+    scale = "-(a*x1*y1 + b*x2*y1 + w*y1^2 - b*x1*y2 + a*x2*y2 - w*y2^2)/(y1^2 + y2^2)"
+    return {
+        "name": "damped",
+        "dim": 2,
+        "params": {"a": 1.0, "b": 1.0, "w": 1.0},
+        "spray": ["(a*x1 + b*x2 + w*y1)/2", "(-b*x1 + a*x2 - w*y2)/2"],
+        "lagrangian": "0.5*(y1^2 + y2^2)",
+        "sigma": [f"({scale})*y1", f"({scale})*y2"],
+        "dissipation": "-a*(x1*y1 + x2*y2) + b*(x1*y2 - x2*y1) + 0.5*w*(y2^2 - y1^2)",
+        "box": {v: [0.5, 2.0] for v in XY2},
+        "sampling": {"count": 150, "seed": 8, "guard": 1e-6},
+    }

@@ -37,6 +37,7 @@ from lagdeform.geometry import (
 )
 from lagdeform.pipeline import problem_from_dict, run_pipeline
 from lagdeform.sampling import Guards, draw_samples
+from systems import rayleigh_problem
 from test_expressions import random_expression, sample_valid_point
 
 
@@ -455,19 +456,7 @@ def test_criterion_8_dynamics(docs):
     ok &= raw_drift > 1e-3
 
     # Rayleigh case: quadratic negative dissipation forces monotone decay
-    rayleigh = problem_from_dict(
-        {
-            "name": "rayleigh",
-            "dim": 2,
-            "params": {},
-            "spray": ["y1/2", "y2/2"],
-            "lagrangian": "0.5*(y1^2 + y2^2)",
-            "sigma": ["-y1", "-y2"],
-            "dissipation": "-0.5*(y1^2 + y2^2)",
-            "box": {v: [0.5, 2.0] for v in ("x1", "x2", "y1", "y2")},
-            "sampling": {"count": 100, "seed": 8, "guard": 1e-6},
-        }
-    )
+    rayleigh = problem_from_dict(rayleigh_problem())
     # S(E_L) = C(D) = 2D with D < 0 on the run's samples
     dissipative = run_pipeline(rayleigh, mode="verify").dissipative
     ok &= dissipative.gradient_match.passed and dissipative.energy_rate_match.passed

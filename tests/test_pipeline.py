@@ -29,6 +29,7 @@ from lagdeform.pipeline import (
     run_pipeline,
 )
 from lagdeform.sampling import Guards, TooManyRejections, draw_samples
+from systems import damped_problem, rayleigh_problem
 
 
 def minimal_problem(**overrides):
@@ -566,6 +567,21 @@ def test_json_report_matches_pinned_sha256(corpus_reports, name):
 )
 def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, offset):
     got = _moved_report(name, int(offset))
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "problem, digest",
+    [
+        (rayleigh_problem, "eba1e2727280cc6d904b6859c17fe0be11912d1f39e9401d1ca79bdc20e9e009"),
+        (damped_problem, "88a4ee12af496c3e39977b949e40d548e90098bc381c1888ddbe60764c0eb80c"),
+    ],
+    ids=["rayleigh", "damped"],
+)
+def test_dissipative_json_report_matches_pinned_sha256(problem, digest):
+    # no corpus problem declares a dissipation function, so these two pin
+    # the dissipative block: with the rate of 2D, and with rayleigh_rate null
+    got = emit_report(run_pipeline(problem_from_dict(problem()), mode="report"), "json")
     assert hashlib.sha256(got).hexdigest() == digest
 
 

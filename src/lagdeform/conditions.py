@@ -35,7 +35,6 @@ from .geometry import (
     ScalarField,
     SemiBasicForm,
     SemiSpray,
-    cached_kernel,
     energy,
     fiber_hessian,
     homogeneity_degree,
@@ -93,9 +92,12 @@ class ConditionReport:
         tolerance: float,
     ) -> "ConditionReport":
         """The report of one residual per row; the worst row, a chart point
-        ``(x1..xn, y1..yn)``, becomes ``worst_point``."""
+        ``(x1..xn, y1..yn)``, becomes ``worst_point``. A check over no rows
+        fails, with NaN residuals."""
         if not residuals:
-            return ConditionReport(condition, 0, rejected, 0.0, 0.0, tolerance, True)
+            return ConditionReport(
+                condition, 0, rejected, math.nan, math.nan, float(tolerance), False
+            )
         # a NaN residual is the worst one, and fails the check
         worst = next((k for k, r in enumerate(residuals) if r != r), None)
         if worst is None:
@@ -118,7 +120,7 @@ class ConditionReport:
 class DerivedFields:
     """The handful of composite fields every check needs, built once, and
     the kernels the checks compile over them with the run's parameter
-    values ``params`` bound in, kept for the run."""
+    values ``params`` bound in."""
 
     spray: SemiSpray
     lagrangian: ScalarField
@@ -130,7 +132,6 @@ class DerivedFields:
     vertical: SemiBasicForm = field(init=False)  # d_J L
     defect: SemiBasicForm = field(init=False)  # delta_S L
     hessian: list = field(init=False)  # g_ij, the fiber Hessian of L
-    _kernels: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.spray_of_L = spray_apply(self.spray, self.lagrangian)
@@ -158,8 +159,8 @@ class DerivedFields:
 
     def kernel(self, roots):
         """The kernel of ``roots`` over the chart points, with ``params``
-        bound in; compiled once per run."""
-        return cached_kernel(self._kernels, roots, self.lagrangian.n, self.params)
+        bound in."""
+        return ex.compile(roots, ex.chart_names(self.lagrangian.n), self.params)
 
 
 def _interleaved(*forms) -> tuple:

@@ -347,6 +347,8 @@ def verify_deformed_el(
         kept.append(row)
         expansion_max = _worse(expansion_max, point_exp_worst)
         agreement_max = _worse(agreement_max, point_agree)
+    if not kept:  # no residual to take the worst of
+        expansion_max = agreement_max = math.nan
     rejected = samples.rejected + out_of_interval
     direct_report = ConditionReport.from_residuals(
         "deformed_euler_lagrange", residuals, kept, rejected, tol

@@ -85,19 +85,6 @@ class PhasePoint:
         return len(self.x)
 
 
-def cached_kernel(memo: dict, roots: Sequence[Expr], n: int, params: Optional[dict]):
-    """The kernel of ``roots`` over the chart points ``(x1..xn, y1..yn)``
-    with the values of ``params`` compiled in; compiled on the first request
-    and then kept in ``memo``, where it keeps its roots alive."""
-    # the values are compiled in: -0.0 is not 0.0, nor an int 0 a float 0.0
-    values = tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in (params or {}).items())
-    key = (tuple(map(id, roots)), n, values)
-    kernel = memo.get(key)
-    if kernel is None:
-        kernel = memo[key] = ex.compile(roots, ex.chart_names(n), params)
-    return kernel
-
-
 def _check_dims(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")

@@ -60,7 +60,7 @@ from .dynamics import (
     energy_along,
     integrate_geodesic,
 )
-from .families import Affine
+from .families import Affine, Tabulated
 from .geometry import PhasePoint, ScalarField, SemiBasicForm, SemiSpray
 from .sampling import Guards, SamplePlan, TooManyRejections, draw_samples
 
@@ -102,11 +102,11 @@ class ProblemSpec:
     tolerances: dict
     raw: dict
 
-    def plan(self, count: Optional[int] = None, seed: Optional[int] = None) -> SamplePlan:
+    def plan(self, count: Optional[int] = None) -> SamplePlan:
         return SamplePlan(
             bounds=self.bounds,
             count=count if count is not None else self.count,
-            seed=seed if seed is not None else self.seed,
+            seed=self.seed,
             guard_eps=self.guard,
         )
 
@@ -360,7 +360,7 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.dissipative = check_dissipative(derived, spec.dissipation, samples, tol["identity"])
 
     if mode == "report":
-        doc.trajectory = _trajectory_stage(doc, spec, tol)
+        doc.trajectory = _trajectory_stage(doc, spec)
 
     conditions_pass = (
         sigma_ok
@@ -449,7 +449,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol) -> ReportDocumen
     return doc
 
 
-def _trajectory_stage(doc: ReportDocument, spec, tol) -> Optional[dict]:
+def _trajectory_stage(doc: ReportDocument, spec) -> Optional[dict]:
     mid_x = [0.5 * (spec.bounds[f"x{i}"][0] + spec.bounds[f"x{i}"][1]) for i in range(1, spec.n + 1)]
     mid_y = [0.5 * (spec.bounds[f"y{i}"][0] + spec.bounds[f"y{i}"][1]) for i in range(1, spec.n + 1)]
     cfg = IntegratorConfig(step=1e-3, horizon=1.0, initial=PhasePoint(mid_x, mid_y))
@@ -503,56 +503,28 @@ def _fnum(x) -> Optional[float]:
     return x
 
 
-def _point_dict(p: Optional[PhasePoint]):
-    if p is None:
-        return None
-    return {"x": list(p.x), "y": list(p.y)}
+# Types the walk keeps as they are; a field of one is kept without a call.
+_KEPT = {int, bool, str, tuple, type(None)}
 
 
-def _condition_dict(r: Optional[ConditionReport]):
-    if r is None:
-        return None
-    return {
-        "condition": r.condition,
-        "accepted": r.accepted,
-        "rejected": r.rejected,
-        "max_residual": _fnum(r.max_residual),
-        "mean_residual": _fnum(r.mean_residual),
-        "tolerance": _fnum(r.tolerance),
-        "passed": r.passed,
-        "worst_point": _point_dict(r.worst_point),
-    }
-
-
-def _hessian_dict(r: Optional[HessianReport]):
-    if r is None:
-        return None
-    return {
-        "nontrivial": r.nontrivial,
-        "min_rank": r.min_rank,
-        "max_rank": r.max_rank,
-        "samples": r.samples,
-        "max_entry": _fnum(r.max_entry),
-    }
+def _data(value):
+    """A report value as JSON data: a dataclass or a dict becomes the dict of
+    its fields, each walked; a float goes through ``_fnum``; any other value
+    is kept as it is."""
+    if isinstance(value, float):
+        return _fnum(value)
+    fields = value if isinstance(value, dict) else getattr(value, "__dict__", None)
+    if fields is None:
+        return value
+    return {k: v if type(v) in _KEPT else _data(v) for k, v in fields.items()}
 
 
 def _family_dict(cls):
     if cls is None:
         return None
-    data = {"family": type(cls).__name__}
-    if hasattr(cls, "gamma"):
-        data["gamma"] = _fnum(cls.gamma)
-    if hasattr(cls, "a"):
-        data["a"] = _fnum(cls.a)
-    if hasattr(cls, "c"):
-        data["c"] = _fnum(cls.c)
-    if hasattr(cls, "d"):
-        data["d"] = _fnum(cls.d)
-    if hasattr(cls, "p"):
-        data["p"] = _fnum(cls.p)
-    if hasattr(cls, "points"):
-        data["points"] = len(cls.points)
-    return data
+    if isinstance(cls, Tabulated):
+        return {"family": "Tabulated", "points": len(cls.points)}
+    return {"family": type(cls).__name__, **_data(cls)}
 
 
 def _deformation_dict(d: Optional[Deformation]):
@@ -578,13 +550,12 @@ def report_to_dict(doc: ReportDocument) -> dict:
     fit = doc.fit
     dep = doc.dependence
     t2 = doc.theorem2
-    diss = doc.dissipative
     return {
         "problem": doc.problem.raw,
         "verdict": doc.verdict,
         "conditions": {
-            "sigma_consistency": _condition_dict(doc.sigma_consistency),
-            "sigma_condition": _condition_dict(doc.sigma_condition),
+            "sigma_consistency": _data(doc.sigma_consistency),
+            "sigma_condition": _data(doc.sigma_condition),
             "dependence": None
             if dep is None
             else {
@@ -611,18 +582,8 @@ def report_to_dict(doc: ReportDocument) -> dict:
             },
         },
         "deformation": _deformation_dict(doc.deformation),
-        "verification": None
-        if doc.verify is None
-        else {
-            "direct": _condition_dict(doc.verify.direct),
-            "expansion_max_residual": _fnum(doc.verify.expansion_max_residual),
-            "agreement_max": _fnum(doc.verify.agreement_max),
-            "out_of_interval": doc.verify.out_of_interval,
-        },
-        "hessians": {
-            "base": _hessian_dict(doc.base_hessian),
-            "deformed": _hessian_dict(doc.deformed_hessian_report),
-        },
+        "verification": _data(doc.verify),
+        "hessians": _data({"base": doc.base_hessian, "deformed": doc.deformed_hessian_report}),
         "theorem2": (
             {
                 "applicable": True,
@@ -636,20 +597,10 @@ def report_to_dict(doc: ReportDocument) -> dict:
             if t2 is not None
             else {"applicable": False, "reason": doc.theorem2_reason}
         ),
-        "dissipative": None
-        if diss is None
-        else {
-            "gradient_match": _condition_dict(diss.gradient_match),
-            "energy_rate_match": _condition_dict(diss.energy_rate_match),
-            "rayleigh": diss.rayleigh,
-            "rayleigh_rate": _condition_dict(diss.rayleigh_rate),
-            "dissipation_negative": diss.dissipation_negative,
-        },
-        "trajectory": None
-        if doc.trajectory is None
-        else {k: _fnum(v) if isinstance(v, float) else v for k, v in sorted(doc.trajectory.items())},
+        "dissipative": _data(doc.dissipative),
+        "trajectory": _data(doc.trajectory),
         "notes": list(doc.notes),
-        "tolerances": {k: _fnum(v) for k, v in sorted(doc.problem.tolerances.items())},
+        "tolerances": _data(doc.problem.tolerances),
     }
 
 
@@ -759,8 +710,9 @@ def emit_report(doc: ReportDocument, format: str = "text") -> bytes:
     """Render a report; json output is byte-stable for identical inputs and
     round-trips through parse/re-emit."""
     if format == "json":
+        # report_to_dict builds a tree, so no container can hold itself
         payload = json.dumps(
-            report_to_dict(doc), indent=2, sort_keys=True, allow_nan=False
+            report_to_dict(doc), indent=2, sort_keys=True, allow_nan=False, check_circular=False
         )
         return (payload + "\n").encode("utf-8")
     if format == "text":

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import expressions as ex
-from .geometry import cached_kernel
 
 # A draw that would have to reject more than this share of its attempts
 # fails with TooManyRejections.
@@ -73,6 +72,19 @@ class SamplePlan:
                 f"bounds must cover exactly x1..x{n}, y1..y{n}; got {sorted(self.bounds)}"
             )
         return n
+
+
+def cached_kernel(memo: dict, roots: Sequence[ex.Expr], n: int, params: Optional[dict]):
+    """The kernel of ``roots`` over the chart points ``(x1..xn, y1..yn)``
+    with the values of ``params`` compiled in; compiled on the first request
+    and then kept in ``memo``, where it keeps its roots alive."""
+    # the values are compiled in: -0.0 is not 0.0, nor an int 0 a float 0.0
+    values = tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in (params or {}).items())
+    key = (tuple(map(id, roots)), n, values)
+    kernel = memo.get(key)
+    if kernel is None:
+        kernel = memo[key] = ex.compile(roots, ex.chart_names(n), params)
+    return kernel
 
 
 @dataclass(frozen=True)

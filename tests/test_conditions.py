@@ -51,7 +51,6 @@ from lagdeform.geometry import (
     ScalarField,
     SemiBasicForm,
     SemiSpray,
-    cached_kernel,
     fiber_hessian,
     homogeneity_degree,
     lagrange_differential,
@@ -64,6 +63,7 @@ from lagdeform.sampling import (
     SamplePlan,
     Samples,
     TooManyRejections,
+    cached_kernel,
     draw_samples,
 )
 
@@ -1176,6 +1176,14 @@ def test_from_residuals_takes_a_nan_as_the_worst_residual():
     assert not report.passed
     assert math.isnan(report.max_residual)
     assert report.worst_point == PhasePoint([2.0], [2.0])
+
+
+def test_from_residuals_over_no_rows_does_not_pass():
+    # a check that checked nothing has no residual to report and fails
+    report = ConditionReport.from_residuals("c", [], [], 5, 1e-9)
+    assert not report.passed
+    assert math.isnan(report.max_residual) and math.isnan(report.mean_residual)
+    assert (report.accepted, report.rejected, report.worst_point) == (0, 5, None)
 
 
 def test_a_nan_residual_fails_the_sigma_verify_and_dissipative_checks():

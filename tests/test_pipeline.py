@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -306,7 +308,7 @@ def test_trajectory_stage_notes_overflowing_deformation():
     spec = load_corpus_problem("free-particle")
     doc = ReportDocument(problem=spec)
     doc.deformation = synthesize(Constant(1e4), (0.0, 1.0))
-    entry = _trajectory_stage(doc, spec, spec.tolerances)
+    entry = _trajectory_stage(doc, spec)
     assert entry["energy_drift_PhiL"] is None and entry["el_residual_PhiL"] is None
     assert entry["energy_drift_L"] is not None
     assert any("deformed trajectory checks unavailable" in n for n in doc.notes)
@@ -321,7 +323,7 @@ def test_trajectory_stage_lets_unexpected_errors_through():
     doc = ReportDocument(problem=spec)
     doc.deformation = Broken()
     with pytest.raises(RuntimeError, match="bug in a deformation"):
-        _trajectory_stage(doc, spec, spec.tolerances)
+        _trajectory_stage(doc, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +442,22 @@ def test_a_phi_overflow_starves_the_deformed_hessian():
     assert doc.verify.direct.accepted == 0
     assert doc.verify.out_of_interval == 400
     assert doc.deformed_hessian_report is None and doc.trajectory is None
+
+
+def test_a_verification_over_no_rows_reports_no_residual_and_fails():
+    # the run above: verify keeps none of its 400 rows, so its report has
+    # no residual to give and does not pass
+    data = json.loads(corpus_text("exp-class"))
+    data["params"]["a"] = 1000.0
+    report = json.loads(emit_report(run_pipeline(problem_from_dict(data)), "json"))
+    verification = report["verification"]
+    assert verification["expansion_max_residual"] is None
+    assert verification["agreement_max"] is None
+    assert verification["out_of_interval"] == 400
+    direct = verification["direct"]
+    assert (direct["accepted"], direct["rejected"], direct["passed"]) == (0, 400, False)
+    assert direct["max_residual"] is None and direct["mean_residual"] is None
+    assert direct["worst_point"] is None
 
 
 def test_vanishing_liouville_with_sigma_ends_inconclusive():
@@ -624,6 +642,25 @@ def test_seed_change_changes_samples_not_verdict():
 # changes neither the dynamics nor whether a deformation exists
 # ---------------------------------------------------------------------------
 
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def _same_outcome(base, moved):
+    """Assert that two runs agree in verdict, deformed min rank and family
+    type; the two chosen families, or ``None`` where no fit was made."""
+    assert moved.verdict == base.verdict
+    rank = moved.deformed_hessian_report.min_rank
+    assert rank == base.deformed_hessian_report.min_rank
+    if base.fit is None:
+        assert moved.fit is None
+        return None
+    family, moved_family = base.fit.chosen, moved.fit.chosen
+    assert type(moved_family) is type(family)
+    return family, moved_family
+
+
 # The parameter of each chosen family that moves when L -> L + s, and by how
 # many s it moves: the PowerShift and Logarithmic offset a, the Moebius pole.
 _MOVES = {
@@ -634,13 +671,23 @@ _MOVES = {
 }
 
 
-def _base_and_shifted(name, shift):
-    """Sparse runs of a corpus problem with L and with (L) + shift."""
+def _sparse(name):
+    """A corpus problem file at a tenth of its samples."""
     data = json.loads(corpus_text(name))
     data["sampling"]["count"] //= 10
-    base = run_pipeline(problem_from_dict(data), mode="verify")
+    return data
+
+
+def _run(data):
+    return run_pipeline(problem_from_dict(data), mode="verify")
+
+
+def _base_and_shifted(name, shift):
+    """Sparse runs of a corpus problem with L and with (L) + shift."""
+    data = _sparse(name)
+    base = _run(data)
     data["lagrangian"] = f"({data['lagrangian']}) + {shift!r}"
-    return base, run_pipeline(problem_from_dict(data), mode="verify")
+    return base, _run(data)
 
 
 @pytest.mark.parametrize(
@@ -661,15 +708,72 @@ def _base_and_shifted(name, shift):
     ],
 )
 def test_a_constant_added_to_L_moves_only_the_family_along_L(name, shift):
-    base, shifted = _base_and_shifted(name, shift)
-    assert shifted.verdict == base.verdict
-    rank = shifted.deformed_hessian_report.min_rank
-    assert rank == base.deformed_hessian_report.min_rank
-    if base.fit is None:
-        assert shifted.fit is None
+    families = _same_outcome(*_base_and_shifted(name, shift))
+    if families is None:
         return
-    family, moved = base.fit.chosen, shifted.fit.chosen
-    assert type(moved) is type(family)
+    family, moved = families
     read, per_shift = _MOVES[type(family)]
-    want = read(family) + per_shift * shift
-    assert abs(read(moved) - want) <= 1e-9 * (1.0 + abs(want))
+    assert _close(read(moved), read(family) + per_shift * shift)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: L -> cL with sigma -> c sigma is the same system, and Phi
+# rescales with it; renaming coordinates changes nothing at all
+# ---------------------------------------------------------------------------
+
+# How each chosen family's parameters move when L -> cL: by the factor c^k.
+_SCALINGS = {
+    PowerShift: ((lambda family: family.gamma, 0), (lambda family: family.a, 1)),
+    Logarithmic: ((lambda family: family.a, 1),),
+    Moebius: ((lambda family: -family.d / family.c, 1),),
+    Constant: ((lambda family: family.gamma, -1),),
+}
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_scaling_L_and_sigma_rescales_only_the_family(name, c):
+    data = _sparse(name)
+    base = _run(data)
+    data["lagrangian"] = f"{c!r}*({data['lagrangian']})"
+    if "sigma" in data:
+        data["sigma"] = [f"{c!r}*({s})" for s in data["sigma"]]
+    families = _same_outcome(base, _run(data))
+    if families is None:
+        return
+    family, scaled = families
+    for read, k in _SCALINGS[type(family)]:
+        assert _close(read(scaled), read(family) * c**k)
+
+
+_SWAP = {"x1": "x2", "x2": "x1", "y1": "y2", "y2": "y1"}
+
+
+def _swap_12(source):
+    return re.sub(r"\b[xy][12]\b", lambda m: _SWAP[m.group()], source)
+
+
+def _swapped(data):
+    """The problem file with the coordinates x1, x2 and y1, y2 swapped."""
+    data = dict(data, box={_SWAP.get(v, v): b for v, b in data["box"].items()})
+    for key in ("lagrangian", "dissipation"):
+        if key in data:
+            data[key] = _swap_12(data[key])
+    for key in ("spray", "sigma"):
+        if key in data:
+            first, second, *rest = (_swap_12(s) for s in data[key])
+            data[key] = [second, first, *rest]
+    return data
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in CORPUS_NAMES if json.loads(corpus_text(name))["dim"] >= 2]
+)
+def test_swapping_two_coordinates_changes_nothing(name):
+    data = _sparse(name)
+    families = _same_outcome(_run(data), _run(_swapped(data)))
+    if families is None:
+        return
+    family, swapped = families
+    for f in dataclasses.fields(family):
+        assert _close(getattr(swapped, f.name), getattr(family, f.name)), f.name

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import lagdeform
 from lagdeform.cli import main
+from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
+from lagdeform.expressions import chart_names
 
 
 def corpus_file(name: str) -> str:
@@ -159,6 +162,39 @@ def test_geodesic_dimension_mismatch(capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+GEODESIC_DIGESTS = dict(
+    line.split()[::-1]
+    for line in (Path(__file__).parent / "golden" / "geodesic" / "SHA256SUMS")
+    .read_text(encoding="utf-8")
+    .splitlines()
+    if line and not line.startswith("#")
+)
+
+# the corpus problems whose box-mid geodesic does not exit 0, with the error
+GEODESIC_FAILURES = {"homogeneous": "error: non-finite state (blow-up) at step 542"}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_geodesic_csv_from_the_box_middle_matches_pinned_sha256(tmp_path, capsys, name):
+    # the CSV runs energy_along for L and Phi(L): this pins the along-flow
+    # checks through the CLI, byte for byte
+    spec = load_corpus_problem(name)
+    mid = [repr(0.5 * (lo + hi)) for lo, hi in (spec.bounds[v] for v in chart_names(spec.n))]
+    csv_path = tmp_path / "traj.csv"
+    code = main(
+        ["geodesic", "--problem", corpus_file(name), "--csv", str(csv_path)]
+        + ["--x0", *mid[: spec.n], "--y0", *mid[spec.n :]]
+    )
+    captured = capsys.readouterr()
+    if name in GEODESIC_FAILURES:
+        assert name not in GEODESIC_DIGESTS
+        assert code == 3
+        assert captured.err == GEODESIC_FAILURES[name] + "\n"
+        return
+    assert code == 0, captured.err
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GEODESIC_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -140,18 +140,32 @@ def _base_of(lag: Lagrangianlike) -> ScalarField:
 
 
 def _along(traj: Trajectory, lag: Lagrangianlike, fields):
-    """Per state, ``(Phi(L), Phi'(L), Phi''(L))`` for a deformed Lagrangian
-    (None for a plain L) and the values of ``fields``, from one kernel call.
-    A state fails as :func:`ex.evaluate` of L, ``Phi``'s ``triple`` and then
+    """``(chain, values)`` over the states: ``chain`` is None for a plain L,
+    else the lines ``Phi(L), Phi'(L), Phi''(L)``, and line ``k`` of
+    ``values`` holds ``fields[k]``, one value per state.
+
+    One ``kernel.columns`` call reads every state, and ``Phi``'s scalar
+    ``triple`` maps the L column in state order. Where the column call
+    raises, the states are read one ``kernel(row)`` at a time, so the first
+    failing state fails as :func:`ex.evaluate` of L, ``triple`` and then
     :func:`ex.evaluate` of each field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
-    first = 1 if deformed else 0
     roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
     kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
-    for row in traj.states.tolist():
-        v = kernel(row)
-        chain = lag.deformation.triple(v[0]) if deformed else None
-        yield chain, v[first:]
+    try:
+        values = np.array(kernel.columns(traj.states.T))
+    except (ArithmeticError, ValueError, LookupError):
+        rows = []
+        for row in traj.states.tolist():
+            v = kernel(row)
+            if deformed:
+                lag.deformation.triple(v[0])
+            rows.append(v[:])
+        values = np.array(rows, dtype=float).T
+    if not deformed:
+        return None, values
+    chain = np.array([lag.deformation.triple(t) for t in values[0].tolist()], dtype=float)
+    return chain.T, values[1:]
 
 
 def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
@@ -163,12 +177,11 @@ def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
     fields = []
     for i in range(n):
         fields += [vert.components[i], ex.partial(base.expr, f"x{i + 1}")]
-    momenta, forces = [], []
-    for chain, values in _along(traj, lag, fields):
-        d1 = 1.0 if chain is None else chain[1]
-        momenta.append([d1 * v for v in values[0::2]])
-        forces.append([d1 * v for v in values[1::2]])
-    return np.array(momenta, dtype=float), np.array(forces, dtype=float)
+    chain, values = _along(traj, lag, fields)
+    d1 = 1.0 if chain is None else chain[1]
+    # as in float arithmetic, an overflow gives inf and inf - inf nan, unannounced
+    with np.errstate(all="ignore"):
+        return (d1 * values[0::2]).T, (d1 * values[1::2]).T
 
 
 def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
@@ -189,11 +202,10 @@ def energy_along(traj: Trajectory, lag: Lagrangianlike):
     base = _base_of(lag)
     base_c = liouville_apply(base).expr
     fields = (base_c,) if lag is not base else (base.expr, base_c)
-    series = []
-    for chain, values in _along(traj, lag, fields):
-        phi, d1 = (values[0], 1.0) if chain is None else chain[:2]
-        series.append(d1 * values[-1] - phi)
-    series = np.array(series, dtype=float)
+    chain, values = _along(traj, lag, fields)
+    phi, d1 = (values[0], 1.0) if chain is None else chain[:2]
+    with np.errstate(all="ignore"):
+        series = d1 * values[-1] - phi
     drift = float(np.max(np.abs(series - series[0])))
     return series, drift
 

@@ -986,7 +986,9 @@ class Kernel:
     roots, in that order, would raise; a caller that reads the items in its
     own order meets its own errors in its own order.
 
-    ``kernel.columns(stack)`` evaluates many rows at once."""
+    ``kernel.columns(stack)`` evaluates many rows at once. The row code and
+    the column code are each compiled at their first call, so a kernel read
+    only through columns compiles no row code."""
 
     __slots__ = ("roots", "names", "constants", "_run", "_columns")
 
@@ -996,10 +998,12 @@ class Kernel:
         self.roots = tuple(roots)
         self.names = tuple(names)
         self.constants = dict(constants or {})
-        self._run = _compile(self.roots, self.names, self.constants)
+        self._run = None
         self._columns = None
 
     def __call__(self, row):
+        if self._run is None:
+            self._run = _compile(self.roots, self.names, self.constants)
         try:
             return self._run(row)
         except (ArithmeticError, ValueError, LookupError):

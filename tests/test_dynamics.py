@@ -16,7 +16,7 @@ from lagdeform.dynamics import (
     integrate_geodesic,
     trajectory_to_csv,
 )
-from lagdeform.expressions import DomainViolation, Overflow, chart_names, parse, partial
+from lagdeform.expressions import DomainViolation, Kernel, Overflow, chart_names, parse, partial
 from lagdeform.families import Affine, Constant, PowerShift
 from lagdeform.geometry import (
     PhasePoint,
@@ -513,6 +513,85 @@ def test_a_parameterized_lagrangian_fails_along_the_flow_with_its_own_error():
     for lag in (lagrangian, deformed):
         with pytest.raises(DomainViolation, match=r"in 'ln\(a - x1\)'"):
             energy_along(traj, lag)
+
+
+def _forbid_rows(monkeypatch):
+    """Make ``kernel(row)`` fail, and record the stacks of every
+    ``Kernel.columns`` call from now on."""
+    stacks = []
+    columns = Kernel.columns
+
+    def counted(kernel, stack):
+        stacks.append(stack)
+        return columns(kernel, stack)
+
+    def no_rows(kernel, row):
+        raise AssertionError("kernel(row) where no column call raises")
+
+    monkeypatch.setattr(Kernel, "columns", counted)
+    monkeypatch.setattr(Kernel, "__call__", no_rows)
+    return stacks
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_along_flow_checks_read_a_trajectory_in_one_column_call(
+    corpus_reports, monkeypatch, name
+):
+    # nothing raises along these trajectories: each check reads all the
+    # states in one column call and never falls back to the row path, which
+    # would give the same bits
+    spec = load_corpus_problem(name)
+    lagrangians = (spec.lagrangian, _deformed_for(spec, corpus_reports[name]))
+    mid = _starts(spec, 1, seed=0)[0]
+    cfg = IntegratorConfig(
+        step=1e-2, horizon=0.5, initial=PhasePoint(mid[: spec.n], mid[spec.n :])
+    )
+    traj = integrate_geodesic(spec.spray, cfg, spec.params)
+    checks = [(check, lag) for lag in lagrangians for check in (energy_along, el_residual_along)]
+    want = [_bits(lambda: check(traj, lag)) for check, lag in checks]
+    stacks = _forbid_rows(monkeypatch)
+    for (check, lag), bits in zip(checks, want):
+        stacks.clear()
+        assert _bits(lambda: check(traj, lag)) == bits
+        assert bits[0] != "error"
+        assert len(stacks) == 1 and stacks[0].shape == (2 * spec.n, 51)
+
+
+def test_lagrangian_leaving_phi_interval_along_the_flow_fails_on_the_column_path(
+    monkeypatch,
+):
+    # L = y1 falls at unit rate from 0 through Phi's interval (-0.5, inf),
+    # and every field is evaluable at every state: the column call succeeds
+    # and Phi's triple fails at the first state at which L leaves the interval
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("0.5", names)])
+    lagrangian = ScalarField(1, parse("y1", names))
+    deformed = DeformedLagrangian(lagrangian, synthesize(PowerShift(-0.5, 0.5), (1.0, 2.0)))
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [0.0]))
+    traj = _assert_matches_reference(spray, (lagrangian, deformed), cfg, None)
+    j = int(np.argmax(traj.states[:, 1] <= -0.5))
+    assert 0 < j < len(traj.times) - 1
+    message = f"t = {traj.states[j, 1]:g} outside"
+    stacks = _forbid_rows(monkeypatch)
+    for check in (energy_along, el_residual_along):
+        with pytest.raises(OutOfInterval, match=message):
+            check(traj, deformed)
+    assert len(stacks) == 2
+
+
+def test_a_geodesic_job_compiles_row_code_once_and_each_check_column_code_once(
+    corpus_reports, compile_flags
+):
+    # RK4 reads the spray by rows; the four along-flow checks read their
+    # kernels by columns only
+    spec = load_corpus_problem("dissipative")
+    deformed = _deformed_for(spec, corpus_reports["dissipative"])
+    cfg = IntegratorConfig(step=1e-2, horizon=0.5, initial=PhasePoint([1.0, 1.0], [1.0, 0.5]))
+    traj = integrate_geodesic(spec.spray, cfg, spec.params)
+    for lag in (spec.lagrangian, deformed):
+        energy_along(traj, lag)
+        el_residual_along(traj, lag)
+    assert compile_flags == [False, True, True, True, True]
 
 
 @pytest.mark.parametrize(

@@ -673,6 +673,34 @@ def test_compile_emits_a_node_shared_by_identity_once():
     assert compile([e], ("x1",))([1.0]) == (2.0**40,)
 
 
+def test_each_code_is_compiled_at_its_first_call_only(compile_flags):
+    names = ("x1", "y1")
+    roots = [parse(s, names) for s in ("ln(x1) + y1", "y1/x1")]
+    stack = np.array([[1.0, 2.0, 4.0], [3.0, 5.0, 7.0]])
+    # read only through columns: no row code
+    kernel = compile(roots, names)
+    assert compile_flags == []
+    kernel.columns(stack)
+    kernel.columns(stack[:, :1])
+    assert compile_flags == [True]
+    # read by rows: the row code once, also where a row falls back to a walk
+    kernel = compile(roots, names)
+    compile_flags.clear()
+    assert kernel([1.0, 3.0]) == (3.0, 3.0)
+    with pytest.raises(DomainViolation, match="ln of non-positive value"):
+        tuple(kernel([0.0, 3.0]))
+    assert kernel([2.0, 1.0])[1] == 0.5
+    kernel.columns(stack)
+    assert compile_flags == [False, True]
+    # a node the emitter cannot compile surfaces at the first row call
+    class Opaque(Expr):
+        __slots__ = ()
+
+    opaque = compile([add(Var("x1"), Opaque())], names)
+    with pytest.raises(TypeError, match="cannot compile Opaque"):
+        opaque([1.0, 2.0])
+
+
 def test_kernel_values_walk_each_root_where_the_code_raises():
     names = ("x1", "y1")
     roots = [parse(s, names) for s in ("x1 + y1", "ln(x1)", "y1/x1", "sqrt(y1)")]

@@ -168,9 +168,17 @@ def _interleaved(*forms) -> tuple:
     return tuple(c for components in zip(*forms) for c in components)
 
 
-def _worse(a: float, b: float) -> float:
-    """The larger of two residuals, or NaN when either is NaN."""
-    return b if b > a or b != b else a
+def _worst(residuals, axis=None):
+    """The largest of ``residuals`` and 0.0, or NaN if one is NaN, as a row
+    loop's running maximum gives it: each residual is >= +0.0 or NaN."""
+    return np.max(residuals, axis=axis, initial=0.0)
+
+
+def _first_row(errors: dict, *masks) -> Optional[int]:
+    """The first row with an error in :func:`ex.table`'s ``errors`` or True in a mask."""
+    rows = [next(iter(errors))[0]] if errors else []
+    rows += [int(np.argmax(mask)) for mask in masks if mask.any()]
+    return min(rows, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +207,19 @@ def _slope_ratio(values, guard_eps: float) -> float:
     return -values[3] / (sl * cl)
 
 
+def _slope_ratios(ratio, stack, guard_eps: float):
+    """L and :func:`_slope_ratio` at the columns of ``stack`` from one column
+    call of ``ratio``, the guards' rejections, and the rows only the scalar
+    function decides: where an item raises or S(L) C(L) is 0."""
+    (l_col, sl, cl, rate), errors = ex.table(ratio, stack)
+    with np.errstate(all="ignore"):
+        product = sl * cl
+        ratios = -rate / product
+    odd = product == 0.0
+    odd[[j for j, _ in errors]] = True
+    return l_col, ratios, (np.abs(sl) <= guard_eps) | (np.abs(cl) <= guard_eps), odd
+
+
 # ---------------------------------------------------------------------------
 # condition (i): the force is the aligned multiple of d_J L
 # ---------------------------------------------------------------------------
@@ -216,18 +237,18 @@ def check_sigma_condition(
     roots = (derived.energy_rate.expr, derived.liouville_of_L.expr)
     roots += _interleaved(sigma.components, derived.vertical.components)
     kernel = derived.kernel(roots)
-    residuals = []
-    for row in samples.rows:
-        v = kernel(row)
-        scale = v[0] / v[1]
-        worst = 0.0
-        for k in range(2, 2 + 2 * sigma.n, 2):
-            s_i = v[k]
-            rhs = scale * v[k + 1]
-            worst = _worse(worst, abs(s_i - rhs) / (1.0 + abs(s_i)))
-        residuals.append(worst)
+    values, errors = ex.table(kernel, samples.stack)
+    j = _first_row(errors, values[1] == 0.0)
+    if j is not None:
+        # reading the rows one at a time stops here: at an item that raises,
+        # or at Python's own division by a zero C(L), before the components
+        v = kernel(samples.rows[j])
+        v[0] / v[1], v[2:]
+    s_i = values[2::2]
+    with np.errstate(all="ignore"):
+        residuals = np.abs(s_i - values[0] / values[1] * values[3::2]) / (1.0 + np.abs(s_i))
     return ConditionReport.from_residuals(
-        "sigma_condition", residuals, samples.rows, samples.rejected, tol
+        "sigma_condition", _worst(residuals, 0).tolist(), samples.rows, samples.rejected, tol
     )
 
 
@@ -241,17 +262,13 @@ def check_sigma_consistency(
     the force form is the defect delta_S L by definition, so disagreement
     means the problem data is inconsistent."""
     roots = _interleaved(sigma.components, derived.defect.components)
-    kernel = derived.kernel(roots)
-    residuals = []
-    for row in samples.rows:
-        v = kernel(row)
-        worst = 0.0
-        for k in range(0, 2 * sigma.n, 2):
-            s_i = v[k]
-            worst = _worse(worst, abs(s_i - v[k + 1]) / (1.0 + abs(s_i)))
-        residuals.append(worst)
+    values, errors = ex.table(derived.kernel(roots), samples.stack)
+    ex.kept(errors, len(samples.rows))  # raises the first error, if any
+    s_i = values[0::2]
+    with np.errstate(all="ignore"):
+        residuals = np.abs(s_i - values[1::2]) / (1.0 + np.abs(s_i))
     return ConditionReport.from_residuals(
-        "sigma_consistency", residuals, samples.rows, samples.rejected, tol
+        "sigma_consistency", _worst(residuals, 0).tolist(), samples.rows, samples.rejected, tol
     )
 
 
@@ -284,7 +301,9 @@ class _LevelSolver:
     ``run(walk)`` runs ``walk(self)``, sequential code that calls
     ``solve(k)``, until a walk meets no (segment, level) lane that no walk
     before it met: the first walk takes every lane it meets to give an
-    accepted point, and each later one knows what the lanes before gave."""
+    accepted point, and each later one knows what the lanes before gave.
+    ``accept(points)`` gives the outcome at each column of ``points``, the
+    points a round of bisection put on their levels."""
 
     def __init__(self, level, lows: list, highs: list, rng, targets: list, accept: Callable):
         self.level = level
@@ -386,17 +405,9 @@ class _LevelSolver:
 
     def _level_at(self, stack):
         """L at the columns of ``stack``, and the error of each column where
-        L cannot be evaluated."""
-        try:
-            return self.level.columns(stack)[0], {}
-        except (ArithmeticError, ValueError, LookupError):
-            values, errors = np.zeros(stack.shape[1]), {}
-            for j, row in enumerate(stack.T.tolist()):
-                try:
-                    values[j] = self.level(row)[0]
-                except Exception as exc:  # raised only if a walk reaches the lane
-                    errors[j] = exc
-            return values, errors
+        L cannot be evaluated, raised only if a walk reaches its lane."""
+        (values,), errors = ex.table(self.level, stack)
+        return values, {j: exc for (j, _), exc in errors.items()}
 
     def _bisect(self, lanes: list):
         """Bisect the ``lanes`` in lockstep and record their outcomes.
@@ -438,17 +449,14 @@ class _LevelSolver:
             lo = np.where(lower, lo[:, live], mid)
             va = np.where(lower, va[live], vm)
         on_level = np.abs(values - goal) <= 1e-10 * (1.0 + np.abs(goal))
+        found = [j for j in range(len(lanes)) if j not in errors and on_level[j]]
+        accepted = dict(zip(found, self.accept(points[:, found])))
         for j, lane in enumerate(lanes):
             if j in errors:
                 exc = errors[j]
                 self.outcomes[lane] = _MISSED if isinstance(exc, ex.DomainViolation) else exc
-            elif not on_level[j]:
-                self.outcomes[lane] = _MISSED
             else:
-                try:
-                    self.outcomes[lane] = self.accept(points[:, j].tolist())
-                except Exception as exc:  # raised only if a walk reaches the lane
-                    self.outcomes[lane] = exc
+                self.outcomes[lane] = accepted.get(j, _MISSED)
 
 
 def _level_groups(solver: _LevelSolver) -> list:
@@ -488,11 +496,12 @@ def functional_dependence_test(
         raise InsufficientSamples(f"only {len(rows)} accepted points")
 
     ratio = derived.kernel(_ratio_roots(derived))
-    cloud = []
-    for row in rows:
-        v = ratio(row)
-        cloud.append((v[0], _slope_ratio(v, plan.guard_eps)))
-    cloud.sort(key=lambda t: t[0])
+    eps = plan.guard_eps
+    l_col, ratios, guarded, odd = _slope_ratios(ratio, samples.stack, eps)
+    if (guarded | odd).any():  # the first such row stops a read row by row
+        v = ratio(rows[int(np.argmax(guarded | odd))])
+        v[0], _slope_ratio(v, eps)
+    cloud = sorted(zip(l_col.tolist(), ratios.tolist()), key=lambda t: t[0])
     cleaned = _merge_duplicate_abscissae(cloud)
     if len(cleaned) < 8:
         raise InsufficientSamples("fewer than 8 distinct Lagrangian values")
@@ -500,11 +509,20 @@ def functional_dependence_test(
     f_median = float(np.median([f for _, f in cleaned]))
     tolerance = tol_dep * (1.0 + abs(f_median))
 
-    def accept(row):
+    def accept_row(row):
         try:
-            return _slope_ratio(ratio(row), plan.guard_eps)
+            return _slope_ratio(ratio(row), eps)
         except (GuardViolation, ex.DomainViolation):
             return None
+        except Exception as exc:  # raised only if a walk reaches the lane
+            return exc
+
+    def accept(points):
+        _, values, rejected, odd = _slope_ratios(ratio, points, eps)
+        return [
+            accept_row(row) if odd[j] else None if rejected[j] else values[j]
+            for j, row in enumerate(points.T.tolist())
+        ]
 
     l_values = np.array([l for l, _ in cleaned])
     names = ex.chart_names(lagrangian.n)
@@ -751,24 +769,21 @@ class HessianReport:
 
 
 def hessian_report(matrix: Callable, samples: Samples) -> HessianReport:
-    """Evaluate ``matrix``, a callable ``row -> tuple`` of the n*n entries
-    of an n x n matrix in row-major order, at the sampled rows; rank via
-    singular values above ``_RANK_RTOL * s_max``, from one batched SVD. A
-    row is skipped where the matrix raises ``DomainViolation`` or
-    ``ValueError`` (a deformed matrix's ``OutOfInterval``: Phi has no float
-    value at L), or has an entry that is not finite."""
-    stack = []
-    for row in samples.rows:
-        try:
-            entries = tuple(matrix(row))
-        except (ex.DomainViolation, ValueError):
-            continue
-        if all(map(math.isfinite, entries)):
-            stack.append(entries)
-    if not stack:
+    """Evaluate ``matrix``, a callable ``row ->`` the n*n entries of an n x n
+    matrix in row-major order, at the sampled rows: one ``matrix.columns``
+    call where it has one (the kernel of g, the deformed Hessian), else or
+    where that call raises one row at a time. Rank via singular values above
+    ``_RANK_RTOL * s_max``, from one batched SVD. A row is skipped where its
+    entries raise ``DomainViolation`` or ``ValueError`` (a deformed matrix's
+    ``OutOfInterval``: Phi has no float value at L) or one is not finite."""
+    stack = samples.stack
+    n = len(stack) // 2
+    values, errors = ex.table(matrix, stack, n * n)
+    kept = ex.kept(errors, len(samples.rows), (ex.DomainViolation, ValueError))
+    kept &= np.isfinite(values).all(axis=0)
+    if not kept.any():
         raise InsufficientSamples("no evaluable points for the Hessian")
-    n = math.isqrt(len(stack[0]))
-    stack = np.array(stack).reshape(len(stack), n, n)
+    stack = values[:, kept].T.reshape(-1, n, n)
     max_entry = float(np.max(np.abs(stack)))
     s = np.linalg.svd(stack, compute_uv=False)
     s_max = s[:, :1]
@@ -838,18 +853,17 @@ def check_homogeneous(
     n = sigma.n
     vertical = derived.vertical.components
     kernel = derived.kernel((lagrangian.expr,) + tuple(vertical) + tuple(sigma.components))
-    values = [kernel(row) for row in rows]
-    for v in values:
-        if not v[0] > 0.0:  # nor is a NaN
-            raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
+    values, errors = ex.table(kernel, samples.stack)
+    positive = values[0] > 0.0  # nor is a NaN, which an L that raises is
+    if not positive.all():
+        kernel(rows[int(np.argmin(positive))])[0]  # L's own error, if it raises
+        raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
+    ex.kept(errors, len(rows))  # raises the first error, if any
 
-    wedge = 0.0
-    for v in values:
-        dj = [v[1 + i] for i in range(n)]
-        sg = [v[1 + n + i] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                wedge = _worse(wedge, abs(dj[i] * sg[j] - dj[j] * sg[i]))
+    dj, sg = values[1 : 1 + n], values[1 + n :]
+    with np.errstate(all="ignore"):
+        pairs = [np.abs(dj[i] * sg[j] - dj[j] * sg[i]) for i in range(n) for j in range(i + 1, n)]
+    wedge = float(_worst(pairs))
     passed = wedge <= tol_wedge
 
     p_round = float(round(p_l)) if abs(p_l - round(p_l)) <= 1e-9 else p_l
@@ -867,11 +881,12 @@ def check_homogeneous(
             for j in range(n)
         )
         combination = derived.kernel(cells)
-        for row in rows:
-            v = combination(row)
-            if any(abs(v[k]) > 1e-10 for k in range(len(cells))):
-                nontrivial = True
-                break
+        values, errors = ex.table(combination, samples.stack)
+        j = _first_row(errors, (np.abs(values) > 1e-10).any(axis=0))
+        # read row by row, the cells stop at the first row with a large cell
+        # or an error, and in that row at the first of them
+        if j is not None:
+            nontrivial = not errors or any(abs(v) > 1e-10 for v in combination(rows[j]))
 
     return HomogeneousReport(
         degree=p_round,
@@ -912,37 +927,25 @@ def check_dissipative(
 
     roots = _interleaved(derived.defect.components, vertical_d.components)
     roots += (derived.energy_rate.expr, liouville_d.expr, dissipation.expr)
-    kernel = derived.kernel(roots)
-    values = []
-    grad_res, rate_res = [], []
-    for row in rows:
-        v = kernel(row)
-        values.append(v)
-        worst = 0.0
-        for k in range(0, 2 * n, 2):
-            grad_i = v[k + 1]
-            worst = _worse(worst, abs(v[k] - grad_i) / (1.0 + abs(grad_i)))
-        grad_res.append(worst)
-        sel = v[2 * n]
-        cd = v[2 * n + 1]
-        rate_res.append(abs(sel - cd) / (1.0 + abs(cd)))
-    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res, rows, rejected, tol)
-    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res, rows, rejected, tol)
+    values, errors = ex.table(derived.kernel(roots), samples.stack)
+    # D itself is read only for a Rayleigh D, after the homogeneity scan
+    ex.kept({key: error for key, error in errors.items() if key[1] < 2 * n + 2}, len(rows))
+    grad_i, sel, cd, dval = values[1 : 2 * n : 2], values[2 * n], values[2 * n + 1], values[2 * n + 2]
+    with np.errstate(all="ignore"):
+        grad_res = _worst(np.abs(values[0 : 2 * n : 2] - grad_i) / (1.0 + np.abs(grad_i)), 0)
+        rate_res = np.abs(sel - cd) / (1.0 + np.abs(cd))
+        twice_res = np.abs(sel - 2.0 * dval) / (1.0 + np.abs(2.0 * dval))
+    gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res.tolist(), rows, rejected, tol)
+    rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res.tolist(), rows, rejected, tol)
 
     deg = homogeneity_degree(dissipation, rows, derived.params)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
     rayleigh_rate = None
     negative = None
     if rayleigh:
-        twice_res = []
-        negative = True
-        for v in values:
-            sel = v[2 * n]
-            dval = v[2 * n + 2]
-            twice_res.append(abs(sel - 2.0 * dval) / (1.0 + abs(2.0 * dval)))
-            if not dval < 0.0:  # nor is a NaN
-                negative = False
+        ex.kept(errors, len(rows))  # now D itself, too
+        negative = bool((dval < 0.0).all())  # nor is a NaN
         rayleigh_rate = ConditionReport.from_residuals(
-            "energy_rate_is_2D", twice_res, rows, rejected, tol
+            "energy_rate_is_2D", twice_res.tolist(), rows, rejected, tol
         )
     return DissipativeReport(gradient, rate, rayleigh, rayleigh_rate, negative)

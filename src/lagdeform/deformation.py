@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +24,7 @@ from .conditions import (
     HessianReport,
     InsufficientSamples,
     _interleaved,
-    _worse,
+    _worst,
     hessian_report,
 )
 from .families import (
@@ -289,6 +290,27 @@ class DeformedLagrangian:
         return None
 
 
+class _Chained:
+    """``combine(chain, rest)`` of a kernel whose first root is L: ``chain``
+    is Phi's ``triple`` at L, ``rest`` the other roots, at a row by
+    ``chained(row)`` or at many by ``columns``, which maps ``triple`` over
+    the L column in row order."""
+
+    def __init__(self, kernel, deformation: Deformation, combine=lambda chain, rest: (*chain, *rest)):
+        self.kernel = kernel
+        self.deformation = deformation
+        self.combine = combine
+
+    def __call__(self, row):
+        v = self.kernel(row)
+        return self.combine(self.deformation.triple(v[0]), v[1:])
+
+    def columns(self, stack):
+        values = self.kernel.columns(stack)
+        chain = [self.deformation.triple(t) for t in values[0].tolist()]
+        return self.combine(np.array(chain, dtype=float).reshape(-1, 3).T, values[1:])
+
+
 @dataclass
 class DeformedELReport:
     direct: ConditionReport
@@ -316,66 +338,47 @@ def verify_deformed_el(
     forms = (derived.vertical.components, derived.defect.components)
     forms += (direct_form.components,) if direct_form is not None else ()
     roots = (derived.lagrangian.expr, derived.spray_of_L.expr) + _interleaved(*forms)
+    chained = _Chained(derived.kernel(roots), deformation)
+    # Phi, Phi', Phi'', S(L), then the forms' components
+    values, errors = ex.table(chained, samples.stack, len(roots) + 2)
+    kept = ex.kept(errors, len(samples.rows), (OutOfInterval, ex.DomainViolation))
+    values = values[:, kept]
+    _, d1, d2, sl = values[:4]
     stride = len(forms)
-    kernel = derived.kernel(roots)
-
-    residuals, kept = [], []
-    expansion_max = 0.0
-    agreement_max = 0.0
-    out_of_interval = 0
-    for row in samples.rows:
-        v = kernel(row)
-        try:
-            d1, d2 = deformation.triple(v[0])[1:]
-            sl = v[1]
-            point_worst = 0.0
-            point_exp_worst = 0.0
-            point_agree = 0.0
-            for k in range(2, len(roots), stride):
-                term1 = d2 * sl * v[k]
-                term2 = d1 * v[k + 1]
-                expanded = term1 + term2
-                scale = 1.0 + abs(term1) + abs(term2)
-                direct = v[k + 2] if direct_form is not None else expanded
-                point_worst = _worse(point_worst, abs(direct) / scale)
-                point_exp_worst = _worse(point_exp_worst, abs(expanded) / scale)
-                point_agree = _worse(point_agree, abs(direct - expanded) / scale)
-        except (OutOfInterval, ex.DomainViolation):
-            out_of_interval += 1
-            continue
-        residuals.append(point_worst)
-        kept.append(row)
-        expansion_max = _worse(expansion_max, point_exp_worst)
-        agreement_max = _worse(agreement_max, point_agree)
-    if not kept:  # no residual to take the worst of
+    with np.errstate(all="ignore"):
+        term1 = d2 * sl * values[4::stride]
+        term2 = d1 * values[5::stride]
+        expanded = term1 + term2
+        scale = 1.0 + np.abs(term1) + np.abs(term2)
+        direct = values[6::stride] if direct_form is not None else expanded
+        residuals = _worst(np.abs(direct) / scale, 0).tolist()
+        expansion_max = float(_worst(np.abs(expanded) / scale))
+        agreement_max = float(_worst(np.abs(direct - expanded) / scale))
+    if not residuals:  # no residual to take the worst of
         expansion_max = agreement_max = math.nan
-    rejected = samples.rejected + out_of_interval
+    out_of_interval = int(np.count_nonzero(~kept))
+    kept_rows = list(compress(samples.rows, kept))
     direct_report = ConditionReport.from_residuals(
-        "deformed_euler_lagrange", residuals, kept, rejected, tol
+        "deformed_euler_lagrange", residuals, kept_rows, samples.rejected + out_of_interval, tol
     )
     return DeformedELReport(direct_report, expansion_max, agreement_max, out_of_interval)
 
 
 def deformed_hessian_matrix(derived: DerivedFields, deformation: Deformation):
     """Fiber Hessian of Phi(L) as a callable ``row -> tuple`` of its entries
-    in row-major order: Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and
-    numeric deformations alike, by the float operations of
-    ``Phi'' outer(L_y, L_y) + Phi' g``."""
+    in row-major order, with ``columns(stack)`` for many rows at once:
+    Phi'' L_y_i L_y_j + Phi' g_ij, for closed-form and numeric deformations
+    alike, by the float operations of ``Phi'' outer(L_y, L_y) + Phi' g``."""
     n = derived.lagrangian.n
     roots = (derived.lagrangian.expr,) + tuple(derived.vertical.components)
     roots += tuple(cell for line in derived.hessian for cell in line)
-    kernel = derived.kernel(roots)
 
-    def matrix_at(row):
-        v = kernel(row)
-        d1, d2 = deformation.triple(v[0])[1:]
-        dy = v[1 : 1 + n]
-        g = v[1 + n :]
-        return tuple(
-            d2 * (dy[i] * dy[j]) + d1 * g[i * n + j] for i in range(n) for j in range(n)
-        )
+    def entries(chain, v):
+        # v holds L_y, then g's cells
+        _, d1, d2 = chain
+        return tuple(d2 * (v[i] * v[j]) + d1 * v[n + i * n + j] for i in range(n) for j in range(n))
 
-    return matrix_at
+    return _Chained(derived.kernel(roots), deformation, entries)
 
 
 def deformed_hessian(

@@ -892,7 +892,7 @@ def _compile(roots: tuple, layout: tuple, constants: dict, columns: bool = False
         if key not in names:
             names[key] = f"t{len(names)}"
             lines.append(f"    {names[key]} = {source}")
-            if columns and (key[0] is Var or column.intersection(operands)):
+            if columns and (key[0] is Var or not column.isdisjoint(operands)):
                 column.add(names[key])
         return names[key]
 
@@ -1022,6 +1022,45 @@ class Kernel:
             self._columns = _compile(self.roots, self.names, self.constants, columns=True)
         with np.errstate(all="ignore"):
             return self._columns(stack)
+
+
+def table(read, stack, width: Optional[int] = None):
+    """``(values, errors)`` of ``read`` (a :class:`Kernel`, or a callable
+    ``row -> items`` with or without ``columns``) at the columns of
+    ``stack``: one float64 line per item from one column call, or where it
+    raises, from ``read(row)`` at each row: an item that raises is NaN, and
+    ``errors[row, item]`` keeps its error, in row then item order."""
+    width = len(read.roots) if width is None else width
+    if hasattr(read, "columns"):
+        try:
+            return np.array(read.columns(stack), dtype=float), {}
+        except (ArithmeticError, ValueError, LookupError):
+            pass
+    rows = stack.T.tolist()
+    values = np.full((width, len(rows)), math.nan)
+    errors = {}
+    for j, row in enumerate(rows):
+        items = None
+        for k in range(width):
+            try:
+                items = read(row) if items is None else items  # a call may raise
+                values[k, j] = items[k]
+            except Exception as exc:  # met only where the check reaches the row
+                errors[j, k] = exc
+    return values, errors
+
+
+def kept(errors: dict, count: int, skipped: tuple = ()) -> np.ndarray:
+    """A mask of the ``count`` rows kept by reading them one at a time, each
+    row's items in order, given :func:`table`'s ``errors``: a row whose first
+    error is one of ``skipped`` is dropped, and any other error is raised."""
+    keep = np.ones(count, dtype=bool)
+    for (j, _), error in errors.items():
+        if keep[j]:
+            if not isinstance(error, skipped):
+                raise error
+            keep[j] = False
+    return keep
 
 
 class _Walk:

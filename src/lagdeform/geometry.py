@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import expressions as ex
 from .expressions import Expr
 
@@ -186,47 +188,36 @@ def homogeneity_degree(
     is skipped, and a scaled value that is neither gives None. For a
     :class:`SemiSpray`, returns 2.0 when all coefficients scale
     quadratically, else None. Rows with ``y = 0`` are skipped.
+
+    One kernel of the field or every spray coefficient is read in one column
+    call over the rows and the rows with ``y`` scaled by each ``r``. A value
+    that raises ``DomainViolation`` is NaN there, as the row scan treats it.
     """
     n = obj.n
-    names = ex.chart_names(n)
+    roots = obj.coefficients if isinstance(obj, SemiSpray) else (obj.expr,)
+    stack = np.array(rows, dtype=float).reshape(len(rows), 2 * n).T
+    x, y = stack[:n], stack[n:]
+    scaled = [np.concatenate((x, r * y)) for r in _HOMOGENEITY_RATIOS]
+    values, errors = ex.table(ex.compile(roots, ex.chart_names(n), params), np.hstack([stack] + scaled))
+    ex.kept(errors, 4 * len(rows), (ex.DomainViolation,))
+    lines = values.reshape(len(roots), 4, len(rows))  # per root: the rows, then each ratio's
+    moving = (y != 0.0).any(axis=0).tolist()
     if isinstance(obj, SemiSpray):
-        for g in obj.coefficients:
-            kernel = ex.compile((g,), names, params)
-            if _field_degree(kernel, rows, n, tol) != 2.0:
-                if not _is_zero_at(kernel, rows, tol):
-                    return None
+        for line in lines:
+            # a zero coefficient has no degree, and is quadratic
+            if _field_degree(line, moving, tol) != 2.0 and not (np.abs(line[0]) <= tol).all():
+                return None
         return 2.0
-    return _field_degree(ex.compile((obj.expr,), names, params), rows, n, tol)
+    return _field_degree(lines[0], moving, tol)
 
 
-def _is_zero_at(kernel, rows, tol) -> bool:
-    for row in rows:
-        try:
-            # not (|v| <= tol) also holds for nan
-            if not abs(kernel(row)[0]) <= tol:
-                return False
-        except ex.DomainViolation:
-            return False
-    return True
-
-
-def _field_degree(kernel, rows, n, tol) -> Optional[float]:
-    """The degree of the one root of ``kernel``, as in :func:`homogeneity_degree`."""
+def _field_degree(values, moving, tol) -> Optional[float]:
+    """The degree of one root from its values at the rows, then at each
+    ratio's scaled rows, where ``moving`` (``y != 0``), as in :func:`homogeneity_degree`."""
     estimate = None
-    for row in rows:
-        x, y = row[:n], row[n:]
-        if all(v == 0.0 for v in y):
+    for moves, base, *scaled in zip(moving, *values.tolist()):
+        if not moves or not math.isfinite(base) or abs(base) < 1e-12:
             continue
-        try:
-            base = kernel(row)[0]
-        except ex.DomainViolation:
-            continue
-        if not math.isfinite(base) or abs(base) < 1e-12:
-            continue
-        try:
-            scaled = [kernel([*x, *(r * v for v in y)])[0] for r in _HOMOGENEITY_RATIOS]
-        except ex.DomainViolation:
-            return None
         if not all(math.isfinite(v) for v in scaled):
             return None
         ratio = scaled[1] / base  # r = 2

@@ -21,6 +21,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import expressions as ex
 from .conditions import (
     ConditionReport,
@@ -32,7 +34,7 @@ from .conditions import (
     DissipativeReport,
     InsufficientSamples,
     NotHomogeneous,
-    _worse,
+    _worst,
     check_dissipative,
     check_homogeneous,
     check_sigma_condition,
@@ -406,13 +408,10 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol) -> ReportDocumen
     except TooManyRejections:
         return _inconclusive(doc, "expressions are nowhere evaluable on the box")
 
-    defect_max = 0.0
-    kernel = derived.kernel(tuple(derived.defect.components))
-    for row in samples.rows:
-        values = kernel(row)
-        for k in range(spec.n):
-            v = values[k]
-            defect_max = _worse(defect_max, abs(v) / (1.0 + abs(v)))
+    values, errors = ex.table(derived.kernel(tuple(derived.defect.components)), samples.stack)
+    ex.kept(errors, len(samples.rows))  # raises the first error, if any
+    with np.errstate(all="ignore"):
+        defect_max = float(_worst(np.abs(values) / (1.0 + np.abs(values))))
     conservative = defect_max <= tol["identity"]
     doc.notes.append(f"Lagrange differential max residual {defect_max:.3e} on samples")
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -100,21 +101,30 @@ class Guards:
     def admits(self, row, params: Optional[dict], eps: float) -> bool:
         """Whether the guards accept the chart point ``row`` under the
         parameter values ``params``."""
-        roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
-        n = len(row) // 2
-        values = cached_kernel(self._kernels, roots, n, params)(row)
-        evaluable = len(self.evaluable)
-        try:
-            for k in range(evaluable):
-                if not math.isfinite(values[k]):
-                    return False
-            for k in range(evaluable, evaluable + len(self.nonzero)):
-                v = values[k]
-                if not math.isfinite(v) or abs(v) <= eps:
-                    return False
+        values = cached_kernel(self._kernels, self._roots(), len(row) // 2, params)(row)
+        try:  # the nonzero roots after the evaluable, read in order
+            return all(
+                math.isfinite(v) and (k < len(self.evaluable) or abs(v) > eps)
+                for k, v in enumerate(values)
+            )
         except ex.DomainViolation:
             return False
-        return True
+
+    def admit(self, block, params: Optional[dict], eps: float):
+        """:meth:`admits` at each column of ``block``, from one column call of
+        the guard kernel, or where it raises, at each row in turn."""
+        kernel = cached_kernel(self._kernels, self._roots(), len(block) // 2, params)
+        try:
+            values = kernel.columns(block)
+        except (ArithmeticError, ValueError, LookupError):
+            return [self.admits(row, params, eps) for row in block.T.tolist()]
+        ok = np.ones(block.shape[1], dtype=bool)
+        for k, v in enumerate(values):  # the nonzero roots after the evaluable
+            ok &= np.isfinite(v) & ((k < len(self.evaluable)) | (np.abs(v) > eps))
+        return ok
+
+    def _roots(self) -> tuple:
+        return tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
 
 
 class Samples(NamedTuple):
@@ -127,6 +137,11 @@ class Samples(NamedTuple):
     @property
     def rejected(self) -> int:
         return self.attempts - len(self.rows)
+
+    @property
+    def stack(self) -> np.ndarray:
+        # the rows as columns: line i holds coordinate i of each row
+        return np.array(self.rows, dtype=float).T
 
 
 def draw_samples(
@@ -151,8 +166,10 @@ def draw_samples(
     while len(accepted) < plan.count:
         if attempts >= budget:
             raise TooManyRejections(len(accepted), attempts, plan.count)
-        row = rng.uniform(lows, highs).tolist()
-        attempts += 1
-        if guards.admits(row, params, plan.guard_eps):
-            accepted.append(row)
+        # as many attempts as rows are still needed, drawn at once: the same
+        # rows one draw per attempt gives, and none after the last needed
+        size = min(plan.count - len(accepted), budget - attempts)
+        block = rng.uniform(lows, highs, size=(size, 2 * n))
+        attempts += size
+        accepted += compress(block.tolist(), guards.admit(block.T, params, plan.guard_eps))
     return Samples(accepted, attempts)

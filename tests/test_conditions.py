@@ -32,6 +32,7 @@ from lagdeform.deformation import (
     DeformedELReport,
     DeformedLagrangian,
     OutOfInterval,
+    deformed_hessian,
     deformed_hessian_matrix,
     synthesize,
     verify_deformed_el,
@@ -63,6 +64,7 @@ from lagdeform.sampling import (
     SamplePlan,
     Samples,
     TooManyRejections,
+    _MAX_REJECT_RATIO,
     cached_kernel,
     draw_samples,
 )
@@ -181,6 +183,71 @@ def test_one_guards_admits_a_row_by_the_parameter_values_it_is_given():
     for a in (0.0, -0.0, 0.0):
         value = cached_kernel(memo, roots, 1, {"a": a})([1.0, 1.0])[0]
         assert math.copysign(1.0, value) == math.copysign(1.0, a)
+
+
+def _ref_draw(plan, guards, params):
+    """draw_samples as one rng.uniform call and one Guards.admits call per
+    attempt."""
+    names = ex.chart_names(plan.dimension)
+    lows = np.array([plan.bounds[v][0] for v in names])
+    highs = np.array([plan.bounds[v][1] for v in names])
+    rng = np.random.default_rng(plan.seed)
+    budget = max(64, math.ceil(plan.count / (1.0 - _MAX_REJECT_RATIO)))
+    rows, attempts = [], 0
+    while len(rows) < plan.count:
+        if attempts >= budget:
+            raise TooManyRejections(len(rows), attempts, plan.count)
+        row = rng.uniform(lows, highs).tolist()
+        attempts += 1
+        if guards.admits(row, params, plan.guard_eps):
+            rows.append(row)
+    return Samples(rows, attempts)
+
+
+def _draw_outcome(plan, guards, params):
+    try:
+        samples = draw_samples(plan, guards, params)
+    except TooManyRejections as exc:
+        return ("rejected", exc.accepted, exc.attempted, exc.requested)
+    return (_bits(samples.rows), samples.attempts)
+
+
+@pytest.mark.parametrize(
+    "nonzero, evaluable, eps, count, row_path, exhausted",
+    [
+        # |x1 - 1| <= 0.25 and the overflow of 1e308 y1^2 to inf for
+        # y1 > 1.34 reject part of the box, and no column call raises
+        pytest.param("x1 - 1", "1e308*y1*y1", 0.25, 150, False, False, id="part-of-the-box"),
+        # ln(x1 - 1) raises DomainViolation at x1 <= 1: the blocks that
+        # meet such a row are read row by row through Guards.admits
+        pytest.param("y1 - 1", "ln(x1 - 1)", 1e-6, 150, True, False, id="domain-violation"),
+        # only x1 within 0.005 of the box's ends passes: a few rows are
+        # accepted before the 500 attempts of 10 rows' budget run out, so
+        # the blocks shrink and the last one is cut to what the budget has
+        pytest.param("x1 - 1.25", "x1", 0.745, 10, False, True, id="budget-runs-out"),
+    ],
+)
+def test_block_draw_matches_one_draw_and_one_admits_per_attempt(
+    monkeypatch, nonzero, evaluable, eps, count, row_path, exhausted
+):
+    names = ("x1", "y1")
+    guards = Guards(
+        nonzero=(ScalarField(1, parse(nonzero, names)),), evaluable=(parse(evaluable, names),)
+    )
+    plan = plan_for(1, count=count, seed=17, guard_eps=eps)
+    try:
+        reference = _ref_draw(plan, guards, {})
+    except TooManyRejections as exc:
+        want = ("rejected", exc.accepted, exc.attempted, exc.requested)
+        assert exhausted and 0 < exc.accepted < count and exc.attempted == 500
+    else:
+        want = (_bits(reference.rows), reference.attempts)
+        assert not exhausted and reference.attempts > count
+    calls = []
+    admits = Guards.admits
+    monkeypatch.setattr(Guards, "admits", lambda *args: calls.append(args) or admits(*args))
+    assert _draw_outcome(plan, guards, {}) == want
+    assert bool(calls) == row_path
 
 
 def test_draw_samples_high_acceptance_for_damped_oscillator():
@@ -827,6 +894,16 @@ def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
     return cloud, groups
 
 
+def _ref_dependence_cloud(d, samples, plan):
+    """The (L, f) cloud of the dependence test, sorted by L."""
+    n = d.lagrangian.n
+    cloud = []
+    for row in samples.rows:
+        b = binding(row, n, {})
+        cloud.append((ex.evaluate(d.lagrangian.expr, b), _ref_ratio(d, b, plan.guard_eps)))
+    return sorted(cloud, key=lambda t: t[0])
+
+
 def _ref_hessian_cells(matrix, samples, params):
     """The evaluable matrices, as hessian_report stacks them."""
     stack = []
@@ -1016,7 +1093,9 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     )
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
-    solver = _LevelSolver(level, lows, highs, np.random.default_rng(plan.seed + 1), targets, list)
+    solver = _LevelSolver(
+        level, lows, highs, np.random.default_rng(plan.seed + 1), targets, lambda points: points.T.tolist()
+    )
     # one solve per target, and the segments used after each
     got = solver.run(lambda s: [(s.solve(k), s.used) for k in range(len(targets))])
     rng_ref = np.random.default_rng(plan.seed + 1)
@@ -1155,6 +1234,179 @@ def test_a_raising_vertical_differential_propagates_the_reference_error():
     assert got.value.expr is want.value.expr
 
 
+def _same_outcome(got, want):
+    """``got()`` gives the bits of ``want()``, or raises the error it raises:
+    the same type with the same message, which names the failing node."""
+    try:
+        expected = want()
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            got()
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return type(exc)
+    assert _bits(got()) == _bits(expected)
+    return None
+
+
+def _ref_deformed_hessian_report(d, deformation, samples):
+    matrices = []
+    for row in samples.rows:
+        try:
+            m = _ref_deformed_hessian_at(d, deformation, row, {})
+        except (ex.DomainViolation, ValueError):
+            continue
+        if np.isfinite(m).all():
+            matrices.append(m)
+    if not matrices:
+        raise InsufficientSamples("no evaluable points for the Hessian")
+    return len(matrices), float(np.max(np.abs(np.array(matrices))))
+
+
+# L = y1^2/2 + x1 y1 + sqrt(x1 - 1) and G = ln(y1 + 1) y1: at (0.5, 1.5)
+# sqrt raises, in L, S(L), E_L, S(E_L) and the defect; at (1.5, -1.5) ln
+# raises, in S(L), S(E_L) and the defect, and L + 0.2 < 0 lies outside
+# ln(L + 0.2)'s interval; at (1.5, 0) C(L) = y1 (y1 + x1) is 0; at (1.25, 1)
+# sigma = y1/(x1 - 1.25) divides by zero; at (2, -0.9) L + 0.2 < 0 alone
+_RAISING_ROWS = [[0.5, 1.5], [1.5, -1.5], [1.5, 0.0], [1.25, 1.0], [2.0, -0.9]]
+_GOOD_ROWS = [[x, y] for x in (1.5, 2.0) for y in (0.5, 1.0, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[row] for row in _RAISING_ROWS]
+    + [_RAISING_ROWS[k:] + _RAISING_ROWS[:k] for k in range(len(_RAISING_ROWS))],
+    ids=lambda bad: "-".join(f"{x:g},{y:g}" for x, y in bad),
+)
+def test_checks_meet_raising_rows_as_the_dict_binding_references_do(bad):
+    # every column call over these rows raises somewhere: each check reads
+    # the rows through kernel(row) then, and skips, counts or raises at
+    # the row and in the order its row loop did
+    names = ("x1", "y1")
+    d = DerivedFields(
+        SemiSpray(1, [parse("ln(y1 + 1)*y1", names)]),
+        ScalarField(1, parse("0.5*y1^2 + x1*y1 + sqrt(x1 - 1)", names)),
+    )
+    sigma = SemiBasicForm(1, [parse("y1/(x1 - 1.25)", names)])
+    dissipation = ScalarField(1, parse("y1^2", names))
+    deformation = synthesize(Logarithmic(0.2), (0.0, 1.0))
+    rows = _GOOD_ROWS[:4] + bad + _GOOD_ROWS[4:]
+    samples = Samples(rows, len(rows) + 3)
+    plan = plan_for(1, count=len(rows))
+    raised = [
+        _same_outcome(
+            lambda: check_sigma_consistency(d, sigma, samples),
+            lambda: _ref_sigma_consistency(d, sigma, samples, {}),
+        ),
+        _same_outcome(
+            lambda: check_sigma_condition(d, sigma, samples),
+            lambda: _ref_sigma_condition(d, sigma, samples, {}),
+        ),
+        _same_outcome(
+            lambda: functional_dependence_test(d, samples, plan).cloud,
+            lambda: _merge_duplicate_abscissae(_ref_dependence_cloud(d, samples, plan)),
+        ),
+        _same_outcome(
+            lambda: verify_deformed_el(d, deformation, samples),
+            lambda: _ref_verify(d, deformation, samples, {}),
+        ),
+        _same_outcome(
+            lambda: (lambda r: (r.samples, r.max_entry))(
+                deformed_hessian(d, deformation, samples)
+            ),
+            lambda: _ref_deformed_hessian_report(d, deformation, samples),
+        ),
+        _same_outcome(
+            lambda: (lambda r: (r.gradient_match, r.energy_rate_match, r.rayleigh_rate))(
+                check_dissipative(d, dissipation, samples)
+            ),
+            lambda: _ref_dissipative(d, dissipation, samples, {}),
+        ),
+    ]
+    matrix = [[d.lagrangian.expr]]
+    report = hessian_report(matrix_kernel(matrix), samples)
+    cells = _ref_hessian_cells(matrix, samples, {})
+    assert report.samples == len(cells)
+    assert _bits(report.max_entry) == _bits(float(np.max(np.abs(np.array(cells)))))
+    if len(bad) > 1:
+        assert raised[:3] != [None] * 3
+
+
+@pytest.mark.parametrize(
+    "bad, want",
+    [
+        ([[0.5, 2.0, 1.0, 1.0], [2.0, 0.5, 1.0, 2.0], [1.0, 2.0, 2.0, 1.0]], "sqrt"),
+        ([[2.0, 0.5, 1.0, 2.0], [1.0, 2.0, 2.0, 1.0], [0.5, 2.0, 1.0, 1.0]], "positive"),
+        ([[2.0, 0.5, 1.0, 2.0], [0.5, 2.0, 1.0, 1.0]], "sqrt"),
+        ([[2.0, 0.5, 1.0, 2.0]], "ln"),
+    ],
+)
+def test_the_homogeneous_check_meets_raising_rows_as_the_reference_does(bad, want):
+    # L = (y1^2 + y2^2) sqrt(x1 - 1) raises at x1 = 0.5 and is 0 at x1 = 1;
+    # sigma, proportional to d_J L, raises at x2 = 0.5. The degree scans skip
+    # these rows; the check reads L at every row, then the wedge's fields
+    names = ("x1", "x2", "y1", "y2")
+    d = DerivedFields(
+        SemiSpray(2, [parse("0", names)] * 2),
+        ScalarField(2, parse("(y1^2 + y2^2)*sqrt(x1 - 1)", names)),
+    )
+    sigma = SemiBasicForm(2, [parse(f"y{i}*(y1 + y2)*ln(x2 - 1)", names) for i in (1, 2)])
+    good = [[x1, x2, y1, y2] for x1 in (1.5, 2.0) for x2 in (1.5, 2.0) for y1, y2 in ((0.5, 1.0), (2.0, 1.5))]
+    samples = Samples(good[:3] + bad + good[3:], 8 + len(bad))
+
+    def reference():
+        if not all(ex.evaluate(d.lagrangian.expr, binding(row, 2)) > 0.0 for row in samples.rows):
+            degrees = {"L": 2.0, "sigma_1": 2.0, "sigma_2": 2.0, "spray": 2.0}
+            raise NotHomogeneous("Lagrangian must be positive on samples", degrees)
+        return _ref_homogeneous_wedge(d, sigma, samples, {})[1]
+
+    with pytest.raises((ex.DomainViolation, NotHomogeneous)) as expected:
+        reference()
+    with pytest.raises(type(expected.value), match=want) as got:
+        check_homogeneous(d, sigma, samples)
+    assert str(got.value) == str(expected.value)
+    report = check_homogeneous(d, sigma, Samples(good, 8))
+    assert report.passed and report.nontrivial
+    assert _bits(report.wedge_residual) == _bits(_ref_homogeneous_wedge(d, sigma, Samples(good, 8), {})[1])
+
+
+def _ref_spray_degree(spray, rows, tol=1e-9):
+    """homogeneity_degree of a spray: 2.0 when each coefficient has degree 2
+    or is evaluable and within ``tol`` of 0 at every row, else None."""
+    n = spray.n
+    for g in spray.coefficients:
+        if _ref_homogeneity_degree(g, n, rows, {}, tol) == 2.0:
+            continue
+        for row in rows:
+            try:
+                if not abs(ex.evaluate(g, binding(row, n))) <= tol:
+                    return None
+            except ex.DomainViolation:
+                return None
+    return 2.0
+
+
+@pytest.mark.parametrize(
+    "coefficients, top, want",
+    [
+        # a zero coefficient has no degree and counts as quadratic
+        (("x1*y1^2", "0"), 2.0, 2.0),
+        # 1e-12 y1 has degree 1 but stays within the tolerance of 0
+        (("y1*y2", "1e-12*y1"), 2.0, 2.0),
+        (("y1^3", "y2^2"), 2.0, None),
+        # y1^2 sqrt(5 - y1)/sqrt(5 - y1) is y1^2 wherever it is defined: at
+        # y1 = 1.8 only the row scaled by 3 leaves its domain
+        (("y1^2*(sqrt(5 - y1)/sqrt(5 - y1))", "0"), 1.6, 2.0),
+        (("y1^2*(sqrt(5 - y1)/sqrt(5 - y1))", "0"), 1.8, None),
+    ],
+)
+def test_the_spray_degree_matches_the_dict_binding_reference(coefficients, top, want):
+    names = ("x1", "x2", "y1", "y2")
+    spray = SemiSpray(2, [parse(c, names) for c in coefficients])
+    rows = draw_samples(plan_for(2, count=40, seed=9), Guards(), {}).rows
+    rows = [row[:2] + [min(row[2], 1.6), row[3]] for row in rows] + [[1.0, 1.0, top, 1.0]]
+    assert homogeneity_degree(spray, rows) == _ref_spray_degree(spray, rows) == want
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its check
 # ---------------------------------------------------------------------------
@@ -1278,3 +1530,19 @@ def test_a_nan_dissipation_is_not_negative_in_either_order():
         report = check_dissipative(d, dissipation, Samples(order, 2))
         assert report.rayleigh
         assert report.dissipation_negative is False
+
+
+def test_a_dissipation_that_raises_is_met_only_where_it_is_read():
+    # D = y1^2 + sqrt(x1 - 1) raises at x1 = 0.5, where d_J D = 2 y1 and
+    # C(D) = 2 y1^2 do not; D is not fiber-quadratic, so the check never
+    # reads D itself, and its reports are those of y1^2 + x1, whose d_J D
+    # and C(D) are the same
+    d = _one_dimensional("0.5*y1^2", spray="0.5*y1")
+    names = ("x1", "y1")
+    rows = [[1.5, 1.0], [0.5, 2.0], [2.0, 0.5]]
+    samples = Samples(rows, 4)
+    report = check_dissipative(d, ScalarField(1, parse("y1^2 + sqrt(x1 - 1)", names)), samples)
+    gradient, rate, _ = _ref_dissipative(d, ScalarField(1, parse("y1^2 + x1", names)), samples, {})
+    assert not report.rayleigh and report.rayleigh_rate is None
+    assert _bits(report.gradient_match) == _bits(gradient)
+    assert _bits(report.energy_rate_match) == _bits(rate)

@@ -1,6 +1,12 @@
 """Geodesic integration and trajectory-level checks.
 
-Classical fixed-step RK4 on the first-order system x' = y, y' = -2G(x, y).
+Classical fixed-step RK4 on the first-order system x' = y, y' = -2G(x, y),
+in one straight-line step function generated per run. Its stages read the
+spray with one ``kernel(row)`` call each and combine in the operations and
+order of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit for bit the array
+form. It inlines the finiteness test, then the box test. A stage whose
+compiled code raises gets the kernel's tree walk, whose unpacking raises.
+
 The along-trajectory Euler-Lagrange residual differentiates the sampled
 momenta by central differences on purpose: it is an independent check that
 the flow solves the equations, not a restatement of the symbolic identity.
@@ -62,6 +68,39 @@ class Trajectory:
         return self.spray.n
 
 
+def _rk4_step(kernel: ex.Kernel, n: int, h: float, box: Optional[dict]):
+    """``step(state)``: one RK4 step from the ``2n`` state floats, returning
+    ``(next_state, 0)``, ``(None, 1)`` where a component is not finite or
+    exceeds 1e100 in size, else ``(None, 2)`` where it leaves ``box``."""
+    m = 2 * n
+    namespace = {"kernel": kernel, "half": 0.5 * h, "h": h, "sixth": h / 6.0}
+    row = [f"s{i}" for i in range(m)]
+    lines = [f"    {''.join(v + ', ' for v in row)}= state"]
+    ks = []
+    for j, scale in enumerate(("half", "half", "h", None)):
+        g = [f"g{j}_{i}" for i in range(n)]
+        lines.append(f"    {''.join(v + ', ' for v in g)}= kernel([{', '.join(row)}])")
+        lines += [f"    k{j}_{i} = -2.0 * {g[i]}" for i in range(n)]
+        ks.append(row[n:] + [f"k{j}_{i}" for i in range(n)])
+        if scale:
+            lines += [f"    u{j}_{i} = s{i} + {scale} * {ks[j][i]}" for i in range(m)]
+            row = [f"u{j}_{i}" for i in range(m)]
+    lines += [
+        f"    r{i} = s{i} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+        for i, (a, b, c, d) in enumerate(zip(*ks))
+    ]
+    # not (|v| <= 1e100) also holds for nan and inf
+    tests = {1: [f"abs(r{i}) <= 1e100" for i in range(m)]}
+    if box is not None:
+        for i, v in enumerate(ex.chart_names(n)):
+            namespace[f"lo{i}"], namespace[f"hi{i}"] = box[v][0], box[v][1]
+        tests[2] = [f"lo{i} <= r{i} <= hi{i}" for i in range(m)]
+    lines += [f"    if not ({' and '.join(t)}): return None, {flag}" for flag, t in tests.items()]
+    lines.append(f"    return [{', '.join(f'r{i}' for i in range(m))}], 0")
+    exec("def step(state):\n" + "\n".join(lines) + "\n", namespace)
+    return namespace["step"]
+
+
 def integrate_geodesic(
     spray: SemiSpray,
     cfg: IntegratorConfig,
@@ -75,44 +114,22 @@ def integrate_geodesic(
     if cfg.initial.n != n:
         raise GeodesicError("initial point dimension mismatch")
     h = cfg.step
-    steps = cfg.steps
-    names = ex.chart_names(n)
-    kernel = ex.compile(spray.coefficients, names, params)
-
-    def rhs(state):
-        return state[n:] + [-2.0 * g for g in kernel(state)]
-
-    def inside(state):
-        if box is None:
-            return True
-        return all(box[v][0] <= state[k] <= box[v][1] for k, v in enumerate(names))
-
-    # plain float lists, with the operations and order of the array form
-    # state + (h/6) * (k1 + 2 k2 + 2 k3 + k4)
-    half, sixth = 0.5 * h, h / 6.0
+    step = _rk4_step(ex.compile(spray.coefficients, ex.chart_names(n), params), n, h, box)
     state = list(cfg.initial.x + cfg.initial.y)
     states = [state]
     times = [0.0]
     truncated = False
-    for k in range(steps):
+    for k in range(cfg.steps):
         try:
-            k1 = rhs(state)
-            k2 = rhs([s + half * v for s, v in zip(state, k1)])
-            k3 = rhs([s + half * v for s, v in zip(state, k2)])
-            k4 = rhs([s + h * v for s, v in zip(state, k3)])
+            state, flag = step(state)
         except ex.Overflow as exc:
-            # a power or exp overflows inside a stage before the check below sees it
+            # a power or exp overflows inside a stage before the state test sees it
             raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         except ex.DomainViolation as exc:
             raise GeodesicError(f"domain violation: {exc}", step=k) from exc
-        state = [
-            s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        # not (|v| <= 1e100) also holds for nan and inf
-        if not all(abs(v) <= 1e100 for v in state):
+        if flag == 1:
             raise GeodesicError("non-finite state (blow-up)", step=k)
-        if not inside(state):
+        if flag == 2:
             truncated = True
             warnings.warn(
                 f"trajectory left the chart box at t = {(k + 1) * h:g}; truncating",

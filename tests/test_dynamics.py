@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lagdeform import dynamics
 from lagdeform.conditions import DerivedFields, check_dissipative
 from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
 from lagdeform.deformation import DeformedLagrangian, OutOfInterval, synthesize
@@ -97,6 +98,7 @@ def test_homogeneous_blow_up_is_geodesic_error():
     with pytest.raises(GeodesicError, match="blow-up") as exc:
         integrate_geodesic(spec.spray, cfg, spec.params)
     assert abs(exc.value.step * cfg.step - t_blow) < 0.01
+    assert isinstance(exc.value.__cause__, Overflow)
 
 
 @pytest.mark.parametrize("coefficient", ["-0.5*exp(y1)", "-0.5*y1^2"])
@@ -481,6 +483,86 @@ def test_rows_match_the_array_form_on_a_domain_violation():
     spray = SemiSpray(1, [parse("ln(1 - x1)", names)])
     cfg = IntegratorConfig(step=0.05, horizon=3.0, initial=PhasePoint([0.0], [1.0]))
     assert _assert_matches_reference(spray, (), cfg, None) is None
+
+
+def _flow(source):
+    return SemiSpray(1, [parse(source, ("x1", "y1"))])
+
+
+@pytest.mark.parametrize("box", [None, {"x1": (-1.0, 5.0), "y1": (0.0, 5.0)}])
+def test_rows_match_the_array_form_on_a_nan_state_that_no_stage_raises_for(box):
+    # 1e308 * y1 * y1 is inf once y1 exceeds about 1.34, and inf - inf is
+    # nan: every stage returns, and the state test after the step sees nan,
+    # before a box test would truncate there
+    spray = _flow("-0.5*(1e308*y1*y1 - 1e308*y1*y1) - 0.5*y1")
+    cfg = IntegratorConfig(step=0.1, horizon=2.0, initial=PhasePoint([0.0], [0.5]))
+    assert _assert_matches_reference(spray, (), cfg, None, box) is None
+    with pytest.raises(GeodesicError, match=r"^non-finite state \(blow-up\) at step 9$") as exc:
+        integrate_geodesic(spray, cfg, box=box)
+    assert exc.value.__cause__ is None
+
+
+def test_rows_match_the_array_form_where_a_later_stage_fails_first():
+    # ln(1 - x1) is defined at the state that step 3 starts from, and one of
+    # that step's later stages reads x1 >= 1
+    spray = _flow("ln(1 - x1)")
+    cfg = IntegratorConfig(step=0.25, horizon=2.0, initial=PhasePoint([0.0], [1.0]))
+    assert _assert_matches_reference(spray, (), cfg, None) is None
+    with pytest.raises(GeodesicError, match=r"^domain violation: .* at step 3$") as exc:
+        integrate_geodesic(spray, cfg)
+    assert type(exc.value.__cause__) is DomainViolation
+    first = IntegratorConfig(step=0.25, horizon=0.75, initial=cfg.initial)
+    x1, y1 = integrate_geodesic(spray, first).states[-1]
+    assert math.isfinite(spray.coefficients[0].evaluate({"x1": x1, "y1": y1}))
+
+
+def _on_bound(speed=1.0):
+    # free flow at unit speed reaches x1 = 0.5 * speed exactly after two steps
+    box = {"x1": (-0.5, 0.5), "y1": (-2.0, 2.0)}
+    cfg = IntegratorConfig(step=0.25, horizon=1.0, initial=PhasePoint([0.0], [speed]))
+    return _flow("0"), cfg, None, box
+
+
+def _dissipative():
+    spec = load_corpus_problem("dissipative")
+    cfg = IntegratorConfig(step=1e-2, horizon=0.5, initial=PhasePoint([1.0, 1.0], [1.0, 0.5]))
+    return spec.spray, cfg, spec.params, None
+
+
+@pytest.mark.parametrize("speed", [1.0, -1.0])
+def test_rows_match_the_array_form_on_a_boxed_run_that_lands_on_a_bound(speed):
+    # the box test is inclusive: the state on the bound is kept, and the
+    # next step truncates
+    spray, cfg, params, box = _on_bound(speed)
+    traj = _assert_matches_reference(spray, (), cfg, params, box)
+    assert traj.truncated and traj.states[:, 0].tolist() == [0.0, 0.25 * speed, 0.5 * speed]
+
+
+def test_rows_match_the_array_form_from_negative_zero_components():
+    # -2.0 * 0.0 is -0.0, and so is -0.0 + -0.0: every sign bit survives
+    cfg = IntegratorConfig(step=0.25, horizon=1.0, initial=PhasePoint([-0.0], [-0.0]))
+    traj = _assert_matches_reference(_flow("0"), (), cfg, None)
+    assert np.signbit(traj.states).all()
+
+
+@pytest.mark.parametrize(
+    "run, steps, truncated", [(_dissipative, 50, False), (_on_bound, 2, True)]
+)
+def test_a_run_builds_one_step_and_reads_the_spray_four_times_a_step(
+    monkeypatch, run, steps, truncated
+):
+    spray, cfg, params, box = run()
+    reads, builds = [], []
+    read, build = Kernel.__call__, dynamics._rk4_step
+    monkeypatch.setattr(Kernel, "__call__", lambda k, row: reads.append(1) or read(k, row))
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or build(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        traj = integrate_geodesic(spray, cfg, params, box=box)
+    assert (len(traj.times) - 1, traj.truncated) == (steps, truncated)
+    # the step that leaves the box reads the spray too
+    assert len(reads) == 4 * (steps + truncated)
+    assert len(builds) == 1
 
 
 def test_lagrangian_outside_phi_interval_is_out_of_interval_first():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -53,7 +54,7 @@ class DomainConflict(Exception):
 
 class OutOfInterval(ValueError):
     """Phi has no float value at t: t lies outside its interval, or its
-    closed form overflows there."""
+    closed form overflows or divides by a zero denominator there."""
 
     def __init__(self, t: float, interval, message: Optional[str] = None):
         super().__init__(message or f"t = {t:g} outside ({interval[0]:g}, {interval[1]:g})")
@@ -78,9 +79,14 @@ class ClosedForm:
         if not (lo < t < hi):
             raise OutOfInterval(t, self.interval)
         try:
-            v, d1, d2 = _base_triple(self.family, t, self.numerator)
-        except OverflowError:  # math.exp or math.pow
-            raise OutOfInterval(t, self.interval, f"Phi overflows at t = {t:g}") from None
+            return self._at(t)
+        except (OverflowError, ZeroDivisionError) as exc:  # math.exp, math.pow, x / 0.0
+            why = "overflows" if isinstance(exc, OverflowError) else "divides by zero"
+            raise OutOfInterval(t, self.interval, f"Phi {why} at t = {t:g}") from None
+
+    def _at(self, t, *calls):
+        # t a float, or a float64 column with calls _COLUMN
+        v, d1, d2 = _base_triple(self.family, t, self.numerator, *calls)
         return (self.scale * v + self.shift, self.scale * d1, self.scale * d2)
 
     def compose(self, base_expr: ex.Expr) -> ex.Expr:
@@ -126,31 +132,36 @@ class Numeric:
 
 Deformation = Union[ClosedForm, Numeric]
 
+# The transcendental calls of _base_triple on a float64 column: math's, one
+# element at a time, never numpy's exp, power or log, whose last bit may
+# differ. Its + - * / round on a column as they do on floats.
+_COLUMN = tuple(partial(ex._each, f) for f in (math.exp, math.pow, math.log))
 
-def _base_triple(family, t, numerator):
+
+def _base_triple(family, t, numerator, exp=math.exp, power=math.pow, log=math.log):
     if isinstance(family, Affine):
         return (t, 1.0, 0.0)
     if isinstance(family, Constant):
         g = family.gamma
-        e = math.exp(g * t)
+        e = exp(g * t)
         return (e / g, e, g * e)
     if isinstance(family, PowerShift):
         g, a = family.gamma, family.a
         u = t + a
         return (
-            math.pow(u, 1.0 + g) / (1.0 + g),
-            math.pow(u, g),
-            g * math.pow(u, g - 1.0),
+            power(u, 1.0 + g) / (1.0 + g),
+            power(u, g),
+            g * power(u, g - 1.0),
         )
     if isinstance(family, Logarithmic):
         u = t + family.a
-        return (math.log(u), 1.0 / u, -1.0 / (u * u))
+        return (log(u), 1.0 / u, -1.0 / (u * u))
     if isinstance(family, HomogeneousRoot):
         q = 1.0 / family.p
         return (
-            math.pow(t, q),
-            q * math.pow(t, q - 1.0),
-            q * (q - 1.0) * math.pow(t, q - 2.0),
+            power(t, q),
+            q * power(t, q - 1.0),
+            q * (q - 1.0) * power(t, q - 2.0),
         )
     if isinstance(family, Moebius):
         alpha, beta = numerator
@@ -163,6 +174,22 @@ def _base_triple(family, t, numerator):
             -2.0 * c * det / (den * den * den),
         )
     raise TypeError(f"no closed form for {family!r}")
+
+
+def chain(phi, ts) -> np.ndarray:
+    """Lines Phi, Phi', Phi'' at the float64 column ``ts``: ``phi.triple`` at each
+    value in order, bit for bit and error for error. A closed form runs on the column
+    unless a value is outside its interval, math overflows or a line is not finite."""
+    if isinstance(phi, ClosedForm) and ((phi.interval[0] < ts) & (ts < phi.interval[1])).all():
+        try:
+            with np.errstate(all="ignore"):
+                lines = np.array(np.broadcast_arrays(*phi._at(ts, *_COLUMN)))
+        except OverflowError:  # math.exp or math.pow at some value
+            lines = None
+        # where a float division by 0.0 raises, a column's is inf or nan
+        if lines is not None and np.isfinite(lines).all():
+            return lines
+    return np.array([phi.triple(t) for t in ts.tolist()], dtype=float).reshape(-1, 3).T
 
 
 def _base_compose(family, L: ex.Expr, numerator) -> ex.Expr:
@@ -293,8 +320,8 @@ class DeformedLagrangian:
 class _Chained:
     """``combine(chain, rest)`` of a kernel whose first root is L: ``chain``
     is Phi's ``triple`` at L, ``rest`` the other roots, at a row by
-    ``chained(row)`` or at many by ``columns``, which maps ``triple`` over
-    the L column in row order."""
+    ``chained(row)`` or at many by ``columns``, which takes the lines of
+    :func:`chain` at the L column."""
 
     def __init__(self, kernel, deformation: Deformation, combine=lambda chain, rest: (*chain, *rest)):
         self.kernel = kernel
@@ -307,8 +334,7 @@ class _Chained:
 
     def columns(self, stack):
         values = self.kernel.columns(stack)
-        chain = [self.deformation.triple(t) for t in values[0].tolist()]
-        return self.combine(np.array(chain, dtype=float).reshape(-1, 3).T, values[1:])
+        return self.combine(chain(self.deformation, values[0]), values[1:])
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 Classical fixed-step RK4 on the first-order system x' = y, y' = -2G(x, y),
 in one straight-line step function generated per run. Its stages read the
-spray with one ``kernel(row)`` call each and combine in the operations and
-order of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit for bit the array
-form. It inlines the finiteness test, then the box test. A stage whose
-compiled code raises gets the kernel's tree walk, whose unpacking raises.
+spray's compiled row code once each and combine in the operations and order
+of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit for bit the array form. It
+inlines the finiteness test, then the box test. Where the row code raises,
+the step reruns on the kernel, whose tree walk raises the stage's own error.
 
 The along-trajectory Euler-Lagrange residual differentiates the sampled
 momenta by central differences on purpose: it is an independent check that
@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import expressions as ex
-from .deformation import DeformedLagrangian
+from .deformation import DeformedLagrangian, chain
 from .geometry import PhasePoint, ScalarField, SemiSpray, liouville_apply, vertical_differential
 
 
@@ -68,18 +68,18 @@ class Trajectory:
         return self.spray.n
 
 
-def _rk4_step(kernel: ex.Kernel, n: int, h: float, box: Optional[dict]):
-    """``step(state)``: one RK4 step from the ``2n`` state floats, returning
-    ``(next_state, 0)``, ``(None, 1)`` where a component is not finite or
-    exceeds 1e100 in size, else ``(None, 2)`` where it leaves ``box``."""
+def _rk4_step(n: int, h: float, box: Optional[dict]):
+    """``step(state, spray)``: one RK4 step from the ``2n`` state floats, reading
+    the spray by ``spray(row)``: ``(next_state, 0)``, ``(None, 1)`` where a
+    component is not finite or exceeds 1e100 in size, else ``(None, 2)`` outside ``box``."""
     m = 2 * n
-    namespace = {"kernel": kernel, "half": 0.5 * h, "h": h, "sixth": h / 6.0}
+    namespace = {"half": 0.5 * h, "h": h, "sixth": h / 6.0}
     row = [f"s{i}" for i in range(m)]
     lines = [f"    {''.join(v + ', ' for v in row)}= state"]
     ks = []
     for j, scale in enumerate(("half", "half", "h", None)):
         g = [f"g{j}_{i}" for i in range(n)]
-        lines.append(f"    {''.join(v + ', ' for v in g)}= kernel([{', '.join(row)}])")
+        lines.append(f"    {''.join(v + ', ' for v in g)}= spray([{', '.join(row)}])")
         lines += [f"    k{j}_{i} = -2.0 * {g[i]}" for i in range(n)]
         ks.append(row[n:] + [f"k{j}_{i}" for i in range(n)])
         if scale:
@@ -97,7 +97,7 @@ def _rk4_step(kernel: ex.Kernel, n: int, h: float, box: Optional[dict]):
         tests[2] = [f"lo{i} <= r{i} <= hi{i}" for i in range(m)]
     lines += [f"    if not ({' and '.join(t)}): return None, {flag}" for flag, t in tests.items()]
     lines.append(f"    return [{', '.join(f'r{i}' for i in range(m))}], 0")
-    exec("def step(state):\n" + "\n".join(lines) + "\n", namespace)
+    exec("def step(state, spray):\n" + "\n".join(lines) + "\n", namespace)
     return namespace["step"]
 
 
@@ -114,14 +114,20 @@ def integrate_geodesic(
     if cfg.initial.n != n:
         raise GeodesicError("initial point dimension mismatch")
     h = cfg.step
-    step = _rk4_step(ex.compile(spray.coefficients, ex.chart_names(n), params), n, h, box)
+    kernel = ex.compile(spray.coefficients, ex.chart_names(n), params)
+    step, row_code = _rk4_step(n, h, box), kernel.row_code()
     state = list(cfg.initial.x + cfg.initial.y)
     states = [state]
     times = [0.0]
     truncated = False
     for k in range(cfg.steps):
         try:
-            state, flag = step(state)
+            try:
+                state, flag = step(state, row_code)
+            except (ArithmeticError, ValueError, LookupError):
+                # the kernel hands back its tree walk where the row code
+                # raises, and unpacking it raises the stage's own error
+                state, flag = step(state, kernel)
         except ex.Overflow as exc:
             # a power or exp overflows inside a stage before the state test sees it
             raise GeodesicError("non-finite state (blow-up)", step=k) from exc
@@ -161,10 +167,10 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
     else the lines ``Phi(L), Phi'(L), Phi''(L)``, and line ``k`` of
     ``values`` holds ``fields[k]``, one value per state.
 
-    One ``kernel.columns`` call reads every state, and ``Phi``'s scalar
-    ``triple`` maps the L column in state order. Where the column call
-    raises, the states are read one ``kernel(row)`` at a time, so the first
-    failing state fails as :func:`ex.evaluate` of L, ``triple`` and then
+    One ``kernel.columns`` call reads every state, and one :func:`chain`
+    call takes ``Phi`` at the L column. Where the column call raises, the
+    states are read one ``kernel(row)`` at a time, so the first failing
+    state fails as :func:`ex.evaluate` of L, ``triple`` and then
     :func:`ex.evaluate` of each field, in that order, would fail there."""
     deformed = isinstance(lag, DeformedLagrangian)
     roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
@@ -181,8 +187,7 @@ def _along(traj: Trajectory, lag: Lagrangianlike, fields):
         values = np.array(rows, dtype=float).T
     if not deformed:
         return None, values
-    chain = np.array([lag.deformation.triple(t) for t in values[0].tolist()], dtype=float)
-    return chain.T, values[1:]
+    return chain(lag.deformation, values[0]), values[1:]
 
 
 def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):

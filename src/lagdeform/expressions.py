@@ -855,11 +855,12 @@ def _compile(roots: tuple, layout: tuple, constants: dict, columns: bool = False
     other variable from ``constants``, and returns the tuple of the roots'
     values.
 
-    Each distinct subtree (by structure, across the roots) gets one local,
-    computed where the tree walk of the roots in order first computes it, by
-    the call the tree walk makes on the same operands. Constants reach the
-    code through its namespace, never as literals, so ``-0.0``, ``inf`` and
-    ``nan`` stay exact. The code raises plain ``LookupError``,
+    Each distinct subtree (by structure, across the roots, a sum's or a
+    product's operands in either order) gets one local, computed where the
+    tree walk of the roots in order first computes it, by the call the tree
+    walk makes on the same operands. Constants reach the code through its
+    namespace, never as literals, so ``-0.0``, ``inf`` and ``nan`` stay
+    exact. The code raises plain ``LookupError``,
     ``ArithmeticError`` or ``ValueError`` where the walk raises its own
     errors, and holds no node.
 
@@ -934,7 +935,9 @@ def _compile(roots: tuple, layout: tuple, constants: dict, columns: bool = False
         if isinstance(node, _Binary):
             l = emit(node.left)
             r = emit(node.right)
-            return assign((type(node), l, r), f"{l} {node.symbol} {r}", l, r)
+            # IEEE 754 + and * commute exactly: A*B and B*A share one local
+            ops = (r, l) if r < l and isinstance(node, (Add, Mul)) else (l, r)
+            return assign((type(node), *ops), f"{l} {node.symbol} {r}", l, r)
         if isinstance(node, Neg):
             a = emit(node.arg)
             return assign((Neg, a), f"-{a}", a)
@@ -1001,11 +1004,15 @@ class Kernel:
         self._run = None
         self._columns = None
 
-    def __call__(self, row):
+    def row_code(self):
+        """The row code, compiled at first use; it raises where ``kernel(row)`` walks."""
         if self._run is None:
             self._run = _compile(self.roots, self.names, self.constants)
+        return self._run
+
+    def __call__(self, row):
         try:
-            return self._run(row)
+            return self.row_code()(row)
         except (ArithmeticError, ValueError, LookupError):
             # a name shadows a constant of the same name
             return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})

@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +19,19 @@ from lagdeform.deformation import (
     DomainConflict,
     Numeric,
     OutOfInterval,
+    chain,
     deformed_hessian,
     deformed_hessian_matrix,
     synthesize,
     synthesize_numeric,
     verify_deformed_el,
 )
-from lagdeform.dynamics import IntegratorConfig, el_residual_along, integrate_geodesic
+from lagdeform.dynamics import (
+    IntegratorConfig,
+    el_residual_along,
+    energy_along,
+    integrate_geodesic,
+)
 from lagdeform.expressions import chart_names, evaluate, parse
 from lagdeform.families import (
     Affine,
@@ -36,6 +43,7 @@ from lagdeform.families import (
     Tabulated,
 )
 from lagdeform.geometry import PhasePoint, ScalarField, SemiSpray, fiber_hessian
+from lagdeform.pipeline import emit_report, run_pipeline
 from lagdeform.sampling import Guards, SamplePlan, draw_samples
 
 from systems import (
@@ -139,6 +147,38 @@ def test_phi_eval_out_of_interval():
     phi = synthesize(HomogeneousRoot(2.0), (1.0, 4.0))
     with pytest.raises(OutOfInterval):
         phi.triple(-1.0)
+
+
+def _moebius_above_its_pole():
+    """(Phi, a value inside, the value where its denominator is 0.0)."""
+    family = Moebius(0.15430946050926414, -1.0)
+    pole = -family.d / family.c
+    phi = synthesize(family, (pole + 1.0, pole + 2.0))
+    return phi, pole + 1.0, math.nextafter(pole, math.inf)
+
+
+def _logarithmic_at_its_edge():
+    phi = synthesize(Logarithmic(1e-200), (0.0, 1.0))
+    return phi, 0.5, math.nextafter(-1e-200, math.inf)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # c t + d rounds to 0.0 one float above the pole
+        pytest.param(_moebius_above_its_pole, id="moebius-c*t+d"),
+        # u = t + a is 1e-216, and u * u underflows to 0.0
+        pytest.param(_logarithmic_at_its_edge, id="logarithmic-u*u"),
+    ],
+)
+def test_a_denominator_that_rounds_to_zero_is_out_of_interval(make):
+    phi, _, t = make()
+    lo, hi = phi.interval
+    assert lo < t < hi
+    with pytest.raises(OutOfInterval) as exc:
+        phi.triple(t)
+    assert str(exc.value) == f"Phi divides by zero at t = {t:g}"
+    assert (exc.value.t, exc.value.interval) == (t, phi.interval)
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +462,122 @@ def test_chain_rule_el_residual_matches_composed_form(corpus_reports, name):
     by_chain = el_residual_along(traj, deformed)
     by_symbols = el_residual_along(traj, deformed.composed())
     assert abs(by_chain - by_symbols) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Phi at a column of values
+# ---------------------------------------------------------------------------
+
+
+def _closed_forms():
+    """Every closed family, Moebius with each numerator branch, each scaled
+    and shifted."""
+    forms = [
+        synthesize(Affine(), (0.0, 1.0)),
+        synthesize(Constant(0.7), (0.0, 1.0)),
+        synthesize(Constant(-1.3), (0.0, 1.0)),
+        synthesize(PowerShift(-0.5, 0.5), (0.0, 1.0)),
+        synthesize(PowerShift(1.5, -0.25), (0.5, 1.0)),
+        synthesize(Logarithmic(0.2), (0.0, 1.0)),
+        synthesize(HomogeneousRoot(3.0), (0.5, 1.0)),
+        synthesize(Moebius(0.5, 1.0), (0.0, 1.0)),  # (1, 0) above the pole -2
+        synthesize(Moebius(0.5, -1.0), (3.0, 4.0)),  # (-1, 0) above the pole 2
+        synthesize(Moebius(0.5, 0.0), (1.0, 2.0)),  # (0, -1) above the pole 0
+        synthesize(Moebius(0.5, 0.0), (-2.0, -1.0)),  # (0, 1) below it
+        synthesize(Moebius(0.0, 2.0), (0.0, 1.0)),  # no pole: (1, 0)
+        synthesize(Moebius(0.0, -2.0), (0.0, 1.0)),  # no pole: (-1, 0)
+    ]
+    branches = {(1.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (0.0, 1.0)}
+    assert {phi.numerator for phi in forms[7:]} == branches
+    return [replace(phi, scale=2.5, shift=-0.75) for phi in forms]
+
+
+def _candidates(phi):
+    """Signed zeros, subnormals, ordinary values, and the interval's edges
+    with subnormal and one-float offsets."""
+    tiny = (5e-324, 1e-310, 2.2250738585072014e-308)
+    ts = [0.0, -0.0, 0.3, -0.3, 1.7, -2.2, 12.5, -40.0, 700.0, 1e300, -1e300]
+    ts += [s * v for v in tiny for s in (1.0, -1.0)]
+    for edge, inward in zip(phi.interval, (math.inf, -math.inf)):
+        if math.isfinite(edge):
+            ts.append(math.nextafter(edge, inward))
+            offsets = tiny + (1e-300, 1e-12, 1e-3, 0.25, 1.0, 3.0, 30.0)
+            ts += [edge + math.copysign(v, inward) for v in offsets]
+    return ts
+
+
+def _triples(phi, ts):
+    """The values that ``phi.triple`` has a triple at, and those triples."""
+    kept = []
+    for t in ts:
+        try:
+            kept.append((t, phi.triple(t)))
+        except OutOfInterval:
+            pass
+    return np.array([t for t, _ in kept]), np.array([v for _, v in kept]).T
+
+
+@pytest.mark.parametrize(
+    "phi", _closed_forms(), ids=lambda phi: f"{phi.family.describe()}{phi.numerator}"
+)
+def test_phi_at_a_column_is_its_triple_at_each_value_bit_for_bit(monkeypatch, phi):
+    ts, want = _triples(phi, _candidates(phi))
+    assert chain(phi, ts).tobytes() == want.tobytes()
+    lo, hi = phi.interval
+    assert len(ts) > 8 and (np.signbit(ts[:2]).tolist() == [False, True]) == (lo < 0.0 < hi)
+    # where every value is finite, the column is computed with no triple call
+    finite = ts[np.isfinite(want).all(axis=0)]
+    assert len(finite) > 6
+    monkeypatch.setattr(ClosedForm, "triple", _no_triple)
+    assert chain(phi, finite).tobytes() == want[:, np.isfinite(want).all(axis=0)].tobytes()
+
+
+def _no_triple(phi, t):
+    raise AssertionError("ClosedForm.triple where the column is computed whole")
+
+
+def _power_shift():
+    return synthesize(PowerShift(-0.5, 0.5), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "phi, good, bad, later",
+    [
+        pytest.param(_power_shift(), 0.5, -0.75, -0.9, id="outside"),
+        pytest.param(_power_shift(), 0.5, math.nan, math.nan, id="nan"),
+        # u = t - 0.25 is 0.0 at the edge, where every power is still finite
+        pytest.param(synthesize(PowerShift(1.5, -0.25), (0.5, 1.0)), 0.5, 0.25, 0.25, id="edge"),
+        pytest.param(synthesize(Constant(1.0), (0.0, 1.0)), 0.5, 710.0, 800.0, id="exp-overflow"),
+        pytest.param(*_moebius_above_its_pole(), None, id="moebius-denominator"),
+        pytest.param(*_logarithmic_at_its_edge(), None, id="logarithmic-denominator"),
+    ],
+)
+def test_a_column_with_a_raising_value_raises_as_its_first_failing_triple(
+    phi, good, bad, later
+):
+    # a later value fails in the same way, where one does
+    later = bad if later is None else later
+    with pytest.raises(OutOfInterval) as first:
+        phi.triple(bad)
+    with pytest.raises(OutOfInterval) as exc:
+        chain(phi, np.array([good, good, bad, good, later, good]))
+    assert str(exc.value) == str(first.value)
+    assert repr(exc.value.t) == repr(bad)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_checks_of_a_closed_form_make_no_triple_call(corpus_reports, monkeypatch, name):
+    # a column that fell back to the triple map would give the same bits:
+    # only forbidding the call shows that the column is computed whole
+    spec, deformed = _closed_form_problem(corpus_reports, name)
+    mid = [0.5 * sum(spec.bounds[v]) for v in chart_names(spec.n)]
+    start = PhasePoint(mid[: spec.n], mid[spec.n :])
+    traj = integrate_geodesic(spec.spray, IntegratorConfig(1e-3, 0.05, start), spec.params)
+    checks = (energy_along, el_residual_along)
+    want = [pickle.dumps(check(traj, deformed)) for check in checks]
+    monkeypatch.setattr(ClosedForm, "triple", _no_triple)
+    assert [pickle.dumps(check(traj, deformed)) for check in checks] == want
+    # the run's trajectory checks, and its verification and deformed
+    # Hessian where it reaches them
+    doc = run_pipeline(spec, "report")
+    assert emit_report(doc, "json") == emit_report(corpus_reports[name], "json")

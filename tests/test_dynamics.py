@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lagdeform import dynamics
+from lagdeform import expressions as ex
 from lagdeform.conditions import DerivedFields, check_dissipative
 from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
 from lagdeform.deformation import DeformedLagrangian, OutOfInterval, synthesize
@@ -545,6 +546,23 @@ def test_rows_match_the_array_form_from_negative_zero_components():
     assert np.signbit(traj.states).all()
 
 
+def _count_reads(monkeypatch):
+    """Count, from now on, the calls of every compiled row code (however
+    reached) and of ``Kernel.__call__`` (with their rows), and the step
+    builds."""
+    code_calls, kernel_rows, builds = [], [], []
+    compile_, call, build = ex._compile, Kernel.__call__, dynamics._rk4_step
+
+    def counted(roots, layout, constants, columns=False):
+        code = compile_(roots, layout, constants, columns)
+        return code if columns else lambda row: code_calls.append(1) or code(row)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    monkeypatch.setattr(Kernel, "__call__", lambda k, row: kernel_rows.append(row) or call(k, row))
+    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or build(*args))
+    return code_calls, kernel_rows, builds
+
+
 @pytest.mark.parametrize(
     "run, steps, truncated", [(_dissipative, 50, False), (_on_bound, 2, True)]
 )
@@ -552,16 +570,39 @@ def test_a_run_builds_one_step_and_reads_the_spray_four_times_a_step(
     monkeypatch, run, steps, truncated
 ):
     spray, cfg, params, box = run()
-    reads, builds = [], []
-    read, build = Kernel.__call__, dynamics._rk4_step
-    monkeypatch.setattr(Kernel, "__call__", lambda k, row: reads.append(1) or read(k, row))
-    monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: builds.append(1) or build(*args))
+    code_calls, kernel_rows, builds = _count_reads(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj = integrate_geodesic(spray, cfg, params, box=box)
     assert (len(traj.times) - 1, traj.truncated) == (steps, truncated)
-    # the step that leaves the box reads the spray too
-    assert len(reads) == 4 * (steps + truncated)
+    # the step that leaves the box reads the spray too, and no read goes
+    # through the kernel where the row code does not raise
+    assert len(code_calls) == 4 * (steps + truncated)
+    assert kernel_rows == []
+    assert len(builds) == 1
+
+
+def test_a_run_reads_the_spray_through_the_kernel_only_on_its_failing_step(monkeypatch):
+    # ln(1 - x1) fails in a later stage of step 3: that step runs again on
+    # the kernel, one call per stage up to the failing one, and the tree
+    # walk of the last raises
+    spray = _flow("ln(1 - x1)")
+    cfg = IntegratorConfig(step=0.25, horizon=2.0, initial=PhasePoint([0.0], [1.0]))
+    start = integrate_geodesic(spray, IntegratorConfig(0.25, 0.75, cfg.initial)).states[-1]
+    code_calls, kernel_rows, builds = _count_reads(monkeypatch)
+    with pytest.raises(GeodesicError, match=r"at step 3$") as exc:
+        integrate_geodesic(spray, cfg)
+    assert type(exc.value.__cause__) is DomainViolation
+    stages = len(kernel_rows)
+    assert 1 < stages <= 4 and kernel_rows[0] == start.tolist()
+    coefficient = spray.coefficients[0]
+    for x1, y1 in kernel_rows[:-1]:
+        assert math.isfinite(coefficient.evaluate({"x1": x1, "y1": y1}))
+    with pytest.raises(DomainViolation):
+        coefficient.evaluate(dict(zip(("x1", "y1"), kernel_rows[-1])))
+    # the row code: four reads a step before, and the failing step's stages
+    # twice, once directly and once inside each kernel call
+    assert len(code_calls) == 4 * 3 + 2 * stages
     assert len(builds) == 1
 
 

@@ -21,6 +21,7 @@ from lagdeform.expressions import (
     UnboundVariable,
     UndeclaredIdentifier,
     Var,
+    _compile,
     add,
     compile,
     div,
@@ -30,6 +31,7 @@ from lagdeform.expressions import (
     parse,
     partial,
     pow_,
+    sub,
     to_source,
 )
 from lagdeform.sampling import Guards
@@ -671,6 +673,25 @@ def test_compile_emits_a_node_shared_by_identity_once():
     for _ in range(40):
         e = add(e, e)
     assert compile([e], ("x1",))([1.0]) == (2.0**40,)
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["row", "column"])
+def test_a_sum_or_product_and_its_swap_compile_to_one_local(columns):
+    # IEEE 754 + and * commute exactly, - does not: the code reads x1 and
+    # x2 into two locals, then computes each distinct operation once
+    stack = np.array([[0.1, -0.0, 5e-324, math.inf, 1e308], [-3.7, 2.0, 1e308, -0.0, 1e308]])
+    rows = stack.T.tolist()
+    x1, x2 = Var("x1"), Var("x2")
+    for op, distinct in ((mul, 1), (add, 1), (sub, 2)):
+        roots = (op(x1, x2), op(x2, x1))
+        code = _compile(roots, ("x1", "x2"), {}, columns)
+        assert len(code.__code__.co_varnames) == 1 + 2 + distinct
+        with np.errstate(all="ignore"):
+            got = [code(stack)] if columns else [code(row) for row in rows]
+        assert all((a is b) == (distinct == 1) for a, b in got)
+        want = [[evaluate(root, {"x1": a, "x2": b}) for root in roots] for a, b in rows]
+        values = np.array(got[0]).T if columns else np.array(got)
+        assert values.tobytes() == np.array(want).tobytes()
 
 
 def test_each_code_is_compiled_at_its_first_call_only(compile_flags):

@@ -25,6 +25,7 @@ so that printing round-trips.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from itertools import repeat
 from typing import Iterable, Mapping, Optional
@@ -849,127 +850,139 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _compile(roots: tuple, layout: tuple, constants: dict, columns: bool = False):
-    """A function equal to the tree walk of ``roots`` bit for bit: it reads
-    ``b[i]`` for the variable ``layout[i]`` of a positional row, takes any
-    other variable from ``constants``, and returns the tuple of the roots'
-    values.
+def _emit(roots: tuple, layout: tuple, constants: dict):
+    """The tree walk of ``roots`` as ``(ops, slots, outs)``: a flat list of
+    ``(function, out, operands)`` records, each storing ``function`` of the
+    values in the slots ``operands`` in the slot ``out``; the slots' first
+    values (slot 0 for the input ``b``, where ``layout[i]`` is ``b[i]``, and
+    the constants as values, never literals, so ``-0.0``, ``inf`` and
+    ``nan`` stay exact); and the roots' slots. The records hold no node.
 
-    Each distinct subtree (by structure, across the roots, a sum's or a
-    product's operands in either order) gets one local, computed where the
-    tree walk of the roots in order first computes it, by the call the tree
-    walk makes on the same operands. Constants reach the code through its
-    namespace, never as literals, so ``-0.0``, ``inf`` and ``nan`` stay
-    exact. The code raises plain ``LookupError``,
+    Each distinct subtree (by structure, a sum's or a product's operands in
+    either order) gets one slot, computed where the tree walk of the roots
+    first computes it, by the call the walk makes, a denominator tested by
+    :func:`_nonzero` first. So the records raise plain ``LookupError``,
     ``ArithmeticError`` or ``ValueError`` where the walk raises its own
-    errors, and holds no node.
-
-    With ``columns``, ``b[i]`` is a float64 array of values of ``layout[i]``,
-    one per row, and every root's value is such an array: ``+ - * /`` and
-    negation of a column are the array operations, which round as the float
-    operations do; powers and functions of a column call the scalar code on
-    each element; and the code raises where any row would.
-    """
-    namespace = {"_pow": math.pow, "_pow_checked": _pow_checked, "_unbound": _unbound}
-    namespace.update(_each=_each, _full=_full)  # the column code's helpers
+    errors, and on float64 columns, where any row would."""
     position = {name: i for i, name in enumerate(layout)}
-    lines = []
-    names = {}  # structural key -> name of the subtree's value
-    nonzero = set()  # denominators already checked
-    emitted = {}  # id(node) -> name of its value; the roots keep the nodes alive
-    column = set()  # names of the values that are columns
+    ops, slots = [], [None]
+    keys = {}  # structural key -> slot of the subtree's value
+    nonzero = set()  # denominators already tested
+    emitted = {}  # id(node) -> slot of its value; the roots keep the nodes alive
 
     def bind(key, value):
-        if key not in names:
-            names[key] = f"k{len(names)}"
-            namespace[names[key]] = value
-        return names[key]
+        if key not in keys:
+            keys[key] = len(slots)
+            slots.append(value)
+        return keys[key]
 
     def constant(v):
         # -0.0 is not 0.0, and a parameter 0 (an int) negates to 0, not -0.0
         return bind((Const, type(v), v, math.copysign(1.0, v)), v)
 
-    def assign(key, source, *operands):
-        if key not in names:
-            names[key] = f"t{len(names)}"
-            lines.append(f"    {names[key]} = {source}")
-            if columns and (key[0] is Var or not column.isdisjoint(operands)):
-                column.add(names[key])
-        return names[key]
+    def assign(key, function, *operands):
+        if key not in keys:
+            keys[key] = len(slots)
+            slots.append(None)
+            ops.append((function, keys[key], operands))
+        return keys[key]
 
-    def read(name):
-        if name in position:
-            return f"b[{position[name]}]"
-        return f"_unbound({name!r})"
-
-    def call(f, a, *args):
-        # scalar code on each element of a column
-        if a in column:
-            return f"_each({', '.join((f, a) + args)})"
-        return f"{f}({', '.join((a,) + args)})"
+    def call(key, f, *operands):
+        # a scalar function, of each value of a column
+        return assign(key, _each, bind(f, f), *operands)
 
     def emit(node):
         # a node shared by identity, as derivative trees share them, is
         # emitted once rather than once per occurrence
-        name = emitted.get(id(node))
-        if name is None:
-            name = emitted[id(node)] = emit_new(node)
-        return name
+        slot = emitted.get(id(node))
+        if slot is None:
+            slot = emitted[id(node)] = emit_new(node)
+        return slot
 
     def emit_new(node):
         if isinstance(node, Const):
             return constant(node.value)
         if isinstance(node, Var):
-            if node.name not in position and node.name in constants:
+            if node.name in position:
+                return assign((Var, node.name), operator.getitem, 0, constant(position[node.name]))
+            if node.name in constants:
                 return constant(constants[node.name])
-            return assign((Var, node.name), read(node.name))
+            return call((Var, node.name), _unbound, bind(node.name, node.name))
         if isinstance(node, Div):
             r = emit(node.right)
             if r not in nonzero:
-                # a float64 denominator would give inf rather than raise
                 nonzero.add(r)
-                test = f"({r} == 0.0).any()" if r in column else f"{r} == 0.0"
-                lines.append(f"    if {test}: raise ZeroDivisionError")
+                ops.append((_nonzero, r, (r,)))
             l = emit(node.left)
-            return assign((Div, l, r), f"{l} / {r}", l, r)
+            return assign((Div, l, r), operator.truediv, l, r)
         if isinstance(node, _Binary):
             l = emit(node.left)
             r = emit(node.right)
-            # IEEE 754 + and * commute exactly: A*B and B*A share one local
-            ops = (r, l) if r < l and isinstance(node, (Add, Mul)) else (l, r)
-            return assign((type(node), *ops), f"{l} {node.symbol} {r}", l, r)
+            # IEEE 754 + and * commute exactly: A*B and B*A share one slot
+            key = (r, l) if r < l and isinstance(node, (Add, Mul)) else (l, r)
+            return assign((type(node), *key), _OPERATORS[type(node)], l, r)
         if isinstance(node, Neg):
             a = emit(node.arg)
-            return assign((Neg, a), f"-{a}", a)
+            return assign((Neg, a), operator.neg, a)
         if isinstance(node, Pow):
             a = emit(node.base)
             e = node.exponent
-            c = constant(e)
             # for an integer exponent math.pow itself raises wherever
             # _pow_checked does (0 to a negative power: ValueError)
-            power = "_pow" if math.isfinite(e) and e == int(e) else "_pow_checked"
-            return assign((Pow, a, c), call(power, a, c), a)
+            power = math.pow if math.isfinite(e) and e == int(e) else _pow_checked
+            c = constant(e)
+            return call((Pow, a, c), power, a, c)
         if isinstance(node, _Func):
             a = emit(node.arg)
-            f = bind(type(node), type(node)._apply)
-            return assign((type(node), a), call(f, a), a)
+            return call((type(node), a), type(node)._apply, a)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
-    values = [emit(root) for root in roots]
-    if columns:
-        values = [v if v in column else f"_full({v}, b)" for v in values]
-    lines.append(f"    return ({''.join(v + ', ' for v in values)})")
+    outs = [emit(root) for root in roots]
+    del emit_new  # the two walkers call each other: leave no cycle behind
+    return ops, slots, outs
+
+
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_SOURCE = {f: f"{{}} {cls.symbol} {{}}" for cls, f in _OPERATORS.items()}
+_SOURCE[operator.neg] = "-{}"
+
+
+def _compile(roots: tuple, layout: tuple, constants: dict):
+    """The row code of ``roots``, ``b -> tuple of the roots' values``, bit
+    for bit the tree walk: :func:`_emit`'s records written out one line
+    each, ``_each(f, x, ...)`` as ``f(x, ...)``, with the constants in its
+    namespace."""
+    ops, slots, outs = _emit(roots, layout, constants)
+    namespace = {f"v{s}": v for s, v in enumerate(slots) if v is not None}
+    lines = []
+    for f, out, operands in ops:
+        args = [f"v{s}" for s in operands]
+        if f is _nonzero:
+            lines.append(f"    if {args[0]} == 0.0: raise ZeroDivisionError")
+        elif f is operator.getitem:
+            lines.append(f"    v{out} = b[{slots[operands[1]]}]")
+        elif f is _each:
+            lines.append(f"    v{out} = {args[0]}({', '.join(args[1:])})")
+        else:
+            lines.append(f"    v{out} = {_SOURCE[f].format(*args)}")
+    lines.append(f"    return ({''.join(f'v{s}, ' for s in outs)})")
     exec("def compiled(b):\n" + "\n".join(lines) + "\n", namespace)
     return namespace.pop("compiled")
 
 
+def _nonzero(d):
+    # a float64 column would give inf or nan at a zero, not raise
+    if np.count_nonzero(d == 0.0):
+        raise ZeroDivisionError
+    return d
+
+
 def _each(f, column, *args):
+    # f of each value of a float64 column, one float at a time; f of any other value
+    if not isinstance(column, np.ndarray):
+        return f(column, *args)
     values = map(f, column.tolist(), *map(repeat, args))
     return np.fromiter(values, dtype=float, count=len(column))
-
-
-def _full(value, b):
-    return np.full(b.shape[1], value, dtype=float)
 
 
 def _unbound(name: str):
@@ -989,11 +1002,12 @@ class Kernel:
     roots, in that order, would raise; a caller that reads the items in its
     own order meets its own errors in its own order.
 
-    ``kernel.columns(stack)`` evaluates many rows at once. The row code and
-    the column code are each compiled at their first call, so a kernel read
-    only through columns compiles no row code."""
+    ``kernel.columns(stack)`` evaluates many rows at once by replaying
+    :func:`_emit`'s records of the roots over the stack. The row code is
+    compiled at the first row call and the records are built at the first
+    column call, so a kernel read only through columns compiles no code."""
 
-    __slots__ = ("roots", "names", "constants", "_run", "_columns")
+    __slots__ = ("roots", "names", "constants", "_run", "_ops")
 
     def __init__(
         self, roots: Iterable[Expr], names: Iterable[str], constants: Optional[Binding] = None
@@ -1002,7 +1016,7 @@ class Kernel:
         self.names = tuple(names)
         self.constants = dict(constants or {})
         self._run = None
-        self._columns = None
+        self._ops = None
 
     def row_code(self):
         """The row code, compiled at first use; it raises where ``kernel(row)`` walks."""
@@ -1022,13 +1036,24 @@ class Kernel:
         whose line ``i`` holds the values of ``names[i]``, one per row, and
         the result holds one float64 array per root, equal bit for bit to the
         items of ``kernel(row)`` at each row. Raises ``ArithmeticError``,
-        ``ValueError`` or ``LookupError`` where the compiled code raises at
-        some row; the caller then reads the rows through ``kernel(row)``. The
-        column code is compiled at the first call."""
-        if self._columns is None:
-            self._columns = _compile(self.roots, self.names, self.constants, columns=True)
+        ``ValueError`` or ``LookupError`` where the row code raises at some
+        row; the caller then reads the rows through ``kernel(row)``. Each
+        record calls its function on the values in its slots, which live for
+        the call only."""
+        if self._ops is None:
+            self._ops = _emit(self.roots, self.names, self.constants)
+        ops, slots, outs = self._ops
+        values = slots.copy()
+        values[0] = stack
         with np.errstate(all="ignore"):
-            return self._columns(stack)
+            for f, out, operands in ops:
+                if len(operands) == 2:
+                    a, b = operands
+                    values[out] = f(values[a], values[b])
+                else:
+                    values[out] = f(*[values[s] for s in operands])
+        full = lambda v: np.full(stack.shape[1], v, dtype=float)  # a constant root
+        return tuple(v if isinstance(v, np.ndarray) else full(v) for v in map(values.__getitem__, outs))
 
 
 def table(read, stack, width: Optional[int] = None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,21 +127,25 @@ class Guards:
         return tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
 
 
-class Samples(NamedTuple):
+@dataclass(frozen=True)
+class Samples:
     """The accepted rows of one draw, each a chart point ``(x1..xn,
-    y1..yn)``, and the number of draws it took."""
+    y1..yn)``, the number of draws it took, and the rows as columns,
+    built once: line ``i`` of ``stack`` holds coordinate ``i`` of each row.
+    The stack is read-only, so no check writes into rows another reads."""
 
     rows: list
     attempts: int
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stack = np.array(self.rows, dtype=float).T
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
 
     @property
     def rejected(self) -> int:
         return self.attempts - len(self.rows)
-
-    @property
-    def stack(self) -> np.ndarray:
-        # the rows as columns: line i holds coordinate i of each row
-        return np.array(self.rows, dtype=float).T
 
 
 def draw_samples(

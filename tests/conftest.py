@@ -15,15 +15,14 @@ def corpus_reports():
 
 
 @pytest.fixture
-def compile_flags(monkeypatch):
-    """The ``columns`` flag of each ``expressions._compile`` call the test
-    makes, in order."""
-    flags = []
-    real = ex._compile
-
-    def counted(roots, layout, constants, columns=False):
-        flags.append(columns)
-        return real(roots, layout, constants, columns)
-
-    monkeypatch.setattr(ex, "_compile", counted)
-    return flags
+def compile_calls(monkeypatch):
+    """The calls the test makes of ``expressions._compile`` (row code), of
+    ``expressions._emit`` (the records of a tree walk, which the row code is
+    written from and column calls replay) and of ``exec`` from
+    ``expressions``, by name, in order."""
+    calls = []
+    for name in ("_compile", "_emit"):
+        real = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    monkeypatch.setattr(ex, "exec", lambda *a: calls.append("exec") or exec(*a), raising=False)
+    return calls

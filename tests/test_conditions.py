@@ -172,6 +172,21 @@ def test_draw_samples_nonzero_constant_guard_still_draws():
     assert samples.rows == unguarded.rows
 
 
+def test_samples_build_one_read_only_stack_of_their_rows():
+    # every check reads the same stack; a bare variable's column is a view
+    # of it, so writing into either fails rather than moving another's rows
+    samples = draw_samples(plan_for(1, count=20, seed=3), Guards(), {})
+    stack = samples.stack
+    assert stack is samples.stack and not stack.flags.writeable
+    assert stack.T.tolist() == samples.rows
+    (x1,) = ex.compile([parse("x1", ("x1", "y1"))], ("x1", "y1")).columns(stack)
+    assert np.shares_memory(x1, stack)
+    for view in (stack, x1):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+    assert Samples(samples.rows, samples.attempts) == samples
+
+
 def test_one_guards_admits_a_row_by_the_parameter_values_it_is_given():
     # the kernel a Guards keeps has the values compiled in, so it is kept
     # per value and not per parameter name, and -0.0 is not 0.0

@@ -553,9 +553,9 @@ def _count_reads(monkeypatch):
     code_calls, kernel_rows, builds = [], [], []
     compile_, call, build = ex._compile, Kernel.__call__, dynamics._rk4_step
 
-    def counted(roots, layout, constants, columns=False):
-        code = compile_(roots, layout, constants, columns)
-        return code if columns else lambda row: code_calls.append(1) or code(row)
+    def counted(roots, layout, constants):
+        code = compile_(roots, layout, constants)
+        return lambda row: code_calls.append(1) or code(row)
 
     monkeypatch.setattr(ex, "_compile", counted)
     monkeypatch.setattr(Kernel, "__call__", lambda k, row: kernel_rows.append(row) or call(k, row))
@@ -702,11 +702,9 @@ def test_lagrangian_leaving_phi_interval_along_the_flow_fails_on_the_column_path
     assert len(stacks) == 2
 
 
-def test_a_geodesic_job_compiles_row_code_once_and_each_check_column_code_once(
-    corpus_reports, compile_flags
-):
+def test_a_geodesic_job_compiles_the_spray_row_code_only(corpus_reports, compile_calls):
     # RK4 reads the spray by rows; the four along-flow checks read their
-    # kernels by columns only
+    # kernels by columns only, each from its records, built once
     spec = load_corpus_problem("dissipative")
     deformed = _deformed_for(spec, corpus_reports["dissipative"])
     cfg = IntegratorConfig(step=1e-2, horizon=0.5, initial=PhasePoint([1.0, 1.0], [1.0, 0.5]))
@@ -714,7 +712,7 @@ def test_a_geodesic_job_compiles_row_code_once_and_each_check_column_code_once(
     for lag in (spec.lagrangian, deformed):
         energy_along(traj, lag)
         el_residual_along(traj, lag)
-    assert compile_flags == [False, True, True, True, True]
+    assert compile_calls == ["_compile", "_emit", "exec"] + ["_emit"] * 4
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import gc
 import math
+import operator
 import random
 import struct
+import tracemalloc
 import types
 import weakref
 
@@ -22,6 +24,7 @@ from lagdeform.expressions import (
     UndeclaredIdentifier,
     Var,
     _compile,
+    _emit,
     add,
     compile,
     div,
@@ -668,58 +671,75 @@ def test_kernel_of_no_roots_and_of_plain_roots():
 
 
 def test_compile_emits_a_node_shared_by_identity_once():
-    # 2**40 occurrences of x1 in the tree, 41 distinct nodes in the DAG
+    # 2**40 occurrences of x1 in the tree, 41 distinct nodes in the DAG: one
+    # read of x1 and 40 sums, in the row code and in the column records
     e = Var("x1")
     for _ in range(40):
         e = add(e, e)
-    assert compile([e], ("x1",))([1.0]) == (2.0**40,)
+    kernel = compile([e], ("x1",))
+    assert kernel([1.0]) == (2.0**40,)
+    assert len(kernel.row_code().__code__.co_varnames) == 1 + 41
+    ops, _, _ = _emit((e,), ("x1",), {})
+    assert [f for f, _, _ in ops] == [operator.getitem] + [operator.add] * 40
+    assert kernel.columns(np.array([[1.0, -0.5]]))[0].tolist() == [2.0**40, -(2.0**39)]
 
 
 @pytest.mark.parametrize("columns", [False, True], ids=["row", "column"])
 def test_a_sum_or_product_and_its_swap_compile_to_one_local(columns):
     # IEEE 754 + and * commute exactly, - does not: the code reads x1 and
-    # x2 into two locals, then computes each distinct operation once
+    # x2 into two locals (the records into two slots), then computes each
+    # distinct operation once
     stack = np.array([[0.1, -0.0, 5e-324, math.inf, 1e308], [-3.7, 2.0, 1e308, -0.0, 1e308]])
     rows = stack.T.tolist()
     x1, x2 = Var("x1"), Var("x2")
     for op, distinct in ((mul, 1), (add, 1), (sub, 2)):
         roots = (op(x1, x2), op(x2, x1))
-        code = _compile(roots, ("x1", "x2"), {}, columns)
-        assert len(code.__code__.co_varnames) == 1 + 2 + distinct
+        if columns:
+            kernel = compile(roots, ("x1", "x2"))
+            ops, _, outs = _emit(roots, ("x1", "x2"), {})
+            assert len(ops) == 2 + distinct and len(set(outs)) == distinct
+        else:
+            code = _compile(roots, ("x1", "x2"), {})
+            assert len(code.__code__.co_varnames) == 1 + 2 + distinct
         with np.errstate(all="ignore"):
-            got = [code(stack)] if columns else [code(row) for row in rows]
+            got = [kernel.columns(stack)] if columns else [code(row) for row in rows]
         assert all((a is b) == (distinct == 1) for a, b in got)
         want = [[evaluate(root, {"x1": a, "x2": b}) for root in roots] for a, b in rows]
         values = np.array(got[0]).T if columns else np.array(got)
         assert values.tobytes() == np.array(want).tobytes()
 
 
-def test_each_code_is_compiled_at_its_first_call_only(compile_flags):
+def test_each_code_is_compiled_at_its_first_call_only(compile_calls):
     names = ("x1", "y1")
     roots = [parse(s, names) for s in ("ln(x1) + y1", "y1/x1")]
     stack = np.array([[1.0, 2.0, 4.0], [3.0, 5.0, 7.0]])
-    # read only through columns: no row code
+    # read only through columns: no code at all, the records built once
     kernel = compile(roots, names)
-    assert compile_flags == []
-    kernel.columns(stack)
-    kernel.columns(stack[:, :1])
-    assert compile_flags == [True]
-    # read by rows: the row code once, also where a row falls back to a walk
+    assert compile_calls == []
+    first = kernel.columns(stack)
+    again = kernel.columns(stack[:, :1])
+    assert compile_calls == ["_emit"]
+    assert [c[:1].tolist() for c in first] == [c.tolist() for c in again]
+    # read by rows: the row code once, also where a row falls back to a
+    # walk, and the records once more for the columns
     kernel = compile(roots, names)
-    compile_flags.clear()
+    compile_calls.clear()
     assert kernel([1.0, 3.0]) == (3.0, 3.0)
     with pytest.raises(DomainViolation, match="ln of non-positive value"):
         tuple(kernel([0.0, 3.0]))
     assert kernel([2.0, 1.0])[1] == 0.5
     kernel.columns(stack)
-    assert compile_flags == [False, True]
-    # a node the emitter cannot compile surfaces at the first row call
+    kernel.columns(stack)
+    assert compile_calls == ["_compile", "_emit", "exec", "_emit"]
+    # a node the emitter cannot compile surfaces at the first call of each
     class Opaque(Expr):
         __slots__ = ()
 
     opaque = compile([add(Var("x1"), Opaque())], names)
     with pytest.raises(TypeError, match="cannot compile Opaque"):
         opaque([1.0, 2.0])
+    with pytest.raises(TypeError, match="cannot compile Opaque"):
+        opaque.columns(stack)
 
 
 def test_kernel_values_walk_each_root_where_the_code_raises():
@@ -842,4 +862,44 @@ def test_compiled_code_is_freed_with_its_root(source):
         del kernel, e, run
         assert freed() is None
     finally:
+        gc.enable()
+
+
+class _Value(float):
+    """A float that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("source", ["x1*y1 + exp(a*x1)/(1 + y1^2) - sign(x1)", "exp(x1*y1)/a"])
+def test_column_records_hold_no_node_and_free_their_columns(source):
+    # the records hold values and plain functions only, and nothing of the
+    # walk that built them outlives it: they go with their kernel without
+    # the cycle collector; a column call keeps its slots for the call only
+    e = parse(source, XY2 + ("a",))
+    a = _Value(1.5)
+    freed = weakref.ref(a)
+    stack = np.random.default_rng(5).uniform(0.5, 2.0, size=(2, 10**5))
+    gc.disable()
+    tracemalloc.start()
+    try:
+        kernel = compile([e], ("x1", "y1"), {"a": a})
+        column = kernel.columns(stack)[0]
+        assert column[0] == e.evaluate({"x1": stack[0, 0], "y1": stack[1, 0], "a": a})
+        ops, slots, outs = kernel._ops
+        held = slots + outs + [item for record in ops for item in (record[0], *record[2])]
+        assert not any(isinstance(getattr(v, "__self__", v), Expr) for v in held)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            kept = kernel.columns(stack)
+            after, peak = tracemalloc.get_traced_memory()
+            # the intermediate columns were there during the call, and only
+            # the root's column is left after it
+            assert peak - before > 2 * column.nbytes
+            assert after - before < 1.5 * column.nbytes
+            del kept
+        assert tracemalloc.get_traced_memory()[0] - before < 0.1 * column.nbytes
+        del kernel, ops, slots, outs, held, a
+        assert freed() is None
+    finally:
+        tracemalloc.stop()
         gc.enable()

@@ -93,3 +93,30 @@ def test_every_imported_name_is_read():
     files += sorted(Path(__file__).parent.glob("*.py"))
     files += sorted(Path(__file__).parents[1].glob("demos/*.py"))
     assert [entry for path in files for entry in _unread_imports(path)] == []
+
+
+def _callers(path: Path, names: tuple) -> list:
+    """``module.function`` for each call in ``path`` of a builtin in
+    ``names``, by the qualified name of the function that makes it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                if child.func.id in names:
+                    found.append(".".join((path.stem,) + scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_code_is_generated_only_for_rows_and_the_rk4_step():
+    # column calls replay a kernel's records; only the row code and the
+    # generated RK4 step are compiled from source
+    files = sorted((SRC / "lagdeform").rglob("*.py"))
+    callers = [caller for path in files for caller in _callers(path, ("exec", "eval"))]
+    assert sorted(callers) == ["dynamics._rk4_step", "expressions._compile"]

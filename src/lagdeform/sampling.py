@@ -127,21 +127,19 @@ class Guards:
         return tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
 
 
-@dataclass(frozen=True)
 class Samples:
     """The accepted rows of one draw, each a chart point ``(x1..xn,
-    y1..yn)``, the number of draws it took, and the rows as columns,
-    built once: line ``i`` of ``stack`` holds coordinate ``i`` of each row.
-    The stack is read-only, so no check writes into rows another reads."""
+    y1..yn)``, the number of draws it took, and the rows as columns, built
+    once: line ``i`` of ``stack`` holds coordinate ``i`` of each row. The
+    stack is read-only, so no check writes into rows another reads."""
 
-    rows: list
-    attempts: int
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "attempts", "stack")
 
-    def __post_init__(self):
-        stack = np.array(self.rows, dtype=float).T
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
+    def __init__(self, rows: list, attempts: int):
+        self.rows = rows
+        self.attempts = attempts
+        self.stack = np.array(rows, dtype=float).T
+        self.stack.flags.writeable = False
 
     @property
     def rejected(self) -> int:

@@ -184,7 +184,6 @@ def test_samples_build_one_read_only_stack_of_their_rows():
     for view in (stack, x1):
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 0.0
-    assert Samples(samples.rows, samples.attempts) == samples
 
 
 def test_one_guards_admits_a_row_by_the_parameter_values_it_is_given():

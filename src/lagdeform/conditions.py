@@ -120,7 +120,9 @@ class ConditionReport:
 class DerivedFields:
     """The handful of composite fields every check needs, built once, and
     the kernels the checks compile over them with the run's parameter
-    values ``params`` bound in."""
+    values ``params`` bound in. ``table`` is the run's derivative table
+    (:func:`expressions.partial`): every field here, and every field a check
+    derives later, differentiates through it."""
 
     spray: SemiSpray
     lagrangian: ScalarField
@@ -132,15 +134,17 @@ class DerivedFields:
     vertical: SemiBasicForm = field(init=False)  # d_J L
     defect: SemiBasicForm = field(init=False)  # delta_S L
     hessian: list = field(init=False)  # g_ij, the fiber Hessian of L
+    table: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.spray_of_L = spray_apply(self.spray, self.lagrangian)
-        self.liouville_of_L = liouville_apply(self.lagrangian)
-        self.energy_of_L = energy(self.lagrangian)
-        self.energy_rate = spray_apply(self.spray, self.energy_of_L)
-        self.vertical = vertical_differential(self.lagrangian)
-        self.defect = lagrange_differential(self.spray, self.lagrangian)
-        self.hessian = fiber_hessian(self.lagrangian)
+        self.table = table = {}
+        self.spray_of_L = spray_apply(self.spray, self.lagrangian, table)
+        self.liouville_of_L = liouville_apply(self.lagrangian, table)
+        self.energy_of_L = energy(self.lagrangian, table)
+        self.energy_rate = spray_apply(self.spray, self.energy_of_L, table)
+        self.vertical = vertical_differential(self.lagrangian, table)
+        self.defect = lagrange_differential(self.spray, self.lagrangian, table)
+        self.hessian = fiber_hessian(self.lagrangian, table)
 
     def theorem_guards(self) -> Guards:
         return Guards(
@@ -524,14 +528,13 @@ def functional_dependence_test(
             for j, row in enumerate(points.T.tolist())
         ]
 
-    l_values = np.array([l for l, _ in cleaned])
     names = ex.chart_names(lagrangian.n)
     solver = _LevelSolver(
         derived.kernel((lagrangian.expr,)),
         [plan.bounds[v][0] for v in names],
         [plan.bounds[v][1] for v in names],
         np.random.default_rng(plan.seed + 1),
-        [float(np.quantile(l_values, (k + 0.5) / _LEVELS)) for k in range(_LEVELS)],
+        _levels([l for l, _ in cleaned]),
         accept,
     )
     max_spread = 0.0
@@ -549,6 +552,24 @@ def functional_dependence_test(
             f"could only build {used} usable equal-level groups"
         )
     return DependenceResult(functional, cleaned, used, max_spread, tolerance)
+
+
+def _levels(values) -> list:
+    """The dependence test's target levels: ``np.quantile(values, (k + 0.5)
+    / _LEVELS)`` for each ``k``, from one sort of the float ``values``, by
+    numpy's own ``linear`` rule. The values are equal as floats; only the sign of a zero level may
+    differ, as numpy partitions where this sorts."""
+    a = np.sort(values).tolist()
+    if a[-1] != a[-1]:  # NaN sorts last, and numpy gives NaN at every level
+        return [math.nan] * _LEVELS
+    levels = []
+    for k in range(_LEVELS):
+        v = (len(a) - 1) * ((k + 0.5) / _LEVELS)
+        lo = math.floor(v)
+        t = v - lo
+        d = a[lo + 1] - a[lo]
+        levels.append(a[lo] + d * t if t < 0.5 else a[lo + 1] - d * (1 - t))
+    return levels
 
 
 def _merge_duplicate_abscissae(cloud):
@@ -586,9 +607,11 @@ class FunctionalFit:
         return self.chosen.describe()
 
 
-def _rms(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    return float(np.sqrt(np.mean(arr * arr))) if arr.size else 0.0
+def _rms(values: np.ndarray) -> float:
+    """``np.sqrt(np.mean(values * values))`` bit for bit, for a float64 array:
+    the same pairwise sum and the same division, and both square roots are
+    correctly rounded."""
+    return math.sqrt(float(np.add.reduce(values * values)) / values.size)
 
 
 class _Model(NamedTuple):
@@ -920,8 +943,8 @@ def check_dissipative(
     samples: Samples,
     tol: float = 1e-9,
 ) -> DissipativeReport:
-    vertical_d = vertical_differential(dissipation)
-    liouville_d = liouville_apply(dissipation)
+    vertical_d = vertical_differential(dissipation, derived.table)
+    liouville_d = liouville_apply(dissipation, derived.table)
     rows, rejected = samples.rows, samples.rejected
     n = dissipation.n
 

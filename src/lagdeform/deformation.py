@@ -358,7 +358,7 @@ def verify_deformed_el(
     where L is evaluable; those where Phi(L) is not count as rejected."""
     composed = DeformedLagrangian(derived.lagrangian, deformation).composed()
     direct_form = (
-        lagrange_differential(derived.spray, composed) if composed is not None else None
+        lagrange_differential(derived.spray, composed, derived.table) if composed is not None else None
     )
     # per component: d_J L, delta_S L and, for a closed form, the direct form
     forms = (derived.vertical.components, derived.defect.components)

@@ -219,7 +219,9 @@ class Expr:
     def evaluate_dual(self, binding: Binding, seed: str) -> Dual:
         raise NotImplementedError
 
-    def partial(self, var: str) -> "Expr":
+    def partial(self, var: str, table: Optional[dict]) -> "Expr":
+        """The rule for d self / d var, each operand differentiated through
+        ``table`` (see :func:`partial`)."""
         raise NotImplementedError
 
     def to_source(self) -> str:
@@ -249,7 +251,7 @@ class Const(Expr):
     def evaluate_dual(self, binding, seed):
         return Dual(self.value, 0.0)
 
-    def partial(self, var):
+    def partial(self, var, table):
         return Const(0.0)
 
     def to_source(self):
@@ -277,7 +279,7 @@ class Var(Expr):
             raise UnboundVariable(self.name) from None
         return Dual(v, 1.0 if self.name == seed else 0.0)
 
-    def partial(self, var):
+    def partial(self, var, table):
         return Const(1.0 if self.name == var else 0.0)
 
     def to_source(self):
@@ -315,8 +317,8 @@ class Add(_Binary):
     def evaluate_dual(self, binding, seed):
         return self.left.evaluate_dual(binding, seed) + self.right.evaluate_dual(binding, seed)
 
-    def partial(self, var):
-        return add(self.left.partial(var), self.right.partial(var))
+    def partial(self, var, table):
+        return add(_partial(self.left, var, table), _partial(self.right, var, table))
 
 
 class Sub(_Binary):
@@ -330,8 +332,8 @@ class Sub(_Binary):
     def evaluate_dual(self, binding, seed):
         return self.left.evaluate_dual(binding, seed) - self.right.evaluate_dual(binding, seed)
 
-    def partial(self, var):
-        return sub(self.left.partial(var), self.right.partial(var))
+    def partial(self, var, table):
+        return sub(_partial(self.left, var, table), _partial(self.right, var, table))
 
 
 class Mul(_Binary):
@@ -345,10 +347,10 @@ class Mul(_Binary):
     def evaluate_dual(self, binding, seed):
         return self.left.evaluate_dual(binding, seed) * self.right.evaluate_dual(binding, seed)
 
-    def partial(self, var):
+    def partial(self, var, table):
         return add(
-            mul(self.left.partial(var), self.right),
-            mul(self.left, self.right.partial(var)),
+            mul(_partial(self.left, var, table), self.right),
+            mul(self.left, _partial(self.right, var, table)),
         )
 
 
@@ -371,11 +373,11 @@ class Div(_Binary):
         except ZeroDivisionError:
             raise DomainViolation(self, "division by zero") from None
 
-    def partial(self, var):
+    def partial(self, var, table):
         return div(
             sub(
-                mul(self.left.partial(var), self.right),
-                mul(self.left, self.right.partial(var)),
+                mul(_partial(self.left, var, table), self.right),
+                mul(self.left, _partial(self.right, var, table)),
             ),
             mul(self.right, self.right),
         )
@@ -409,10 +411,10 @@ class Pow(Expr):
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainViolation(self, str(exc)) from None
 
-    def partial(self, var):
+    def partial(self, var, table):
         return mul(
             mul(Const(self.exponent), pow_(self.base, self.exponent - 1.0)),
-            self.base.partial(var),
+            _partial(self.base, var, table),
         )
 
     def to_source(self):
@@ -437,8 +439,8 @@ class Neg(Expr):
     def evaluate_dual(self, binding, seed):
         return -self.arg.evaluate_dual(binding, seed)
 
-    def partial(self, var):
-        return neg(self.arg.partial(var))
+    def partial(self, var, table):
+        return neg(_partial(self.arg, var, table))
 
     def to_source(self):
         return f"-{self._wrap(self.arg)}"
@@ -495,8 +497,8 @@ class ExpFn(_Func):
     def _apply_dual(self, d):
         return d.exp()
 
-    def partial(self, var):
-        return mul(exp(self.arg), self.arg.partial(var))
+    def partial(self, var, table):
+        return mul(exp(self.arg), _partial(self.arg, var, table))
 
 
 class LnFn(_Func):
@@ -512,8 +514,8 @@ class LnFn(_Func):
     def _apply_dual(self, d):
         return d.ln()
 
-    def partial(self, var):
-        return div(self.arg.partial(var), self.arg)
+    def partial(self, var, table):
+        return div(_partial(self.arg, var, table), self.arg)
 
 
 class SqrtFn(_Func):
@@ -529,8 +531,8 @@ class SqrtFn(_Func):
     def _apply_dual(self, d):
         return d.sqrt()
 
-    def partial(self, var):
-        return div(self.arg.partial(var), mul(Const(2.0), sqrt(self.arg)))
+    def partial(self, var, table):
+        return div(_partial(self.arg, var, table), mul(Const(2.0), sqrt(self.arg)))
 
 
 class SinFn(_Func):
@@ -542,8 +544,8 @@ class SinFn(_Func):
     def _apply_dual(self, d):
         return d.sin()
 
-    def partial(self, var):
-        return mul(cos(self.arg), self.arg.partial(var))
+    def partial(self, var, table):
+        return mul(cos(self.arg), _partial(self.arg, var, table))
 
 
 class CosFn(_Func):
@@ -555,8 +557,8 @@ class CosFn(_Func):
     def _apply_dual(self, d):
         return d.cos()
 
-    def partial(self, var):
-        return neg(mul(sin(self.arg), self.arg.partial(var)))
+    def partial(self, var, table):
+        return neg(mul(sin(self.arg), _partial(self.arg, var, table)))
 
 
 class AbsFn(_Func):
@@ -568,9 +570,9 @@ class AbsFn(_Func):
     def _apply_dual(self, d):
         return d.abs()
 
-    def partial(self, var):
+    def partial(self, var, table):
         # d|u| = sign(u) du; sign raises at exactly 0 (honest singularity)
-        return mul(sign(self.arg), self.arg.partial(var))
+        return mul(sign(self.arg), _partial(self.arg, var, table))
 
 
 class SignFn(_Func):
@@ -586,7 +588,7 @@ class SignFn(_Func):
     def _apply_dual(self, d):
         return d.sign()
 
-    def partial(self, var):
+    def partial(self, var, table):
         return Const(0.0)
 
 
@@ -1140,9 +1142,25 @@ def compile(
     return Kernel(roots, names, constants)
 
 
-def partial(e: Expr, var: str) -> Expr:
-    """Exact symbolic partial derivative, constant-folded."""
-    return e.partial(var)
+def partial(e: Expr, var: str, table: Optional[dict] = None) -> Expr:
+    """Exact symbolic partial derivative, constant-folded.
+
+    With a ``table`` (a dict the caller keeps, one per run), a node is
+    differentiated once per variable: the table maps ``(id(node), var)`` to
+    ``(node, derivative)``, holding the node so that its id is not reused,
+    and equal derivations come back as the same node. Without one, every
+    call builds its own tree."""
+    return _partial(e, var, table)
+
+
+def _partial(e: Expr, var: str, table: Optional[dict]) -> Expr:
+    if table is None:
+        return e.partial(var, None)
+    key = (id(e), var)
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = (e, e.partial(var, table))
+    return entry[1]
 
 
 def evaluate_dual(e: Expr, binding: Binding, seed: str) -> tuple:

@@ -3,7 +3,9 @@
 Everything lives in one chart with coordinates ``x1..xn`` (base) and
 ``y1..yn`` (fiber/velocity). Operators compose symbolically and are only
 evaluated at sample points, so the tight identity tolerances downstream rest
-on exact derivatives rather than finite differencing.
+on exact derivatives rather than finite differencing. Each operator takes an
+optional ``table``, a derivative table of :func:`expressions.partial`, and
+differentiates through it.
 """
 
 from __future__ import annotations
@@ -97,48 +99,50 @@ def _check_dims(a, b):
 # ---------------------------------------------------------------------------
 
 
-def liouville_apply(field_: ScalarField) -> ScalarField:
+def liouville_apply(field_: ScalarField, table: Optional[dict] = None) -> ScalarField:
     """C(F) = y_i dF/dy_i, the fiber Euler operator."""
     n = field_.n
     acc: Expr = ex.Const(0.0)
     for i in range(1, n + 1):
-        acc = ex.add(acc, ex.mul(ex.Var(f"y{i}"), ex.partial(field_.expr, f"y{i}")))
+        acc = ex.add(acc, ex.mul(ex.Var(f"y{i}"), ex.partial(field_.expr, f"y{i}", table)))
     return ScalarField(n, acc)
 
 
-def spray_apply(spray: SemiSpray, field_: ScalarField) -> ScalarField:
+def spray_apply(spray: SemiSpray, field_: ScalarField, table: Optional[dict] = None) -> ScalarField:
     """S(F) = y_i dF/dx_i - 2 G_i dF/dy_i, the derivative along the flow."""
     _check_dims(spray, field_)
     n = spray.n
     acc: Expr = ex.Const(0.0)
     for i in range(1, n + 1):
-        acc = ex.add(acc, ex.mul(ex.Var(f"y{i}"), ex.partial(field_.expr, f"x{i}")))
+        acc = ex.add(acc, ex.mul(ex.Var(f"y{i}"), ex.partial(field_.expr, f"x{i}", table)))
         acc = ex.sub(
             acc,
             ex.mul(
                 ex.mul(ex.Const(2.0), spray.coefficients[i - 1]),
-                ex.partial(field_.expr, f"y{i}"),
+                ex.partial(field_.expr, f"y{i}", table),
             ),
         )
     return ScalarField(n, acc)
 
 
-def energy(lagrangian: ScalarField) -> ScalarField:
+def energy(lagrangian: ScalarField, table: Optional[dict] = None) -> ScalarField:
     """Lagrangian energy E = C(L) - L."""
     return ScalarField(
-        lagrangian.n, ex.sub(liouville_apply(lagrangian).expr, lagrangian.expr)
+        lagrangian.n, ex.sub(liouville_apply(lagrangian, table).expr, lagrangian.expr)
     )
 
 
-def vertical_differential(lagrangian: ScalarField) -> SemiBasicForm:
+def vertical_differential(lagrangian: ScalarField, table: Optional[dict] = None) -> SemiBasicForm:
     """d_J L, with components dL/dy_i."""
     n = lagrangian.n
     return SemiBasicForm(
-        n, [ex.partial(lagrangian.expr, f"y{i}") for i in range(1, n + 1)]
+        n, [ex.partial(lagrangian.expr, f"y{i}", table) for i in range(1, n + 1)]
     )
 
 
-def lagrange_differential(spray: SemiSpray, lagrangian: ScalarField) -> SemiBasicForm:
+def lagrange_differential(
+    spray: SemiSpray, lagrangian: ScalarField, table: Optional[dict] = None
+) -> SemiBasicForm:
     """Lagrange differential: components S(dL/dy_i) - dL/dx_i.
 
     Vanishes exactly when the spray is the Euler-Lagrange dynamics of L.
@@ -147,22 +151,22 @@ def lagrange_differential(spray: SemiSpray, lagrangian: ScalarField) -> SemiBasi
     n = spray.n
     comps = []
     for i in range(1, n + 1):
-        momentum = ScalarField(n, ex.partial(lagrangian.expr, f"y{i}"))
+        momentum = ScalarField(n, ex.partial(lagrangian.expr, f"y{i}", table))
         comps.append(
             ex.sub(
-                spray_apply(spray, momentum).expr,
-                ex.partial(lagrangian.expr, f"x{i}"),
+                spray_apply(spray, momentum, table).expr,
+                ex.partial(lagrangian.expr, f"x{i}", table),
             )
         )
     return SemiBasicForm(n, comps)
 
 
-def fiber_hessian(lagrangian: ScalarField) -> list:
+def fiber_hessian(lagrangian: ScalarField, table: Optional[dict] = None) -> list:
     """g_ij = d^2 L / dy_i dy_j as an n x n matrix of expressions."""
     n = lagrangian.n
-    firsts = [ex.partial(lagrangian.expr, f"y{i}") for i in range(1, n + 1)]
+    firsts = [ex.partial(lagrangian.expr, f"y{i}", table) for i in range(1, n + 1)]
     return [
-        [ex.partial(firsts[i], f"y{j + 1}") for j in range(n)] for i in range(n)
+        [ex.partial(firsts[i], f"y{j + 1}", table) for j in range(n)] for i in range(n)
     ]
 
 

@@ -21,14 +21,17 @@ from lagdeform.conditions import (
     functional_dependence_test,
     hessian_report,
     _gauss_newton,
+    _levels,
     _merge_duplicate_abscissae,
     _model_moebius,
     _model_power_shift,
+    _rms,
     _LevelSolver,
 )
 from lagdeform import expressions as ex
 from lagdeform.corpus import CORPUS_NAMES, corpus_text, load_corpus_problem
 from lagdeform.deformation import (
+    ClosedForm,
     DeformedELReport,
     DeformedLagrangian,
     OutOfInterval,
@@ -57,7 +60,7 @@ from lagdeform.geometry import (
     lagrange_differential,
     liouville_apply,
 )
-from lagdeform.pipeline import problem_from_dict
+from lagdeform.pipeline import problem_from_dict, run_pipeline
 from lagdeform.sampling import (
     Guards,
     GuardViolation,
@@ -1560,3 +1563,102 @@ def test_a_dissipation_that_raises_is_met_only_where_it_is_read():
     assert not report.rayleigh and report.rayleigh_rate is None
     assert _bits(report.gradient_match) == _bits(gradient)
     assert _bits(report.energy_rate_match) == _bits(rate)
+
+
+# ---------------------------------------------------------------------------
+# a run's fixed cost: one derivative table, one sort, one reduction
+# ---------------------------------------------------------------------------
+
+
+def _trees_and_records(data, monkeypatch):
+    """The trees of the run's DerivedFields, and the roots (as source) and
+    the records of every kernel the run walks with ``ex._emit``."""
+    derived, emitted = [], []
+    post_init, emit = DerivedFields.__post_init__, ex._emit
+
+    def spy(roots, layout, constants):
+        ops, slots, outs = emit(roots, layout, constants)
+        emitted.append(([r.to_source() for r in roots], ops, [repr(v) for v in slots], outs))
+        return ops, slots, outs
+
+    with monkeypatch.context() as m:
+        m.setattr(DerivedFields, "__post_init__", lambda d: post_init(d) or derived.append(d))
+        m.setattr(ex, "_emit", spy)
+        run_pipeline(problem_from_dict(data), "report")
+    (d,) = derived
+    forms = [d.spray_of_L, d.liouville_of_L, d.energy_of_L, d.energy_rate]
+    trees = [f.expr for f in forms] + list(d.vertical.components) + list(d.defect.components)
+    trees += [cell for line in d.hessian for cell in line]
+    return [t.to_source() for t in trees], emitted
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_runs_derivative_table_builds_the_trees_and_records_of_an_untabled_run(name, monkeypatch):
+    # L as the dissipation too, so that the run's dissipative check derives
+    # d_J D and C(D); a closed-form Phi gives verify a direct form to derive.
+    # Through the table equal derivations are one node, but every tree
+    # prints as it does untabled, and each kernel gets the same records:
+    # slots are keyed by structure, in walk order.
+    data = json.loads(corpus_text(name))
+    data["dissipation"] = data["lagrangian"]
+    tabled = _trees_and_records(data, monkeypatch)
+    monkeypatch.setattr(ex, "_partial", lambda e, var, table: e.partial(var, None))
+    untabled = _trees_and_records(data, monkeypatch)
+    assert tabled[1]
+    assert tabled == untabled
+
+
+def test_verify_and_the_dissipative_check_derive_through_the_runs_table(corpus_reports, monkeypatch):
+    spec, d, _, samples = _run_inputs("dissipative", 0)
+    deformation = corpus_reports["dissipative"].deformation
+    assert isinstance(deformation, ClosedForm)  # verify derives the direct form
+    tables = []
+    real = ex.partial
+    monkeypatch.setattr(ex, "partial", lambda e, var, table=None: tables.append(table) or real(e, var, table))
+    verify_deformed_el(d, deformation, samples)
+    check_dissipative(d, spec.lagrangian, samples)
+    assert tables and all(table is d.table for table in tables)
+
+
+def _level_arrays(rng, count):
+    """Arrays of 8 to 400 values: spread values, a few repeated ones (signed
+    zeros among them), and at times +-inf or NaN."""
+    pool = np.array([0.0, -0.0, 1.0, -2.5, 1e-300, 3.0])
+    for _ in range(count):
+        n = int(rng.integers(8, 401))
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6)
+        repeated = rng.random(n) < rng.random()
+        a[repeated] = rng.choice(pool, size=int(repeated.sum()))
+        for odd in (math.inf, -math.inf, math.nan):
+            if rng.random() < 0.15:
+                a[rng.integers(n, size=int(rng.integers(1, 4)))] = odd
+        yield a
+
+
+def test_the_levels_of_one_sort_equal_a_quantile_call_per_level():
+    # np.quantile partitions and _levels sorts, and the two can leave -0.0
+    # and 0.0 in either order, so a zero level may differ in its sign: the
+    # levels are compared as floats, and -0.0 == 0.0 in every comparison
+    # the level solver makes
+    rng = np.random.default_rng(2017)
+    for a in _level_arrays(rng, 400):
+        with np.errstate(invalid="ignore"):  # numpy's inf - inf
+            want = [float(np.quantile(a, (k + 0.5) / 32)) for k in range(32)]
+        got = _levels(a)
+        assert len(got) == 32
+        for g, w in zip(got, want):
+            assert g == w or (math.isnan(g) and math.isnan(w)), (a.tolist(), got, want)
+
+
+def test_rms_is_numpys_root_mean_square_bit_for_bit():
+    rng = np.random.default_rng(2006)
+    cases = [np.array([v]) for v in (0.0, -0.0, 5e-324, -3.0, 1e200, math.inf, -math.inf, math.nan)]
+    cases += [np.array([1e200, 1.0]), np.array([1e154, 1e154, 1e154]), np.array([math.nan, math.inf])]
+    for _ in range(3000):
+        a = rng.normal(size=int(rng.integers(1, 300))) * 10.0 ** rng.integers(-200, 200)
+        if rng.random() < 0.05:
+            a[rng.integers(len(a))] = rng.choice([math.inf, math.nan])
+        cases.append(a)
+    with np.errstate(all="ignore"):  # a * a overflows to inf in both
+        for a in cases:
+            assert _bits(_rms(a)) == _bits(float(np.sqrt(np.mean(a * a)))), a.tolist()

@@ -208,6 +208,28 @@ def test_partial_quotient_rule():
     assert evaluate(d, b) == pytest.approx(-2.0 * 2.0 * 1.0 / 4.0)
 
 
+def test_a_derivative_table_shares_what_it_derives():
+    # 12 levels of add(e, e): 2**12 occurrences of the base product in the
+    # tree, one in the DAG. Through a table each node is differentiated once, so both
+    # operands of the derivative are one object; without one every
+    # occurrence is differentiated again into its own tree.
+    e = mul(Var("x1"), mul(Var("y1"), Var("y1")))
+    for _ in range(12):
+        e = add(e, e)
+    table = {}
+    d = partial(e, "y1", table)
+    assert d.left is d.right
+    assert partial(e, "y1", table) is d
+    assert to_source(d) == to_source(partial(e, "y1"))
+    assert len(table) == 12 + 5  # the sums, the two products, x1 and both y1 nodes
+    assert all(table[id(node), var][0] is node for node, var in [(e, "y1"), (e.left, "y1")])
+    untabled = partial(e, "y1")
+    assert untabled.left is not untabled.right
+    # a table is per variable: d/dx1 of the same nodes is its own entry
+    assert to_source(partial(e, "x1", table)) == to_source(partial(e, "x1"))
+    assert len(table) == 2 * (12 + 5)
+
+
 # ---------------------------------------------------------------------------
 # dual numbers
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Geodesic integration and trajectory-level checks.
 
 Classical fixed-step RK4 on the first-order system x' = y, y' = -2G(x, y),
-in one straight-line step function generated per run. Its stages read the
-spray's compiled row code once each and combine in the operations and order
-of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit for bit the array form. It
-inlines the finiteness test, then the box test. Where the row code raises,
-the step reruns on the kernel, whose tree walk raises the stage's own error.
+in one straight-line step function whose code is generated per chart shape
+(``n``, and whether a box is tested), and which a run binds to its step and
+box. Its stages read the spray's compiled row code once each and combine in
+the operations and order of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit
+for bit the array form. It inlines the finiteness test, then the box test.
+Where the row code raises, the step reruns on the kernel, whose tree walk
+raises the stage's own error.
+
+The energy and Euler-Lagrange checks of ``L`` and ``Phi(L)`` along one
+trajectory share one read of ``L``'s fields over its states.
 
 The along-trajectory Euler-Lagrange residual differentiates the sampled
 momenta by central differences on purpose: it is an independent check that
@@ -16,7 +21,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
+from types import FunctionType
 from typing import Optional, Union
 
 import numpy as np
@@ -62,18 +69,20 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # rows (x1..xn, y1..yn)
     truncated: bool = False
+    # id of each checked base L -> (L, kernel, lines, {id of Phi: (Phi, chain)})
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.spray.n
 
 
-def _rk4_step(n: int, h: float, box: Optional[dict]):
-    """``step(state, spray)``: one RK4 step from the ``2n`` state floats, reading
-    the spray by ``spray(row)``: ``(next_state, 0)``, ``(None, 1)`` where a
-    component is not finite or exceeds 1e100 in size, else ``(None, 2)`` outside ``box``."""
+@cache
+def _step_code(n: int, boxed: bool):
+    """The code of ``step(state, spray)`` for ``n`` degrees of freedom, with
+    or without the box test: ``h``, ``half``, ``sixth`` and the bounds
+    ``lo{i}``, ``hi{i}`` are names its globals bind."""
     m = 2 * n
-    namespace = {"half": 0.5 * h, "h": h, "sixth": h / 6.0}
     row = [f"s{i}" for i in range(m)]
     lines = [f"    {''.join(v + ', ' for v in row)}= state"]
     ks = []
@@ -91,14 +100,25 @@ def _rk4_step(n: int, h: float, box: Optional[dict]):
     ]
     # not (|v| <= 1e100) also holds for nan and inf
     tests = {1: [f"abs(r{i}) <= 1e100" for i in range(m)]}
-    if box is not None:
-        for i, v in enumerate(ex.chart_names(n)):
-            namespace[f"lo{i}"], namespace[f"hi{i}"] = box[v][0], box[v][1]
+    if boxed:
         tests[2] = [f"lo{i} <= r{i} <= hi{i}" for i in range(m)]
     lines += [f"    if not ({' and '.join(t)}): return None, {flag}" for flag, t in tests.items()]
     lines.append(f"    return [{', '.join(f'r{i}' for i in range(m))}], 0")
+    namespace = {}
     exec("def step(state, spray):\n" + "\n".join(lines) + "\n", namespace)
-    return namespace["step"]
+    return namespace["step"].__code__
+
+
+def _rk4_step(n: int, h: float, box: Optional[dict]):
+    """``step(state, spray)``: one RK4 step from the ``2n`` state floats, reading
+    the spray by ``spray(row)``: ``(next_state, 0)``, ``(None, 1)`` where a
+    component is not finite or exceeds 1e100 in size, else ``(None, 2)`` outside
+    ``box``. The code is compiled once per chart shape; ``h`` and ``box`` bind its names."""
+    namespace = {"half": 0.5 * h, "h": h, "sixth": h / 6.0}
+    if box is not None:
+        for i, v in enumerate(ex.chart_names(n)):
+            namespace[f"lo{i}"], namespace[f"hi{i}"] = box[v][0], box[v][1]
+    return FunctionType(_step_code(n, box is not None), namespace)
 
 
 def integrate_geodesic(
@@ -162,58 +182,69 @@ def _base_of(lag: Lagrangianlike) -> ScalarField:
     return lag.base if isinstance(lag, DeformedLagrangian) else lag
 
 
-def _along(traj: Trajectory, lag: Lagrangianlike, fields):
-    """``(chain, values)`` over the states: ``chain`` is None for a plain L,
-    else the lines ``Phi(L), Phi'(L), Phi''(L)``, and line ``k`` of
-    ``values`` holds ``fields[k]``, one value per state.
-
-    One ``kernel.columns`` call reads every state, and one :func:`chain`
-    call takes ``Phi`` at the L column. Where the column call raises, the
-    states are read one ``kernel(row)`` at a time, so the first failing
-    state fails as :func:`ex.evaluate` of L, ``triple`` and then
-    :func:`ex.evaluate` of each field, in that order, would fail there."""
-    deformed = isinstance(lag, DeformedLagrangian)
-    roots = ((lag.base.expr,) if deformed else ()) + tuple(fields)
-    kernel = ex.compile(roots, ex.chart_names(traj.n), traj.params)
+def _fields(traj: Trajectory, base: ScalarField):
+    """``(kernel, lines)``: the fields ``L, C(L), dL/dy_1, dL/dx_1, ...,
+    dL/dy_n, dL/dx_n`` of ``base``, derived through one table and compiled as
+    one kernel, and their lines over the states from one column call, or
+    None where it raises."""
+    table = {}
+    fields = [base.expr, liouville_apply(base, table).expr]
+    for i, momentum in enumerate(vertical_differential(base, table).components):
+        fields += [momentum, ex.partial(base.expr, f"x{i + 1}", table)]
+    kernel = ex.compile(fields, ex.chart_names(traj.n), traj.params)
     try:
-        values = np.array(kernel.columns(traj.states.T))
+        return kernel, np.array(kernel.columns(traj.states.T))
     except (ArithmeticError, ValueError, LookupError):
-        rows = []
-        for row in traj.states.tolist():
-            v = kernel(row)
-            if deformed:
-                lag.deformation.triple(v[0])
-            rows.append(v[:])
-        values = np.array(rows, dtype=float).T
-    if not deformed:
-        return None, values
-    return chain(lag.deformation, values[0]), values[1:]
+        return kernel, None
 
 
-def _momentum_and_force_values(traj: Trajectory, lag: Lagrangianlike):
-    """Per-state values of dLag/dy_i and dLag/dx_i: Phi'(L) L_y and
-    Phi'(L) L_x, with Phi' = 1 for a plain L."""
-    n = traj.n
+def _along(traj: Trajectory, lag: Lagrangianlike, items: slice):
+    """``(chain, values)`` over the states: ``chain`` is None for a plain L,
+    else the lines ``Phi(L), Phi'(L), Phi''(L)``, and ``values`` holds the
+    lines ``items`` of :func:`_fields`, one value per state.
+
+    The trajectory keeps the fields' lines of each base L, read for every
+    check in one column call, and one :func:`chain` per deformation at the
+    L line. Where the column call raises, each check reads the states one
+    ``kernel(row)`` at a time, and of each only L and its own items, so the
+    first failing state fails as :func:`ex.evaluate` of L, ``triple`` and
+    then :func:`ex.evaluate` of each item, in that order, would fail there."""
     base = _base_of(lag)
-    vert = vertical_differential(base)
-    fields = []
-    for i in range(n):
-        fields += [vert.components[i], ex.partial(base.expr, f"x{i + 1}")]
-    chain, values = _along(traj, lag, fields)
-    d1 = 1.0 if chain is None else chain[1]
-    # as in float arithmetic, an overflow gives inf and inf - inf nan, unannounced
-    with np.errstate(all="ignore"):
-        return (d1 * values[0::2]).T, (d1 * values[1::2]).T
+    phi = lag.deformation if lag is not base else None
+    # each entry holds its key alive, so that the id is not reused
+    entry = traj.memo.get(id(base))
+    if entry is None:
+        entry = traj.memo[id(base)] = (base, *_fields(traj, base), {})
+    _, kernel, lines, chains = entry
+    if lines is None:
+        lines = np.full((len(kernel.roots), len(traj.times)), math.nan)
+        for j, row in enumerate(traj.states.tolist()):
+            v = kernel(row)
+            if phi is not None:
+                t = v[0]
+                phi.triple(t)
+                lines[0, j] = t
+            lines[items, j] = v[items]
+    if phi is None:
+        return None, lines[items]
+    if id(phi) not in chains:
+        chains[id(phi)] = (phi, chain(phi, lines[0]))
+    return chains[id(phi)][1], lines[items]
 
 
 def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
     """max over components and interior times of
-    | d/dt(dLag/dy_i) - dLag/dx_i |, with d/dt by central differences."""
+    | d/dt(dLag/dy_i) - dLag/dx_i |, with d/dt by central differences:
+    dLag/dy_i = Phi'(L) L_y and dLag/dx_i = Phi'(L) L_x, with Phi' = 1 for
+    a plain L."""
     if len(traj.times) - 1 < 3:
         raise TooShort("need at least 3 steps for interior central differences")
-    momenta, forces = _momentum_and_force_values(traj, lag)
-    h = traj.step
-    dpdt = (momenta[2:] - momenta[:-2]) / (2.0 * h)
+    chain, values = _along(traj, lag, slice(2, None))
+    d1 = 1.0 if chain is None else chain[1]
+    # as in float arithmetic, an overflow gives inf and inf - inf nan, unannounced
+    with np.errstate(all="ignore"):
+        momenta, forces = (d1 * values[0::2]).T, (d1 * values[1::2]).T
+    dpdt = (momenta[2:] - momenta[:-2]) / (2.0 * traj.step)
     residual = np.abs(dpdt - forces[1:-1])
     return float(np.max(residual))
 
@@ -221,13 +252,10 @@ def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:
 def energy_along(traj: Trajectory, lag: Lagrangianlike):
     """Series E(t_k) = C(Lag) - Lag, that is Phi'(L) C(L) - Phi(L) (Phi the
     identity for a plain L), and the drift max |E(t_k) - E(t_0)|."""
-    base = _base_of(lag)
-    base_c = liouville_apply(base).expr
-    fields = (base_c,) if lag is not base else (base.expr, base_c)
-    chain, values = _along(traj, lag, fields)
-    phi, d1 = (values[0], 1.0) if chain is None else chain[:2]
+    chain, (l_line, c_line) = _along(traj, lag, slice(0, 2))
+    phi, d1 = (l_line, 1.0) if chain is None else chain[:2]
     with np.errstate(all="ignore"):
-        series = d1 * values[-1] - phi
+        series = d1 * c_line - phi
     drift = float(np.max(np.abs(series - series[0])))
     return series, drift
 

@@ -660,9 +660,9 @@ def _forbid_rows(monkeypatch):
 def test_along_flow_checks_read_a_trajectory_in_one_column_call(
     corpus_reports, monkeypatch, name
 ):
-    # nothing raises along these trajectories: each check reads all the
-    # states in one column call and never falls back to the row path, which
-    # would give the same bits
+    # nothing raises along these trajectories: the four checks read all the
+    # states in one column call of L's fields, never fall back to the row
+    # path, and give the reference's bits
     spec = load_corpus_problem(name)
     lagrangians = (spec.lagrangian, _deformed_for(spec, corpus_reports[name]))
     mid = _starts(spec, 1, seed=0)[0]
@@ -670,14 +670,17 @@ def test_along_flow_checks_read_a_trajectory_in_one_column_call(
         step=1e-2, horizon=0.5, initial=PhasePoint(mid[: spec.n], mid[spec.n :])
     )
     traj = integrate_geodesic(spec.spray, cfg, spec.params)
-    checks = [(check, lag) for lag in lagrangians for check in (energy_along, el_residual_along)]
-    want = [_bits(lambda: check(traj, lag)) for check, lag in checks]
+    n, params, h = spec.n, traj.params, traj.step
+    want = []
+    for lag in lagrangians:
+        want.append(_bits(lambda: _reference_energy(traj.states, n, params, lag)))
+        want.append(_bits(lambda: _reference_el_residual(traj.states, n, params, lag, h)))
     stacks = _forbid_rows(monkeypatch)
+    checks = [(check, lag) for lag in lagrangians for check in (energy_along, el_residual_along)]
     for (check, lag), bits in zip(checks, want):
-        stacks.clear()
         assert _bits(lambda: check(traj, lag)) == bits
         assert bits[0] != "error"
-        assert len(stacks) == 1 and stacks[0].shape == (2 * spec.n, 51)
+    assert len(stacks) == 1 and stacks[0].shape == (2 * spec.n, 51)
 
 
 def test_lagrangian_leaving_phi_interval_along_the_flow_fails_on_the_column_path(
@@ -691,7 +694,8 @@ def test_lagrangian_leaving_phi_interval_along_the_flow_fails_on_the_column_path
     lagrangian = ScalarField(1, parse("y1", names))
     deformed = DeformedLagrangian(lagrangian, synthesize(PowerShift(-0.5, 0.5), (1.0, 2.0)))
     cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [0.0]))
-    traj = _assert_matches_reference(spray, (lagrangian, deformed), cfg, None)
+    _assert_matches_reference(spray, (lagrangian, deformed), cfg, None)
+    traj = integrate_geodesic(spray, cfg)
     j = int(np.argmax(traj.states[:, 1] <= -0.5))
     assert 0 < j < len(traj.times) - 1
     message = f"t = {traj.states[j, 1]:g} outside"
@@ -699,12 +703,12 @@ def test_lagrangian_leaving_phi_interval_along_the_flow_fails_on_the_column_path
     for check in (energy_along, el_residual_along):
         with pytest.raises(OutOfInterval, match=message):
             check(traj, deformed)
-    assert len(stacks) == 2
+    assert len(stacks) == 1
 
 
 def test_a_geodesic_job_compiles_the_spray_row_code_only(corpus_reports, compile_calls):
-    # RK4 reads the spray by rows; the four along-flow checks read their
-    # kernels by columns only, each from its records, built once
+    # RK4 reads the spray by rows; the four along-flow checks read one
+    # kernel of L's fields by columns only, from its records, built once
     spec = load_corpus_problem("dissipative")
     deformed = _deformed_for(spec, corpus_reports["dissipative"])
     cfg = IntegratorConfig(step=1e-2, horizon=0.5, initial=PhasePoint([1.0, 1.0], [1.0, 0.5]))
@@ -712,7 +716,7 @@ def test_a_geodesic_job_compiles_the_spray_row_code_only(corpus_reports, compile
     for lag in (spec.lagrangian, deformed):
         energy_along(traj, lag)
         el_residual_along(traj, lag)
-    assert compile_calls == ["_compile", "_emit", "exec"] + ["_emit"] * 4
+    assert compile_calls == ["_compile", "_emit", "exec", "_emit"]
 
 
 @pytest.mark.parametrize(
@@ -737,3 +741,96 @@ def test_along_flow_errors_come_as_the_reference_orders_them(x1, error, message)
     for check in (energy_along, el_residual_along):
         with pytest.raises(error, match=message):
             check(traj, deformed)
+
+
+def test_the_step_code_is_compiled_once_per_chart_shape(monkeypatch):
+    # the step's code depends on n and on whether a box is tested; h and the
+    # box bounds are names that each run binds
+    execs = []
+    monkeypatch.setattr(dynamics, "exec", lambda *a: execs.append(1) or exec(*a), raising=False)
+    dynamics._step_code.cache_clear()
+    spray, cfg, _, box = _on_bound()
+    finer = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [1.0]))
+    narrower = {"x1": (-0.25, 0.25), "y1": (0.0, 2.0)}
+    runs = [
+        (spray, cfg, None, box, 1),
+        (spray, finer, None, narrower, 1),
+        # unboxed after boxed at the same n: the free flow passes x1 = 0.5
+        (spray, cfg, None, None, 2),
+        # a new n
+        (*_dissipative(), 3),
+    ]
+    for spray, cfg, params, box, compiled in runs:
+        traj = _assert_matches_reference(spray, (), cfg, params, box)
+        assert traj.truncated == (box is not None)
+        assert len(execs) == compiled
+    assert dynamics._rk4_step(1, 0.5, None).__code__ is dynamics._step_code(1, False)
+    assert dynamics._step_code(1, False) is not dynamics._step_code(1, True)
+    assert len(execs) == 3
+
+
+def _check_bits(traj, lag):
+    """The bits of both along-flow checks of ``lag`` and of their references."""
+    n, params, h = traj.n, traj.params, traj.step
+    got = (_bits(lambda: energy_along(traj, lag)), _bits(lambda: el_residual_along(traj, lag)))
+    want = (
+        _bits(lambda: _reference_energy(traj.states, n, params, lag)),
+        _bits(lambda: _reference_el_residual(traj.states, n, params, lag, h)),
+    )
+    return got, want
+
+
+def test_a_field_failing_where_a_check_does_not_read_it_leaves_that_check_its_values(
+    monkeypatch,
+):
+    # at x1 = 0, dL/dx1 = sign(x1) raises while L and C(L) do not: the column
+    # call of L's fields raises once, and each check then reads the states by
+    # rows, only its own items, so the energy has its values and the residual
+    # the reference's error
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("0", names)])
+    lagrangian = ScalarField(1, parse("y1*y1 + abs(x1)", names))
+    deformed = DeformedLagrangian(lagrangian, synthesize(Affine(), (0.0, 1.0)))
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [1.0]))
+    traj = integrate_geodesic(spray, cfg)
+    failed = []
+    columns = Kernel.columns
+
+    def counted(kernel, stack):
+        try:
+            return columns(kernel, stack)
+        except ValueError:
+            failed.append(1)
+            raise
+
+    monkeypatch.setattr(Kernel, "columns", counted)
+    for lag in (lagrangian, deformed):
+        got, want = _check_bits(traj, lag)
+        assert got == want
+        assert got[0][0] != "error"
+        assert got[1][:3] == ("error", DomainViolation, "sign undefined at zero in 'sign(x1)'")
+    assert failed == [1]
+
+
+def test_a_trajectory_reads_each_lagrangian_and_each_deformation_on_its_own(monkeypatch):
+    # the trajectory keeps each checked L and Phi alive beside its lines, so a
+    # new L cannot take a dropped one's id and read its lines, and each
+    # deformation of one L gets its own chain, once
+    names = ("x1", "y1")
+    spray = SemiSpray(1, [parse("0.1*y1", names)])
+    cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.5], [1.0]))
+    traj = integrate_geodesic(spray, cfg)
+    for source in ("0.5*y1^2 + x1", "y1^2 - x1^2", "exp(y1) + 2*x1"):
+        lag = ScalarField(1, parse(source, names))
+        got, want = _check_bits(traj, lag)
+        assert got == want and got[0][0] != "error"
+        del lag, got, want
+    chains = []
+    chain = dynamics.chain
+    monkeypatch.setattr(dynamics, "chain", lambda phi, ts: chains.append(phi) or chain(phi, ts))
+    lagrangian = ScalarField(1, parse("0.5*y1^2", names))
+    phis = [synthesize(Constant(0.5), (0.0, 0.0)), synthesize(PowerShift(1.0, 2.0), (0.5, 1.0))]
+    for phi in phis:
+        got, want = _check_bits(traj, DeformedLagrangian(lagrangian, phi))
+        assert got == want and got[0][0] != "error"
+    assert chains == phis

@@ -119,4 +119,4 @@ def test_code_is_generated_only_for_rows_and_the_rk4_step():
     # generated RK4 step are compiled from source
     files = sorted((SRC / "lagdeform").rglob("*.py"))
     callers = [caller for path in files for caller in _callers(path, ("exec", "eval"))]
-    assert sorted(callers) == ["dynamics._rk4_step", "expressions._compile"]
+    assert sorted(callers) == ["dynamics._step_code", "expressions._compile"]

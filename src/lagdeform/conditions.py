@@ -37,7 +37,7 @@ from .geometry import (
     SemiSpray,
     energy,
     fiber_hessian,
-    homogeneity_degree,
+    homogeneity_degrees,
     liouville_apply,
     spray_apply,
     lagrange_differential,
@@ -847,19 +847,12 @@ def check_homogeneous(
     p > 1 on a spray, and d_J L wedge sigma = 0; then Phi = L^(1/p) works and
     the report carries the non-triviality of its Hessian combination."""
     lagrangian = derived.lagrangian
-    rows, params = samples.rows, derived.params
+    rows, n = samples.rows, sigma.n
 
-    degrees = {}
-    p_l = homogeneity_degree(lagrangian, rows, params, _TOL_DEGREE)
-    degrees["L"] = p_l
-    comp_degrees = []
-    for i, comp in enumerate(sigma.components):
-        deg = homogeneity_degree(ScalarField(sigma.n, comp), rows, params, _TOL_DEGREE)
-        degrees[f"sigma_{i + 1}"] = deg
-        if deg is not None:
-            comp_degrees.append(deg)
-    spray_ok = homogeneity_degree(derived.spray, rows, params, _TOL_DEGREE) == 2.0
-    degrees["spray"] = 2.0 if spray_ok else None
+    # one kernel of L, each force component and the spray, read in one column call
+    fields = (lagrangian, *(ScalarField(n, comp) for comp in sigma.components), derived.spray)
+    p_l, *comp, spray = homogeneity_degrees(fields, samples.stack, derived.kernel, _TOL_DEGREE)
+    degrees = {"L": p_l, **{f"sigma_{i + 1}": deg for i, deg in enumerate(comp)}, "spray": spray}
 
     if p_l is None:
         raise NotHomogeneous("Lagrangian is not fiber-homogeneous", degrees)
@@ -869,11 +862,10 @@ def check_homogeneous(
         )
     if p_l <= 1.0:
         raise NotHomogeneous("degree must exceed 1", degrees)
-    if any(abs(d - p_l) > _TOL_DEGREE * (1.0 + abs(p_l)) for d in comp_degrees):
+    if any(d is not None and abs(d - p_l) > _TOL_DEGREE * (1.0 + abs(p_l)) for d in comp):
         raise NotHomogeneous("force components have a different degree", degrees)
-    if not spray_ok:
+    if spray is None:
         raise NotHomogeneous("coefficients are not fiber-quadratic", degrees)
-    n = sigma.n
     vertical = derived.vertical.components
     kernel = derived.kernel((lagrangian.expr,) + tuple(vertical) + tuple(sigma.components))
     values, errors = ex.table(kernel, samples.stack)
@@ -913,7 +905,7 @@ def check_homogeneous(
 
     return HomogeneousReport(
         degree=p_round,
-        spray_is_spray=spray_ok,
+        spray_is_spray=spray == 2.0,
         wedge_residual=wedge,
         passed=passed,
         nontrivial=nontrivial,
@@ -961,7 +953,7 @@ def check_dissipative(
     gradient = ConditionReport.from_residuals("sigma_is_dJD", grad_res.tolist(), rows, rejected, tol)
     rate = ConditionReport.from_residuals("energy_rate_is_CD", rate_res.tolist(), rows, rejected, tol)
 
-    deg = homogeneity_degree(dissipation, rows, derived.params)
+    (deg,) = homogeneity_degrees((dissipation,), samples.stack, derived.kernel)
     rayleigh = deg is not None and abs(deg - 2.0) <= 1e-9
     rayleigh_rate = None
     negative = None

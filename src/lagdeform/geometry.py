@@ -191,49 +191,61 @@ def homogeneity_degree(
     exists (None otherwise). A row where F is not evaluable or not finite
     is skipped, and a scaled value that is neither gives None. For a
     :class:`SemiSpray`, returns 2.0 when all coefficients scale
-    quadratically, else None. Rows with ``y = 0`` are skipped.
+    quadratically, else None. Rows with ``y = 0`` are skipped. This is
+    :func:`homogeneity_degrees` of ``obj`` alone, with its own kernel."""
+    stack = np.array(rows, dtype=float).reshape(len(rows), 2 * obj.n).T
+    kernel_of = lambda roots: ex.compile(roots, ex.chart_names(obj.n), params)
+    return homogeneity_degrees((obj,), stack, kernel_of, tol)[0]
 
-    One kernel of the field or every spray coefficient is read in one column
-    call over the rows and the rows with ``y`` scaled by each ``r``. A value
-    that raises ``DomainViolation`` is NaN there, as the row scan treats it.
-    """
-    n = obj.n
-    roots = obj.coefficients if isinstance(obj, SemiSpray) else (obj.expr,)
-    stack = np.array(rows, dtype=float).reshape(len(rows), 2 * n).T
-    x, y = stack[:n], stack[n:]
+
+def homogeneity_degrees(fields: Sequence, stack, kernel_of, tol: float = 1e-9) -> list:
+    """:func:`homogeneity_degree` of each of ``fields`` at the columns of
+    ``stack``, from one column call of ``kernel_of`` of all their roots (a
+    spray's coefficients) over the columns and their ``y``-scaled copies.
+    Each field's errors other than ``DomainViolation`` are raised before its
+    scan, field by field, as a kernel per field would raise them."""
+    roots = [obj.coefficients if isinstance(obj, SemiSpray) else (obj.expr,) for obj in fields]
+    x, y = np.split(stack, 2)
     scaled = [np.concatenate((x, r * y)) for r in _HOMOGENEITY_RATIOS]
-    values, errors = ex.table(ex.compile(roots, ex.chart_names(n), params), np.hstack([stack] + scaled))
-    ex.kept(errors, 4 * len(rows), (ex.DomainViolation,))
-    lines = values.reshape(len(roots), 4, len(rows))  # per root: the rows, then each ratio's
-    moving = (y != 0.0).any(axis=0).tolist()
-    if isinstance(obj, SemiSpray):
-        for line in lines:
-            # a zero coefficient has no degree, and is quadratic
-            if _field_degree(line, moving, tol) != 2.0 and not (np.abs(line[0]) <= tol).all():
-                return None
-        return 2.0
-    return _field_degree(lines[0], moving, tol)
+    values, errors = ex.table(kernel_of(sum(roots, ())), np.hstack([stack] + scaled))
+    lines = values.reshape(len(values), 4, stack.shape[1])  # per root: the rows, then each ratio's
+    moving = (y != 0.0).any(axis=0)
+    degrees, stop = [], 0
+    for obj, own in zip(fields, roots):
+        start, stop = stop, stop + len(own)
+        own_errors = {key: e for key, e in errors.items() if start <= key[1] < stop}
+        ex.kept(own_errors, values.shape[1], (ex.DomainViolation,))
+        if isinstance(obj, SemiSpray):  # a zero coefficient has no degree, and is quadratic
+            quadratic = (
+                _field_degree(line, moving, tol) == 2.0 or (np.abs(line[0]) <= tol).all()
+                for line in lines[start:stop]
+            )
+            degrees.append(2.0 if all(quadratic) else None)
+        else:
+            degrees.append(_field_degree(lines[start], moving, tol))
+    return degrees
 
 
 def _field_degree(values, moving, tol) -> Optional[float]:
     """The degree of one root from its values at the rows, then at each
-    ratio's scaled rows, where ``moving`` (``y != 0``), as in :func:`homogeneity_degree`."""
+    ratio's scaled rows, where ``moving``: what a scan of the rows in order
+    gives, with the tests made on whole lines."""
+    lines = values[:, moving & np.isfinite(values[0]) & (np.abs(values[0]) >= 1e-12)]
     estimate = None
-    for moves, base, *scaled in zip(moving, *values.tolist()):
-        if not moves or not math.isfinite(base) or abs(base) < 1e-12:
-            continue
-        if not all(math.isfinite(v) for v in scaled):
-            return None
-        ratio = scaled[1] / base  # r = 2
-        if ratio <= 0.0:
-            return None
-        p_here = math.log(ratio) / math.log(2.0)
-        if estimate is None:
-            estimate = p_here
-        elif abs(p_here - estimate) > tol * (1.0 + abs(estimate)):
-            return None
-        for r, value in zip(_HOMOGENEITY_RATIOS, scaled):
-            want = math.pow(r, estimate) * base
-            if abs(value - want) > tol * (1.0 + abs(value) + abs(want)):
+    # the first usable row fixes the estimate and is read alone, as the row
+    # scan meets it: only its math.pow can overflow (an estimate above about
+    # 646 or below about -1023)
+    for base, *scaled in (lines[:, :1], lines[:, 1:]) if lines.shape[1] else ():
+        with np.errstate(all="ignore"):  # a float64 line gives inf or nan, not an error
+            ratio = scaled[1] / base  # r = 2
+            if not np.isfinite(scaled).all() or (ratio <= 0.0).any():
                 return None
+            p_here = np.fromiter(map(math.log, ratio.tolist()), float, len(ratio)) / math.log(2.0)
+            estimate = float(p_here[0]) if estimate is None else estimate
+            if (np.abs(p_here - estimate) > tol * (1.0 + abs(estimate))).any():
+                return None
+            for r, value in zip(_HOMOGENEITY_RATIOS, scaled):
+                want = math.pow(r, estimate) * base  # one math.pow per ratio, not per row
+                if (np.abs(value - want) > tol * (1.0 + np.abs(value) + np.abs(want))).any():
+                    return None
     return estimate

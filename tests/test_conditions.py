@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagdeform.conditions import (
@@ -56,6 +56,7 @@ from lagdeform.geometry import (
     SemiBasicForm,
     SemiSpray,
     fiber_hessian,
+    _field_degree,
     homogeneity_degree,
     lagrange_differential,
     liouville_apply,
@@ -1421,7 +1422,181 @@ def test_the_spray_degree_matches_the_dict_binding_reference(coefficients, top, 
     spray = SemiSpray(2, [parse(c, names) for c in coefficients])
     rows = draw_samples(plan_for(2, count=40, seed=9), Guards(), {}).rows
     rows = [row[:2] + [min(row[2], 1.6), row[3]] for row in rows] + [[1.0, 1.0, top, 1.0]]
-    assert homogeneity_degree(spray, rows) == _ref_spray_degree(spray, rows) == want
+    for ordered in (rows, rows[::-1]):
+        assert homogeneity_degree(spray, ordered) == _ref_spray_degree(spray, ordered) == want
+
+
+_XY2 = ("x1", "x2", "y1", "y2")
+
+
+@pytest.mark.parametrize(
+    "source, lead, want",
+    [
+        ("exp(x1)*(y1^2 + y2^2)", [], 2.0),
+        ("x2*y1^3 + y2^3", [], 3.0),
+        # sqrt raises at the lead row itself, so the row is skipped
+        ("sqrt(x1*y1 + y2)", [[1.0, 1.0, -2.0, -1.0]], 0.5),
+        ("x1 + x2", [], 0.0),
+        # -9e-14 at the lead row, below the size of a base the scan reads
+        ("y1^2 + y2^2 - 1e-13*x1", [[1.0, 1.0, 1e-7, 0.0]], 2.0),
+        ("y1^2 + y2", [], None),
+        # y1^2 + y2^2 where x1 >= 1, plus 2 (1 - x1) where x1 < 1
+        ("y1^2 + y2^2 + abs(x1 - 1) - (x1 - 1)", [[1.5, 1.0, 1.0, 1.0]], None),
+        # F(x, 2y) / F(x, y) = 2.5 / -0.5 at the lead row
+        ("y1^2 - 1.5", [[1.0, 1.0, 1.0, 1.0]], None),
+        # NaN at x1 = 1e200, where x1*x1 overflows: that row is skipped
+        ("y1*y1 + (x1*x1 - x1*x1)*y1", [[1e200, 1.0, 1.0, 1.0]], 2.0),
+        # at y1 = 2.2 only the row scaled by 3 leaves the domain of sqrt
+        ("(y1^2 + y2^2)*(sqrt(6.5 - y1)/sqrt(6.5 - y1))", [], 2.0),
+        ("(y1^2 + y2^2)*(sqrt(6.5 - y1)/sqrt(6.5 - y1))", [[1.0, 1.0, 2.2, 1.0]], None),
+    ],
+)
+def test_the_field_degree_matches_the_dict_binding_reference_in_either_order(source, lead, want):
+    rows = lead + draw_samples(plan_for(2, count=40, seed=9), Guards(), {}).rows
+    rows += [[1.0, 1.0, 0.0, 0.0]]  # y = 0: skipped
+    e = parse(source, _XY2)
+    for ordered in (rows, rows[::-1]):
+        got = homogeneity_degree(ScalarField(2, e), ordered)
+        assert _bits(got) == _bits(_ref_homogeneity_degree(e, 2, ordered, {}))
+        assert got == (None if want is None else pytest.approx(want, abs=1e-9))
+
+
+def test_only_the_first_usable_row_meets_the_overflow_of_its_estimate():
+    # at y1 = 1 the estimate is 660, and math.pow(3, 660) overflows; at
+    # y1 = 2 the field itself overflows once y1 is scaled, and gives None
+    e = parse("(0.9657*y1)^660", ("x1", "y1"))
+    rows = [[1.0, 1.0], [1.0, 2.0]]
+    for scan in (lambda r: homogeneity_degree(ScalarField(1, e), r), lambda r: _ref_homogeneity_degree(e, 1, r, {})):
+        with pytest.raises(OverflowError):
+            scan(rows)
+        assert scan(rows[::-1]) is None
+
+
+def _ref_field_degree(values, moving, tol=1e-9):
+    """_field_degree as a scan of the rows in order."""
+    estimate = None
+    for moves, base, *scaled in zip(moving, *values.tolist()):
+        if not moves or not math.isfinite(base) or abs(base) < 1e-12:
+            continue
+        if not all(math.isfinite(v) for v in scaled):
+            return None
+        ratio = scaled[1] / base
+        if ratio <= 0.0:
+            return None
+        p_here = math.log(ratio) / math.log(2.0)
+        if estimate is None:
+            estimate = p_here
+        elif abs(p_here - estimate) > tol * (1.0 + abs(estimate)):
+            return None
+        for r, value in zip((0.5, 2.0, 3.0), scaled):
+            want = math.pow(r, estimate) * base
+            if abs(value - want) > tol * (1.0 + abs(value) + abs(want)):
+                return None
+    return estimate
+
+
+_degree_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-13, -1.0, 1e-290, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.booleans(), _degree_values, _degree_values), max_size=6),
+    p=st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.0, 660.0, -1100.0]), st.floats(-1200.0, 1200.0)),
+    noisy=st.sets(st.integers(0, 17), max_size=2),
+)
+# numpy's log of this ratio is not math.log's on some machines
+@example(rows=[(True, 1.0, 1.2016290110429004)], p=math.log(1.2016290110429004) / math.log(2.0), noisy={1})
+# within the tolerance of r^p base only with |r^p base| in its scale
+@example(rows=[(True, 1e6, 9e6 * (1 + 1.5e-9))], p=2.0, noisy={2})
+def test_the_line_scan_gives_the_row_scans_degree_or_error(rows, p, noisy):
+    # each row: moving, its base and a noise value; a scaled value is
+    # r^p base, or the noise at the cells in ``noisy``; r^p is taken in two
+    # halves, so that a tiny base scales to a finite value where r^p overflows
+    moving = np.array([row[0] for row in rows], dtype=bool)
+    lines = [[base for _, base, _ in rows]]
+    for k, r in enumerate((0.5, 2.0, 3.0)):
+        line = []
+        for j, (_, base, noise) in enumerate(rows):
+            try:
+                half = math.pow(r, p / 2)
+            except OverflowError:
+                half = math.inf
+            line.append(noise if 3 * j + k in noisy else base * half * half)
+        lines.append(line)
+    values = np.array(lines, dtype=float).reshape(4, len(rows))
+    try:
+        want = _ref_field_degree(values, moving)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=str(exc)):
+            _field_degree(values, moving, 1e-9)
+    else:
+        assert _bits(_field_degree(values, moving, 1e-9)) == _bits(want)
+
+
+def _degrees_field_by_field(d, sigma, rows):
+    """check_homogeneous's ``degrees``, one homogeneity_degree call per field
+    with its own kernel: L, each force component, then the spray."""
+    degrees = {"L": homogeneity_degree(d.lagrangian, rows, d.params)}
+    for i, comp in enumerate(sigma.components):
+        degrees[f"sigma_{i + 1}"] = homogeneity_degree(ScalarField(sigma.n, comp), rows, d.params)
+    degrees["spray"] = homogeneity_degree(d.spray, rows, d.params)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "sigma_2, want",
+    [
+        ("y2*(y1 + y2)", "Lagrangian is not fiber-homogeneous"),
+        # k is bound nowhere: UnboundVariable, not a DomainViolation, where
+        # x2 <= 1, and so only at rows where sigma_1 raises first
+        ("sqrt(1 - x2)*k*y2*(y1 + y2)", ex.UnboundVariable),
+    ],
+)
+def test_the_degrees_from_one_kernel_keep_each_fields_errors(sigma_2, want):
+    # L leaves the domain of sqrt where 3 y1 > 5, only in the rows scaled by
+    # 3; sigma_1 leaves that of ln where x2 <= 1, in every scaling of a row
+    d = DerivedFields(
+        SemiSpray(2, [parse("0", _XY2)] * 2),
+        ScalarField(2, parse("(y1^2 + y2^2)*(sqrt(5 - y1)/sqrt(5 - y1))", _XY2)),
+    )
+    sigma = SemiBasicForm(2, [parse("y1*(y1 + y2)*ln(x2 - 1)", _XY2), parse(sigma_2, _XY2 + ("k",))])
+    samples = draw_samples(plan_for(2, count=40, seed=9), Guards(), {})
+    assert any(row[2] > 5 / 3 for row in samples.rows) and any(row[1] <= 1.0 for row in samples.rows)
+    try:
+        degrees = _degrees_field_by_field(d, sigma, samples.rows)
+    except Exception as exc:
+        assert type(exc) is want
+        with pytest.raises(want) as got:
+            check_homogeneous(d, sigma, samples)
+        assert str(got.value) == str(exc)
+        return
+    assert degrees == {"L": None, "sigma_1": pytest.approx(2.0, abs=1e-9), "sigma_2": 2.0, "spray": 2.0}
+    with pytest.raises(NotHomogeneous) as got:
+        check_homogeneous(d, sigma, samples)
+    assert got.value.degrees == degrees
+    assert str(got.value) == f"{want}; measured degrees: {degrees}"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_homogeneous_check_reads_every_degree_in_one_column_call(name, monkeypatch):
+    spec, d, _, samples = _run_inputs(name, 0)
+    sigma = spec.sigma if spec.sigma is not None else d.defect
+    calls = []
+    for owner, attr in ((ex.Kernel, "columns"), (ex, "compile"), (DerivedFields, "kernel")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, real=real, attr=attr: calls.append(attr) or real(*a))
+    try:
+        check_homogeneous(d, sigma, samples)
+        reads = 3  # the degrees, the wedge's fields and the Hessian combination
+    except NotHomogeneous:
+        reads = 1  # stopped at the degree gate
+    assert reads == (3 if name in ("homogeneous", "free-particle") else 1)
+    assert calls.count("columns") == reads
+    assert calls.count("compile") == calls.count("kernel") == reads
 
 
 # ---------------------------------------------------------------------------

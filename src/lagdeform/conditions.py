@@ -794,14 +794,14 @@ class HessianReport:
 def hessian_report(matrix: Callable, samples: Samples) -> HessianReport:
     """Evaluate ``matrix``, a callable ``row ->`` the n*n entries of an n x n
     matrix in row-major order, at the sampled rows: one ``matrix.columns``
-    call where it has one (the kernel of g, the deformed Hessian), else or
-    where that call raises one row at a time. Rank via singular values above
+    call (the kernel of g, the deformed Hessian), and one row at a time where
+    that call marks a row. Rank via singular values above
     ``_RANK_RTOL * s_max``, from one batched SVD. A row is skipped where its
     entries raise ``DomainViolation`` or ``ValueError`` (a deformed matrix's
     ``OutOfInterval``: Phi has no float value at L) or one is not finite."""
     stack = samples.stack
     n = len(stack) // 2
-    values, errors = ex.table(matrix, stack, n * n)
+    values, errors = ex.table(matrix, stack)
     kept = ex.kept(errors, len(samples.rows), (ex.DomainViolation, ValueError))
     kept &= np.isfinite(values).all(axis=0)
     if not kept.any():

@@ -11,6 +11,7 @@ symbolically, which gives the verification an exact independent route.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
@@ -176,20 +177,26 @@ def _base_triple(family, t, numerator, exp=math.exp, power=math.pow, log=math.lo
     raise TypeError(f"no closed form for {family!r}")
 
 
-def chain(phi, ts) -> np.ndarray:
-    """Lines Phi, Phi', Phi'' at the float64 column ``ts``: ``phi.triple`` at each
-    value in order, bit for bit and error for error. A closed form runs on the column
-    unless a value is outside its interval, math overflows or a line is not finite."""
-    if isinstance(phi, ClosedForm) and ((phi.interval[0] < ts) & (ts < phi.interval[1])).all():
+def chain(phi, ts):
+    """``(lines, marked)``: Phi, Phi', Phi'' at the float64 column ``ts``, bit for bit
+    ``phi.triple`` at each value, and the values where it raises. A closed form runs on
+    the column, and reads ``triple`` where it is outside its interval or not finite."""
+    lines, redo = np.empty((3, len(ts))), range(len(ts))
+    if isinstance(phi, ClosedForm):
+        # where math.exp, math.pow or math.log raises at a value, triple reads every value
+        with np.errstate(all="ignore"), suppress(ex._Failed):
+            lines = np.array(np.broadcast_arrays(*phi._at(ts, *_COLUMN)))
+            # where a float division by 0.0 raises, a column's is inf or nan
+            inside = (phi.interval[0] < ts) & (ts < phi.interval[1]) & np.isfinite(lines).all(axis=0)
+            redo = np.flatnonzero(~inside).tolist()
+    marked = set()
+    for j in redo:
         try:
-            with np.errstate(all="ignore"):
-                lines = np.array(np.broadcast_arrays(*phi._at(ts, *_COLUMN)))
-        except OverflowError:  # math.exp or math.pow at some value
-            lines = None
-        # where a float division by 0.0 raises, a column's is inf or nan
-        if lines is not None and np.isfinite(lines).all():
-            return lines
-    return np.array([phi.triple(t) for t in ts.tolist()], dtype=float).reshape(-1, 3).T
+            lines[:, j] = phi.triple(ts[j].item())
+        except (ArithmeticError, ValueError):  # OutOfInterval, or math's own error
+            lines[:, j] = math.nan
+            marked.add(j)
+    return lines, marked
 
 
 def _base_compose(family, L: ex.Expr, numerator) -> ex.Expr:
@@ -321,7 +328,7 @@ class _Chained:
     """``combine(chain, rest)`` of a kernel whose first root is L: ``chain``
     is Phi's ``triple`` at L, ``rest`` the other roots, at a row by
     ``chained(row)`` or at many by ``columns``, which takes the lines of
-    :func:`chain` at the L column."""
+    :func:`chain` at the L column and marks the rows either marks."""
 
     def __init__(self, kernel, deformation: Deformation, combine=lambda chain, rest: (*chain, *rest)):
         self.kernel = kernel
@@ -333,8 +340,9 @@ class _Chained:
         return self.combine(self.deformation.triple(v[0]), v[1:])
 
     def columns(self, stack):
-        values = self.kernel.columns(stack)
-        return self.combine(chain(self.deformation, values[0]), values[1:])
+        values, marked = self.kernel.columns(stack)
+        lines, failed = chain(self.deformation, values[0])
+        return self.combine(lines, values[1:]), marked | failed
 
 
 @dataclass
@@ -366,7 +374,7 @@ def verify_deformed_el(
     roots = (derived.lagrangian.expr, derived.spray_of_L.expr) + _interleaved(*forms)
     chained = _Chained(derived.kernel(roots), deformation)
     # Phi, Phi', Phi'', S(L), then the forms' components
-    values, errors = ex.table(chained, samples.stack, len(roots) + 2)
+    values, errors = ex.table(chained, samples.stack)
     kept = ex.kept(errors, len(samples.rows), (OutOfInterval, ex.DomainViolation))
     values = values[:, kept]
     _, d1, d2, sl = values[:4]

@@ -69,7 +69,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # rows (x1..xn, y1..yn)
     truncated: bool = False
-    # id of each checked base L -> (L, kernel, lines, {id of Phi: (Phi, chain)})
+    # id of each checked base L -> (L, lines, errors, {id of Phi: (Phi, chain, marked)})
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -183,53 +183,46 @@ def _base_of(lag: Lagrangianlike) -> ScalarField:
 
 
 def _fields(traj: Trajectory, base: ScalarField):
-    """``(kernel, lines)``: the fields ``L, C(L), dL/dy_1, dL/dx_1, ...,
-    dL/dy_n, dL/dx_n`` of ``base``, derived through one table and compiled as
-    one kernel, and their lines over the states from one column call, or
-    None where it raises."""
+    """:func:`ex.table` of the fields ``L, C(L), dL/dy_1, dL/dx_1, ...,
+    dL/dy_n, dL/dx_n`` of ``base`` over the states: one column call of one
+    kernel, the fields derived through one table, and ``kernel(row)`` at
+    each state that call marks."""
     table = {}
     fields = [base.expr, liouville_apply(base, table).expr]
     for i, momentum in enumerate(vertical_differential(base, table).components):
         fields += [momentum, ex.partial(base.expr, f"x{i + 1}", table)]
-    kernel = ex.compile(fields, ex.chart_names(traj.n), traj.params)
-    try:
-        return kernel, np.array(kernel.columns(traj.states.T))
-    except (ArithmeticError, ValueError, LookupError):
-        return kernel, None
+    return ex.table(ex.compile(fields, ex.chart_names(traj.n), traj.params), traj.states.T)
 
 
 def _along(traj: Trajectory, lag: Lagrangianlike, items: slice):
     """``(chain, values)`` over the states: ``chain`` is None for a plain L,
     else the lines ``Phi(L), Phi'(L), Phi''(L)``, and ``values`` holds the
-    lines ``items`` of :func:`_fields`, one value per state.
-
-    The trajectory keeps the fields' lines of each base L, read for every
-    check in one column call, and one :func:`chain` per deformation at the
-    L line. Where the column call raises, each check reads the states one
-    ``kernel(row)`` at a time, and of each only L and its own items, so the
-    first failing state fails as :func:`ex.evaluate` of L, ``triple`` and
-    then :func:`ex.evaluate` of each item, in that order, would fail there."""
+    lines ``items`` of :func:`_fields`, one value per state. The trajectory
+    keeps the fields' table of each base L for every check, and one
+    :func:`chain` per deformation. A check fails at the first state where L
+    under a deformation, ``triple`` or one of its items fails, with the
+    first of those errors, as evaluating each in that order would."""
     base = _base_of(lag)
     phi = lag.deformation if lag is not base else None
     # each entry holds its key alive, so that the id is not reused
     entry = traj.memo.get(id(base))
     if entry is None:
         entry = traj.memo[id(base)] = (base, *_fields(traj, base), {})
-    _, kernel, lines, chains = entry
-    if lines is None:
-        lines = np.full((len(kernel.roots), len(traj.times)), math.nan)
-        for j, row in enumerate(traj.states.tolist()):
-            v = kernel(row)
-            if phi is not None:
-                t = v[0]
-                phi.triple(t)
-                lines[0, j] = t
-            lines[items, j] = v[items]
-    if phi is None:
-        return None, lines[items]
-    if id(phi) not in chains:
-        chains[id(phi)] = (phi, chain(phi, lines[0]))
-    return chains[id(phi)][1], lines[items]
+    _, lines, errors, chains = entry
+    own = range(len(lines))[items]
+    failed = [key for key in errors if key[1] in own or key[1] == 0 and phi is not None]
+    phi_lines = None
+    if phi is not None:
+        if id(phi) not in chains:
+            chains[id(phi)] = (phi, *chain(phi, lines[0]))
+        _, phi_lines, marked = chains[id(phi)]
+        failed += [(j, 0.5) for j in marked]  # triple's, between L's and the items'
+    if failed:
+        j, k = min(failed)
+        if k == 0.5:
+            phi.triple(lines[0, j].item())  # raises, where chain marks the state
+        raise errors[j, k]
+    return phi_lines, lines[items]
 
 
 def el_residual_along(traj: Trajectory, lag: Lagrangianlike) -> float:

@@ -863,9 +863,8 @@ def _emit(roots: tuple, layout: tuple, constants: dict):
     Each distinct subtree (by structure, a sum's or a product's operands in
     either order) gets one slot, computed where the tree walk of the roots
     first computes it, by the call the walk makes, a denominator tested by
-    :func:`_nonzero` first. So the records raise plain ``LookupError``,
-    ``ArithmeticError`` or ``ValueError`` where the walk raises its own
-    errors, and on float64 columns, where any row would."""
+    :func:`_nonzero` first. So the records raise where the walk raises its
+    own errors, and on float64 columns mark the rows where it would."""
     position = {name: i for i, name in enumerate(layout)}
     ops, slots = [], [None]
     keys = {}  # structural key -> slot of the subtree's value
@@ -972,19 +971,32 @@ def _compile(roots: tuple, layout: tuple, constants: dict):
     return namespace.pop("compiled")
 
 
+class _Failed(ArithmeticError):
+    """A record's column, and the mask of its rows where the row code raises."""
+
+
 def _nonzero(d):
     # a float64 column would give inf or nan at a zero, not raise
     if np.count_nonzero(d == 0.0):
-        raise ZeroDivisionError
+        raise _Failed(d, d == 0.0) if isinstance(d, np.ndarray) else ZeroDivisionError
     return d
 
 
 def _each(f, column, *args):
-    # f of each value of a float64 column, one float at a time; f of any other value
+    # f of each value of a float64 column, one float at a time, and only where
+    # that raises, once more value by value to mark where; f of any other value
     if not isinstance(column, np.ndarray):
         return f(column, *args)
-    values = map(f, column.tolist(), *map(repeat, args))
-    return np.fromiter(values, dtype=float, count=len(column))
+    try:
+        return np.fromiter(map(f, column.tolist(), *map(repeat, args)), dtype=float, count=len(column))
+    except (ArithmeticError, ValueError, LookupError):
+        values, failed = column.copy(), np.zeros(len(column), dtype=bool)
+    for j, v in enumerate(column.tolist()):
+        try:
+            values[j] = f(v, *args)
+        except (ArithmeticError, ValueError, LookupError):
+            failed[j] = True
+    raise _Failed(values, failed)
 
 
 def _unbound(name: str):
@@ -1005,9 +1017,9 @@ class Kernel:
     own order meets its own errors in its own order.
 
     ``kernel.columns(stack)`` evaluates many rows at once by replaying
-    :func:`_emit`'s records of the roots over the stack. The row code is
-    compiled at the first row call and the records are built at the first
-    column call, so a kernel read only through columns compiles no code."""
+    :func:`_emit`'s records of the roots over the stack, and marks the rows
+    where the row code raises. The row code is compiled at the first row call
+    and the records at the first column call: columns compile no code."""
 
     __slots__ = ("roots", "names", "constants", "_run", "_ops")
 
@@ -1034,52 +1046,51 @@ class Kernel:
             return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})
 
     def columns(self, stack):
-        """The roots' values at many rows: ``stack`` is a 2-D float64 array
-        whose line ``i`` holds the values of ``names[i]``, one per row, and
-        the result holds one float64 array per root, equal bit for bit to the
-        items of ``kernel(row)`` at each row. Raises ``ArithmeticError``,
-        ``ValueError`` or ``LookupError`` where the row code raises at some
-        row; the caller then reads the rows through ``kernel(row)``. Each
-        record calls its function on the values in its slots, which live for
-        the call only."""
+        """``(lines, marked)``: one float64 line per root over the rows of the
+        2-D float64 ``stack``, whose line ``i`` holds the values of
+        ``names[i]``, and the set of the rows where the row code raises. At
+        every other row the lines equal the items of ``kernel(row)`` bit for
+        bit. The records' values live for the call only."""
         if self._ops is None:
             self._ops = _emit(self.roots, self.names, self.constants)
         ops, slots, outs = self._ops
         values = slots.copy()
         values[0] = stack
+        full = lambda v: np.full(stack.shape[1], v, dtype=float)  # a constant at each row
+        marked = frozenset()
         with np.errstate(all="ignore"):
             for f, out, operands in ops:
-                if len(operands) == 2:
-                    a, b = operands
-                    values[out] = f(values[a], values[b])
-                else:
-                    values[out] = f(*[values[s] for s in operands])
-        full = lambda v: np.full(stack.shape[1], v, dtype=float)  # a constant root
-        return tuple(v if isinstance(v, np.ndarray) else full(v) for v in map(values.__getitem__, outs))
+                try:
+                    if len(operands) == 2:
+                        a, b = operands
+                        values[out] = f(values[a], values[b])
+                    else:
+                        values[out] = f(*[values[s] for s in operands])
+                except (ArithmeticError, ValueError, LookupError) as exc:
+                    # at the rows it marks, or a record of constants at every row
+                    values[out], rows = exc.args if isinstance(exc, _Failed) else (math.nan, full(1.0))
+                    marked = marked.union(np.flatnonzero(rows).tolist())
+        lines = tuple(v if isinstance(v, np.ndarray) else full(v) for v in map(values.__getitem__, outs))
+        return lines, marked
 
 
-def table(read, stack, width: Optional[int] = None):
-    """``(values, errors)`` of ``read`` (a :class:`Kernel`, or a callable
-    ``row -> items`` with or without ``columns``) at the columns of
-    ``stack``: one float64 line per item from one column call, or where it
-    raises, from ``read(row)`` at each row: an item that raises is NaN, and
-    ``errors[row, item]`` keeps its error, in row then item order."""
-    width = len(read.roots) if width is None else width
-    if hasattr(read, "columns"):
-        try:
-            return np.array(read.columns(stack), dtype=float), {}
-        except (ArithmeticError, ValueError, LookupError):
-            pass
-    rows = stack.T.tolist()
-    values = np.full((width, len(rows)), math.nan)
+def table(read, stack):
+    """``(values, errors)`` of ``read`` (a :class:`Kernel`, or anything with
+    its ``read(row)`` and ``read.columns(stack)``) at the columns of
+    ``stack``: one float64 line per item from one column call, and at each
+    row it marks, the items of ``read(row)``: an item that raises is NaN,
+    and ``errors[row, item]`` keeps its error, in row then item order."""
+    lines, marked = read.columns(stack)
+    values = np.array(lines, dtype=float)
     errors = {}
-    for j, row in enumerate(rows):
-        items = None
-        for k in range(width):
+    for j in sorted(marked):
+        row, items = stack[:, j].tolist(), None
+        for k in range(len(values)):
             try:
                 items = read(row) if items is None else items  # a call may raise
                 values[k, j] = items[k]
             except Exception as exc:  # met only where the check reaches the row
+                values[k, j] = math.nan
                 errors[j, k] = exc
     return values, errors
 

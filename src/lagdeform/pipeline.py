@@ -655,18 +655,10 @@ def report_to_text(doc: ReportDocument) -> str:
         lines.append(
             f"verify expansion agreement: {_fmt(doc.verify.agreement_max)}"
         )
-    if doc.base_hessian is not None:
-        h = doc.base_hessian
-        lines.append(
-            f"hessian L: rank {h.min_rank}..{h.max_rank}, "
-            f"nontrivial={'yes' if h.nontrivial else 'no'}"
-        )
-    if doc.deformed_hessian_report is not None:
-        h = doc.deformed_hessian_report
-        lines.append(
-            f"hessian Phi(L): rank {h.min_rank}..{h.max_rank}, "
-            f"nontrivial={'yes' if h.nontrivial else 'no'}"
-        )
+    for label, h in (("L", doc.base_hessian), ("Phi(L)", doc.deformed_hessian_report)):
+        if h is not None:
+            nontrivial = "yes" if h.nontrivial else "no"
+            lines.append(f"hessian {label}: rank {h.min_rank}..{h.max_rank}, nontrivial={nontrivial}")
     if doc.theorem2 is not None:
         t2 = doc.theorem2
         status = "pass" if t2.passed else "FAIL"

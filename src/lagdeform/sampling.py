@@ -112,15 +112,14 @@ class Guards:
 
     def admit(self, block, params: Optional[dict], eps: float):
         """:meth:`admits` at each column of ``block``, from one column call of
-        the guard kernel, or where it raises, at each row in turn."""
+        the guard kernel, and at each row it marks, from :meth:`admits`."""
         kernel = cached_kernel(self._kernels, self._roots(), len(block) // 2, params)
-        try:
-            values = kernel.columns(block)
-        except (ArithmeticError, ValueError, LookupError):
-            return [self.admits(row, params, eps) for row in block.T.tolist()]
+        values, marked = kernel.columns(block)
         ok = np.ones(block.shape[1], dtype=bool)
         for k, v in enumerate(values):  # the nonzero roots after the evaluable
             ok &= np.isfinite(v) & ((k < len(self.evaluable)) | (np.abs(v) > eps))
+        for j in sorted(marked):
+            ok[j] = self.admits(block[:, j].tolist(), params, eps)
         return ok
 
     def _roots(self) -> tuple:

@@ -61,7 +61,7 @@ from lagdeform.geometry import (
     lagrange_differential,
     liouville_apply,
 )
-from lagdeform.pipeline import problem_from_dict, run_pipeline
+from lagdeform.pipeline import emit_report, problem_from_dict, run_pipeline
 from lagdeform.sampling import (
     Guards,
     GuardViolation,
@@ -183,7 +183,8 @@ def test_samples_build_one_read_only_stack_of_their_rows():
     stack = samples.stack
     assert stack is samples.stack and not stack.flags.writeable
     assert stack.T.tolist() == samples.rows
-    (x1,) = ex.compile([parse("x1", ("x1", "y1"))], ("x1", "y1")).columns(stack)
+    (x1,), marked = ex.compile([parse("x1", ("x1", "y1"))], ("x1", "y1")).columns(stack)
+    assert marked == set()
     assert np.shares_memory(x1, stack)
     for view in (stack, x1):
         with pytest.raises(ValueError, match="read-only"):
@@ -236,8 +237,8 @@ def _draw_outcome(plan, guards, params):
         # |x1 - 1| <= 0.25 and the overflow of 1e308 y1^2 to inf for
         # y1 > 1.34 reject part of the box, and no column call raises
         pytest.param("x1 - 1", "1e308*y1*y1", 0.25, 150, False, False, id="part-of-the-box"),
-        # ln(x1 - 1) raises DomainViolation at x1 <= 1: the blocks that
-        # meet such a row are read row by row through Guards.admits
+        # ln(x1 - 1) raises DomainViolation at x1 <= 1: the column calls
+        # mark such rows, and only they are read through Guards.admits
         pytest.param("y1 - 1", "ln(x1 - 1)", 1e-6, 150, True, False, id="domain-violation"),
         # only x1 within 0.005 of the box's ends passes: a few rows are
         # accepted before the 500 attempts of 10 rows' budget run out, so
@@ -253,6 +254,11 @@ def test_block_draw_matches_one_draw_and_one_admits_per_attempt(
         nonzero=(ScalarField(1, parse(nonzero, names)),), evaluable=(parse(evaluable, names),)
     )
     plan = plan_for(1, count=count, seed=17, guard_eps=eps)
+    calls = []
+    admits = Guards.admits
+    monkeypatch.setattr(
+        Guards, "admits", lambda self, row, *args: calls.append(row) or admits(self, row, *args)
+    )
     try:
         reference = _ref_draw(plan, guards, {})
     except TooManyRejections as exc:
@@ -261,11 +267,22 @@ def test_block_draw_matches_one_draw_and_one_admits_per_attempt(
     else:
         want = (_bits(reference.rows), reference.attempts)
         assert not exhausted and reference.attempts > count
-    calls = []
-    admits = Guards.admits
-    monkeypatch.setattr(Guards, "admits", lambda *args: calls.append(args) or admits(*args))
+    # the reference reads every attempt; the blocks read the same rows, and
+    # only those where a guard's walk raises through admits
+    raising = [row for row in calls if _walk_raises(guards, row)]
+    calls.clear()
     assert _draw_outcome(plan, guards, {}) == want
+    assert calls == raising
     assert bool(calls) == row_path
+
+
+def _walk_raises(guards, row):
+    try:
+        for root in guards.evaluable + tuple(f.expr for f in guards.nonzero):
+            ex.evaluate(root, binding(row, len(row) // 2))
+    except ex.DomainViolation:
+        return True
+    return False
 
 
 def test_draw_samples_high_acceptance_for_damped_oscillator():
@@ -1349,6 +1366,85 @@ def test_checks_meet_raising_rows_as_the_dict_binding_references_do(bad):
         assert raised[:3] != [None] * 3
 
 
+def _every_row_marked(run):
+    """``run()`` with every column call marking all of its rows, so that each
+    check reads every row through ``kernel(row)``, as no column call could."""
+    columns = ex.Kernel.columns
+    with pytest.MonkeyPatch.context() as m:
+        every = lambda kernel, stack: (columns(kernel, stack)[0], frozenset(range(stack.shape[1])))
+        m.setattr(ex.Kernel, "columns", every)
+        return run()
+
+
+@pytest.mark.parametrize("k", [0, 2], ids=["in-order", "rotated"])
+def test_the_raising_rows_give_each_check_the_same_outcome_with_every_row_marked(k):
+    # reading only the rows a column call marks, and not every row, moves no
+    # bit, count or error of any check
+    names = ("x1", "y1")
+    d = DerivedFields(
+        SemiSpray(1, [parse("ln(y1 + 1)*y1", names)]),
+        ScalarField(1, parse("0.5*y1^2 + x1*y1 + sqrt(x1 - 1)", names)),
+    )
+    sigma = SemiBasicForm(1, [parse("y1/(x1 - 1.25)", names)])
+    deformation = synthesize(Logarithmic(0.2), (0.0, 1.0))
+    rows = _GOOD_ROWS[:4] + _RAISING_ROWS[k:] + _RAISING_ROWS[:k] + _GOOD_ROWS[4:]
+    samples = Samples(rows, len(rows) + 3)
+    checks = [
+        lambda: check_sigma_consistency(d, sigma, samples),
+        lambda: check_sigma_condition(d, sigma, samples),
+        lambda: functional_dependence_test(d, samples, plan_for(1, count=len(rows))).cloud,
+        lambda: verify_deformed_el(d, deformation, samples),
+        lambda: deformed_hessian(d, deformation, samples),
+        lambda: check_dissipative(d, ScalarField(1, parse("y1^2", names)), samples),
+        lambda: hessian_report(matrix_kernel([[d.lagrangian.expr]]), samples),
+        lambda: check_homogeneous(d, sigma, samples),
+    ]
+    raised = [_same_outcome(lambda: _every_row_marked(check), check) for check in checks]
+    assert None in raised and raised.count(None) < len(raised)
+
+
+def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeypatch):
+    # with c = 5, ln(b Q - c) is not evaluable on part of the box: the report
+    # is the one every row marked gives, and ex.table and Guards.admit read
+    # through kernel(row) exactly the rows whose row code raises, once each
+    data = json.loads(corpus_text("exp-class"))
+    data["params"]["c"] = 5.0
+    spec = problem_from_dict(data)
+    want = _every_row_marked(lambda: emit_report(run_pipeline(spec), "json"))
+    calls, raising, scope = [], [], []
+    columns, call = ex.Kernel.columns, ex.Kernel.__call__
+
+    def counted_columns(kernel, stack):
+        for row in stack.T.tolist() if scope else ():
+            try:
+                kernel.row_code()(row)
+            except (ArithmeticError, ValueError, LookupError):
+                raising.append(row)
+        return columns(kernel, stack)
+
+    def counted_call(kernel, row):
+        if scope:
+            calls.append(row)
+        return call(kernel, row)
+
+    def scoped(f):
+        def run(*args):
+            scope.append(f)
+            try:
+                return f(*args)
+            finally:
+                scope.pop()
+
+        return run
+
+    monkeypatch.setattr(ex.Kernel, "columns", counted_columns)
+    monkeypatch.setattr(ex.Kernel, "__call__", counted_call)
+    monkeypatch.setattr(ex, "table", scoped(ex.table))
+    monkeypatch.setattr(Guards, "admit", scoped(Guards.admit))
+    assert emit_report(run_pipeline(spec), "json") == want
+    assert raising and calls == raising
+
+
 @pytest.mark.parametrize(
     "bad, want",
     [
@@ -1671,17 +1767,31 @@ def test_a_nan_lagrangian_is_not_positive_in_the_homogeneous_check():
         check_homogeneous(d, sigma, _nan_samples(1))
 
 
+class _ByRows:
+    """``read(row)`` behind a column call that marks every row, so that
+    :func:`ex.table` reads each row through ``read(row)``."""
+
+    def __init__(self, read, width: int):
+        self.read, self.width = read, width
+
+    def __call__(self, row):
+        return self.read(row)
+
+    def columns(self, stack):
+        return np.full((self.width, stack.shape[1]), math.nan), frozenset(range(stack.shape[1]))
+
+
 def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
     # at x1 = 1e200 the cell is NaN, with no DomainViolation, where a batched
     # SVD of the stack would not converge; the matrix is read as a kernel
-    # and as a callable that reads the kernel's one item
+    # and, row by row, as a callable that reads the kernel's one item
     names = ("x1", "y1")
     cell = parse(f"{_NAN_AT_1E200} + y1", names)
     samples = _nan_samples(1)
     kernel = matrix_kernel([[cell]])
     reports = [
         hessian_report(kernel, samples),
-        hessian_report(lambda row: (kernel(row)[0],), samples),
+        hessian_report(_ByRows(lambda row: (kernel(row)[0],), 1), samples),
     ]
     for report in reports:
         assert report.samples == 1
@@ -1692,7 +1802,7 @@ def test_a_nan_hessian_cell_skips_its_point_in_both_branches():
 def test_both_hessian_inputs_skip_raising_and_nan_rows_in_one_loop():
     # a 2 x 2 matrix with a cell that raises at x1 = -1 and one that is NaN
     # at x1 = 1e200, as a kernel of its row-major entries (whose walk raises
-    # when it is read) and as a callable that raises itself
+    # when it is read) and, row by row, as a callable that raises itself
     names = ("x1", "x2", "y1", "y2")
     matrix = [
         [parse("y1", names), parse(f"sqrt(x1) + ({_NAN_AT_1E200})", names)],
@@ -1702,7 +1812,7 @@ def test_both_hessian_inputs_skip_raising_and_nan_rows_in_one_loop():
     rows = [[1.0, 1.0, 3.0, 1.0], [-1.0, 1.0, 1.0, 1.0], [1e200, 1.0, 1.0, 1.0]]
     reports = [
         hessian_report(kernel, Samples(rows, 3)),
-        hessian_report(lambda row: tuple(kernel(row)), Samples(rows, 3)),
+        hessian_report(_ByRows(lambda row: tuple(kernel(row)), 4), Samples(rows, 3)),
     ]
     for report in reports:
         # only the first row is kept: [[3, 1], [6, 1]], of rank 2

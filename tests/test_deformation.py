@@ -522,14 +522,16 @@ def _triples(phi, ts):
 )
 def test_phi_at_a_column_is_its_triple_at_each_value_bit_for_bit(monkeypatch, phi):
     ts, want = _triples(phi, _candidates(phi))
-    assert chain(phi, ts).tobytes() == want.tobytes()
+    lines, marked = chain(phi, ts)
+    assert lines.tobytes() == want.tobytes() and marked == set()
     lo, hi = phi.interval
     assert len(ts) > 8 and (np.signbit(ts[:2]).tolist() == [False, True]) == (lo < 0.0 < hi)
     # where every value is finite, the column is computed with no triple call
     finite = ts[np.isfinite(want).all(axis=0)]
     assert len(finite) > 6
     monkeypatch.setattr(ClosedForm, "triple", _no_triple)
-    assert chain(phi, finite).tobytes() == want[:, np.isfinite(want).all(axis=0)].tobytes()
+    lines, marked = chain(phi, finite)
+    assert lines.tobytes() == want[:, np.isfinite(want).all(axis=0)].tobytes() and marked == set()
 
 
 def _no_triple(phi, t):
@@ -552,15 +554,19 @@ def _power_shift():
         pytest.param(*_logarithmic_at_its_edge(), None, id="logarithmic-denominator"),
     ],
 )
-def test_a_column_with_a_raising_value_raises_as_its_first_failing_triple(
-    phi, good, bad, later
-):
-    # a later value fails in the same way, where one does
+def test_a_column_marks_exactly_the_values_whose_triple_raises(phi, good, bad, later):
+    # a later value fails in the same way, where one does; the others keep
+    # their triples' bits, and the first marked value raises as its triple
     later = bad if later is None else later
     with pytest.raises(OutOfInterval) as first:
         phi.triple(bad)
+    ts = np.array([good, good, bad, good, later, good])
+    lines, marked = chain(phi, ts)
+    assert marked == {2, 4}
+    assert np.isnan(lines[:, [2, 4]]).all()
+    assert lines[:, [0, 1, 3, 5]].T.tobytes() == np.array([phi.triple(good)] * 4).tobytes()
     with pytest.raises(OutOfInterval) as exc:
-        chain(phi, np.array([good, good, bad, good, later, good]))
+        phi.triple(ts[min(marked)].item())
     assert str(exc.value) == str(first.value)
     assert repr(exc.value.t) == repr(bad)
 

@@ -783,25 +783,23 @@ def _check_bits(traj, lag):
 def test_a_field_failing_where_a_check_does_not_read_it_leaves_that_check_its_values(
     monkeypatch,
 ):
-    # at x1 = 0, dL/dx1 = sign(x1) raises while L and C(L) do not: the column
-    # call of L's fields raises once, and each check then reads the states by
-    # rows, only its own items, so the energy has its values and the residual
-    # the reference's error
+    # at x1 = 0, dL/dx1 = sign(x1) raises while L and C(L) do not: the one
+    # column call of L's fields marks that state alone, and each check then
+    # reads it by rows, only its own items, so the energy has its values and
+    # the residual the reference's error
     names = ("x1", "y1")
     spray = SemiSpray(1, [parse("0", names)])
     lagrangian = ScalarField(1, parse("y1*y1 + abs(x1)", names))
     deformed = DeformedLagrangian(lagrangian, synthesize(Affine(), (0.0, 1.0)))
     cfg = IntegratorConfig(step=0.1, horizon=1.0, initial=PhasePoint([0.0], [1.0]))
     traj = integrate_geodesic(spray, cfg)
-    failed = []
+    marks = []
     columns = Kernel.columns
 
     def counted(kernel, stack):
-        try:
-            return columns(kernel, stack)
-        except ValueError:
-            failed.append(1)
-            raise
+        lines, marked = columns(kernel, stack)
+        marks.append(marked)
+        return lines, marked
 
     monkeypatch.setattr(Kernel, "columns", counted)
     for lag in (lagrangian, deformed):
@@ -809,7 +807,7 @@ def test_a_field_failing_where_a_check_does_not_read_it_leaves_that_check_its_va
         assert got == want
         assert got[0][0] != "error"
         assert got[1][:3] == ("error", DomainViolation, "sign undefined at zero in 'sign(x1)'")
-    assert failed == [1]
+    assert marks == [{0}] and traj.states[0, 0] == 0.0
 
 
 def test_a_trajectory_reads_each_lagrangian_and_each_deformation_on_its_own(monkeypatch):

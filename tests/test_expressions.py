@@ -455,25 +455,24 @@ def _value_bits(v):
 
 
 def _assert_columns_match_rows(kernel, rows):
-    """The stacked ``rows`` as columns give the bits of ``kernel(row)`` at
-    each row (any nan alike), or the column call raises and the compiled
-    code of some row raises too, so that ``kernel(row)`` walks it."""
+    """The stacked ``rows`` as columns mark exactly the rows whose compiled
+    code raises, so that ``kernel(row)`` walks them, and give the bits of
+    ``kernel(row)`` at every other row (any nan alike). Returns the marked
+    rows."""
     rows = [[float(v) for v in row] for row in rows]
     stack = np.array(rows, dtype=float).reshape(len(rows), len(kernel.names)).T
     with np.errstate(all="ignore"):  # a constant may be a float64
         per_row = [kernel(row) for row in rows]
-    try:
-        columns = kernel.columns(stack)
-    except (ArithmeticError, ValueError, LookupError):
-        assert not all(isinstance(values, tuple) for values in per_row)
-        return
-    assert all(isinstance(values, tuple) for values in per_row)
+    columns, marked = kernel.columns(stack)
+    assert marked == {j for j, values in enumerate(per_row) if not isinstance(values, tuple)}
     assert len(columns) == len(kernel.roots)
     for column in columns:
         assert isinstance(column, np.ndarray) and column.dtype == np.float64
         assert column.shape == (len(rows),)
     for j, values in enumerate(per_row):
-        assert [_value_bits(c[j]) for c in columns] == [_value_bits(v) for v in values]
+        if j not in marked:
+            assert [_value_bits(c[j]) for c in columns] == [_value_bits(v) for v in values]
+    return marked
 
 
 _NAMES = ("x1", "x2", "y1", "y2")
@@ -550,24 +549,28 @@ def test_columns_of_signed_zeros_nan_and_inf_match_each_row():
         kernel = compile(roots, names, constants)
         finite = [[2.0, -0.0], [-0.0, 3.0], [1e300, 1e300], [0.25, -7.5]]
         special = [[math.inf, 1.0], [math.nan, 2.0], [4.0, -math.inf], [1e-310, math.nan]]
-        _assert_columns_match_rows(kernel, finite)
+        # sign(-0.0), y1/-0.0 and exp(1e300) raise
+        assert _assert_columns_match_rows(kernel, finite) == {0, 1, 2}
         _assert_columns_match_rows(kernel, finite + special)
         # one lane alone raises: a zero denominator, or a non-integer power
-        # of a negative base, or sign(0)
+        # of a negative base, or sign(0); the mask adds exactly that lane
         for lane in ([0.0, 1.0], [-0.0, 1.0], [-4.0, 1.0], [1.0, 0.0]):
             _assert_columns_match_rows(kernel, finite + [lane] + special)
-            with pytest.raises((ArithmeticError, ValueError)):
-                kernel.columns(np.array(finite + [lane]).T)
+            _, marked = kernel.columns(np.array(finite + [lane]).T)
+            assert marked == {0, 1, 2, 4}
+            _, marked = kernel.columns(np.array(finite[3:] + [lane]).T)
+            assert marked == {1}
     # numpy's own power and transcendental functions differ from math's in
     # the last bit at some of these rows
     powers = compile([parse("x1^3.0 + y1^2.0 + exp(x1) + ln(y1) + x1^0.7", names)], names)
     draws = np.random.default_rng(3).uniform(0.1, 9.0, size=(2000, 2))
     _assert_columns_match_rows(powers, draws.tolist())
     # no rows at all, and a kernel of no names
-    empty = compile(roots, names, {"a": 1.0}).columns(np.zeros((2, 0)))
-    assert [column.shape for column in empty] == [(0,)] * len(roots)
+    empty, marked = compile(roots, names, {"a": 1.0}).columns(np.zeros((2, 0)))
+    assert [column.shape for column in empty] == [(0,)] * len(roots) and marked == set()
     constant = compile([parse("a + 1", ("a",))], (), {"a": 1.0})
-    assert constant.columns(np.zeros((0, 3)))[0].tolist() == [2.0, 2.0, 2.0]
+    (line,), marked = constant.columns(np.zeros((0, 3)))
+    assert line.tolist() == [2.0, 2.0, 2.0] and marked == set()
 
 
 def test_float64_zero_denominator_is_domain_violation():
@@ -703,7 +706,7 @@ def test_compile_emits_a_node_shared_by_identity_once():
     assert len(kernel.row_code().__code__.co_varnames) == 1 + 41
     ops, _, _ = _emit((e,), ("x1",), {})
     assert [f for f, _, _ in ops] == [operator.getitem] + [operator.add] * 40
-    assert kernel.columns(np.array([[1.0, -0.5]]))[0].tolist() == [2.0**40, -(2.0**39)]
+    assert kernel.columns(np.array([[1.0, -0.5]]))[0][0].tolist() == [2.0**40, -(2.0**39)]
 
 
 @pytest.mark.parametrize("columns", [False, True], ids=["row", "column"])
@@ -724,7 +727,7 @@ def test_a_sum_or_product_and_its_swap_compile_to_one_local(columns):
             code = _compile(roots, ("x1", "x2"), {})
             assert len(code.__code__.co_varnames) == 1 + 2 + distinct
         with np.errstate(all="ignore"):
-            got = [kernel.columns(stack)] if columns else [code(row) for row in rows]
+            got = [kernel.columns(stack)[0]] if columns else [code(row) for row in rows]
         assert all((a is b) == (distinct == 1) for a, b in got)
         want = [[evaluate(root, {"x1": a, "x2": b}) for root in roots] for a, b in rows]
         values = np.array(got[0]).T if columns else np.array(got)
@@ -738,8 +741,8 @@ def test_each_code_is_compiled_at_its_first_call_only(compile_calls):
     # read only through columns: no code at all, the records built once
     kernel = compile(roots, names)
     assert compile_calls == []
-    first = kernel.columns(stack)
-    again = kernel.columns(stack[:, :1])
+    first, _ = kernel.columns(stack)
+    again, _ = kernel.columns(stack[:, :1])
     assert compile_calls == ["_emit"]
     assert [c[:1].tolist() for c in first] == [c.tolist() for c in again]
     # read by rows: the row code once, also where a row falls back to a
@@ -904,7 +907,7 @@ def test_column_records_hold_no_node_and_free_their_columns(source):
     tracemalloc.start()
     try:
         kernel = compile([e], ("x1", "y1"), {"a": a})
-        column = kernel.columns(stack)[0]
+        (column,), _ = kernel.columns(stack)
         assert column[0] == e.evaluate({"x1": stack[0, 0], "y1": stack[1, 0], "a": a})
         ops, slots, outs = kernel._ops
         held = slots + outs + [item for record in ops for item in (record[0], *record[2])]

@@ -15,6 +15,7 @@ refinement sigma = d_J D with S(E_L) = C(D).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -617,55 +618,106 @@ def _rms(values: np.ndarray) -> float:
 class _Model(NamedTuple):
     """A slope model ``value(ls, theta)`` with its Jacobian in closed form.
 
-    ``value`` is plain arithmetic, so it evaluates on a whole array of L
-    values and also on one L with :class:`~lagdeform.expressions.Dual`
-    parameters; the tests use the latter as the oracle for ``jacobian``.
+    ``value`` is plain arithmetic on the parameters ``theta``, a sequence
+    of ``p`` items, so it broadcasts: with items of shape ``(S, 1)`` (a
+    stack of S parameter sets, as :func:`_columns` gives) it evaluates on
+    the whole array of L values at once, and it evaluates on one L with
+    :class:`~lagdeform.expressions.Dual` parameters; the tests use the
+    latter as the oracle for ``jacobian``.
     """
 
     value: Callable
-    jacobian: Callable  # (ls, theta) -> array of shape (len(ls), len(theta))
+    jacobian: Callable  # (ls, theta) -> array of shape theta's stack + (len(ls), p)
 
 
-def _gauss_newton(model: _Model, theta0, ls, fs):
-    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud at once.
+def _columns(thetas):
+    """The ``(S, p)`` parameter stack as the ``p`` items a model reads, each of shape ``(S, 1)``."""
+    return [thetas[:, k, None] for k in range(thetas.shape[1])]
+
+
+def _costs(model: _Model, thetas, ls, fs):
+    """The residual rows and each row's :func:`_rms`, bit for bit: one
+    pairwise sum per contiguous row."""
+    r = model.value(ls, _columns(thetas)) - fs
+    return r, np.sqrt(np.add.reduce(r * r, axis=1) / len(ls))
+
+
+def _normal(model: _Model, ls, thetas, residuals):
+    """``J^T J`` and ``J^T r`` of each row of the stack: one Jacobian, and per slice
+    the products of one start (``syrk`` and ``gemv`` in BLAS)."""
+    jac = model.jacobian(ls, _columns(thetas))
+    jt = jac.swapaxes(1, 2)
+    return jt @ jac, jt @ residuals[:, :, None]
+
+
+def _solve(a, b):
+    """``np.linalg.solve`` of each slice: one stacked call, or where some
+    slice is singular, one call per slice, with NaN for a singular one."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, math.nan)
+        for i in range(len(a)):
+            with suppress(np.linalg.LinAlgError):
+                x[i] = np.linalg.solve(a[i], b[i])
+        return x
+
+
+def _gauss_newton(model: _Model, starts: list, ls, fs) -> list:
+    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud from each of
+    ``starts``, with ``(theta, cost)`` per start.
+
+    The starts run in lockstep as the rows of one ``(S, p)`` block. A tick
+    makes one try for each running start: one Jacobian of the starts that
+    begin an iteration, then one stacked solve and one stacked cost. Each
+    start keeps its own damping, try count and step count, and leaves the
+    block after ``_GN_ITERATIONS`` steps, at a cost below 1e-15, or after 8
+    straight rejected tries. The matrix products and solves of a stack are
+    per slice those of one start, so each start ends, bit for bit, where it
+    would alone.
 
     A start whose cost is not finite, as when a denominator is exactly zero
     somewhere in the cloud, returns ``(theta0, inf)``. A step is accepted
-    only when its cost is lower, so a step to a non-finite cost never is."""
-    theta = np.array(theta0, dtype=float)
-    eye = np.eye(len(theta))
-
-    def cost_of(th):
-        r = model.value(ls, th) - fs
-        return r, _rms(r)
-
+    only when its cost is lower, so a step to a non-finite cost never is,
+    nor the NaN step of a singular slice."""
+    if not starts:
+        return []
+    thetas = np.array(starts, dtype=float)
+    found = [(theta, math.inf) for theta in thetas.copy()]
+    eye = np.eye(thetas.shape[1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        residuals, cost = cost_of(theta)
-        if not math.isfinite(cost):
-            return theta, math.inf
-        lam = 1e-3
-        for _ in range(_GN_ITERATIONS):
-            jac = model.jacobian(ls, theta)
-            jtj = jac.T @ jac
-            jtr = jac.T @ residuals
-            stepped = False
-            for _ in range(8):
-                try:
-                    delta = np.linalg.solve(jtj + lam * eye, -jtr)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                candidate = theta + delta
-                cand_res, cand_cost = cost_of(candidate)
-                if cand_cost < cost:
-                    theta, residuals, cost = candidate, cand_res, cand_cost
-                    lam = max(lam * 0.3, 1e-12)
-                    stepped = True
-                    break
-                lam *= 10.0
-            if not stepped or cost < 1e-15:
-                break
-    return theta, cost
+        residuals, cost = _costs(model, thetas, ls, fs)
+        rows = np.flatnonzero(np.isfinite(cost)).tolist()
+        thetas, residuals, cost = thetas[rows], residuals[rows], cost[rows]
+        lam, tries, steps = [1e-3] * len(rows), [0] * len(rows), [0] * len(rows)
+        while rows:
+            fresh = [t == 0 for t in tries]  # the starts that begin an iteration
+            if all(fresh):
+                jtj, jtr = _normal(model, ls, thetas, residuals)
+            elif any(fresh):
+                jtj[fresh], jtr[fresh] = _normal(model, ls, thetas[fresh], residuals[fresh])
+            delta = _solve(jtj + np.array(lam)[:, None, None] * eye, -jtr)
+            candidates = thetas + delta[:, :, 0]
+            cand_res, cand_cost = _costs(model, candidates, ls, fs)
+            better = cand_cost < cost
+            if better.all():
+                thetas, residuals, cost = candidates, cand_res, cand_cost
+            elif better.any():
+                thetas[better], residuals[better], cost[better] = candidates[better], cand_res[better], cand_cost[better]
+            stay = []
+            for k, b in enumerate(better.tolist()):
+                if b:
+                    lam[k], tries[k], steps[k] = max(lam[k] * 0.3, 1e-12), 0, steps[k] + 1
+                else:
+                    lam[k], tries[k] = lam[k] * 10.0, tries[k] + 1
+                if (steps[k] < _GN_ITERATIONS and cost[k] >= 1e-15) if b else tries[k] < 8:
+                    stay.append(k)
+                else:
+                    found[rows[k]] = (thetas[k].copy(), float(cost[k]))
+            if len(stay) < len(rows):
+                rows, lam, tries, steps = ([v[k] for k in stay] for v in (rows, lam, tries, steps))
+                thetas, residuals, cost, jtj, jtr = (v[stay] for v in (thetas, residuals, cost, jtj, jtr))
+    return found
 
 
 def _power_shift(l, theta):
@@ -678,7 +730,7 @@ def _power_shift_jacobian(ls, theta):
     gamma, a = theta
     s = ls + a
     ss = s * s
-    return np.column_stack((s / ss, -gamma / ss))
+    return np.stack((s / ss, -gamma / ss), axis=-1)
 
 
 def _moebius(l, theta):
@@ -689,7 +741,7 @@ def _moebius(l, theta):
 def _moebius_jacobian(ls, theta):
     (t,) = theta
     s = ls + t
-    return np.column_stack((2.0 / (s * s),))
+    return np.stack((2.0 / (s * s),), axis=-1)
 
 
 _model_power_shift = _Model(_power_shift, _power_shift_jacobian)
@@ -720,13 +772,14 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
             resid_log = _rms(fs + 1.0 / (ls + a_log))
             candidates["Logarithmic"] = (Logarithmic(a_log), resid_log, 1)
 
-    best_ps = None
+    starts = []
     for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
         if np.min(np.abs(ls + a0)) < 1e-9:
             continue
         u = 1.0 / (ls + a0)
-        gamma0 = float(u @ fs / (u @ u))
-        theta, cost = _gauss_newton(_model_power_shift, (gamma0, a0), ls, fs)
+        starts.append((float(u @ fs / (u @ u)), a0))
+    best_ps = None
+    for theta, cost in _gauss_newton(_model_power_shift, starts, ls, fs):
         if best_ps is None or cost < best_ps[1]:
             best_ps = (theta, cost)
     if best_ps is not None and math.isfinite(best_ps[1]):
@@ -738,11 +791,9 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
                 2,
             )
 
+    starts = [(t0,) for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if np.min(np.abs(ls + t0)) >= 1e-9]
     best_mb = None
-    for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
-        if np.min(np.abs(ls + t0)) < 1e-9:
-            continue
-        theta, cost = _gauss_newton(_model_moebius, (t0,), ls, fs)
+    for theta, cost in _gauss_newton(_model_moebius, starts, ls, fs):
         if best_mb is None or cost < best_mb[1]:
             best_mb = (theta, cost)
     if best_mb is not None and math.isfinite(best_mb[1]):
@@ -792,10 +843,10 @@ class HessianReport:
 
 
 def hessian_report(matrix: Callable, samples: Samples) -> HessianReport:
-    """Evaluate ``matrix``, a callable ``row ->`` the n*n entries of an n x n
-    matrix in row-major order, at the sampled rows: one ``matrix.columns``
-    call (the kernel of g, the deformed Hessian), and one row at a time where
-    that call marks a row. Rank via singular values above
+    """Evaluate ``matrix``, the n*n entries of an n x n matrix in row-major
+    order, at the sampled rows: one ``matrix.columns`` call (the kernel of g,
+    the deformed Hessian), and ``matrix.walk(row)`` where that call marks a
+    row. Rank via singular values above
     ``_RANK_RTOL * s_max``, from one batched SVD. A row is skipped where its
     entries raise ``DomainViolation`` or ``ValueError`` (a deformed matrix's
     ``OutOfInterval``: Phi has no float value at L) or one is not finite."""

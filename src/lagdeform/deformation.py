@@ -11,7 +11,6 @@ symbolically, which gives the verification an exact independent route.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
@@ -133,10 +132,22 @@ class Numeric:
 
 Deformation = Union[ClosedForm, Numeric]
 
+
+def _nan_where_raising(f, column, *args):
+    """``ex._each(f, column, *args)``, NaN at the values where ``f`` raises."""
+    try:
+        return ex._each(f, column, *args)
+    except ex._Failed as failed:
+        values, mask = failed.args
+        values[mask] = math.nan
+        return values
+
+
 # The transcendental calls of _base_triple on a float64 column: math's, one
 # element at a time, never numpy's exp, power or log, whose last bit may
-# differ. Its + - * / round on a column as they do on floats.
-_COLUMN = tuple(partial(ex._each, f) for f in (math.exp, math.pow, math.log))
+# differ, and NaN where math raises, so that triple reads only those values.
+# Its + - * / round on a column as they do on floats.
+_COLUMN = tuple(partial(_nan_where_raising, f) for f in (math.exp, math.pow, math.log))
 
 
 def _base_triple(family, t, numerator, exp=math.exp, power=math.pow, log=math.log):
@@ -183,8 +194,7 @@ def chain(phi, ts):
     the column, and reads ``triple`` where it is outside its interval or not finite."""
     lines, redo = np.empty((3, len(ts))), range(len(ts))
     if isinstance(phi, ClosedForm):
-        # where math.exp, math.pow or math.log raises at a value, triple reads every value
-        with np.errstate(all="ignore"), suppress(ex._Failed):
+        with np.errstate(all="ignore"):
             lines = np.array(np.broadcast_arrays(*phi._at(ts, *_COLUMN)))
             # where a float division by 0.0 raises, a column's is inf or nan
             inside = (phi.interval[0] < ts) & (ts < phi.interval[1]) & np.isfinite(lines).all(axis=0)
@@ -327,17 +337,20 @@ class DeformedLagrangian:
 class _Chained:
     """``combine(chain, rest)`` of a kernel whose first root is L: ``chain``
     is Phi's ``triple`` at L, ``rest`` the other roots, at a row by
-    ``chained(row)`` or at many by ``columns``, which takes the lines of
-    :func:`chain` at the L column and marks the rows either marks."""
+    ``chained(row)``, the kernel's walk, or at many by ``columns``, which
+    takes the lines of :func:`chain` at the L column and marks the rows
+    either marks."""
 
     def __init__(self, kernel, deformation: Deformation, combine=lambda chain, rest: (*chain, *rest)):
         self.kernel = kernel
         self.deformation = deformation
         self.combine = combine
 
-    def __call__(self, row):
-        v = self.kernel(row)
+    def walk(self, row):
+        v = self.kernel.walk(row)
         return self.combine(self.deformation.triple(v[0]), v[1:])
+
+    __call__ = walk
 
     def columns(self, stack):
         values, marked = self.kernel.columns(stack)

@@ -1042,8 +1042,13 @@ class Kernel:
         try:
             return self.row_code()(row)
         except (ArithmeticError, ValueError, LookupError):
-            # a name shadows a constant of the same name
-            return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})
+            return self.walk(row)
+
+    def walk(self, row):
+        """The items of ``kernel(row)`` where its code raises, with no code:
+        each root walked when it is read."""
+        # a name shadows a constant of the same name
+        return _Walk(self.roots, {**self.constants, **dict(zip(self.names, row))})
 
     def columns(self, stack):
         """``(lines, marked)``: one float64 line per root over the rows of the
@@ -1076,10 +1081,11 @@ class Kernel:
 
 def table(read, stack):
     """``(values, errors)`` of ``read`` (a :class:`Kernel`, or anything with
-    its ``read(row)`` and ``read.columns(stack)``) at the columns of
+    its ``read.walk(row)`` and ``read.columns(stack)``) at the columns of
     ``stack``: one float64 line per item from one column call, and at each
-    row it marks, the items of ``read(row)``: an item that raises is NaN,
-    and ``errors[row, item]`` keeps its error, in row then item order."""
+    row it marks, the items of ``read.walk(row)``, which compiles no code,
+    as the row code raises there: an item that raises is NaN, and
+    ``errors[row, item]`` keeps its error, in row then item order."""
     lines, marked = read.columns(stack)
     values = np.array(lines, dtype=float)
     errors = {}
@@ -1087,7 +1093,7 @@ def table(read, stack):
         row, items = stack[:, j].tolist(), None
         for k in range(len(values)):
             try:
-                items = read(row) if items is None else items  # a call may raise
+                items = read.walk(row) if items is None else items  # a call may raise
                 values[k, j] = items[k]
             except Exception as exc:  # met only where the check reaches the row
                 values[k, j] = math.nan

@@ -20,14 +20,18 @@ from lagdeform.conditions import (
     classify,
     functional_dependence_test,
     hessian_report,
+    _Model,
     _gauss_newton,
     _levels,
     _merge_duplicate_abscissae,
     _model_moebius,
     _model_power_shift,
+    _power_shift,
+    _power_shift_jacobian,
     _rms,
     _LevelSolver,
 )
+from lagdeform import conditions
 from lagdeform import expressions as ex
 from lagdeform.corpus import CORPUS_NAMES, corpus_text, load_corpus_problem
 from lagdeform.deformation import (
@@ -652,9 +656,208 @@ def test_gauss_newton_zero_denominator_keeps_start():
     for model, theta0 in ((_model_power_shift, (1.5, 0.5)), (_model_moebius, (0.5,))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            theta, cost = _gauss_newton(model, theta0, ls, fs)
+            [(theta, cost)] = _gauss_newton(model, [theta0], ls, fs)
         assert list(theta) == list(theta0)
         assert cost == math.inf
+
+
+def _ref_gauss_newton(model, theta0, ls, fs):
+    """The damped Gauss-Newton loop of one start, one start per call: the
+    reference each start of the lockstep :func:`_gauss_newton` matches."""
+    theta = np.array(theta0, dtype=float)
+    eye = np.eye(len(theta))
+
+    def cost_of(th):
+        r = model.value(ls, th) - fs
+        return r, _rms(r)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        residuals, cost = cost_of(theta)
+        if not math.isfinite(cost):
+            return theta, math.inf
+        lam = 1e-3
+        for _ in range(50):
+            jac = model.jacobian(ls, theta)
+            jtj = jac.T @ jac
+            jtr = jac.T @ residuals
+            stepped = False
+            for _ in range(8):
+                try:
+                    delta = np.linalg.solve(jtj + lam * eye, -jtr)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                candidate = theta + delta
+                cand_res, cand_cost = cost_of(candidate)
+                if cand_cost < cost:
+                    theta, residuals, cost = candidate, cand_res, cand_cost
+                    lam = max(lam * 0.3, 1e-12)
+                    stepped = True
+                    break
+                lam *= 10.0
+            if not stepped or cost < 1e-15:
+                break
+    return theta, cost
+
+
+def _assert_lockstep_is_the_reference(model, starts, ls, fs):
+    """Every start's ``(theta, cost)`` from one lockstep call equals, bit for
+    bit, the reference loop's from that start alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _gauss_newton(model, starts, ls, fs)
+    assert len(got) == len(starts)
+    for start, (theta, cost) in zip(starts, got):
+        want_theta, want_cost = _ref_gauss_newton(model, start, ls, fs)
+        assert _bits(theta) == _bits(want_theta), (start, theta, want_theta)
+        assert _bits(float(cost)) == _bits(float(want_cost)), (start, cost, want_cost)
+
+
+def _classify_starts(ls, fs):
+    """The PowerShift and Moebius starts that :func:`classify` gives."""
+    power = [
+        (float(1.0 / (ls + a0) @ fs / ((1.0 / (ls + a0)) @ (1.0 / (ls + a0)))), a0)
+        for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
+        if np.min(np.abs(ls + a0)) >= 1e-9
+    ]
+    return power, [(t0,) for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if np.min(np.abs(ls + t0)) >= 1e-9]
+
+
+_start = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ls=st.lists(_finite, min_size=1, max_size=30),
+    noise=st.lists(_finite, min_size=30, max_size=30),
+    truth=st.tuples(_start, _start),
+    power=st.lists(st.tuples(_start, _start), min_size=1, max_size=8),
+    moebius=st.lists(st.tuples(_start), min_size=1, max_size=8),
+)
+@example(  # exact PowerShift data: starts converge, stall and run off
+    ls=np.linspace(0.5, 8.0, 24).tolist(),
+    noise=[0.0] * 30,
+    truth=(-0.5, 0.25),
+    power=[(-0.45, 0.3), (2.0, 1.0), (-0.1, -30.0), (-0.1, -1.0), (1.0, -2.0)],
+    moebius=[(0.5,), (-3.0,)],
+)
+def test_the_lockstep_ends_each_start_where_the_one_start_loop_does(ls, noise, truth, power, moebius):
+    ls = np.array(ls)
+    with np.errstate(all="ignore"):  # a pole of the truth gives inf or nan
+        fs = truth[0] / (ls + truth[1]) + np.array(noise[: len(ls)]) * 1e-7
+    _assert_lockstep_is_the_reference(_model_power_shift, power, ls, fs)
+    _assert_lockstep_is_the_reference(_model_moebius, moebius, ls, fs)
+    for model, starts in zip((_model_power_shift, _model_moebius), _classify_starts(ls, fs)):
+        _assert_lockstep_is_the_reference(model, starts, ls, fs)
+
+
+def test_the_lockstep_on_the_corpus_clouds_is_the_one_start_loop(corpus_reports):
+    clouds = [doc.dependence.cloud for doc in corpus_reports.values() if doc.dependence is not None]
+    assert len(clouds) >= 5
+    for cloud in clouds:
+        ls, fs = (np.array(v) for v in zip(*cloud))
+        for model, starts in zip((_model_power_shift, _model_moebius), _classify_starts(ls, fs)):
+            _assert_lockstep_is_the_reference(model, starts, ls, fs)
+
+
+def test_a_start_at_a_pole_leaves_the_block_before_its_first_tick():
+    # one L sits exactly on the pole of the first start: it keeps its start
+    # at cost inf while the others run; one start alone runs as in a stack
+    ls = np.linspace(0.5, 4.0, 20)
+    ls[7] = -0.5
+    fs = -2.0 / (ls + 1.0)
+    starts = [(1.5, 0.5), (-2.0, 1.5), (1.0, 2.0), (1.5, 0.5)]
+    _assert_lockstep_is_the_reference(_model_power_shift, starts, ls, fs)
+    [(theta, cost), *_, (last, last_cost)] = _gauss_newton(_model_power_shift, starts, ls, fs)
+    assert (list(theta), cost, list(last), last_cost) == ([1.5, 0.5], math.inf, [1.5, 0.5], math.inf)
+    for start in starts:
+        _assert_lockstep_is_the_reference(_model_power_shift, [start], ls, fs)
+    assert _gauss_newton(_model_power_shift, [], ls, fs) == []
+
+
+def _singular_at_b_zero():
+    """``1e8 (a + b) L + b^2 L^2 / 2``: at ``b = 0`` both Jacobian columns are
+    ``1e8 L``, bit for bit, and ``J^T J + lam I`` is exactly singular until
+    lam is large beside ``|J|^2``, near 1e17."""
+
+    def value(l, theta):
+        a, b = theta
+        return a * (1e8 * l) + b * (1e8 * l) + 0.5 * b * b * (l * l)
+
+    def jacobian(ls, theta):
+        a, b = theta
+        return np.stack((1e8 * ls + 0.0 * a, 1e8 * ls + b * (ls * ls)), axis=-1)
+
+    return _Model(value, jacobian)
+
+
+def test_a_singular_slice_is_a_rejected_try_for_that_start_only(monkeypatch):
+    model = _singular_at_b_zero()
+    ls = np.linspace(0.5, 4.0, 20)
+    fs = 3e8 * ls + 0.2 * ls * ls
+    starts = [(1.0, 1.0), (1.0, 0.0), (2.0, 0.5)]
+    singular, solve = [], np.linalg.solve
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(np.ndim(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    _gauss_newton(model, starts, ls, fs)
+    # the stack raised, then the one singular slice of that tick
+    assert 3 in singular and 2 in singular
+    _assert_lockstep_is_the_reference(model, starts, ls, fs)
+
+
+def test_starts_leave_the_block_on_their_own_ticks_for_each_reason(monkeypatch):
+    # on exact PowerShift data, two starts reach a cost below 1e-15, two run
+    # off towards a -> -inf for all 50 steps, and two stall: 8 rejections
+    ls = np.linspace(0.5, 8.0, 24)
+    fs = -0.5 / (ls + 0.25)
+    starts = [(-0.45, 0.3), (2.0, 1.0), (-0.1, -30.0), (0.1, -100.0), (-0.1, -1.0), (1.0, -2.0)]
+    reasons = []
+    for start in starts:
+        evaluated = []
+        spy = _Model(lambda l, th: evaluated.append(list(th)) or _power_shift(l, th), _power_shift_jacobian)
+        theta, cost = _ref_gauss_newton(spy, start, ls, fs)
+        stepped_last = evaluated[-1] == list(theta) and len(evaluated) > 1
+        reasons.append(("converged" if cost < 1e-15 else "cap") if stepped_last else "rejected")
+    assert reasons == ["converged"] * 2 + ["cap"] * 2 + ["rejected"] * 2
+    sizes, solve = [], conditions._solve
+    monkeypatch.setattr(conditions, "_solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+    _assert_lockstep_is_the_reference(_model_power_shift, starts, ls, fs)
+    # the block shrinks on several ticks, and every start ran on the first
+    assert sizes[0] == len(starts) and len(set(sizes)) >= 4
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_classify_on_the_exp_class_cloud_makes_one_solve_per_tick(corpus_reports, monkeypatch):
+    # the 13 starts all run to the 50-step cap: one stacked solve per tick
+    # of each family, where one solve per try of each start made 643
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(np.shape(a[0])) or solve(*a))
+    fit = classify(corpus_reports["exp-class"].dependence.cloud)
+    assert isinstance(fit.chosen, Constant)
+    assert len(calls) == 133
+
+
+def test_a_stacked_cost_is_each_rows_rms_bit_for_bit():
+    # numpy's pairwise sum runs along each contiguous row of the stack as it
+    # does along one array, rows with overflow, NaN and infinities included
+    rng = np.random.default_rng(2028)
+    stub = _Model(lambda ls, theta: np.concatenate(theta, axis=1), None)  # the rows back
+    with np.errstate(all="ignore"):
+        for m in range(1, 701):
+            rows = rng.normal(size=(4, m)) * 10.0 ** rng.integers(-200, 200, size=(4, 1))
+            rows[1, rng.integers(m)] = 1e300  # its square overflows
+            rows[2, rng.integers(m)] = rng.choice([math.nan, math.inf, -math.inf])
+            residuals, costs = conditions._costs(stub, rows, np.zeros(m), np.zeros(m))
+            assert costs.shape == (4,)
+            for row, cost in zip(residuals, costs.tolist()):
+                assert _bits(cost) == _bits(_rms(row)), (m, row.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -1368,7 +1571,8 @@ def test_checks_meet_raising_rows_as_the_dict_binding_references_do(bad):
 
 def _every_row_marked(run):
     """``run()`` with every column call marking all of its rows, so that each
-    check reads every row through ``kernel(row)``, as no column call could."""
+    check reads every row through ``kernel.walk(row)`` (:func:`ex.table`) or
+    ``kernel(row)`` (``Guards.admit``), as no column call could."""
     columns = ex.Kernel.columns
     with pytest.MonkeyPatch.context() as m:
         every = lambda kernel, stack: (columns(kernel, stack)[0], frozenset(range(stack.shape[1])))
@@ -1403,16 +1607,21 @@ def test_the_raising_rows_give_each_check_the_same_outcome_with_every_row_marked
     assert None in raised and raised.count(None) < len(raised)
 
 
-def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeypatch):
-    # with c = 5, ln(b Q - c) is not evaluable on part of the box: the report
-    # is the one every row marked gives, and ex.table and Guards.admit read
-    # through kernel(row) exactly the rows whose row code raises, once each
+def _exp_class_off_its_domain():
+    # with c = 5, ln(b Q - c) is not evaluable on part of the box
     data = json.loads(corpus_text("exp-class"))
     data["params"]["c"] = 5.0
-    spec = problem_from_dict(data)
+    return problem_from_dict(data)
+
+
+def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeypatch):
+    # the report is the one every row marked gives, and ex.table (through
+    # kernel.walk) and Guards.admit (through kernel(row)) read exactly the
+    # rows whose row code raises, once each
+    spec = _exp_class_off_its_domain()
     want = _every_row_marked(lambda: emit_report(run_pipeline(spec), "json"))
     calls, raising, scope = [], [], []
-    columns, call = ex.Kernel.columns, ex.Kernel.__call__
+    columns, call, walk = ex.Kernel.columns, ex.Kernel.__call__, ex.Kernel.walk
 
     def counted_columns(kernel, stack):
         for row in stack.T.tolist() if scope else ():
@@ -1422,10 +1631,14 @@ def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeyp
                 raising.append(row)
         return columns(kernel, stack)
 
-    def counted_call(kernel, row):
-        if scope:
-            calls.append(row)
-        return call(kernel, row)
+    def counted(read, by):
+        # a read in table's or admit's own scope, not the walk of a row call
+        def run(kernel, row):
+            if scope and scope[-1] is by:
+                calls.append(row)
+            return read(kernel, row)
+
+        return run
 
     def scoped(f):
         def run(*args):
@@ -1438,11 +1651,25 @@ def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeyp
         return run
 
     monkeypatch.setattr(ex.Kernel, "columns", counted_columns)
-    monkeypatch.setattr(ex.Kernel, "__call__", counted_call)
+    monkeypatch.setattr(ex.Kernel, "__call__", counted(call, Guards.admit))
+    monkeypatch.setattr(ex.Kernel, "walk", counted(walk, ex.table))
     monkeypatch.setattr(ex, "table", scoped(ex.table))
     monkeypatch.setattr(Guards, "admit", scoped(Guards.admit))
     assert emit_report(run_pipeline(spec), "json") == want
     assert raising and calls == raising
+
+
+def test_exp_class_off_its_domain_compiles_no_row_code_for_the_rows_table_reads(compile_calls):
+    # the marked rows of a kernel are walked, not sent through row code that
+    # raises there: the guard kernel's row code (Guards.admits at the rows its
+    # column call marks) and the spray's, for the trajectory, where the
+    # tables' re-reads compiled two more; the shipped problem compiles one
+    got = emit_report(run_pipeline(_exp_class_off_its_domain()), "json")
+    assert compile_calls.count("_compile") == 2
+    del compile_calls[:]
+    run_pipeline(load_corpus_problem("exp-class"))
+    assert compile_calls.count("_compile") == 1
+    assert got == _every_row_marked(lambda: emit_report(run_pipeline(_exp_class_off_its_domain()), "json"))
 
 
 @pytest.mark.parametrize(
@@ -1774,7 +2001,7 @@ class _ByRows:
     def __init__(self, read, width: int):
         self.read, self.width = read, width
 
-    def __call__(self, row):
+    def walk(self, row):
         return self.read(row)
 
     def columns(self, stack):

@@ -571,6 +571,22 @@ def test_a_column_marks_exactly_the_values_whose_triple_raises(phi, good, bad, l
     assert repr(exc.value.t) == repr(bad)
 
 
+def test_a_column_reads_triple_only_at_the_values_where_math_raises(monkeypatch):
+    # one L below a logarithmic Phi's interval, where math.log raises: the
+    # other 99 values stay on the column, with their triples' bits
+    phi = synthesize(Logarithmic(0.2), (0.0, 1.0))
+    ts = np.linspace(0.05, 0.95, 100)
+    ts[37] = -0.5
+    good = [t for j, t in enumerate(ts.tolist()) if j != 37]
+    want = np.array([phi.triple(t) for t in good])
+    calls, triple = [], ClosedForm.triple
+    monkeypatch.setattr(ClosedForm, "triple", lambda phi, t: calls.append(t) or triple(phi, t))
+    lines, marked = chain(phi, ts)
+    assert calls == [-0.5] and marked == {37}
+    assert np.isnan(lines[:, 37]).all()
+    assert np.delete(lines, 37, axis=1).T.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_the_checks_of_a_closed_form_make_no_triple_call(corpus_reports, monkeypatch, name):
     # a column that fell back to the triple map would give the same bits:

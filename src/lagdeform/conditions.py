@@ -618,11 +618,10 @@ def _rms(values: np.ndarray) -> float:
 class _Model(NamedTuple):
     """A slope model ``value(ls, theta)`` with its Jacobian in closed form.
 
-    ``value`` is plain arithmetic on the parameters ``theta``, a sequence
-    of ``p`` items, so it broadcasts: with items of shape ``(S, 1)`` (a
-    stack of S parameter sets, as :func:`_columns` gives) it evaluates on
-    the whole array of L values at once, and it evaluates on one L with
-    :class:`~lagdeform.expressions.Dual` parameters; the tests use the
+    ``value`` is plain arithmetic on the ``p`` items of ``theta``, so it
+    evaluates on a whole array of L values for a stack of parameter sets
+    (items of shape ``(S, 1)``, from :func:`_columns`) and also on one L
+    with :class:`~lagdeform.expressions.Dual` parameters; the tests use the
     latter as the oracle for ``jacobian``.
     """
 
@@ -665,16 +664,12 @@ def _solve(a, b):
 
 def _gauss_newton(model: _Model, starts: list, ls, fs) -> list:
     """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud from each of
-    ``starts``, with ``(theta, cost)`` per start.
-
-    The starts run in lockstep as the rows of one ``(S, p)`` block. A tick
-    makes one try for each running start: one Jacobian of the starts that
-    begin an iteration, then one stacked solve and one stacked cost. Each
-    start keeps its own damping, try count and step count, and leaves the
-    block after ``_GN_ITERATIONS`` steps, at a cost below 1e-15, or after 8
-    straight rejected tries. The matrix products and solves of a stack are
-    per slice those of one start, so each start ends, bit for bit, where it
-    would alone.
+    ``starts``, with ``(theta, cost)`` per start, the starts in lockstep as
+    the rows of one ``(S, p)`` block. A tick makes one try for each running
+    start, which keeps its own damping and counts and leaves the block after
+    ``_GN_ITERATIONS`` steps, at a cost below 1e-15, or after 8 straight
+    rejected tries. A stack's products and solves are per slice those of one
+    start, so each start ends, bit for bit, where it would alone.
 
     A start whose cost is not finite, as when a denominator is exactly zero
     somewhere in the cloud, returns ``(theta0, inf)``. A step is accepted

@@ -715,11 +715,12 @@ def _assert_lockstep_is_the_reference(model, starts, ls, fs):
 
 def _classify_starts(ls, fs):
     """The PowerShift and Moebius starts that :func:`classify` gives."""
-    power = [
-        (float(1.0 / (ls + a0) @ fs / ((1.0 / (ls + a0)) @ (1.0 / (ls + a0)))), a0)
-        for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
-        if np.min(np.abs(ls + a0)) >= 1e-9
-    ]
+    power = []
+    with np.errstate(all="ignore"):  # a cloud of one L with f = inf or nan
+        for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
+            if np.min(np.abs(ls + a0)) >= 1e-9:
+                u = 1.0 / (ls + a0)
+                power.append((float(u @ fs / (u @ u)), a0))
     return power, [(t0,) for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if np.min(np.abs(ls + t0)) >= 1e-9]
 
 

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-``check``, ``classify``, ``synthesize`` and ``verify`` run the whole
-pipeline on a problem file (the conditions, the slope family, the
-deformation and its Euler-Lagrange residuals) and emit the same report;
-``report`` adds a trajectory pass, and ``geodesic`` integrates a geodesic
-and exports it as CSV.
+``check``, ``classify``, ``synthesize`` and ``verify`` run the pipeline in
+``"verify"`` mode on a problem file (the conditions, the slope family, the
+deformation and every check of it) and emit the same report; ``report`` adds
+a trajectory pass. ``geodesic`` integrates a geodesic and exports it as CSV,
+beside the ``Phi`` of a ``"synthesize"`` run, which stops once it is built.
 
 Exit codes: 0 for DeformableRegular / DeformableSingular /
 ConservativeAffineOnly, 1 for NotOfTheoremForm, 2 for Inconclusive, and 3
@@ -41,16 +41,15 @@ _VERDICT_EXIT = {
 INPUT_ERROR = 3
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--problem", required=True, help="path to a problem JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-    p.add_argument("--samples", type=int, default=None, help="override the sample count")
-    p.add_argument("--tol", type=float, default=None, help="override the identity tolerance")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--problem", required=True, help="path to a problem JSON file")
+    common.add_argument("--seed", type=int, default=None, help="override the sampling seed")
+    common.add_argument("--samples", type=int, default=None, help="override the sample count")
+    common.add_argument("--out", default=None, help="write the output here instead of stdout")
+    reports = argparse.ArgumentParser(add_help=False, parents=[common])
+    reports.add_argument("--tol", type=float, default=None, help="override the identity tolerance")
+    reports.add_argument("--format", choices=("text", "json"), default="text")
     parser = argparse.ArgumentParser(
         prog="lagdeform",
         description="Decide whether forced Lagrange dynamics admit a scalar "
@@ -58,10 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("check", "classify", "synthesize", "verify"):
-        _add_common(sub.add_parser(name, help="run every stage but the trajectory pass"))
-    _add_common(sub.add_parser("report", help="run every stage and a trajectory pass"))
-    g = sub.add_parser("geodesic", help="integrate a geodesic and export CSV")
-    _add_common(g)
+        sub.add_parser(name, parents=[reports], help="run every stage but the trajectory pass")
+    sub.add_parser("report", parents=[reports], help="run every stage and a trajectory pass")
+    g = sub.add_parser("geodesic", parents=[common], help="integrate a geodesic and export CSV")
     g.add_argument("--x0", type=float, nargs="+", required=True, help="initial base point")
     g.add_argument("--y0", type=float, nargs="+", required=True, help="initial velocity")
     g.add_argument("--step", type=float, default=1e-3, help="integration step")
@@ -72,17 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     spec = load_problem(args.problem)
-    if args.seed is not None or args.samples is not None:
-        spec = replace(
-            spec,
-            seed=args.seed if args.seed is not None else spec.seed,
-            count=args.samples if args.samples is not None else spec.count,
-        )
-    if args.tol is not None:
-        tolerances = dict(spec.tolerances)
-        tolerances["identity"] = args.tol
-        spec = replace(spec, tolerances=tolerances)
-    return spec
+    seed = spec.seed if args.seed is None else args.seed
+    return replace(spec, seed=seed, count=spec.count if args.samples is None else args.samples)
 
 
 def _write(args, payload: bytes):
@@ -93,9 +82,11 @@ def _write(args, payload: bytes):
         sys.stdout.write(payload.decode("utf-8"))
 
 
-def _run_report(args, mode: str) -> int:
+def _run_report(args) -> int:
     spec = _load(args)
-    doc = run_pipeline(spec, mode=mode)
+    if args.tol is not None:
+        spec = replace(spec, tolerances={**spec.tolerances, "identity": args.tol})
+    doc = run_pipeline(spec, mode="report" if args.command == "report" else "verify")
     _write(args, emit_report(doc, args.format))
     return _VERDICT_EXIT[doc.verdict]
 
@@ -108,12 +99,8 @@ def _run_geodesic(args) -> int:
         step=args.step, horizon=args.horizon, initial=PhasePoint(args.x0, args.y0)
     )
     traj = integrate_geodesic(spec.spray, cfg, spec.params)
-    doc = run_pipeline(spec, mode="synthesize")
-    deformed = (
-        DeformedLagrangian(spec.lagrangian, doc.deformation)
-        if doc.deformation is not None
-        else None
-    )
+    phi = run_pipeline(spec, mode="synthesize").deformation
+    deformed = DeformedLagrangian(spec.lagrangian, phi) if phi is not None else None
     csv_text = trajectory_to_csv(traj, spec.lagrangian, deformed)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -134,7 +121,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "geodesic":
             return _run_geodesic(args)
-        return _run_report(args, mode=args.command)
+        return _run_report(args)
     except (SchemaError, ExpressionError, GeodesicError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -281,9 +281,13 @@ class ReportDocument:
 
 
 def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
-    """Run the stages needed to reach a verdict; ``mode`` only controls the
-    (more expensive) trajectory stage, which runs for mode="report"."""
-    if mode not in {"check", "classify", "synthesize", "verify", "report"}:
+    """Run the stages up to the one ``mode`` names: ``"synthesize"`` returns
+    once ``doc.deformation`` is built, unchecked, with the verdict undecided
+    at its default; ``"verify"`` runs every check and decides the verdict;
+    ``"report"`` adds the trajectory stage. A run that ends sooner (a failed
+    draw, a starved dependence test, no monotone deformation, the
+    conservative branch) ends there in every mode."""
+    if mode not in ("synthesize", "verify", "report"):
         raise ValueError(f"unknown pipeline mode '{mode}'")
     doc = ReportDocument(problem=spec)
     tol = spec.tolerances
@@ -335,6 +339,8 @@ def run_pipeline(spec: ProblemSpec, mode: str = "report") -> ReportDocument:
         doc.deformation = synthesize(doc.fit.chosen, (min(ls), max(ls)))
     except DomainConflict as exc:
         return _inconclusive(doc, f"no monotone deformation on the sampled range: {exc}")
+    if mode == "synthesize":
+        return doc
 
     doc.verify = verify_deformed_el(derived, doc.deformation, samples, tol["identity"])
     try:

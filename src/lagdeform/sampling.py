@@ -100,8 +100,8 @@ class Guards:
 
     def admits(self, row, params: Optional[dict], eps: float) -> bool:
         """Whether the guards accept the chart point ``row`` under the
-        parameter values ``params``."""
-        values = cached_kernel(self._kernels, self._roots(), len(row) // 2, params)(row)
+        parameter values ``params``, read by a walk that compiles no code."""
+        values = cached_kernel(self._kernels, self._roots(), len(row) // 2, params).walk(row)
         try:  # the nonzero roots after the evaluable, read in order
             return all(
                 math.isfinite(v) and (k < len(self.evaluable) or abs(v) > eps)

@@ -492,7 +492,7 @@ def test_criterion_9_conservative(docs):
 
     data = json.loads(corpus_text("free-particle"))
     data["sigma"] = ["0.1", "0"]
-    perturbed = run_pipeline(problem_from_dict(data), mode="check")
+    perturbed = run_pipeline(problem_from_dict(data), mode="verify")
     ok &= not perturbed.sigma_condition.passed
     ok &= perturbed.sigma_condition.max_residual >= 0.01
     emit(

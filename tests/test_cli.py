@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lagdeform
+from lagdeform import pipeline
 from lagdeform.cli import main
 from lagdeform.corpus import CORPUS_NAMES, load_corpus_problem
 from lagdeform.expressions import chart_names
@@ -176,17 +177,21 @@ GEODESIC_DIGESTS = dict(
 GEODESIC_FAILURES = {"homogeneous": "error: non-finite state (blow-up) at step 542"}
 
 
+def _geodesic_from_the_box_middle(name, csv_path):
+    spec = load_corpus_problem(name)
+    mid = [repr(0.5 * (lo + hi)) for lo, hi in (spec.bounds[v] for v in chart_names(spec.n))]
+    return main(
+        ["geodesic", "--problem", corpus_file(name), "--csv", str(csv_path)]
+        + ["--x0", *mid[: spec.n], "--y0", *mid[spec.n :]]
+    )
+
+
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_geodesic_csv_from_the_box_middle_matches_pinned_sha256(tmp_path, capsys, name):
     # the CSV runs energy_along for L and Phi(L): this pins the along-flow
     # checks through the CLI, byte for byte
-    spec = load_corpus_problem(name)
-    mid = [repr(0.5 * (lo + hi)) for lo, hi in (spec.bounds[v] for v in chart_names(spec.n))]
     csv_path = tmp_path / "traj.csv"
-    code = main(
-        ["geodesic", "--problem", corpus_file(name), "--csv", str(csv_path)]
-        + ["--x0", *mid[: spec.n], "--y0", *mid[spec.n :]]
-    )
+    code = _geodesic_from_the_box_middle(name, csv_path)
     captured = capsys.readouterr()
     if name in GEODESIC_FAILURES:
         assert name not in GEODESIC_DIGESTS
@@ -195,6 +200,36 @@ def test_geodesic_csv_from_the_box_middle_matches_pinned_sha256(tmp_path, capsys
         return
     assert code == 0, captured.err
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GEODESIC_DIGESTS[name]
+
+
+def test_geodesic_runs_no_stage_after_synthesis(monkeypatch, tmp_path, capsys):
+    # the CSV reads only Phi: a stage after synthesis that would raise an
+    # error main does not catch is never reached, and the CSV is written
+    def unreachable(*args):
+        raise RuntimeError("a stage after synthesis ran")
+
+    for stage in (
+        "verify_deformed_el",
+        "hessian_report",
+        "deformed_hessian",
+        "check_homogeneous",
+        "check_dissipative",
+        "_trajectory_stage",
+    ):
+        monkeypatch.setattr(pipeline, stage, unreachable)
+    csv_path = tmp_path / "traj.csv"
+    assert _geodesic_from_the_box_middle("dissipative", csv_path) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GEODESIC_DIGESTS["dissipative"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--tol", "1e-3"]], ids=["format", "tol"])
+def test_geodesic_refuses_the_report_flags(capsys, flag):
+    # geodesic emits no report, and the identity tolerance gates no stage it runs
+    with pytest.raises(SystemExit) as exit_:
+        main(["geodesic", "--problem", corpus_file("lienard"), "--x0", "1", "--y0", "1", *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1572,8 +1572,8 @@ def test_checks_meet_raising_rows_as_the_dict_binding_references_do(bad):
 
 def _every_row_marked(run):
     """``run()`` with every column call marking all of its rows, so that each
-    check reads every row through ``kernel.walk(row)`` (:func:`ex.table`) or
-    ``kernel(row)`` (``Guards.admit``), as no column call could."""
+    check reads every row through ``kernel.walk(row)`` (:func:`ex.table` and
+    ``Guards.admit``), as no column call could."""
     columns = ex.Kernel.columns
     with pytest.MonkeyPatch.context() as m:
         every = lambda kernel, stack: (columns(kernel, stack)[0], frozenset(range(stack.shape[1])))
@@ -1616,9 +1616,10 @@ def _exp_class_off_its_domain():
 
 
 def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeypatch):
-    # the report is the one every row marked gives, and ex.table (through
-    # kernel.walk) and Guards.admit (through kernel(row)) read exactly the
-    # rows whose row code raises, once each
+    # the report is the one every row marked gives, and ex.table and
+    # Guards.admit (each through kernel.walk) read exactly the rows whose row
+    # code raises, once each; a row call in admit's scope would count each
+    # such row twice, for the call and for its walk
     spec = _exp_class_off_its_domain()
     want = _every_row_marked(lambda: emit_report(run_pipeline(spec), "json"))
     calls, raising, scope = [], [], []
@@ -1632,10 +1633,10 @@ def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeyp
                 raising.append(row)
         return columns(kernel, stack)
 
-    def counted(read, by):
-        # a read in table's or admit's own scope, not the walk of a row call
+    def counted(read, *by):
+        # a read in table's or admit's own scope
         def run(kernel, row):
-            if scope and scope[-1] is by:
+            if scope and scope[-1] in by:
                 calls.append(row)
             return read(kernel, row)
 
@@ -1653,7 +1654,7 @@ def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeyp
 
     monkeypatch.setattr(ex.Kernel, "columns", counted_columns)
     monkeypatch.setattr(ex.Kernel, "__call__", counted(call, Guards.admit))
-    monkeypatch.setattr(ex.Kernel, "walk", counted(walk, ex.table))
+    monkeypatch.setattr(ex.Kernel, "walk", counted(walk, ex.table, Guards.admit))
     monkeypatch.setattr(ex, "table", scoped(ex.table))
     monkeypatch.setattr(Guards, "admit", scoped(Guards.admit))
     assert emit_report(run_pipeline(spec), "json") == want
@@ -1662,11 +1663,10 @@ def test_exp_class_off_its_domain_reads_by_rows_only_the_rows_that_raise(monkeyp
 
 def test_exp_class_off_its_domain_compiles_no_row_code_for_the_rows_table_reads(compile_calls):
     # the marked rows of a kernel are walked, not sent through row code that
-    # raises there: the guard kernel's row code (Guards.admits at the rows its
-    # column call marks) and the spray's, for the trajectory, where the
-    # tables' re-reads compiled two more; the shipped problem compiles one
+    # raises there, by ex.table and by Guards.admits alike: only the spray's
+    # row code is compiled, for the trajectory, as for the shipped problem
     got = emit_report(run_pipeline(_exp_class_off_its_domain()), "json")
-    assert compile_calls.count("_compile") == 2
+    assert compile_calls.count("_compile") == 1
     del compile_calls[:]
     run_pipeline(load_corpus_problem("exp-class"))
     assert compile_calls.count("_compile") == 1

@@ -288,19 +288,20 @@ def test_conserved_base_only_lagrangian_inconclusive():
     assert doc.verdict == "Inconclusive"
 
 
-def test_mode_controls_trajectory_stage():
-    spec = load_corpus_problem("lienard")
-    doc_check = run_pipeline(spec, mode="check")
-    doc_full = run_pipeline(spec, mode="report")
-    assert doc_check.trajectory is None
-    assert doc_full.trajectory is not None
-    assert doc_check.verdict == doc_full.verdict
-    # the four lighter modes do the same work and emit the same report
-    lighter = {
-        emit_report(run_pipeline(spec, mode=mode), "json")
-        for mode in ("classify", "synthesize", "verify")
-    }
-    assert lighter == {emit_report(doc_check, "json")}
+def test_mode_names_the_last_stage_the_run_makes(corpus_reports):
+    # "verify" runs every check and "report" adds the trajectory stage only
+    verified = report_to_dict(run_pipeline(load_corpus_problem("lienard"), mode="verify"))
+    full = report_to_dict(corpus_reports["lienard"])
+    assert verified.pop("trajectory") is None and full.pop("trajectory") is not None
+    assert verified == full
+    # "synthesize" stops once Phi is built, and builds the Phi a full run does
+    for name in CORPUS_NAMES:
+        doc = run_pipeline(load_corpus_problem(name), mode="synthesize")
+        assert repr(doc.deformation) == repr(corpus_reports[name].deformation)
+        assert doc.verify is None and doc.theorem2 is None and doc.trajectory is None
+    for mode in ("check", "classify", "nonsense"):
+        with pytest.raises(ValueError, match=f"unknown pipeline mode '{mode}'"):
+            run_pipeline(load_corpus_problem("lienard"), mode=mode)
 
 
 def test_trajectory_stage_notes_overflowing_deformation():

@@ -90,7 +90,7 @@ def test_every_imported_name_is_read():
     # the package __init__ imports to re-export, so it is exempt
     package = SRC / "lagdeform"
     files = [p for p in sorted(package.rglob("*.py")) if p != package / "__init__.py"]
-    files += sorted(Path(__file__).parent.glob("*.py"))
+    files += sorted(Path(__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("golden/*.py"))
     files += sorted(Path(__file__).parents[1].glob("demos/*.py"))
     assert [entry for path in files for entry in _unread_imports(path)] == []
 

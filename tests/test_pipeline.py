@@ -563,7 +563,13 @@ def _digests(path):
     return [line.split() for line in lines if line and not line.startswith("#")]
 
 
-@pytest.mark.parametrize("digest,name,offset", _digests(GOLDEN / "sparse" / "SHA256SUMS"))
+def _by_problem(lines):
+    """Digest lines as test parameters with the id ``problem-offset``, which
+    a rewrite of the digests leaves as it was."""
+    return [pytest.param(*line, id=f"{line[1]}-{line[2]}") for line in lines]
+
+
+@pytest.mark.parametrize("digest,name,offset", _by_problem(_digests(GOLDEN / "sparse" / "SHA256SUMS")))
 def test_sparse_json_report_matches_pinned_sha256(digest, name, offset):
     # the same byte-identity gate at two more seed offsets, pinned by digest
     got = _moved_report(name, int(offset), 10)
@@ -582,7 +588,7 @@ def test_json_report_matches_pinned_sha256(corpus_reports, name):
 
 
 @pytest.mark.parametrize(
-    "digest,name,offset", [line for line in _FULL_DIGESTS if line[2] != "0"]
+    "digest,name,offset", _by_problem(line for line in _FULL_DIGESTS if line[2] != "0")
 )
 def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, offset):
     got = _moved_report(name, int(offset))

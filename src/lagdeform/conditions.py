@@ -46,8 +46,8 @@ from .geometry import (
 )
 from .sampling import Guards, GuardViolation, SamplePlan, Samples
 
-# Bisection steps that put a constructed point on a target level of L.
-_BISECTIONS = 80
+# Regula falsi steps, at most, that put a constructed point on a target level of L.
+_LEVEL_STEPS = 80
 # Target levels of the dependence test and points constructed on each.
 _LEVELS = 32
 _PER_LEVEL = 4
@@ -292,23 +292,23 @@ class DependenceResult:
 
 
 # Stand-ins in the level solver's walk: the result of a lane (segment, level)
-# not bisected yet, and the outcome of a lane whose bisection missed the level.
+# not solved yet, and the outcome of a lane whose solve missed the level.
 _PENDING = object()
 _MISSED = object()
 
 
 class _LevelSolver:
     """Points on target levels of L, the one root of the kernel ``level``,
-    each bisected along a random fiber segment in ``[lows, highs]`` drawn
-    from ``rng``, with all the bisections of a walk run in lockstep, bit for
-    bit as one after another.
+    each found by regula falsi along a random fiber segment in ``[lows,
+    highs]`` drawn from ``rng``, with all the solves of a walk run in
+    lockstep, bit for bit as one after another.
 
     ``run(walk)`` runs ``walk(self)``, sequential code that calls
     ``solve(k)``, until a walk meets no (segment, level) lane that no walk
     before it met: the first walk takes every lane it meets to give an
     accepted point, and each later one knows what the lanes before gave.
     ``accept(points)`` gives the outcome at each column of ``points``, the
-    points a round of bisection put on their levels."""
+    points a round of solves put on their levels."""
 
     def __init__(self, level, lows: list, highs: list, rng, targets: list, accept: Callable):
         self.level = level
@@ -327,7 +327,7 @@ class _LevelSolver:
         self._pending = []
 
     def run(self, walk: Callable):
-        rounds = 0
+        window = 0
         while True:
             self.used = 0
             self._pending = []
@@ -335,17 +335,17 @@ class _LevelSolver:
             if not self._pending:
                 return result
             # after a lane has failed, the lanes after it may move on to later
-            # segments, so a later round bisects those as well
-            ahead = self._ahead(self._pending) if rounds else []
-            self._bisect(self._pending + ahead)
-            rounds += 1
+            # segments, so each later round solves those as well, over a
+            # window of segments that doubles from round to round
+            self._regula_falsi(self._pending + self._ahead(self._pending, window))
+            window = 2 * window or _ATTEMPTS
 
-    def _ahead(self, pending: list) -> list:
-        """The lanes that no walk has met on the segments that the solve of
-        each pending lane would try after it, in its level."""
+    def _ahead(self, pending: list, window: int) -> list:
+        """The lanes that no walk has met on the ``window - 1`` segments
+        after each pending lane, in its level."""
         ahead = {}
         for i, k in pending:
-            for j in range(i + 1, min(i + _ATTEMPTS, len(self.ends))):
+            for j in range(i + 1, min(i + window, len(self.ends))):
                 if self._brackets(j, self.targets[k]):
                     ahead[j, k] = None
         met = set(pending)
@@ -362,11 +362,11 @@ class _LevelSolver:
         """``accept(point)`` at the first point found on the level
         ``targets[k]`` within the next _ATTEMPTS unused segments, or None. A
         segment is skipped where L cannot be evaluated at an end or does not
-        bracket the target, or where its bisection meets a domain violation
-        or misses the target by more than the level width. A lane not yet
-        bisected gives ``_PENDING``; an error that bisecting one segment
-        after another would raise is raised where no lane before it is
-        pending. ``used`` counts the segments the walk has used."""
+        bracket the target, or where its solve meets a domain violation or
+        misses the target by more than the level width. A lane not yet
+        solved gives ``_PENDING``; an error that solving one segment after
+        another would raise is raised where no lane before it is pending.
+        ``used`` counts the segments the walk has used."""
         target = self.targets[k]
         for _ in range(_ATTEMPTS):
             i = self.used
@@ -414,54 +414,53 @@ class _LevelSolver:
         (values,), errors = ex.table(self.level, stack)
         return values, {j: exc for (j, _), exc in errors.items()}
 
-    def _bisect(self, lanes: list):
-        """Bisect the ``lanes`` in lockstep and record their outcomes.
+    def _regula_falsi(self, lanes: list):
+        """Solve the ``lanes`` in lockstep by the Illinois regula falsi and
+        record their outcomes.
 
-        A lane whose midpoint leaves its bracket and L at its lower end
-        bitwise as they were is at a fixed point, since every later step
-        repeats it, so it stops there with the point the remaining steps
-        would reach; after the last step the midpoint is taken once more."""
-        segments = [i for i, _ in lanes]
+        A lane's bracket starts at its segment's ends a and b, with fa and fb
+        the values of L - target its draw read there; an end on the level is
+        the lane's point. A step goes to c = b + s (a - b), s = fb / (fb -
+        fa), or to the midpoint where s is not inside (0, 1). b is always the
+        newest point: b passes to a where fc has the sign of fa or the sign
+        opposite to fb's, or where fa and fc are both NaN; elsewhere a stays
+        and fa is halved. A lane stops at c where fc = 0, where c equals one
+        of its ends bitwise, or at the _LEVEL_STEPS-th step."""
+        segments = np.array([i for i, _ in lanes])
         goal = np.array([self.targets[k] for _, k in lanes])
-        # the lanes still bisecting, their targets, brackets and L at lo
-        index, target = np.arange(len(lanes)), goal
-        lo, hi = self.a[:, segments], self.b[:, segments]
-        va = np.array([self.ends[i][0] for i in segments])
-        points, values = np.zeros(lo.shape), np.zeros(len(lanes))
-        errors = {}
-        for step in range(_BISECTIONS + 1):
-            mid = (lo + hi) / 2.0
-            vm, failed = self._level_at(mid)
-            live = np.ones(len(index), dtype=bool)
-            for j, exc in failed.items():
-                errors[int(index[j])] = exc
-                live[j] = False
-            if step == _BISECTIONS:
-                stop, live = live, np.zeros_like(live)
-            else:
-                lower = (vm - target) * (va - target) <= 0.0  # mid becomes hi
-                end = np.where(lower, hi, lo)
-                fixed = ((mid == end) & (np.signbit(mid) == np.signbit(end))).all(axis=0)
-                stop = live & fixed
-                live &= ~fixed
-            points[:, index[stop]] = mid[:, stop]
-            values[index[stop]] = vm[stop]
-            if not live.any():
-                break
-            index, target, lower = index[live], target[live], lower[live]
-            mid, vm = mid[:, live], vm[live]
-            hi = np.where(lower, mid, hi[:, live])
-            lo = np.where(lower, lo[:, live], mid)
-            va = np.where(lower, va[live], vm)
+        ends, errors = np.array([self.ends[i] for i in segments]).T, {}
+        with np.errstate(all="ignore"):
+            fa, fb = ends - goal
+            on_b = (fa != 0.0) & (fb == 0.0)
+            points = np.where(on_b, self.b[:, segments], self.a[:, segments])
+            values = np.where(on_b, ends[1], ends[0])
+            # the lanes still stepping, their targets, brackets and L - target there
+            index = np.flatnonzero((fa != 0.0) & ~on_b)
+            target, fa, fb = goal[index], fa[index], fb[index]
+            a, b = self.a[:, segments[index]], self.b[:, segments[index]]
+            for step in range(_LEVEL_STEPS):
+                if not index.size:
+                    break
+                s = fb / (fb - fa)
+                c = np.where((0.0 < s) & (s < 1.0), b + s * (a - b), (a + b) / 2.0)
+                vc, failed = self._level_at(c)
+                live = np.ones(len(index), dtype=bool)
+                for j, exc in failed.items():
+                    errors[int(index[j])] = _MISSED if isinstance(exc, ex.DomainViolation) else exc
+                    live[j] = False
+                fc, bits = vc - target, c.view(np.int64)
+                at_end = (bits == a.view(np.int64)).all(axis=0) | (bits == b.view(np.int64)).all(axis=0)
+                stop = live & ((fc == 0.0) | at_end | (step == _LEVEL_STEPS - 1))
+                points[:, index[stop]], values[index[stop]] = c[:, stop], vc[stop]
+                live &= ~stop
+                flip = (fc * fa > 0.0) | (fc * fb < 0.0) | (np.isnan(fa) & np.isnan(fc))
+                a, fa = np.where(flip, b, a)[:, live], np.where(flip, fb, fa / 2.0)[live]
+                index, target, b, fb = index[live], target[live], c[:, live], fc[live]
         on_level = np.abs(values - goal) <= 1e-10 * (1.0 + np.abs(goal))
         found = [j for j in range(len(lanes)) if j not in errors and on_level[j]]
         accepted = dict(zip(found, self.accept(points[:, found])))
         for j, lane in enumerate(lanes):
-            if j in errors:
-                exc = errors[j]
-                self.outcomes[lane] = _MISSED if isinstance(exc, ex.DomainViolation) else exc
-            else:
-                self.outcomes[lane] = accepted.get(j, _MISSED)
+            self.outcomes[lane] = errors[j] if j in errors else accepted.get(j, _MISSED)
 
 
 def _level_groups(solver: _LevelSolver) -> list:
@@ -490,10 +489,10 @@ def functional_dependence_test(
 
     Collects the (L, f) cloud over ``samples``, a draw of ``plan`` under at
     least ``derived.theorem_guards()``, then builds groups of near-equal L by
-    constructing extra points directly on 32 target levels (bisection along
-    fiber segments, level width ~1e-10 relative) and compares the ratio
-    within each group. Genuine level-set variation shows up as within-group
-    spread far above float noise.
+    constructing extra points directly on 32 target levels (Illinois regula
+    falsi along fiber segments, level width ~1e-10 relative) and compares
+    the ratio within each group. Genuine level-set variation shows up as
+    within-group spread far above float noise.
     """
     lagrangian = derived.lagrangian
     rows = samples.rows

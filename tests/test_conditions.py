@@ -1024,10 +1024,49 @@ def _ref_max(a, b):
     return b if (math.isnan(b) or b > a) and not math.isnan(a) else a
 
 
+def _ref_segment(plan, rng, names, n):
+    """A random fiber segment (a, b): a chart point a, then b with a's
+    positions and fresh fibers, one ``rng.uniform`` call per coordinate."""
+    a = [rng.uniform(*plan.bounds[v]) for v in names]
+    return a, a[:n] + [rng.uniform(*plan.bounds[v]) for v in names[n:]]
+
+
+def _ref_regula_falsi(value_at, a, b, va, vb, target):
+    """(point, L there) by the Illinois regula falsi of L - target between
+    the bracket ends a and b, where L is va and vb: an end on the level
+    itself, else up to 80 steps, each to the secant's root or, where the
+    secant's fraction is not inside (0, 1), the midpoint. The newest point
+    is always b; a is the end the step keeps, its value halved each time
+    it is kept."""
+    fa, fb = va - target, vb - target
+    if fa == 0.0:
+        return a, va
+    if fb == 0.0:
+        return b, vb
+    for step in range(80):
+        try:
+            s = fb / (fb - fa)
+        except ZeroDivisionError:
+            s = math.nan
+        if 0.0 < s < 1.0:
+            c = [v + s * (u - v) for u, v in zip(a, b)]
+        else:
+            c = [(u + v) / 2.0 for u, v in zip(a, b)]
+        vc = value_at(c)
+        fc = vc - target
+        if fc == 0.0 or _bits(c) in (_bits(a), _bits(b)) or step == 79:
+            return c, vc
+        if fc * fa > 0.0 or fc * fb < 0.0 or (math.isnan(fa) and math.isnan(fc)):
+            a, fa = b, fb  # the root lies between b and c
+        else:
+            fa = fa / 2.0
+        b, fb = c, fc
+    raise AssertionError("unreachable")
+
+
 def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
-    """The 80-step bisection of L along a random fiber segment."""
-    lows = [plan.bounds[v][0] for v in names]
-    highs = [plan.bounds[v][1] for v in names]
+    """The regula falsi of L along up to 12 random fiber segments, one
+    segment after another: the first point within the level width."""
     base = dict(params) if params else {}
 
     def value_at(coords):
@@ -1036,8 +1075,7 @@ def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
         return ex.evaluate(lagrangian.expr, binding)
 
     for _ in range(12):
-        a = [rng.uniform(lo, hi) for lo, hi in zip(lows, highs)]
-        b = list(a[:n]) + [rng.uniform(plan.bounds[v][0], plan.bounds[v][1]) for v in names[n:]]
+        a, b = _ref_segment(plan, rng, names, n)
         try:
             va = value_at(a)
             vb = value_at(b)
@@ -1045,21 +1083,12 @@ def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
             continue
         if (va - target) * (vb - target) > 0.0:
             continue
-        lo_c, hi_c = a, b
         try:
-            for _ in range(80):
-                mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-                vm = value_at(mid)
-                if (vm - target) * (va - target) <= 0.0:
-                    hi_c = mid
-                else:
-                    lo_c, va = mid, vm
-            mid = [(u + v) / 2.0 for u, v in zip(lo_c, hi_c)]
-            vm = value_at(mid)
+            point, value = _ref_regula_falsi(value_at, a, b, va, vb, target)
         except ex.DomainViolation:
             continue
-        if abs(vm - target) <= 1e-10 * (1.0 + abs(target)):
-            return mid
+        if abs(value - target) <= 1e-10 * (1.0 + abs(target)):
+            return point
     return None
 
 
@@ -1303,9 +1332,9 @@ def _bits(value):
 
 
 def _level_problems():
-    """(name, L, plan, params) for the bisection oracle: the corpus, a box
-    where the coordinates converge to +-0.0, and an L that is NaN on part of
-    its segments (1e307 y1^2 overflows for y1 > 4.2)."""
+    """(name, L, plan, params) for the level solver's oracle: the corpus, a
+    box where the coordinates converge to +-0.0, and an L that is NaN on
+    part of its segments (1e307 y1^2 overflows for y1 > 4.2)."""
     problems = []
     for name in CORPUS_NAMES:
         spec = load_corpus_problem(name)
@@ -1318,15 +1347,22 @@ def _level_problems():
     return problems
 
 
-@pytest.mark.parametrize("name,lagrangian,plan,params", _level_problems(), ids=lambda v: v if isinstance(v, str) else "")
-def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, plan, params):
+def _quantile_targets(lagrangian, plan, params):
+    """32 levels of L: quantiles of L over a 64-point draw of ``plan``."""
     n = lagrangian.n
-    names = ex.chart_names(n)
     draw = draw_samples(SamplePlan(plan.bounds, 64, plan.seed), Guards(evaluable=(lagrangian.expr,)), params)
     ls = [ex.evaluate(lagrangian.expr, binding(row, n, params)) for row in draw.rows]
-    targets = [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
-    if name == "subnormal":
-        targets = [0.0, -0.0] * 16
+    return [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
+
+
+def _solve_against_the_reference(lagrangian, plan, params, targets):
+    """One solve per target by _LevelSolver and by the scalar reference,
+    from the generator of ``plan.seed + 1``: the same points bit for bit, the
+    same draws, and every point on the segment it came from and within the
+    level width. Returns (target, point, a, b) for each point found, where a
+    and b are the ends of its segment."""
+    n = lagrangian.n
+    names = ex.chart_names(n)
     level = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian, params).kernel(
         (lagrangian.expr,)
     )
@@ -1342,18 +1378,73 @@ def test_bisection_matches_the_80_step_reference_bit_for_bit(name, lagrangian, p
     for target, (point, used) in zip(targets, got):
         want = _ref_solve_on_level(lagrangian, plan, params, rng_ref, target, names, n)
         assert (point is None) == (want is None)
-        if want is not None:
-            assert _bits(point) == _bits(want)
-            found.append(want)
         # the solver used exactly the segments the reference drew, 3n
         # draws each
         consumed = np.random.default_rng(plan.seed + 1)
         consumed.uniform(size=3 * n * used)
         assert consumed.bit_generator.state == rng_ref.bit_generator.state
-    assert found
+        if want is None:
+            continue
+        assert _bits(point) == _bits(want)
+        # a solve returns from the last segment it used
+        a, b = solver.a[:, used - 1].tolist(), solver.b[:, used - 1].tolist()
+        assert point[:n] == a[:n] == b[:n]
+        assert all(min(u, v) <= y <= max(u, v) for y, u, v in zip(point[n:], a[n:], b[n:]))
+        value = ex.evaluate(lagrangian.expr, binding(point, n, params))
+        assert abs(value - target) <= 1e-10 * (1.0 + abs(target))
+        found.append((target, point, a, b))
+    return found
+
+
+@pytest.mark.parametrize("name,lagrangian,plan,params", _level_problems(), ids=lambda v: v if isinstance(v, str) else "")
+def test_level_solver_matches_the_regula_falsi_reference_bit_for_bit(name, lagrangian, plan, params):
+    targets = _quantile_targets(lagrangian, plan, params)
     if name == "subnormal":
-        zeros = [v for row in found for v in row[n : 2 * n] if v == 0.0]
-        assert {math.copysign(1.0, v) for v in zeros} == {1.0, -1.0}
+        targets = [0.0, -0.0] * 16
+    assert _solve_against_the_reference(lagrangian, plan, params, targets)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
+@pytest.mark.parametrize("name", ["dissipative", "homogeneous", "moebius"])
+def test_an_end_on_its_level_is_the_point(name, end):
+    # target k is L at an end of segment k, so each solve takes its first
+    # segment and returns that end with no step
+    spec = load_corpus_problem(name)
+    plan, n = spec.plan(), spec.n
+    rng = np.random.default_rng(plan.seed + 1)
+    segments = [_ref_segment(plan, rng, ex.chart_names(n), n) for _ in range(32)]
+    targets = [ex.evaluate(spec.lagrangian.expr, binding(seg[end], n, spec.params)) for seg in segments]
+    found = _solve_against_the_reference(spec.lagrangian, plan, spec.params, targets)
+    assert [_bits(point) for _, point, _, _ in found] == [_bits(seg[end]) for seg in segments]
+
+
+def test_a_level_crossed_several_times_along_a_segment():
+    wavy = ScalarField(1, parse("sin(12*y1) + 0.25*x1", ("x1", "y1")))
+    plan = SamplePlan({"x1": (0.5, 2.0), "y1": (-3.0, 3.0)}, 64, 5)
+    found = _solve_against_the_reference(wavy, plan, {}, _quantile_targets(wavy, plan, {}))
+    assert len(found) >= 30  # no segment of its 12 brackets the top level
+
+    def crossings(target, a, b):
+        ys = np.linspace(a[1], b[1], 4001)
+        signs = np.sign(np.sin(12 * ys) + 0.25 * a[0] - target)
+        return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+    assert max(crossings(t, a, b) for t, _, a, b in found) >= 5
+
+
+def test_a_secant_step_outside_the_bracket_takes_the_midpoint():
+    # L spans 87 decades on each fiber: where b lies far above the level, fa
+    # is below half an ulp of fb and fb / (fb - fa) rounds to 1
+    steep = ScalarField(1, parse("exp(200*y1)", ("x1", "y1")))
+    plan = SamplePlan({"x1": (0.5, 2.0), "y1": (0.0, 1.0)}, 64, 3)
+    found = _solve_against_the_reference(steep, plan, {}, _quantile_targets(steep, plan, {}))
+    assert len(found) >= 24
+
+    def first_fraction(target, a, b):
+        fa, fb = (math.exp(200 * end[1]) - target for end in (a, b))
+        return fb / (fb - fa)
+
+    assert any(not 0.0 < first_fraction(t, a, b) < 1.0 for t, _, a, b in found)
 
 
 def _run_inputs(name, offset):

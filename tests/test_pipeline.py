@@ -598,8 +598,8 @@ def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, of
 @pytest.mark.parametrize(
     "problem, digest",
     [
-        (rayleigh_problem, "eba1e2727280cc6d904b6859c17fe0be11912d1f39e9401d1ca79bdc20e9e009"),
-        (damped_problem, "88a4ee12af496c3e39977b949e40d548e90098bc381c1888ddbe60764c0eb80c"),
+        (rayleigh_problem, "2abc3d9083e05844142a06effa4324b448991cabdb7cf6fbc50d5c6c306258b0"),
+        (damped_problem, "841929e2faf5155330e446b24fb75869f073391398c301df0c7ff4a7afaa585f"),
     ],
     ids=["rayleigh", "damped"],
 )

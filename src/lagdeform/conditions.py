@@ -435,7 +435,7 @@ class _LevelSolver:
             points = np.where(on_b, self.b[:, segments], self.a[:, segments])
             values = np.where(on_b, ends[1], ends[0])
             # the lanes still stepping, their targets, brackets and L - target there
-            index = np.flatnonzero((fa != 0.0) & ~on_b)
+            index = np.flatnonzero((fa != 0.0) & (fb != 0.0))
             target, fa, fb = goal[index], fa[index], fb[index]
             a, b = self.a[:, segments[index]], self.b[:, segments[index]]
             for step in range(_LEVEL_STEPS):

@@ -51,7 +51,7 @@ _LEVEL_STEPS = 80
 # Target levels of the dependence test and points constructed on each.
 _LEVELS = 32
 _PER_LEVEL = 4
-# Fiber segments one solve for a point on a level tries at most.
+# Blocks of fiber segments the dependence test draws at most.
 _ATTEMPTS = 12
 # Damped Gauss-Newton steps of one start of the classify fit.
 _GN_ITERATIONS = 50
@@ -291,24 +291,12 @@ class DependenceResult:
     tolerance: float
 
 
-# Stand-ins in the level solver's walk: the result of a lane (segment, level)
-# not solved yet, and the outcome of a lane whose solve missed the level.
-_PENDING = object()
-_MISSED = object()
-
-
 class _LevelSolver:
-    """Points on target levels of L, the one root of the kernel ``level``,
-    each found by regula falsi along a random fiber segment in ``[lows,
-    highs]`` drawn from ``rng``, with all the solves of a walk run in
-    lockstep, bit for bit as one after another.
-
-    ``run(walk)`` runs ``walk(self)``, sequential code that calls
-    ``solve(k)``, until a walk meets no (segment, level) lane that no walk
-    before it met: the first walk takes every lane it meets to give an
-    accepted point, and each later one knows what the lanes before gave.
-    ``accept(points)`` gives the outcome at each column of ``points``, the
-    points a round of solves put on their levels."""
+    """Points on the target levels of L, the one root of the kernel
+    ``level``, each found by regula falsi along a random fiber segment in
+    ``[lows, highs]`` drawn from ``rng``. ``accept(points)`` gives the
+    outcome at each column of ``points``: a slope value, None where the
+    point is rejected, or the error it meets there."""
 
     def __init__(self, level, lows: list, highs: list, rng, targets: list, accept: Callable):
         self.level = level
@@ -316,119 +304,91 @@ class _LevelSolver:
         self.lows = lows + lows[self.n :]
         self.highs = highs + highs[self.n :]
         self.rng = rng
-        self.targets = targets
+        self.targets = np.array(targets, dtype=float)
         self.accept = accept
-        # the segments' ends as columns, and per segment (L at a, L at b)
-        # or the error that stops their evaluation
+        # the segments' ends as columns, L at them, and which segments
+        # bracket which level: none where L cannot be evaluated at an end
         self.a = self.b = np.empty((2 * self.n, 0))
-        self.ends = []
-        self.outcomes = {}  # (segment, level) -> accept(point), _MISSED or an error
-        self.used = 0
-        self._pending = []
+        self.ends = np.empty((2, 0))
+        self.brackets = np.empty((len(targets), 0), dtype=bool)
 
-    def run(self, walk: Callable):
-        window = 0
+    def groups(self) -> list:
+        """The slope values on each target level, in segment order: up to
+        _PER_LEVEL accepted points from up to 3 _PER_LEVEL solves, each along
+        the next segment in draw order that brackets the level. A segment
+        serves every level it brackets. A round draws blocks of segments,
+        _ATTEMPTS at most in all, until each level short of points has a
+        segment for every point it lacks; it solves all those lanes at once,
+        and the next round serves only the levels whose lanes missed or
+        were rejected. Every point a round solves for would enter its group,
+        so an error that its solve meets or ``accept`` returns is raised."""
+        groups = [[] for _ in self.targets]
+        tried = np.zeros(len(groups), dtype=int)
+        cap = _ATTEMPTS * _LEVELS * _PER_LEVEL
         while True:
-            self.used = 0
-            self._pending = []
-            result = walk(self)
-            if not self._pending:
-                return result
-            # after a lane has failed, the lanes after it may move on to later
-            # segments, so each later round solves those as well, over a
-            # window of segments that doubles from round to round
-            self._regula_falsi(self._pending + self._ahead(self._pending, window))
-            window = 2 * window or _ATTEMPTS
-
-    def _ahead(self, pending: list, window: int) -> list:
-        """The lanes that no walk has met on the ``window - 1`` segments
-        after each pending lane, in its level."""
-        ahead = {}
-        for i, k in pending:
-            for j in range(i + 1, min(i + window, len(self.ends))):
-                if self._brackets(j, self.targets[k]):
-                    ahead[j, k] = None
-        met = set(pending)
-        return [lane for lane in ahead if lane not in met and lane not in self.outcomes]
-
-    def _brackets(self, i: int, target: float) -> bool:
-        # a NaN at an end brackets every target: the product is not > 0
-        ends = self.ends[i]
-        if isinstance(ends, Exception):
-            return False
-        return not (ends[0] - target) * (ends[1] - target) > 0.0
-
-    def solve(self, k: int):
-        """``accept(point)`` at the first point found on the level
-        ``targets[k]`` within the next _ATTEMPTS unused segments, or None. A
-        segment is skipped where L cannot be evaluated at an end or does not
-        bracket the target, or where its solve meets a domain violation or
-        misses the target by more than the level width. A lane not yet
-        solved gives ``_PENDING``; an error that solving one segment after
-        another would raise is raised where no lane before it is pending.
-        ``used`` counts the segments the walk has used."""
-        target = self.targets[k]
-        for _ in range(_ATTEMPTS):
-            i = self.used
-            self.used += 1
-            if i == len(self.ends):
+            need = np.minimum(_PER_LEVEL - np.array([len(g) for g in groups]), 3 * _PER_LEVEL - tried)
+            while (self.brackets.sum(axis=1) - tried < need).any() and self.ends.shape[1] < cap:
                 self._draw()
-            ends = self.ends[i]
-            if isinstance(ends, Exception) and not isinstance(ends, ex.DomainViolation):
-                return self._reached(ends)
-            if not self._brackets(i, target):
-                continue
-            outcome = self.outcomes.get((i, k), _PENDING)
-            if outcome is _PENDING:
-                self._pending.append((i, k))
-            elif outcome is _MISSED:
-                continue
-            elif isinstance(outcome, Exception):
-                return self._reached(outcome)
-            return outcome
-        return None
-
-    def _reached(self, error: Exception):
-        # a lane pending before it may yet change what the walk reaches
-        if self._pending:
-            return _PENDING
-        raise error
+            # each level's next ``need`` bracketing segments
+            rank = np.cumsum(self.brackets, axis=1)
+            lanes = self.brackets & (rank > tried[:, None]) & (rank <= (tried + need)[:, None])
+            levels, segments = np.nonzero(lanes)
+            if not levels.size:
+                return groups
+            for k, outcome in zip(levels.tolist(), self._regula_falsi(segments, levels)):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                if outcome is not None:
+                    groups[k].append(outcome)
+            tried += lanes.sum(axis=1)
 
     def _draw(self):
-        """A block of segments, as many as a walk has points: a chart point
-        a, and b with a's positions and fresh fibers, drawn in the order of
-        one ``rng.uniform`` call per coordinate."""
+        """A block of segments, one per point of the levels: a chart point a,
+        and b with a's positions and fresh fibers, drawn in the order of one
+        ``rng.uniform`` call per coordinate. An error other than a domain
+        violation at an end is raised, the first segment's first."""
         n = self.n
         block = self.rng.uniform(self.lows, self.highs, size=(_LEVELS * _PER_LEVEL, 3 * n)).T
         a, b = block[: 2 * n], np.concatenate((block[:n], block[2 * n :]))
-        va, a_errors = self._level_at(a)
-        vb, b_errors = self._level_at(b)
+        (va, a_errors), (vb, b_errors) = self._level_at(a), self._level_at(b)
+        failed = sorted(a_errors.keys() | b_errors.keys())
+        for j in failed:
+            error = a_errors.get(j) or b_errors[j]
+            if not isinstance(error, ex.DomainViolation):
+                raise error
+        with np.errstate(all="ignore"):
+            # a NaN at an end brackets every target: the product is not > 0
+            brackets = ~((va - self.targets[:, None]) * (vb - self.targets[:, None]) > 0.0)
+        brackets[:, failed] = False
         self.a = np.concatenate((self.a, a), axis=1)
         self.b = np.concatenate((self.b, b), axis=1)
-        for j, ends in enumerate(zip(va.tolist(), vb.tolist())):
-            self.ends.append(a_errors.get(j) or b_errors.get(j) or ends)
+        self.ends = np.concatenate((self.ends, [va, vb]), axis=1)
+        self.brackets = np.concatenate((self.brackets, brackets), axis=1)
 
     def _level_at(self, stack):
         """L at the columns of ``stack``, and the error of each column where
-        L cannot be evaluated, raised only if a walk reaches its lane."""
+        L cannot be evaluated."""
         (values,), errors = ex.table(self.level, stack)
         return values, {j: exc for (j, _), exc in errors.items()}
 
-    def _regula_falsi(self, lanes: list):
-        """Solve the ``lanes`` in lockstep by the Illinois regula falsi and
-        record their outcomes.
+    def _regula_falsi(self, segments, levels) -> list:
+        """The outcome of each lane, the ``segments[j]``-th segment and the
+        ``levels[j]``-th target, all solved in lockstep by the Illinois
+        regula falsi: ``accept`` at its point, None where the point misses
+        the level width or its solve meets a domain violation, or an error
+        other than that the solve meets.
 
         A lane's bracket starts at its segment's ends a and b, with fa and fb
         the values of L - target its draw read there; an end on the level is
         the lane's point. A step goes to c = b + s (a - b), s = fb / (fb -
-        fa), or to the midpoint where s is not inside (0, 1). b is always the
-        newest point: b passes to a where fc has the sign of fa or the sign
-        opposite to fb's, or where fa and fc are both NaN; elsewhere a stays
-        and fa is halved. A lane stops at c where fc = 0, where c equals one
-        of its ends bitwise, or at the _LEVEL_STEPS-th step."""
-        segments = np.array([i for i, _ in lanes])
-        goal = np.array([self.targets[k] for _, k in lanes])
-        ends, errors = np.array([self.ends[i] for i in segments]).T, {}
+        fa), or to the midpoint where s is not inside (0, 1) or where c
+        rounds onto b, which is off the level (Brent's minimum step). b is
+        always the newest point: b passes to a where fc has the sign of fa or
+        the sign opposite to fb's, or where fa and fc are both NaN; elsewhere
+        a stays and fa is halved. A lane stops at c where fc = 0, where c
+        equals one of its ends bitwise, or at the _LEVEL_STEPS-th step."""
+        goal = self.targets[levels]
+        ends, errors = self.ends[:, segments], {}
         with np.errstate(all="ignore"):
             fa, fb = ends - goal
             on_b = (fa != 0.0) & (fb == 0.0)
@@ -442,11 +402,13 @@ class _LevelSolver:
                 if not index.size:
                     break
                 s = fb / (fb - fa)
-                c = np.where((0.0 < s) & (s < 1.0), b + s * (a - b), (a + b) / 2.0)
+                c = b + s * (a - b)
+                secant = (0.0 < s) & (s < 1.0) & (c.view(np.int64) != b.view(np.int64)).any(axis=0)
+                c = np.where(secant, c, (a + b) / 2.0)
                 vc, failed = self._level_at(c)
                 live = np.ones(len(index), dtype=bool)
                 for j, exc in failed.items():
-                    errors[int(index[j])] = _MISSED if isinstance(exc, ex.DomainViolation) else exc
+                    errors[int(index[j])] = None if isinstance(exc, ex.DomainViolation) else exc
                     live[j] = False
                 fc, bits = vc - target, c.view(np.int64)
                 at_end = (bits == a.view(np.int64)).all(axis=0) | (bits == b.view(np.int64)).all(axis=0)
@@ -457,26 +419,9 @@ class _LevelSolver:
                 a, fa = np.where(flip, b, a)[:, live], np.where(flip, fb, fa / 2.0)[live]
                 index, target, b, fb = index[live], target[live], c[:, live], fc[live]
         on_level = np.abs(values - goal) <= 1e-10 * (1.0 + np.abs(goal))
-        found = [j for j in range(len(lanes)) if j not in errors and on_level[j]]
+        found = [j for j in range(len(segments)) if j not in errors and on_level[j]]
         accepted = dict(zip(found, self.accept(points[:, found])))
-        for j, lane in enumerate(lanes):
-            self.outcomes[lane] = errors[j] if j in errors else accepted.get(j, _MISSED)
-
-
-def _level_groups(solver: _LevelSolver) -> list:
-    """The slope values on each target level: up to _PER_LEVEL points from
-    up to three times as many solves."""
-    groups = []
-    for k in range(len(solver.targets)):
-        group = []
-        for _ in range(_PER_LEVEL * 3):
-            if len(group) >= _PER_LEVEL:
-                break
-            f_val = solver.solve(k)
-            if f_val is not None:
-                group.append(f_val)
-        groups.append(group)
-    return groups
+        return [errors[j] if j in errors else accepted.get(j) for j in range(len(segments))]
 
 
 def functional_dependence_test(
@@ -492,7 +437,11 @@ def functional_dependence_test(
     constructing extra points directly on 32 target levels (Illinois regula
     falsi along fiber segments, level width ~1e-10 relative) and compares
     the ratio within each group. Genuine level-set variation shows up as
-    within-group spread far above float noise.
+    within-group spread far above float noise. A level's group holds up to
+    4 points from the first segments in draw order that bracket it, and one
+    segment serves every level it brackets (:meth:`_LevelSolver.groups`).
+    Raises :class:`InsufficientSamples` with fewer than 8 rows, 8 distinct
+    values of L or 8 groups of 2 points or more.
     """
     lagrangian = derived.lagrangian
     rows = samples.rows
@@ -518,7 +467,7 @@ def functional_dependence_test(
             return _slope_ratio(ratio(row), eps)
         except (GuardViolation, ex.DomainViolation):
             return None
-        except Exception as exc:  # raised only if a walk reaches the lane
+        except Exception as exc:  # raised where the point would enter its group
             return exc
 
     def accept(points):
@@ -540,7 +489,7 @@ def functional_dependence_test(
     max_spread = 0.0
     used = 0
     functional = True
-    for group in solver.run(_level_groups):
+    for group in solver.groups():
         if len(group) >= 2:
             used += 1
             spread = max(group) - min(group)

@@ -503,6 +503,21 @@ def test_dependence_detects_level_set_variation():
     assert result.max_level_spread > 1e-3
 
 
+@pytest.mark.parametrize("count", [7, 8])
+def test_dependence_needs_eight_accepted_rows(count):
+    sys = drag_system()
+    d = derived(sys)
+    plan = plan_for(2, count, seed=3)
+    samples = draw_samples(plan, d.theorem_guards(), sys["params"])
+    assert len(samples.rows) == count
+    if count < 8:
+        with pytest.raises(InsufficientSamples, match="only 7 accepted points"):
+            functional_dependence_test(d, samples, plan)
+    else:
+        result = functional_dependence_test(d, samples, plan)
+        assert len(result.cloud) == 8 and result.functional
+
+
 def test_dependence_insufficient_samples():
     sys = drag_system()
     with pytest.raises(InsufficientSamples):
@@ -1035,9 +1050,9 @@ def _ref_regula_falsi(value_at, a, b, va, vb, target):
     """(point, L there) by the Illinois regula falsi of L - target between
     the bracket ends a and b, where L is va and vb: an end on the level
     itself, else up to 80 steps, each to the secant's root or, where the
-    secant's fraction is not inside (0, 1), the midpoint. The newest point
-    is always b; a is the end the step keeps, its value halved each time
-    it is kept."""
+    secant's fraction is not inside (0, 1) or the root rounds onto b, the
+    midpoint. The newest point is always b; a is the end the step keeps,
+    its value halved each time it is kept."""
     fa, fb = va - target, vb - target
     if fa == 0.0:
         return a, va
@@ -1048,9 +1063,8 @@ def _ref_regula_falsi(value_at, a, b, va, vb, target):
             s = fb / (fb - fa)
         except ZeroDivisionError:
             s = math.nan
-        if 0.0 < s < 1.0:
-            c = [v + s * (u - v) for u, v in zip(a, b)]
-        else:
+        c = [v + s * (u - v) for u, v in zip(a, b)] if 0.0 < s < 1.0 else b
+        if _bits(c) == _bits(b):
             c = [(u + v) / 2.0 for u, v in zip(a, b)]
         vc = value_at(c)
         fc = vc - target
@@ -1064,32 +1078,46 @@ def _ref_regula_falsi(value_at, a, b, va, vb, target):
     raise AssertionError("unreachable")
 
 
-def _ref_solve_on_level(lagrangian, plan, params, rng, target, names, n):
-    """The regula falsi of L along up to 12 random fiber segments, one
-    segment after another: the first point within the level width."""
-    base = dict(params) if params else {}
+def _ref_level_groups(value_at, accept, plan, rng, targets, n):
+    """(groups, segments drawn): per target, the points ``accept`` keeps,
+    in segment order. Each level scans the segments in draw order and
+    solves along each one that brackets it, until 4 points are kept or 12
+    solved; the segments come in blocks of 128, at most 12 blocks, each
+    drawn when a level scans past the last segment. Any segment may serve
+    every level."""
+    names = ex.chart_names(n)
+    segments, groups = [], []
+    for target in targets:
+        group, solved, i = [], 0, 0
+        while len(group) < 4 and solved < 12:
+            if i == len(segments):
+                if i == 12 * 128:
+                    break
+                for _ in range(128):
+                    a, b = _ref_segment(plan, rng, names, n)
+                    try:
+                        segments.append((a, b, value_at(a), value_at(b)))
+                    except ex.DomainViolation:
+                        segments.append(None)
+            segment, i = segments[i], i + 1
+            if segment is None or (segment[2] - target) * (segment[3] - target) > 0.0:
+                continue
+            solved += 1
+            try:
+                point, value = _ref_regula_falsi(value_at, *segment, target)
+            except ex.DomainViolation:
+                continue
+            if abs(value - target) <= 1e-10 * (1.0 + abs(target)):
+                kept = accept(point)
+                if kept is not None:
+                    group.append(kept)
+        groups.append(group)
+    return groups, len(segments)
 
-    def value_at(coords):
-        binding = dict(base)
-        binding.update(zip(names, coords))
-        return ex.evaluate(lagrangian.expr, binding)
 
-    for _ in range(12):
-        a, b = _ref_segment(plan, rng, names, n)
-        try:
-            va = value_at(a)
-            vb = value_at(b)
-        except ex.DomainViolation:
-            continue
-        if (va - target) * (vb - target) > 0.0:
-            continue
-        try:
-            point, value = _ref_regula_falsi(value_at, a, b, va, vb, target)
-        except ex.DomainViolation:
-            continue
-        if abs(value - target) <= 1e-10 * (1.0 + abs(target)):
-            return point
-    return None
+def _ref_value_at(e, n, params):
+    """A function of a chart point's coordinates: ``e`` there, through a binding dict."""
+    return lambda coords: ex.evaluate(e, binding(coords, n, params))
 
 
 def _ref_ratio(d, b, eps):
@@ -1142,24 +1170,17 @@ def _ref_dependence(d, samples, plan, params, tol_dep=1e-6):
         cloud.append((ex.evaluate(d.lagrangian.expr, b), _ref_ratio(d, b, plan.guard_eps)))
     cloud.sort(key=lambda t: t[0])
     l_values = np.array([l for l, _ in _merge_duplicate_abscissae(cloud)])
+    targets = [float(np.quantile(l_values, (k + 0.5) / 32)) for k in range(32)]
+
+    def accept(point):
+        try:
+            return _ref_ratio(d, binding(point, n, params), plan.guard_eps)
+        except (GuardViolation, ex.DomainViolation):
+            return None
+
+    value_at = _ref_value_at(d.lagrangian.expr, n, params)
     rng = np.random.default_rng(plan.seed + 1)
-    names = ex.chart_names(d.lagrangian.n)
-    groups = []
-    for k in range(32):
-        target = float(np.quantile(l_values, (k + 0.5) / 32))
-        group = []
-        for _ in range(12):
-            if len(group) >= 4:
-                break
-            row = _ref_solve_on_level(d.lagrangian, plan, params, rng, target, names, n)
-            if row is None:
-                continue
-            try:
-                group.append(_ref_ratio(d, binding(row, n, params), plan.guard_eps))
-            except (GuardViolation, ex.DomainViolation):
-                continue
-        groups.append(group)
-    return cloud, groups
+    return cloud, _ref_level_groups(value_at, accept, plan, rng, targets, n)[0]
 
 
 def _ref_dependence_cloud(d, samples, plan):
@@ -1333,8 +1354,10 @@ def _bits(value):
 
 def _level_problems():
     """(name, L, plan, params) for the level solver's oracle: the corpus, a
-    box where the coordinates converge to +-0.0, and an L that is NaN on
-    part of its segments (1e307 y1^2 overflows for y1 > 4.2)."""
+    box where the coordinates converge to +-0.0, an L that is NaN on part
+    of its segments (1e307 y1^2 overflows for y1 > 4.2), and an L spanning
+    87 decades on each fiber, where secant steps round onto their newest
+    end."""
     problems = []
     for name in CORPUS_NAMES:
         spec = load_corpus_problem(name)
@@ -1344,6 +1367,8 @@ def _level_problems():
     nan_l = parse("y1 + (1e307*y1*y1 - 1e307*y1*y1)", ("x1", "y1"))
     wide = SamplePlan({"x1": (0.5, 2.0), "y1": (0.5, 8.0)}, 64, 11)
     problems.append(("nan-part", ScalarField(1, nan_l), wide, {}))
+    steep = SamplePlan({"x1": (0.5, 2.0), "y1": (0.0, 1.0)}, 64, 3)
+    problems.append(("steep", ScalarField(1, parse("exp(200*y1)", ("x1", "y1"))), steep, {}))
     return problems
 
 
@@ -1355,12 +1380,13 @@ def _quantile_targets(lagrangian, plan, params):
     return [float(np.quantile(ls, (k + 0.5) / 32)) for k in range(32)]
 
 
-def _solve_against_the_reference(lagrangian, plan, params, targets):
-    """One solve per target by _LevelSolver and by the scalar reference,
-    from the generator of ``plan.seed + 1``: the same points bit for bit, the
-    same draws, and every point on the segment it came from and within the
-    level width. Returns (target, point, a, b) for each point found, where a
-    and b are the ends of its segment."""
+def _solve_against_the_reference(lagrangian, plan, params, targets, keep=lambda point: True):
+    """The level groups of _LevelSolver and of the scalar reference, each
+    point that ``keep`` admits kept as it is and every other one rejected,
+    from the generator of ``plan.seed + 1``: the same
+    points bit for bit, the same segments drawn, and every point on the
+    segment it came from and within the level width. Returns (target,
+    point, a, b) for each point, where a and b are the ends of its segment."""
     n = lagrangian.n
     names = ex.chart_names(n)
     level = DerivedFields(SemiSpray(n, [ex.Const(0.0)] * n), lagrangian, params).kernel(
@@ -1369,30 +1395,35 @@ def _solve_against_the_reference(lagrangian, plan, params, targets):
     lows = [plan.bounds[v][0] for v in names]
     highs = [plan.bounds[v][1] for v in names]
     solver = _LevelSolver(
-        level, lows, highs, np.random.default_rng(plan.seed + 1), targets, lambda points: points.T.tolist()
+        level,
+        lows,
+        highs,
+        np.random.default_rng(plan.seed + 1),
+        targets,
+        lambda points: [point if keep(point) else None for point in points.T.tolist()],
     )
-    # one solve per target, and the segments used after each
-    got = solver.run(lambda s: [(s.solve(k), s.used) for k in range(len(targets))])
+    groups = solver.groups()
+    value_at = _ref_value_at(lagrangian.expr, n, params)
     rng_ref = np.random.default_rng(plan.seed + 1)
+    want, drawn = _ref_level_groups(
+        value_at, lambda point: point if keep(point) else None, plan, rng_ref, targets, n
+    )
+    assert _bits(groups) == _bits(want)
+    # the solver drew exactly the segments the reference drew, 3n draws each
+    assert solver.a.shape[1] == drawn
+    consumed = np.random.default_rng(plan.seed + 1)
+    consumed.uniform(size=3 * n * drawn)
+    assert consumed.bit_generator.state == rng_ref.bit_generator.state
     found = []
-    for target, (point, used) in zip(targets, got):
-        want = _ref_solve_on_level(lagrangian, plan, params, rng_ref, target, names, n)
-        assert (point is None) == (want is None)
-        # the solver used exactly the segments the reference drew, 3n
-        # draws each
-        consumed = np.random.default_rng(plan.seed + 1)
-        consumed.uniform(size=3 * n * used)
-        assert consumed.bit_generator.state == rng_ref.bit_generator.state
-        if want is None:
-            continue
-        assert _bits(point) == _bits(want)
-        # a solve returns from the last segment it used
-        a, b = solver.a[:, used - 1].tolist(), solver.b[:, used - 1].tolist()
-        assert point[:n] == a[:n] == b[:n]
-        assert all(min(u, v) <= y <= max(u, v) for y, u, v in zip(point[n:], a[n:], b[n:]))
-        value = ex.evaluate(lagrangian.expr, binding(point, n, params))
-        assert abs(value - target) <= 1e-10 * (1.0 + abs(target))
-        found.append((target, point, a, b))
+    for target, group in zip(targets, groups):
+        for point in group:
+            # its segment: the one segment drawn at the point's positions
+            (i,) = np.flatnonzero((solver.a[:n].T == point[:n]).all(axis=1))
+            a, b = solver.a[:, i].tolist(), solver.b[:, i].tolist()
+            assert point[:n] == a[:n] == b[:n]
+            assert all(min(u, v) <= y <= max(u, v) for y, u, v in zip(point[n:], a[n:], b[n:]))
+            assert abs(value_at(point) - target) <= 1e-10 * (1.0 + abs(target))
+            found.append((target, point, a, b))
     return found
 
 
@@ -1407,22 +1438,26 @@ def test_level_solver_matches_the_regula_falsi_reference_bit_for_bit(name, lagra
 @pytest.mark.parametrize("end", [0, 1], ids=["a", "b"])
 @pytest.mark.parametrize("name", ["dissipative", "homogeneous", "moebius"])
 def test_an_end_on_its_level_is_the_point(name, end):
-    # target k is L at an end of segment k, so each solve takes its first
-    # segment and returns that end with no step
+    # target k is L at an end of segment k; a lane whose segment has an end
+    # on its level returns that end with no step. Level k < 4 solves along
+    # segment k, as at most k segments before it can bracket it
     spec = load_corpus_problem(name)
     plan, n = spec.plan(), spec.n
     rng = np.random.default_rng(plan.seed + 1)
     segments = [_ref_segment(plan, rng, ex.chart_names(n), n) for _ in range(32)]
-    targets = [ex.evaluate(spec.lagrangian.expr, binding(seg[end], n, spec.params)) for seg in segments]
+    value_at = _ref_value_at(spec.lagrangian.expr, n, spec.params)
+    targets = [value_at(seg[end]) for seg in segments]
     found = _solve_against_the_reference(spec.lagrangian, plan, spec.params, targets)
-    assert [_bits(point) for _, point, _, _ in found] == [_bits(seg[end]) for seg in segments]
+    on_end = [(point, (a, b)[end]) for target, point, a, b in found if value_at((a, b)[end]) == target]
+    assert all(_bits(point) == _bits(e) for point, e in on_end)
+    assert all(_bits(seg[end]) in [_bits(e) for _, e in on_end] for seg in segments[:4])
 
 
 def test_a_level_crossed_several_times_along_a_segment():
     wavy = ScalarField(1, parse("sin(12*y1) + 0.25*x1", ("x1", "y1")))
     plan = SamplePlan({"x1": (0.5, 2.0), "y1": (-3.0, 3.0)}, 64, 5)
     found = _solve_against_the_reference(wavy, plan, {}, _quantile_targets(wavy, plan, {}))
-    assert len(found) >= 30  # no segment of its 12 brackets the top level
+    assert len(found) == 32 * 4  # every level gets its points
 
     def crossings(target, a, b):
         ys = np.linspace(a[1], b[1], 4001)
@@ -1438,13 +1473,74 @@ def test_a_secant_step_outside_the_bracket_takes_the_midpoint():
     steep = ScalarField(1, parse("exp(200*y1)", ("x1", "y1")))
     plan = SamplePlan({"x1": (0.5, 2.0), "y1": (0.0, 1.0)}, 64, 3)
     found = _solve_against_the_reference(steep, plan, {}, _quantile_targets(steep, plan, {}))
-    assert len(found) >= 24
+    assert len(found) == 32 * 4
 
     def first_fraction(target, a, b):
         fa, fb = (math.exp(200 * end[1]) - target for end in (a, b))
         return fb / (fb - fa)
 
     assert any(not 0.0 < first_fraction(t, a, b) < 1.0 for t, _, a, b in found)
+
+
+def test_one_segment_serves_every_level_it_brackets():
+    # L = y1 on [0, 1]: a segment across both levels gives a point on each
+    line = ScalarField(1, parse("y1", ("x1", "y1")))
+    plan = SamplePlan({"x1": (0.5, 2.0), "y1": (0.0, 1.0)}, 64, 17)
+    found = _solve_against_the_reference(line, plan, {}, [0.45, 0.55])
+    assert len(found) == 2 * 4
+    segments = [_bits(a + b) for _, _, a, b in found]
+    shared = [seg for seg in segments[:4] if seg in segments[4:]]
+    assert shared
+    for _, point, a, b in found:
+        if _bits(a + b) in shared:
+            assert point[0] == a[0] and min(a[1], b[1]) < 0.45 < 0.55 < max(a[1], b[1])
+
+
+@pytest.mark.parametrize("name", ["dissipative", "lienard", "moebius"])
+def test_rejected_points_send_their_levels_on_to_later_segments(name):
+    # only the points at x1 > 1.25 are kept: each level solves again along
+    # its next bracketing segments, in later rounds and blocks
+    spec = load_corpus_problem(name)
+    plan = spec.plan()
+    targets = _quantile_targets(spec.lagrangian, plan, spec.params)
+    found = _solve_against_the_reference(spec.lagrangian, plan, spec.params, targets, lambda p: p[0] > 1.25)
+    assert found and all(point[0] > 1.25 for _, point, _, _ in found)
+
+
+class _RaisingLevel:
+    """A level kernel of L = y1 whose rows with y1 > 1.9 raise ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def columns(self, stack):
+        return [stack[1].copy()], set(np.flatnonzero(stack[1] > 1.9).tolist())
+
+    def walk(self, row):
+        raise self.error
+
+
+def _line_solver(level, accept=lambda points: points.T.tolist()):
+    return _LevelSolver(level, [0.5, 0.5], [2.0, 2.0], np.random.default_rng(3), [1.0, 1.5], accept)
+
+
+def test_an_error_at_a_segment_end_is_raised_unless_a_domain_violation():
+    with pytest.raises(ZeroDivisionError, match="at an end"):
+        _line_solver(_RaisingLevel(ZeroDivisionError("at an end"))).groups()
+    solver = _line_solver(_RaisingLevel(ex.DomainViolation(ex.Const(0.0), "at an end")))
+    groups = solver.groups()
+    assert [len(group) for group in groups] == [4, 4]
+    # a segment with an end that raises brackets no level
+    skipped = (solver.a[1] > 1.9) | (solver.b[1] > 1.9)
+    assert skipped.any() and not solver.brackets[:, skipped].any()
+
+
+def test_an_error_accept_returns_is_raised():
+    def accept(points):
+        return [ValueError("at a point")] + points.T.tolist()[1:]
+
+    with pytest.raises(ValueError, match="at a point"):
+        _line_solver(_RaisingLevel(ex.DomainViolation(ex.Const(0.0), "")), accept).groups()
 
 
 def _run_inputs(name, offset):
@@ -1461,7 +1557,7 @@ def _run_inputs(name, offset):
 
 
 # at seed offset 31001 a point exp-class builds on a level has |S(L)| at or
-# below the guard, so the level solver must walk again past that point
+# below the guard, so its level needs a second round of solves
 @pytest.mark.parametrize(
     "name,offset", [(n, o) for o in (0, 5) for n in CORPUS_NAMES] + [("exp-class", 31001)]
 )

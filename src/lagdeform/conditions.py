@@ -123,7 +123,7 @@ class DerivedFields:
     the kernels the checks compile over them with the run's parameter
     values ``params`` bound in. ``table`` is the run's derivative table
     (:func:`expressions.partial`): every field here, and every field a check
-    derives later, differentiates through it."""
+    derives later, differentiates through it; every kernel is a slice of ``program``."""
 
     spray: SemiSpray
     lagrangian: ScalarField
@@ -136,9 +136,11 @@ class DerivedFields:
     defect: SemiBasicForm = field(init=False)  # delta_S L
     hessian: list = field(init=False)  # g_ij, the fiber Hessian of L
     table: dict = field(init=False, repr=False, compare=False)
+    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.table = table = {}
+        self.program = ex.Program(ex.chart_names(self.lagrangian.n), self.params)
         self.spray_of_L = spray_apply(self.spray, self.lagrangian, table)
         self.liouville_of_L = liouville_apply(self.lagrangian, table)
         self.energy_of_L = energy(self.lagrangian, table)
@@ -151,6 +153,7 @@ class DerivedFields:
         return Guards(
             nonzero=(self.spray_of_L, self.liouville_of_L),
             evaluable=(self.lagrangian.expr, self.energy_rate.expr),
+            program=self.program,
         )
 
     def run_guards(self, sigma=None, dissipation=None) -> Guards:
@@ -160,12 +163,11 @@ class DerivedFields:
         extra = tuple(self.defect.components)
         extra += tuple(sigma.components) if sigma is not None else ()
         extra += (dissipation.expr,) if dissipation is not None else ()
-        return Guards(theorem.nonzero, theorem.evaluable + extra)
+        return Guards(theorem.nonzero, theorem.evaluable + extra, self.program)
 
     def kernel(self, roots):
-        """The kernel of ``roots`` over the chart points, with ``params``
-        bound in."""
-        return ex.compile(roots, ex.chart_names(self.lagrangian.n), self.params)
+        """The kernel of ``roots`` over the chart points: a slice of ``program``."""
+        return self.program.kernel(roots)
 
 
 def _interleaved(*forms) -> tuple:

@@ -852,95 +852,132 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _emit(roots: tuple, layout: tuple, constants: dict):
-    """The tree walk of ``roots`` as ``(ops, slots, outs)``: a flat list of
-    ``(function, out, operands)`` records, each storing ``function`` of the
-    values in the slots ``operands`` in the slot ``out``; the slots' first
-    values (slot 0 for the input ``b``, where ``layout[i]`` is ``b[i]``, and
-    the constants as values, never literals, so ``-0.0``, ``inf`` and
-    ``nan`` stay exact); and the roots' slots. The records hold no node.
+class Program:
+    """The records of a run's kernels over rows laid out as ``layout``, with
+    ``constants`` bound in, each emitted once: ``ops`` maps a slot ``out``, in
+    program order, to the record ``(function, out, operands)`` storing
+    ``function`` of the values in the slots ``operands`` there, and ``slots``
+    holds the first values: the input ``b`` in slot 0 (``layout[i]`` is
+    ``b[i]``), the constants as values, never literals, so ``-0.0``, ``inf``
+    and ``nan`` stay exact. A record holds no node; ``memo``: see :meth:`keep`.
 
     Each distinct subtree (by structure, a sum's or a product's operands in
-    either order) gets one slot, computed where the tree walk of the roots
-    first computes it, by the call the walk makes, a denominator tested by
-    :func:`_nonzero` first. So the records raise where the walk raises its
-    own errors, and on float64 columns mark the rows where it would."""
-    position = {name: i for i, name in enumerate(layout)}
-    ops, slots = [], [None]
-    keys = {}  # structural key -> slot of the subtree's value
-    nonzero = set()  # denominators already tested
-    emitted = {}  # id(node) -> slot of its value; the roots keep the nodes alive
+    either order) gets one slot, computed where the walk of the roots that
+    first reach it computes it, by the call the walk makes, a denominator
+    tested by :func:`_nonzero` first: so the records of some roots, their
+    :meth:`slice`, raise where their walk raises its own errors, and mark
+    the rows of float64 columns where it would."""
 
-    def bind(key, value):
-        if key not in keys:
-            keys[key] = len(slots)
-            slots.append(value)
-        return keys[key]
+    __slots__ = ("layout", "constants", "ops", "slots", "memo", "_keys", "_needs", "_seen", "_roots", "__weakref__")
 
-    def constant(v):
+    def __init__(self, layout: Iterable[str], constants: Optional[Binding] = None):
+        self.layout, self.constants = tuple(layout), dict(constants or {})
+        self.ops, self.slots, self.memo, self._roots = {}, [None], None, []
+        # a structural key's slot; the slots each record reads; the slot of
+        # each node by id, while _roots holds the node
+        self._keys, self._needs, self._seen = {}, {}, {}
+
+    def kernel(self, roots: Iterable[Expr]) -> "Kernel":
+        """The kernel of ``roots``, whose records are their slice of the program."""
+        return Kernel(roots, self.layout, self.constants, self)
+
+    def slice(self, roots: tuple):
+        """``(ops, slots, outs)``: the records ``roots`` need in program order,
+        emitting the subtrees the program lacks (and a denominator's test with
+        a division by it), the program's slots and the roots' slots."""
+        self._roots.append(roots)
+        fresh, outs = not self.ops, [self._slot(root) for root in roots]
+        # the roots of a program of their own need all of its records
+        needed, todo = (set(self.ops), []) if fresh else (set(), list(outs))
+        while todo:
+            s = todo.pop()
+            if s in self._needs and s not in needed:
+                needed.add(s)
+                todo += self._needs[s]
+        return [self.ops[s] for s in sorted(needed)], self.slots, outs
+
+    def binds(self, constants: Optional[Binding]) -> bool:
+        """Whether ``constants`` are the program's, as compiled in."""
+        key = lambda c: [(k, type(v), v, math.copysign(1.0, v)) for k, v in (c or {}).items()]
+        return key(constants) == key(self.constants)
+
+    def keep(self, stack):
+        """Keep from now on, as ``memo``, the values (read-only) and marks by slot
+        of the records replayed over ``stack``, for its column calls to share."""
+        self.memo = None if stack is None else (stack, [stack] + self.slots[1:], {})
+
+    def _bind(self, key, value):
+        if key not in self._keys:
+            self._keys[key] = len(self.slots)
+            self.slots.append(value)
+        return self._keys[key]
+
+    def _constant(self, v):
         # -0.0 is not 0.0, and a parameter 0 (an int) negates to 0, not -0.0
-        return bind((Const, type(v), v, math.copysign(1.0, v)), v)
+        return self._bind((Const, type(v), v, math.copysign(1.0, v)), v)
 
-    def assign(key, function, *operands):
-        if key not in keys:
-            keys[key] = len(slots)
-            slots.append(None)
-            ops.append((function, keys[key], operands))
-        return keys[key]
+    def _assign(self, key, function, *operands, after=()):
+        # a record reads its operands, and a division its denominator's test
+        out = self._keys.get(key)
+        if out is None:
+            out = self._bind(key, None)
+            self.ops[out] = (function, out, operands)
+            self._needs[out] = operands + after
+        return out
 
-    def call(key, f, *operands):
+    def _call(self, key, f, *operands):
         # a scalar function, of each value of a column
-        return assign(key, _each, bind(f, f), *operands)
+        return self._assign(key, _each, self._bind(f, f), *operands)
 
-    def emit(node):
+    def _slot(self, node) -> int:
         # a node shared by identity, as derivative trees share them, is
         # emitted once rather than once per occurrence
-        slot = emitted.get(id(node))
+        slot = self._seen.get(id(node))
         if slot is None:
-            slot = emitted[id(node)] = emit_new(node)
+            slot = self._seen[id(node)] = self._emit(node)
         return slot
 
-    def emit_new(node):
+    def _emit(self, node) -> int:
         if isinstance(node, Const):
-            return constant(node.value)
+            return self._constant(node.value)
         if isinstance(node, Var):
-            if node.name in position:
-                return assign((Var, node.name), operator.getitem, 0, constant(position[node.name]))
-            if node.name in constants:
-                return constant(constants[node.name])
-            return call((Var, node.name), _unbound, bind(node.name, node.name))
+            if node.name in self.layout:
+                position = self._constant(self.layout.index(node.name))
+                return self._assign((Var, node.name), operator.getitem, 0, position)
+            if node.name in self.constants:
+                return self._constant(self.constants[node.name])
+            return self._call((Var, node.name), _unbound, self._bind(node.name, node.name))
         if isinstance(node, Div):
-            r = emit(node.right)
-            if r not in nonzero:
-                nonzero.add(r)
-                ops.append((_nonzero, r, (r,)))
-            l = emit(node.left)
-            return assign((Div, l, r), operator.truediv, l, r)
+            r = self._slot(node.right)
+            test = self._assign((_nonzero, r), _nonzero, r)
+            l = self._slot(node.left)
+            return self._assign((Div, l, r), operator.truediv, l, r, after=(test,))
         if isinstance(node, _Binary):
-            l = emit(node.left)
-            r = emit(node.right)
+            l = self._slot(node.left)
+            r = self._slot(node.right)
             # IEEE 754 + and * commute exactly: A*B and B*A share one slot
             key = (r, l) if r < l and isinstance(node, (Add, Mul)) else (l, r)
-            return assign((type(node), *key), _OPERATORS[type(node)], l, r)
+            return self._assign((type(node), *key), _OPERATORS[type(node)], l, r)
         if isinstance(node, Neg):
-            a = emit(node.arg)
-            return assign((Neg, a), operator.neg, a)
+            a = self._slot(node.arg)
+            return self._assign((Neg, a), operator.neg, a)
         if isinstance(node, Pow):
-            a = emit(node.base)
+            a = self._slot(node.base)
             e = node.exponent
             # for an integer exponent math.pow itself raises wherever
             # _pow_checked does (0 to a negative power: ValueError)
             power = math.pow if math.isfinite(e) and e == int(e) else _pow_checked
-            c = constant(e)
-            return call((Pow, a, c), power, a, c)
+            c = self._constant(e)
+            return self._call((Pow, a, c), power, a, c)
         if isinstance(node, _Func):
-            a = emit(node.arg)
-            return call((type(node), a), type(node)._apply, a)
+            a = self._slot(node.arg)
+            return self._call((type(node), a), type(node)._apply, a)
         raise TypeError(f"cannot compile {type(node).__name__}")
 
-    outs = [emit(root) for root in roots]
-    del emit_new  # the two walkers call each other: leave no cycle behind
-    return ops, slots, outs
+
+def _emit(roots: tuple, layout: tuple, constants: dict):
+    """The records of ``roots`` in a program of their own (:meth:`Program.slice`)."""
+    return Program(layout, constants).slice(roots)
 
 
 _OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
@@ -948,12 +985,12 @@ _SOURCE = {f: f"{{}} {cls.symbol} {{}}" for cls, f in _OPERATORS.items()}
 _SOURCE[operator.neg] = "-{}"
 
 
-def _compile(roots: tuple, layout: tuple, constants: dict):
+def _compile(roots: tuple, layout: tuple, constants: dict, records: Optional[tuple] = None):
     """The row code of ``roots``, ``b -> tuple of the roots' values``, bit
-    for bit the tree walk: :func:`_emit`'s records written out one line
-    each, ``_each(f, x, ...)`` as ``f(x, ...)``, with the constants in its
-    namespace."""
-    ops, slots, outs = _emit(roots, layout, constants)
+    for bit the tree walk: their ``records``, a slice of a program, or by
+    default :func:`_emit`'s, written out one line each, ``_each(f, x, ...)``
+    as ``f(x, ...)``, with the constants in its namespace."""
+    ops, slots, outs = records or _emit(roots, layout, constants)
     namespace = {f"v{s}": v for s, v in enumerate(slots) if v is not None}
     lines = []
     for f, out, operands in ops:
@@ -1016,27 +1053,30 @@ class Kernel:
     roots, in that order, would raise; a caller that reads the items in its
     own order meets its own errors in its own order.
 
-    ``kernel.columns(stack)`` evaluates many rows at once by replaying
-    :func:`_emit`'s records of the roots over the stack, and marks the rows
-    where the row code raises. The row code is compiled at the first row call
-    and the records at the first column call: columns compile no code."""
+    ``kernel.columns(stack)`` evaluates many rows at once by replaying the
+    roots' records, their slice of ``program`` or of a program of their own,
+    and marks the rows where the row code raises. The row code is compiled at
+    the first row call, the records taken at the first column call."""
 
-    __slots__ = ("roots", "names", "constants", "_run", "_ops")
+    __slots__ = ("roots", "names", "constants", "program", "_run", "_ops")
 
-    def __init__(
-        self, roots: Iterable[Expr], names: Iterable[str], constants: Optional[Binding] = None
-    ):
-        self.roots = tuple(roots)
-        self.names = tuple(names)
-        self.constants = dict(constants or {})
-        self._run = None
-        self._ops = None
+    def __init__(self, roots: Iterable[Expr], names: Iterable[str], constants=None, program=None):
+        self.roots, self.names, self.constants = tuple(roots), tuple(names), dict(constants or {})
+        self.program, self._run, self._ops = program, None, None
 
     def row_code(self):
         """The row code, compiled at first use; it raises where ``kernel(row)`` walks."""
         if self._run is None:
-            self._run = _compile(self.roots, self.names, self.constants)
+            # with no program, _compile emits the records of a program of their own
+            records = () if self.program is None else (self._records(),)
+            self._run = _compile(self.roots, self.names, self.constants, *records)
         return self._run
+
+    def _records(self):
+        if self._ops is None:
+            program = self.program
+            self._ops = program.slice(self.roots) if program else _emit(self.roots, self.names, self.constants)
+        return self._ops
 
     def __call__(self, row):
         try:
@@ -1055,16 +1095,18 @@ class Kernel:
         2-D float64 ``stack``, whose line ``i`` holds the values of
         ``names[i]``, and the set of the rows where the row code raises. At
         every other row the lines equal the items of ``kernel(row)`` bit for
-        bit. The records' values live for the call only."""
-        if self._ops is None:
-            self._ops = _emit(self.roots, self.names, self.constants)
-        ops, slots, outs = self._ops
-        values = slots.copy()
-        values[0] = stack
+        bit. The records' values live for the call only, or over the stack
+        the program keeps with the program (:meth:`Program.keep`)."""
+        ops, slots, outs = self._records()
+        memo = self.program.memo if self.program is not None else None
+        kept = memo is not None and memo[0] is stack
+        _, values, marks = memo if kept else (stack, [stack] + slots[1:], {})
+        values += slots[len(values) :]  # the slots emitted since the stack was kept
         full = lambda v: np.full(stack.shape[1], v, dtype=float)  # a constant at each row
-        marked = frozenset()
         with np.errstate(all="ignore"):
             for f, out, operands in ops:
+                if values[out] is not None:  # replayed over the kept stack
+                    continue
                 try:
                     if len(operands) == 2:
                         a, b = operands
@@ -1073,8 +1115,11 @@ class Kernel:
                         values[out] = f(*[values[s] for s in operands])
                 except (ArithmeticError, ValueError, LookupError) as exc:
                     # at the rows it marks, or a record of constants at every row
-                    values[out], rows = exc.args if isinstance(exc, _Failed) else (math.nan, full(1.0))
-                    marked = marked.union(np.flatnonzero(rows).tolist())
+                    values[out], failed = exc.args if isinstance(exc, _Failed) else (math.nan, full(1.0))
+                    marks[out] = np.flatnonzero(failed).tolist()
+                if kept and isinstance(values[out], np.ndarray):
+                    values[out].flags.writeable = False
+        marked = frozenset().union(*[marks[out] for _, out, _ in ops if out in marks] if marks else ())
         lines = tuple(v if isinstance(v, np.ndarray) else full(v) for v in map(values.__getitem__, outs))
         return lines, marked
 

@@ -408,7 +408,7 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol) -> ReportDocumen
     Any deformation is inert, so the report reduces to whether the defect and
     the supplied force vanish."""
     sigma = tuple(spec.sigma.components) if spec.sigma is not None else ()
-    guards = Guards(evaluable=(spec.lagrangian.expr,) + tuple(derived.defect.components) + sigma)
+    guards = Guards((), (spec.lagrangian.expr,) + tuple(derived.defect.components) + sigma, derived.program)
     try:
         samples = draw_samples(plan, guards, spec.params)
     except TooManyRejections:
@@ -429,7 +429,8 @@ def _remark_path(doc: ReportDocument, spec, derived, plan, tol) -> ReportDocumen
     if spec.sigma is not None:
         doc.sigma_consistency = check_sigma_consistency(derived, spec.sigma, samples, tol["identity"])
         # C(L) may vanish on this path, so the condition draws its own set.
-        denominator = Guards((derived.liouville_of_L,), derived.theorem_guards().evaluable + sigma)
+        evaluable = derived.theorem_guards().evaluable + sigma
+        denominator = Guards((derived.liouville_of_L,), evaluable, derived.program)
         try:
             denominator_samples = draw_samples(plan, denominator, spec.params)
         except TooManyRejections:

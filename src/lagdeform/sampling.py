@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -75,33 +75,20 @@ class SamplePlan:
         return n
 
 
-def cached_kernel(memo: dict, roots: Sequence[ex.Expr], n: int, params: Optional[dict]):
-    """The kernel of ``roots`` over the chart points ``(x1..xn, y1..yn)``
-    with the values of ``params`` compiled in; compiled on the first request
-    and then kept in ``memo``, where it keeps its roots alive."""
-    # the values are compiled in: -0.0 is not 0.0, nor an int 0 a float 0.0
-    values = tuple((k, type(v), v, math.copysign(1.0, v)) for k, v in (params or {}).items())
-    key = (tuple(map(id, roots)), n, values)
-    kernel = memo.get(key)
-    if kernel is None:
-        kernel = memo[key] = ex.compile(roots, ex.chart_names(n), params)
-    return kernel
-
-
 @dataclass(frozen=True)
 class Guards:
     """Fields that must stay away from zero, and expressions that must be
-    evaluable, for a point to be accepted."""
+    evaluable, for a point to be accepted, read through the run's
+    ``program`` where it binds their parameter values, else on their own."""
 
     nonzero: tuple = ()
     evaluable: tuple = ()
-    # the kernel of the evaluable, then the nonzero roots, per chart and params
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    program: Optional[ex.Program] = field(default=None, repr=False, compare=False)
 
     def admits(self, row, params: Optional[dict], eps: float) -> bool:
         """Whether the guards accept the chart point ``row`` under the
         parameter values ``params``, read by a walk that compiles no code."""
-        values = cached_kernel(self._kernels, self._roots(), len(row) // 2, params).walk(row)
+        values = self._kernel(len(row) // 2, params).walk(row)
         try:  # the nonzero roots after the evaluable, read in order
             return all(
                 math.isfinite(v) and (k < len(self.evaluable) or abs(v) > eps)
@@ -113,8 +100,7 @@ class Guards:
     def admit(self, block, params: Optional[dict], eps: float):
         """:meth:`admits` at each column of ``block``, from one column call of
         the guard kernel, and at each row it marks, from :meth:`admits`."""
-        kernel = cached_kernel(self._kernels, self._roots(), len(block) // 2, params)
-        values, marked = kernel.columns(block)
+        values, marked = self._kernel(len(block) // 2, params).columns(block)
         ok = np.ones(block.shape[1], dtype=bool)
         for k, v in enumerate(values):  # the nonzero roots after the evaluable
             ok &= np.isfinite(v) & ((k < len(self.evaluable)) | (np.abs(v) > eps))
@@ -122,22 +108,25 @@ class Guards:
             ok[j] = self.admits(block[:, j].tolist(), params, eps)
         return ok
 
-    def _roots(self) -> tuple:
-        return tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
+    def _kernel(self, n: int, params: Optional[dict]) -> ex.Kernel:
+        roots = tuple(self.evaluable) + tuple(f.expr for f in self.nonzero)
+        if self.program is not None and self.program.binds(params):
+            return self.program.kernel(roots)
+        return ex.compile(roots, ex.chart_names(n), params)
 
 
 class Samples:
     """The accepted rows of one draw, each a chart point ``(x1..xn,
-    y1..yn)``, the number of draws it took, and the rows as columns, built
-    once: line ``i`` of ``stack`` holds coordinate ``i`` of each row. The
-    stack is read-only, so no check writes into rows another reads."""
+    y1..yn)``, the number of draws it took, and the rows as columns, given
+    or built once: line ``i`` of ``stack`` holds coordinate ``i`` of each
+    row. The stack is read-only, so no check writes into rows another reads."""
 
     __slots__ = ("rows", "attempts", "stack")
 
-    def __init__(self, rows: list, attempts: int):
+    def __init__(self, rows: list, attempts: int, stack=None):
         self.rows = rows
         self.attempts = attempts
-        self.stack = np.array(rows, dtype=float).T
+        self.stack = np.array(rows, dtype=float).T if stack is None else stack
         self.stack.flags.writeable = False
 
     @property
@@ -170,7 +159,10 @@ def draw_samples(
         # as many attempts as rows are still needed, drawn at once: the same
         # rows one draw per attempt gives, and none after the last needed
         size = min(plan.count - len(accepted), budget - attempts)
-        block = rng.uniform(lows, highs, size=(size, 2 * n))
+        block = rng.uniform(lows, highs, size=(size, 2 * n)).T
+        if guards.program is not None:  # only a first block can be accepted whole
+            guards.program.keep(None if attempts else block)
         attempts += size
-        accepted += compress(block.tolist(), guards.admit(block.T, params, plan.guard_eps))
-    return Samples(accepted, attempts)
+        accepted += compress(block.T.tolist(), guards.admit(block, params, plan.guard_eps))
+    # a block accepted whole is the sample stack, and the guards' read of it kept
+    return Samples(accepted, attempts, block if attempts == len(accepted) else None)

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -73,7 +75,6 @@ from lagdeform.sampling import (
     Samples,
     TooManyRejections,
     _MAX_REJECT_RATIO,
-    cached_kernel,
     draw_samples,
 )
 
@@ -196,16 +197,17 @@ def test_samples_build_one_read_only_stack_of_their_rows():
 
 
 def test_one_guards_admits_a_row_by_the_parameter_values_it_is_given():
-    # the kernel a Guards keeps has the values compiled in, so it is kept
-    # per value and not per parameter name, and -0.0 is not 0.0
+    # a Guards with no program reads through a kernel of its own per read,
+    # with the values it is given compiled in, and -0.0 is not 0.0
     names = ("x1", "y1", "a")
     guards = Guards(evaluable=(parse("ln(a*x1)", names),))
     assert guards.admits([1.0, 1.0], {"a": 1.0}, 1e-6)
     assert not guards.admits([1.0, 1.0], {"a": -1.0}, 1e-6)
-    memo, roots = {}, (parse("a*x1", names),)
+    guards = Guards(evaluable=(parse("a*x1", names),))
     for a in (0.0, -0.0, 0.0):
-        value = cached_kernel(memo, roots, 1, {"a": a})([1.0, 1.0])[0]
-        assert math.copysign(1.0, value) == math.copysign(1.0, a)
+        (value,), _ = guards._kernel(1, {"a": a}).columns(np.array([[1.0], [1.0]]))
+        assert math.copysign(1.0, value[0]) == math.copysign(1.0, a)
+        assert math.copysign(1.0, guards._kernel(1, {"a": a})([1.0, 1.0])[0]) == math.copysign(1.0, a)
 
 
 def _ref_draw(plan, guards, params):
@@ -2097,7 +2099,7 @@ def test_the_homogeneous_check_reads_every_degree_in_one_column_call(name, monke
     spec, d, _, samples = _run_inputs(name, 0)
     sigma = spec.sigma if spec.sigma is not None else d.defect
     calls = []
-    for owner, attr in ((ex.Kernel, "columns"), (ex, "compile"), (DerivedFields, "kernel")):
+    for owner, attr in ((ex.Kernel, "columns"), (DerivedFields, "kernel")):
         real = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *a, real=real, attr=attr: calls.append(attr) or real(*a))
     try:
@@ -2106,8 +2108,117 @@ def test_the_homogeneous_check_reads_every_degree_in_one_column_call(name, monke
     except NotHomogeneous:
         reads = 1  # stopped at the degree gate
     assert reads == (3 if name in ("homogeneous", "free-particle") else 1)
-    assert calls.count("columns") == reads
-    assert calls.count("compile") == calls.count("kernel") == reads
+    assert calls.count("columns") == calls.count("kernel") == reads
+
+
+# ---------------------------------------------------------------------------
+# one program per run, and the records of the sample stack kept
+# ---------------------------------------------------------------------------
+
+
+def _run_roots(name, monkeypatch) -> list:
+    """The roots of every kernel a report run of ``name`` takes from its
+    program, the guards' included, in the order the run takes them."""
+    roots, kernel = [], ex.Program.kernel
+    with monkeypatch.context() as m:
+        m.setattr(ex.Program, "kernel", lambda program, read: roots.append(tuple(read)) or kernel(program, read))
+        run_pipeline(load_corpus_problem(name))
+    return roots
+
+
+def _run_draw(spec, d) -> Samples:
+    """The run's one draw through ``d``'s program: under the run guards, or
+    under the conservative branch's where those reject the box."""
+    try:
+        return draw_samples(spec.plan(), d.run_guards(spec.sigma, spec.dissipation), spec.params)
+    except TooManyRejections:
+        sigma = tuple(spec.sigma.components) if spec.sigma is not None else ()
+        guards = Guards((), (spec.lagrangian.expr,) + tuple(d.defect.components) + sigma, d.program)
+        return draw_samples(spec.plan(), guards, spec.params)
+
+
+def _lines_and_marks(kernel, stack):
+    with np.errstate(all="ignore"):
+        lines, marked = kernel.columns(stack)
+    return np.array(lines).tobytes(), marked
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_each_kernel_of_a_run_replays_as_its_own_compiled_kernel_bit_for_bit(name, monkeypatch):
+    # a kernel's slice of the run's program gives the lines and the marks of
+    # the kernel compiled alone, over the kept sample stack and over stacks
+    # the program does not keep, whichever kernels read the stack first
+    roots = _run_roots(name, monkeypatch)
+    spec = load_corpus_problem(name)
+    names = ex.chart_names(spec.n)
+    for order in (roots, roots[::-1]):
+        d = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+        samples = _run_draw(spec, d)
+        assert d.program.memo[0] is samples.stack
+        x, y = np.split(samples.stack, 2)
+        for read in order:
+            for stack in (samples.stack, samples.stack.copy(), np.concatenate((x, 3.0 * y))):
+                want = _lines_and_marks(ex.compile(read, names, spec.params), stack)
+                assert _lines_and_marks(d.kernel(read), stack) == want
+    assert d.program.memo[0] is samples.stack
+
+
+@pytest.mark.parametrize("name", [name for name in CORPUS_NAMES if name != "free-particle"])
+def test_the_sigma_checks_replay_no_record_the_draw_replayed(name):
+    # the draw's read of the run guards is the sample stack's: the two sigma
+    # checks read only fields the guards hold, so they replay no record,
+    # neither a new one nor again one the draw replayed
+    spec = load_corpus_problem(name)
+    d = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+    samples = draw_samples(spec.plan(), d.run_guards(spec.sigma, spec.dissipation), spec.params)
+    stack, values, _ = d.program.memo
+    assert stack is samples.stack and samples.rejected == 0
+    kept = lambda: {out: values[out] for out in d.program.ops if out < len(values) and values[out] is not None}
+    lines = kept()
+    if spec.sigma is not None:
+        check_sigma_consistency(d, spec.sigma, samples)
+    check_sigma_condition(d, spec.sigma if spec.sigma is not None else d.defect, samples)
+    assert kept().keys() == lines.keys() and lines
+    assert all(values[out] is line for out, line in lines.items())
+
+
+@pytest.mark.parametrize("name", ["exp-class c=5", *CORPUS_NAMES])
+def test_a_runs_kept_records_move_no_byte_of_its_report(name, monkeypatch):
+    # with c = 5 the draw rejects rows: it keeps no record, and no report
+    # moves by a byte where no draw keeps any
+    spec = _exp_class_off_its_domain() if name == "exp-class c=5" else load_corpus_problem(name)
+    if name == "exp-class c=5":
+        d = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+        samples = draw_samples(spec.plan(), d.run_guards(spec.sigma, spec.dissipation), spec.params)
+        assert samples.rejected > 0 and d.program.memo is None
+    want = emit_report(run_pipeline(spec), "json")
+    monkeypatch.setattr(ex.Program, "keep", lambda program, stack: None)
+    assert emit_report(run_pipeline(spec), "json") == want
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_a_finished_run_leaves_no_program_alive(name, monkeypatch):
+    # the program, and the sample stack's records it keeps, go with the run,
+    # without the cycle collector, while its report lives on
+    programs, post_init = [], DerivedFields.__post_init__
+    monkeypatch.setattr(DerivedFields, "__post_init__", lambda d: post_init(d) or programs.append(weakref.ref(d.program)))
+    gc.disable()
+    try:
+        doc = run_pipeline(load_corpus_problem(name))
+        assert doc.verdict and len(programs) == 1 and programs[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_no_check_writes_into_a_line_of_the_sample_stack():
+    # a kept line is every check's line: a write into it raises
+    spec = load_corpus_problem("dissipative")
+    d = DerivedFields(spec.spray, spec.lagrangian, spec.params)
+    samples = draw_samples(spec.plan(), d.run_guards(spec.sigma, spec.dissipation), spec.params)
+    lines, _ = d.kernel((spec.lagrangian.expr, d.energy_rate.expr, *d.vertical.components)).columns(samples.stack)
+    for line in lines:
+        with pytest.raises(ValueError, match="read-only"):
+            line[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -2272,18 +2383,19 @@ def test_a_dissipation_that_raises_is_met_only_where_it_is_read():
 
 def _trees_and_records(data, monkeypatch):
     """The trees of the run's DerivedFields, and the roots (as source) and
-    the records of every kernel the run walks with ``ex._emit``."""
+    the records of every kernel the run takes from a program (its own or
+    the run's) with ``ex.Program.slice``."""
     derived, emitted = [], []
-    post_init, emit = DerivedFields.__post_init__, ex._emit
+    post_init, slice_ = DerivedFields.__post_init__, ex.Program.slice
 
-    def spy(roots, layout, constants):
-        ops, slots, outs = emit(roots, layout, constants)
+    def spy(program, roots):
+        ops, slots, outs = slice_(program, roots)
         emitted.append(([r.to_source() for r in roots], ops, [repr(v) for v in slots], outs))
         return ops, slots, outs
 
     with monkeypatch.context() as m:
         m.setattr(DerivedFields, "__post_init__", lambda d: post_init(d) or derived.append(d))
-        m.setattr(ex, "_emit", spy)
+        m.setattr(ex.Program, "slice", spy)
         run_pipeline(problem_from_dict(data), "report")
     (d,) = derived
     forms = [d.spray_of_L, d.liouville_of_L, d.energy_of_L, d.energy_rate]

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import operator
@@ -18,13 +19,16 @@ from lagdeform.expressions import (
     Dual,
     Expr,
     ExpressionError,
+    LnFn,
     Overflow,
     ParseError,
+    Program,
     UnboundVariable,
     UndeclaredIdentifier,
     Var,
     _compile,
     _emit,
+    _nonzero,
     add,
     compile,
     div,
@@ -928,3 +932,71 @@ def test_column_records_hold_no_node_and_free_their_columns(source):
     finally:
         tracemalloc.stop()
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# one program, its kernels as slices
+# ---------------------------------------------------------------------------
+
+
+def _lines_and_marks(kernel, stack):
+    """The bytes of ``kernel``'s lines over ``stack``, and the rows it marks."""
+    with np.errstate(all="ignore"):
+        lines, marked = kernel.columns(stack)
+    return np.array(lines).tobytes(), marked
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["replayed", "kept"])
+@pytest.mark.parametrize("first", [0, 1], ids=["divides-first", "reads-first"])
+def test_a_slice_tests_a_denominator_only_where_a_division_needs_it(kept, first):
+    # 1/(x1 - 1) tests x1 - 1 for zero, and marks the row where it is; a
+    # kernel that only reads x1 - 1 takes no test along, in either order
+    # of the two kernels and with the records kept over the stack or not
+    names = ("x1", "y1")
+    stack = np.array([[1.0, 2.0, 0.5], [1.0, 1.0, -0.0]])
+    denominator = parse("x1 - 1", names)
+    roots = [(div(Const(1.0), denominator),), (parse("y1 * (x1 - 1)", names), denominator)]
+    program = Program(names)
+    if kept:
+        program.keep(stack)
+    for k in (first, 1 - first):
+        kernel = program.kernel(roots[k])
+        assert _lines_and_marks(kernel, stack) == _lines_and_marks(compile(roots[k], names), stack)
+        assert kernel.columns(stack)[1] == ({0} if k == 0 else set())
+        ops, _, _ = program.slice(roots[k])
+        assert sum(f is _nonzero for f, _, _ in ops) == (k == 0)
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["replayed", "kept"])
+def test_a_record_of_constants_alone_that_raises_marks_every_row_of_its_kernels(kept):
+    # ln(-1) is left unfolded, to raise where it is read: its record reads
+    # constants only and marks every row, in each kernel that needs it
+    names = ("x1", "y1")
+    stack = np.array([[1.0, 2.0, 0.5], [1.0, 1.0, 3.0]])
+    constant = parse("ln(0 - 1)", names)
+    assert isinstance(constant, LnFn)
+    roots = [(parse("x1 * y1", names),), (mul(constant, Var("x1")),), (parse("x1 * y1", names), constant)]
+    program = Program(names)
+    if kept:
+        program.keep(stack)
+    for read, marked in zip(roots, (set(), {0, 1, 2}, {0, 1, 2})):
+        kernel = program.kernel(read)
+        assert _lines_and_marks(kernel, stack) == _lines_and_marks(compile(read, names), stack)
+        assert kernel.columns(stack)[1] == marked
+        with pytest.raises(DomainViolation) if marked else contextlib.nullcontext():
+            tuple(kernel(stack[:, 0].tolist()))
+
+
+def test_the_lines_a_program_keeps_are_read_only():
+    # a line kept over the stack is every reader's line: no reader writes it
+    names = ("x1", "y1")
+    stack = np.array([[1.0, 2.0, 0.5], [1.0, 1.0, 3.0]])
+    program = Program(names)
+    program.keep(stack)
+    roots = (parse("x1 * y1 + 1", names), Var("x1"))
+    for kernel in (program.kernel(roots), program.kernel(roots[::-1])):
+        for line in kernel.columns(stack)[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                line[0] = 0.0
+    (line, _), _ = program.kernel(roots).columns(stack.copy())  # not kept: its own
+    line[0] = 0.0

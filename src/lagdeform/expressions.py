@@ -934,10 +934,10 @@ class Program:
         # emitted once rather than once per occurrence
         slot = self._seen.get(id(node))
         if slot is None:
-            slot = self._seen[id(node)] = self._emit(node)
+            slot = self._seen[id(node)] = self._walk(node)
         return slot
 
-    def _emit(self, node) -> int:
+    def _walk(self, node) -> int:
         if isinstance(node, Const):
             return self._constant(node.value)
         if isinstance(node, Var):

@@ -1,13 +1,15 @@
 """Geodesic integration and trajectory-level checks.
 
 Classical fixed-step RK4 on the first-order system x' = y, y' = -2G(x, y),
-in one straight-line step function whose code is generated per chart shape
-(``n``, and whether a box is tested), and which a run binds to its step and
-box. Its stages read the spray's compiled row code once each and combine in
-the operations and order of ``state + (h/6)(k1 + 2 k2 + 2 k3 + k4)``, bit
-for bit the array form. It inlines the finiteness test, then the box test.
-Where the row code raises, the step reruns on the kernel, whose tree walk
-raises the stage's own error.
+run whole by one generated loop, whose code is written per chart shape
+(``n``, and whether a box is tested) and which a run binds to its step and
+box. Each step's stages read the spray's compiled row code once each and
+combine in the operations and order of ``state + (h/6)(k1 + 2 k2 + 2 k3 +
+k4)``, bit for bit the array form; the finiteness test, then the box test,
+are inlined. The loop appends each state's floats to one flat list, which
+becomes the states array in one call. Where the row code raises, that one
+step runs again with the kernel as the reader: its tree walk raises the
+stage's own error, or the step completes and the loop resumes after it.
 
 The energy and Euler-Lagrange checks of ``L`` and ``Phi(L)`` along one
 trajectory share one read of ``L``'s fields over its states.
@@ -50,10 +52,13 @@ class IntegratorConfig:
     initial: PhasePoint
 
     def __post_init__(self):
+        if not (math.isfinite(self.step) and math.isfinite(self.horizon)):
+            raise ValueError("step and horizon must be finite")
         if self.step <= 0 or self.horizon <= 0:
             raise ValueError("step and horizon must be positive")
         ratio = self.horizon / self.step
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        # the ratio of two finite floats can overflow to inf
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("horizon must be a positive integer multiple of the step")
 
     @property
@@ -79,41 +84,46 @@ class Trajectory:
 
 @cache
 def _step_code(n: int, boxed: bool):
-    """The code of ``step(state, spray)`` for ``n`` degrees of freedom, with
-    or without the box test: ``h``, ``half``, ``sixth`` and the bounds
-    ``lo{i}``, ``hi{i}`` are names its globals bind."""
+    """The code of ``run(state, spray, steps, out)`` for ``n`` degrees of
+    freedom, with or without the box test: ``h``, ``half``, ``sixth`` and the
+    bounds ``lo{i}``, ``hi{i}`` are names its globals bind."""
     m = 2 * n
     row = [f"s{i}" for i in range(m)]
-    lines = [f"    {''.join(v + ', ' for v in row)}= state"]
+    state = ", ".join(row)
+    lines = [f"    {state}, = state", "    for k in range(steps):"]
     ks = []
     for j, scale in enumerate(("half", "half", "h", None)):
         g = [f"g{j}_{i}" for i in range(n)]
-        lines.append(f"    {''.join(v + ', ' for v in g)}= spray([{', '.join(row)}])")
-        lines += [f"    k{j}_{i} = -2.0 * {g[i]}" for i in range(n)]
+        lines.append(f"        {''.join(v + ', ' for v in g)}= spray([{', '.join(row)}])")
+        lines += [f"        k{j}_{i} = -2.0 * {g[i]}" for i in range(n)]
         ks.append(row[n:] + [f"k{j}_{i}" for i in range(n)])
         if scale:
-            lines += [f"    u{j}_{i} = s{i} + {scale} * {ks[j][i]}" for i in range(m)]
+            lines += [f"        u{j}_{i} = s{i} + {scale} * {ks[j][i]}" for i in range(m)]
             row = [f"u{j}_{i}" for i in range(m)]
+    # s{n+i} is k1's item i, read before s{n+i} itself is overwritten
     lines += [
-        f"    r{i} = s{i} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+        f"        s{i} = s{i} + sixth * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
         for i, (a, b, c, d) in enumerate(zip(*ks))
     ]
     # not (|v| <= 1e100) also holds for nan and inf
-    tests = {1: [f"abs(r{i}) <= 1e100" for i in range(m)]}
+    tests = {1: [f"abs(s{i}) <= 1e100" for i in range(m)]}
     if boxed:
-        tests[2] = [f"lo{i} <= r{i} <= hi{i}" for i in range(m)]
-    lines += [f"    if not ({' and '.join(t)}): return None, {flag}" for flag, t in tests.items()]
-    lines.append(f"    return [{', '.join(f'r{i}' for i in range(m))}], 0")
+        tests[2] = [f"lo{i} <= s{i} <= hi{i}" for i in range(m)]
+    lines += [f"        if not ({' and '.join(t)}): return k, {flag}" for flag, t in tests.items()]
+    lines += [f"        out += ({state})", "    return steps, 0"]
     namespace = {}
-    exec("def step(state, spray):\n" + "\n".join(lines) + "\n", namespace)
-    return namespace["step"].__code__
+    exec("def run(state, spray, steps, out):\n" + "\n".join(lines) + "\n", namespace)
+    return namespace["run"].__code__
 
 
 def _rk4_step(n: int, h: float, box: Optional[dict]):
-    """``step(state, spray)``: one RK4 step from the ``2n`` state floats, reading
-    the spray by ``spray(row)``: ``(next_state, 0)``, ``(None, 1)`` where a
-    component is not finite or exceeds 1e100 in size, else ``(None, 2)`` outside
-    ``box``. The code is compiled once per chart shape; ``h`` and ``box`` bind its names."""
+    """``run(state, spray, steps, out)``: up to ``steps`` RK4 steps from the
+    ``2n`` state floats, reading the spray by ``spray(row)`` once a stage and
+    extending the float list ``out`` by each next state. It returns ``(k,
+    flag)`` after ``k`` steps: ``flag`` 0 when ``k == steps``, 1 where the
+    state after step ``k`` has a component that is not finite or exceeds 1e100
+    in size, else 2 where it lies outside ``box``. The code is compiled once
+    per chart shape; ``h`` and ``box`` bind its names."""
     namespace = {"half": 0.5 * h, "h": h, "sixth": h / 6.0}
     if box is not None:
         for i, v in enumerate(ex.chart_names(n)):
@@ -133,45 +143,43 @@ def integrate_geodesic(
     n = spray.n
     if cfg.initial.n != n:
         raise GeodesicError("initial point dimension mismatch")
-    h = cfg.step
+    h, m, steps = cfg.step, 2 * n, cfg.steps
     kernel = ex.compile(spray.coefficients, ex.chart_names(n), params)
-    step, row_code = _rk4_step(n, h, box), kernel.row_code()
-    state = list(cfg.initial.x + cfg.initial.y)
-    states = [state]
-    times = [0.0]
-    truncated = False
-    for k in range(cfg.steps):
+    run, row_code = _rk4_step(n, h, box), kernel.row_code()
+    flat = list(cfg.initial.x + cfg.initial.y)  # the states, one after another
+    k, flag = 0, 0  # the steps taken, and how the step after them ended
+    while k < steps and not flag:
         try:
             try:
-                state, flag = step(state, row_code)
+                taken, flag = run(flat[-m:], row_code, steps - k, flat)
             except (ArithmeticError, ValueError, LookupError):
                 # the kernel hands back its tree walk where the row code
-                # raises, and unpacking it raises the stage's own error
-                state, flag = step(state, kernel)
+                # raises: the failing step again through it raises the
+                # stage's own error, or goes on as the row code would
+                k = len(flat) // m - 1
+                taken, flag = run(flat[-m:], kernel, 1, flat)
         except ex.Overflow as exc:
             # a power or exp overflows inside a stage before the state test sees it
             raise GeodesicError("non-finite state (blow-up)", step=k) from exc
         except ex.DomainViolation as exc:
             raise GeodesicError(f"domain violation: {exc}", step=k) from exc
-        if flag == 1:
-            raise GeodesicError("non-finite state (blow-up)", step=k)
-        if flag == 2:
-            truncated = True
-            warnings.warn(
-                f"trajectory left the chart box at t = {(k + 1) * h:g}; truncating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
-        states.append(state)
-        times.append((k + 1) * h)
+        k += taken
+    if flag == 1:
+        raise GeodesicError("non-finite state (blow-up)", step=k)
+    if flag == 2:
+        warnings.warn(
+            f"trajectory left the chart box at t = {(k + 1) * h:g}; truncating",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    states = np.array(flat).reshape(-1, m)
     return Trajectory(
         spray=spray,
         params=dict(params) if params else None,
         step=h,
-        times=np.asarray(times),
-        states=np.asarray(states, dtype=float),
-        truncated=truncated,
+        times=np.arange(len(states)) * h,
+        states=states,
+        truncated=flag == 2,
     )
 
 

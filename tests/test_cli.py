@@ -256,6 +256,31 @@ def test_geodesic_failure_is_an_input_error(
     assert captured.out == ""
 
 
+def _cli(*args):
+    """``python -m lagdeform.cli`` with ``args`` in a fresh interpreter, so
+    that an uncaught error shows as its traceback and exit code."""
+    src = str(Path(lagdeform.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run(
+        [sys.executable, "-m", "lagdeform.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize(
+    "flag", [["--horizon", "inf"], ["--step", "nan"]], ids=["infinite-horizon", "nan-step"]
+)
+def test_a_geodesic_step_or_horizon_that_is_not_finite_is_an_input_error(flag):
+    done = _cli("geodesic", "--problem", corpus_file("lienard"), "--x0", "1", "--y0", "1", *flag)
+    assert done.returncode == 3
+    assert done.stderr == "error: step and horizon must be finite\n"
+    assert done.stdout == ""
+
+
 def _one_dimensional(spray, lagrangian, sigma):
     return {
         "name": "degenerate",
@@ -284,16 +309,7 @@ def _one_dimensional(spray, lagrangian, sigma):
 def test_degenerate_problems_report_inconclusive(tmp_path, problem):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))
-    src = str(Path(lagdeform.__file__).resolve().parents[1])
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    done = subprocess.run(
-        [sys.executable, "-m", "lagdeform.cli", "report", "--problem", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+    done = _cli("report", "--problem", str(path))
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert "verdict: Inconclusive" in done.stdout

@@ -76,9 +76,19 @@ def test_rk4_order_on_step_halving():
     assert ratio >= 14.0
 
 
-def test_config_requires_integer_step_count():
-    with pytest.raises(ValueError):
-        IntegratorConfig(step=0.3, horizon=1.0, initial=PhasePoint([0.0], [1.0]))
+@pytest.mark.parametrize(
+    "step, horizon, message",
+    [
+        (0.3, 1.0, "integer multiple"),
+        # a step count too large for a float
+        (1e-320, 1.0, "integer multiple"),
+        (1e-2, math.inf, "finite"),
+        (math.nan, 1.0, "finite"),
+    ],
+)
+def test_config_requires_integer_step_count(step, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        IntegratorConfig(step=step, horizon=horizon, initial=PhasePoint([0.0], [1.0]))
 
 
 def test_blowup_raises():
@@ -546,16 +556,23 @@ def test_rows_match_the_array_form_from_negative_zero_components():
     assert np.signbit(traj.states).all()
 
 
-def _count_reads(monkeypatch):
+def _count_reads(monkeypatch, fail_at=None):
     """Count, from now on, the calls of every compiled row code (however
     reached) and of ``Kernel.__call__`` (with their rows), and the step
-    builds."""
+    builds. The row code call numbered ``fail_at`` raises ZeroDivisionError."""
     code_calls, kernel_rows, builds = [], [], []
     compile_, call, build = ex._compile, Kernel.__call__, dynamics._rk4_step
 
     def counted(roots, layout, constants):
         code = compile_(roots, layout, constants)
-        return lambda row: code_calls.append(1) or code(row)
+
+        def read(row):
+            code_calls.append(1)
+            if len(code_calls) == fail_at:
+                raise ZeroDivisionError
+            return code(row)
+
+        return read
 
     monkeypatch.setattr(ex, "_compile", counted)
     monkeypatch.setattr(Kernel, "__call__", lambda k, row: kernel_rows.append(row) or call(k, row))
@@ -603,6 +620,24 @@ def test_a_run_reads_the_spray_through_the_kernel_only_on_its_failing_step(monke
     # the row code: four reads a step before, and the failing step's stages
     # twice, once directly and once inside each kernel call
     assert len(code_calls) == 4 * 3 + 2 * stages
+    assert len(builds) == 1
+
+
+def test_a_step_whose_row_code_raises_where_its_kernel_does_not_resumes_the_run(monkeypatch):
+    # the row code raises at the second stage of step 20 only: that step runs
+    # again on the kernel, whose four reads succeed, and the run goes on from
+    # the state it reaches on the row code, bit for bit the array form
+    spray, cfg, params, _ = _dissipative()
+    want = _bits(lambda: _reference_rk4(spray, cfg, params))
+    code_calls, kernel_rows, builds = _count_reads(monkeypatch, fail_at=4 * 20 + 2)
+    traj = integrate_geodesic(spray, cfg, params)
+    assert _bits(lambda: (traj.times, traj.states, [traj.truncated])) == want
+    assert len(traj.times) == 51 and not traj.truncated
+    # one step read through the kernel, from the state step 20 starts at
+    assert len(kernel_rows) == 4 and kernel_rows[0] == traj.states[20].tolist()
+    # four reads for every other step; the failing step's two direct reads,
+    # and one read inside each of its kernel calls
+    assert len(code_calls) == 4 * 49 + 2 + 4
     assert len(builds) == 1
 
 

@@ -55,6 +55,10 @@ _PER_LEVEL = 4
 _ATTEMPTS = 12
 # Damped Gauss-Newton steps of one start of the classify fit.
 _GN_ITERATIONS = 50
+# Distances of the classify fit's candidate poles from the sampled L range, in spans.
+_POLE_DISTANCES = np.logspace(-9.0, 6.0, 48)
+# Shifts a of 1/(L + a) the classify fit also scores, where they lie off the samples.
+_FIXED_SHIFTS = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 # A singular value counts towards the rank above this fraction of the largest.
 _RANK_RTOL = 1e-9
 # A Hessian is non-trivial when some entry exceeds this on the samples.
@@ -693,6 +697,69 @@ _model_power_shift = _Model(_power_shift, _power_shift_jacobian)
 _model_moebius = _Model(_moebius, _moebius_jacobian)
 
 
+def _pole_grid(ls):
+    """The candidate shifts ``a`` of ``1/(L + a)`` that :func:`classify`
+    scores, as ``(shifts, above, far)``: the fixed shifts that lie off the
+    samples, then on each side of the sampled L range the pole at each of
+    ``_POLE_DISTANCES`` spans from it, nearest first. ``above`` marks the
+    poles above the range's middle, ``far`` the farthest pole on each side."""
+    lo, hi = float(np.min(ls)), float(np.max(ls))
+    fixed = [a0 for a0 in _FIXED_SHIFTS if np.min(np.abs(ls + a0)) >= 1e-9]
+    distances = (hi - lo) * _POLE_DISTANCES
+    shifts = np.concatenate((fixed, distances - lo, -hi - distances))
+    far = np.zeros(len(shifts), dtype=bool)
+    far[[len(fixed) + len(distances) - 1, -1]] = True
+    return shifts, -shifts > 0.5 * (lo + hi), far
+
+
+def _row_costs(residuals):
+    """Each row's :func:`_rms`, with inf for a row that is not finite."""
+    cost = np.sqrt(np.add.reduce(residuals * residuals, axis=1) / residuals.shape[1])
+    return np.where(np.isfinite(cost), cost, math.inf)
+
+
+def _grid_starts(ls, fs) -> list:
+    """The PowerShift and Moebius starts of the :func:`classify` fit, as
+    ``(polish, kept)`` per family. ``U = 1/(L + a)`` on the grid of
+    :func:`_pole_grid` scores both: PowerShift ``gamma U`` with ``gamma =
+    U.f / U.U`` projected out, Moebius ``-2U``. The best shift on each side
+    of the pole gives one start, ``(gamma, a)`` with ``gamma`` from that
+    formula or ``(a,)``, to polish; one at the grid's far end is degenerate
+    (the fit runs off towards ``a -> inf`` there) and is kept as it is."""
+    shifts, above, far = _pole_grid(ls)
+
+    def power_shift(a0):
+        v = 1.0 / (ls + a0)
+        return (float(v @ fs / (v @ v)), a0)
+
+    out = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = 1.0 / (ls + shifts[:, None])
+        gammas = (u @ fs) / np.einsum("ij,ij->i", u, u)
+        for scores, start in (
+            (_row_costs(gammas[:, None] * u - fs), power_shift),
+            (_row_costs(-2.0 * u - fs), lambda a0: (a0,)),
+        ):
+            polish, kept = [], []
+            for side in (~above, above):
+                k = int(np.argmin(np.where(side, scores, math.inf)))
+                if side[k] and math.isfinite(scores[k]):
+                    (kept if far[k] else polish).append(start(float(shifts[k])))
+            out.append((polish, kept))
+    return out
+
+
+def _best_fit(model: _Model, polish: list, kept: list, ls, fs):
+    """The lowest finite ``(theta, cost)`` of ``model`` with ``polish``
+    through :func:`_gauss_newton` and ``kept`` as they are, or None; the
+    first of a tie."""
+    found = _gauss_newton(model, polish, ls, fs)
+    if kept:
+        thetas = np.array(kept, dtype=float)
+        found += zip(thetas, _costs(model, thetas, ls, fs)[1].tolist())
+    return min((fit for fit in found if math.isfinite(fit[1])), key=lambda fit: fit[1], default=None)
+
+
 def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
     """Fit each closed-form slope family to the (L, f) cloud and pick the
     winner by residual plus a parsimony penalty of ``tol_fit`` per free
@@ -717,17 +784,9 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
             resid_log = _rms(fs + 1.0 / (ls + a_log))
             candidates["Logarithmic"] = (Logarithmic(a_log), resid_log, 1)
 
-    starts = []
-    for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
-        if np.min(np.abs(ls + a0)) < 1e-9:
-            continue
-        u = 1.0 / (ls + a0)
-        starts.append((float(u @ fs / (u @ u)), a0))
-    best_ps = None
-    for theta, cost in _gauss_newton(_model_power_shift, starts, ls, fs):
-        if best_ps is None or cost < best_ps[1]:
-            best_ps = (theta, cost)
-    if best_ps is not None and math.isfinite(best_ps[1]):
+    power_starts, moebius_starts = _grid_starts(ls, fs)
+    best_ps = _best_fit(_model_power_shift, *power_starts, ls, fs)
+    if best_ps is not None:
         gamma_ps, a_ps = (float(t) for t in best_ps[0])
         if abs(gamma_ps) > 1e-8 and abs(gamma_ps + 1.0) > 1e-8:
             candidates["PowerShift"] = (
@@ -736,12 +795,8 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
                 2,
             )
 
-    starts = [(t0,) for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if np.min(np.abs(ls + t0)) >= 1e-9]
-    best_mb = None
-    for theta, cost in _gauss_newton(_model_moebius, starts, ls, fs):
-        if best_mb is None or cost < best_mb[1]:
-            best_mb = (theta, cost)
-    if best_mb is not None and math.isfinite(best_mb[1]):
+    best_mb = _best_fit(_model_moebius, *moebius_starts, ls, fs)
+    if best_mb is not None:
         t_mb = float(best_mb[0][0])
         # one identifiable parameter: (c, d) ~ (1, t) up to common scale
         candidates["Moebius"] = (Moebius.normalised(1.0, t_mb), float(best_mb[1]), 1)

@@ -45,6 +45,11 @@ class TooShort(Exception):
     pass
 
 
+# RK4 steps of one trajectory, at most: every state is kept, so a larger count
+# would fill memory before it finished.
+MAX_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     step: float
@@ -60,6 +65,8 @@ class IntegratorConfig:
         # the ratio of two finite floats can overflow to inf
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("horizon must be a positive integer multiple of the step")
+        if round(ratio) > MAX_STEPS:
+            raise ValueError(f"horizon / step must be at most {MAX_STEPS} steps")
 
     @property
     def steps(self) -> int:

@@ -256,6 +256,22 @@ def test_geodesic_failure_is_an_input_error(
     assert captured.out == ""
 
 
+def test_a_geodesic_of_too_many_steps_is_an_input_error(monkeypatch, capsys):
+    # rejected when the config is built: the integrator is never reached
+    def unreachable(*args):
+        raise RuntimeError("integrated")
+
+    monkeypatch.setattr("lagdeform.cli.integrate_geodesic", unreachable)
+    code = main(
+        ["geodesic", "--problem", corpus_file("lienard"), "--x0", "1", "--y0", "1"]
+        + ["--step", "1e-2", "--horizon", "1e300"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: horizon / step must be at most 1000000 steps\n"
+    assert captured.out == ""
+
+
 def _cli(*args):
     """``python -m lagdeform.cli`` with ``args`` in a fresh interpreter, so
     that an uncaught error shows as its traceback and exit code."""

@@ -627,6 +627,53 @@ def test_classify_needs_eight_points():
         classify([(1.0, 1.0)] * 5)
 
 
+def _within(got, want):
+    return abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_the_pole_grid_holds_48_distances_a_side_and_the_fixed_shifts_off_the_samples():
+    ls = np.array([-1.0, -0.25, 0.25, 1.0])  # -1.0 and 1.0 sit on the poles of a = 1, -1
+    shifts, above, far = conditions._pole_grid(ls)
+    fixed, below_side, above_side = shifts[:5], shifts[5:53], shifts[53:]
+    assert fixed.tolist() == [0.0, 0.5, -0.5, 2.0, -2.0]
+    # the poles -a lie 2e-9 to 2e6 apart from [-1, 1], 48 per side, log-spaced
+    distances = 2.0 * 10.0 ** np.linspace(-9.0, 6.0, 48)
+    assert np.allclose(below_side, 1.0 + distances, rtol=1e-15, atol=0.0)
+    assert np.allclose(above_side, -1.0 - distances, rtol=1e-15, atol=0.0)
+    # a pole below the middle of the range is on the lower side
+    assert above.tolist() == [False, False, True, False, True] + [False] * 48 + [True] * 48
+    assert np.flatnonzero(far).tolist() == [52, 100]
+
+
+# Exact clouds of each family with the pole at 10^k spans from the sampled
+# L in [2, 2.001], below or above it. gamma = 3 keeps every pole distance
+# identifiable beside the parsimony penalty: at 1e4 spans the Constant fit
+# misses by about 1e-5 there.
+_POLE_SPANS = [10.0**k for k in range(-6, 5)]
+
+
+@pytest.mark.parametrize("count", [8, 30, 600])
+def test_classify_recovers_an_exact_power_shift_with_its_pole_on_either_side(count):
+    ls = np.linspace(2.0, 2.001, count)
+    span = ls[-1] - ls[0]
+    for d in _POLE_SPANS:
+        for a in (span * d - ls[0], -ls[-1] - span * d):
+            fit = classify(list(zip(ls.tolist(), (3.0 / (ls + a)).tolist())))
+            assert isinstance(fit.chosen, PowerShift), (d, a, fit.chosen)
+            assert _within(fit.chosen.gamma, 3.0) and _within(fit.chosen.a, a), (d, a, fit.chosen)
+
+
+@pytest.mark.parametrize("count", [8, 30, 600])
+def test_classify_recovers_an_exact_moebius_with_its_pole_on_either_side(count):
+    ls = np.linspace(2.0, 2.001, count)
+    span = ls[-1] - ls[0]
+    for d in _POLE_SPANS:
+        for t in (span * d - ls[0], -ls[-1] - span * d):
+            fit = classify(list(zip(ls.tolist(), (-2.0 / (ls + t)).tolist())))
+            assert isinstance(fit.chosen, Moebius), (d, t, fit.chosen)
+            assert _within(fit.chosen.d / fit.chosen.c, t), (d, t, fit.chosen)
+
+
 _finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -730,8 +777,9 @@ def _assert_lockstep_is_the_reference(model, starts, ls, fs):
         assert _bits(float(cost)) == _bits(float(want_cost)), (start, cost, want_cost)
 
 
-def _classify_starts(ls, fs):
-    """The PowerShift and Moebius starts that :func:`classify` gives."""
+def _fixed_starts(ls, fs):
+    """The 7 PowerShift and 6 Moebius fixed starts the fit ran from before
+    its grid of poles, where they lie off the samples."""
     power = []
     with np.errstate(all="ignore"):  # a cloud of one L with f = inf or nan
         for a0 in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0):
@@ -739,6 +787,12 @@ def _classify_starts(ls, fs):
                 u = 1.0 / (ls + a0)
                 power.append((float(u @ fs / (u @ u)), a0))
     return power, [(t0,) for t0 in (0.5, -0.5, 1.0, -1.0, 2.0, -2.0) if np.min(np.abs(ls + t0)) >= 1e-9]
+
+
+def _classify_starts(ls, fs):
+    """The PowerShift and Moebius starts that :func:`classify` polishes: the
+    grid's best pole on each side, less a degenerate one at its far end."""
+    return [polish for polish, _ in conditions._grid_starts(ls, fs)]
 
 
 _start = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
@@ -765,8 +819,9 @@ def test_the_lockstep_ends_each_start_where_the_one_start_loop_does(ls, noise, t
         fs = truth[0] / (ls + truth[1]) + np.array(noise[: len(ls)]) * 1e-7
     _assert_lockstep_is_the_reference(_model_power_shift, power, ls, fs)
     _assert_lockstep_is_the_reference(_model_moebius, moebius, ls, fs)
-    for model, starts in zip((_model_power_shift, _model_moebius), _classify_starts(ls, fs)):
-        _assert_lockstep_is_the_reference(model, starts, ls, fs)
+    for starts_of in (_classify_starts, _fixed_starts):
+        for model, starts in zip((_model_power_shift, _model_moebius), starts_of(ls, fs)):
+            _assert_lockstep_is_the_reference(model, starts, ls, fs)
 
 
 def test_the_lockstep_on_the_corpus_clouds_is_the_one_start_loop(corpus_reports):
@@ -774,8 +829,34 @@ def test_the_lockstep_on_the_corpus_clouds_is_the_one_start_loop(corpus_reports)
     assert len(clouds) >= 5
     for cloud in clouds:
         ls, fs = (np.array(v) for v in zip(*cloud))
-        for model, starts in zip((_model_power_shift, _model_moebius), _classify_starts(ls, fs)):
-            _assert_lockstep_is_the_reference(model, starts, ls, fs)
+        for starts_of in (_classify_starts, _fixed_starts):
+            for model, starts in zip((_model_power_shift, _model_moebius), starts_of(ls, fs)):
+                _assert_lockstep_is_the_reference(model, starts, ls, fs)
+
+
+def test_the_chosen_fit_on_the_corpus_clouds_is_the_best_fixed_start_fit(corpus_reports):
+    # the one-start reference loop from the 7 and 6 fixed starts: the family
+    # it gives the lowest penalized residual is the chosen one, and a chosen
+    # PowerShift or Moebius lies within the golden tolerance of its best fit
+    clouds = [doc.dependence.cloud for doc in corpus_reports.values() if doc.dependence is not None]
+    for cloud in clouds:
+        fit = classify(cloud)
+        ls, fs = (np.array(v) for v in zip(*cloud))
+        power, moebius = (
+            min((_ref_gauss_newton(model, start, ls, fs) for start in starts), key=lambda run: run[1])
+            for model, starts in zip((_model_power_shift, _model_moebius), _fixed_starts(ls, fs))
+        )
+        assert fit.residual <= 1e-6
+        if isinstance(fit.chosen, PowerShift):
+            (gamma, a), cost = power
+            assert _within(fit.chosen.gamma, gamma) and _within(fit.chosen.a, a), (fit.chosen, power)
+            assert _within(fit.residual, cost) or max(fit.residual, cost) < 1e-15
+        elif isinstance(fit.chosen, Moebius):
+            (t,), cost = moebius
+            assert _within(fit.chosen.d / fit.chosen.c, t), (fit.chosen, moebius)
+        else:
+            assert power[1] + 2e-6 >= fit.penalized and moebius[1] + 1e-6 >= fit.penalized
+    assert {type(classify(cloud).chosen) for cloud in clouds} >= {PowerShift, Moebius, Constant}
 
 
 def test_a_start_at_a_pole_leaves_the_block_before_its_first_tick():
@@ -853,13 +934,22 @@ def test_starts_leave_the_block_on_their_own_ticks_for_each_reason(monkeypatch):
 
 
 def test_classify_on_the_exp_class_cloud_makes_one_solve_per_tick(corpus_reports, monkeypatch):
-    # the 13 starts all run to the 50-step cap: one stacked solve per tick
-    # of each family, where one solve per try of each start made 643
+    # PowerShift's best pole on each side is the grid's far end, where it
+    # runs off towards Constant: both are kept unpolished and make no solve.
+    # Moebius polishes one start, one solve per tick, where the 13 fixed
+    # starts made 133 and one solve per try of each start made 643
+    cloud = corpus_reports["exp-class"].dependence.cloud
+    ls, fs = (np.array(v) for v in zip(*cloud))
+    (power, kept), (moebius, _) = conditions._grid_starts(ls, fs)
+    assert (len(power), len(kept), len(moebius)) == (0, 2, 1)
     calls, solve = [], np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(np.shape(a[0])) or solve(*a))
-    fit = classify(corpus_reports["exp-class"].dependence.cloud)
+    fit = classify(cloud)
     assert isinstance(fit.chosen, Constant)
-    assert len(calls) == 133
+    assert len(calls) == 15
+    assert all(shape == (1, 1, 1) for shape in calls)
+    family = fit.competitors["PowerShift"]["class"]
+    assert (family.gamma, family.a) in kept
 
 
 def test_a_stacked_cost_is_each_rows_rms_bit_for_bit():

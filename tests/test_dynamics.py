@@ -91,6 +91,15 @@ def test_config_requires_integer_step_count(step, horizon, message):
         IntegratorConfig(step=step, horizon=horizon, initial=PhasePoint([0.0], [1.0]))
 
 
+def test_config_caps_the_step_count():
+    # constructed only, never integrated: every state of a run is kept
+    start = PhasePoint([0.0], [1.0])
+    assert IntegratorConfig(step=1e-6, horizon=1.0, initial=start).steps == dynamics.MAX_STEPS
+    for step, horizon in ((1e-2, 1e300), (1.0, dynamics.MAX_STEPS + 1.0)):
+        with pytest.raises(ValueError, match="at most 1000000 steps"):
+            IntegratorConfig(step=step, horizon=horizon, initial=start)
+
+
 def test_blowup_raises():
     names = ("x1", "y1")
     spray = SemiSpray(1, [parse("-(y1^2)*50", names)])  # y' = 100 y^2

@@ -700,19 +700,9 @@ def _base_and_shifted(name, shift):
 @pytest.mark.parametrize(
     "name, shift",
     [(name, 0.25) for name in CORPUS_NAMES]
-    + [
-        pytest.param(
-            "moebius",
-            10.0,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="no closed-form fit reaches the pole moved to 8 from its "
-                "restarts, so the fit falls back to Tabulated and verify misses by 2e-5",
-            ),
-            id="moebius-far",
-        )
-    ],
+    # the pole moves just above the sampled L: to 8 for L in [7.47, 7.98]
+    + [pytest.param("moebius", 10.0, id="moebius-far")]
+    + [pytest.param("moebius", shift, id=f"moebius-far-{shift:g}") for shift in (25.0, 100.0)],
 )
 def test_a_constant_added_to_L_moves_only_the_family_along_L(name, shift):
     families = _same_outcome(*_base_and_shifted(name, shift))

@@ -598,8 +598,8 @@ def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, of
 @pytest.mark.parametrize(
     "problem, digest",
     [
-        (rayleigh_problem, "2abc3d9083e05844142a06effa4324b448991cabdb7cf6fbc50d5c6c306258b0"),
-        (damped_problem, "841929e2faf5155330e446b24fb75869f073391398c301df0c7ff4a7afaa585f"),
+        (rayleigh_problem, "dc8d57094c4b169229b71e14806e243ae7db1b3770c5512b480d9ff25657c650"),
+        (damped_problem, "3192e41a4255a9bd6afb4623227a098940ed42762c32b88d1f37b3717693ff77"),
     ],
     ids=["rayleigh", "damped"],
 )

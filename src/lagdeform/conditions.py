@@ -763,7 +763,13 @@ def _best_fit(model: _Model, polish: list, kept: list, ls, fs):
 def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
     """Fit each closed-form slope family to the (L, f) cloud and pick the
     winner by residual plus a parsimony penalty of ``tol_fit`` per free
-    parameter. Falls back to :class:`Tabulated` when nothing fits."""
+    parameter. Falls back to :class:`Tabulated` when nothing fits.
+
+    Constant and Logarithmic are fitted in closed form. PowerShift and
+    Moebius are scored on one grid of pole shifts and polished from the
+    best shift on each side of the pole (:func:`_grid_starts`), at most two
+    starts each; a best shift at the grid's far end, where PowerShift
+    tends to Constant, stays the unpolished competitor."""
     if len(cloud) < 8:
         raise InsufficientSamples("classification needs at least 8 points")
     ls = np.array([l for l, _ in cloud])

@@ -713,8 +713,8 @@ def _pole_grid(ls):
 
 
 def _row_costs(residuals):
-    """Each row's :func:`_rms`, with inf for a row that is not finite."""
-    cost = np.sqrt(np.add.reduce(residuals * residuals, axis=1) / residuals.shape[1])
+    """Each row's root mean square, with inf for a row that is not finite."""
+    cost = np.sqrt(np.einsum("ij,ij->i", residuals, residuals) / residuals.shape[1])
     return np.where(np.isfinite(cost), cost, math.inf)
 
 
@@ -734,12 +734,14 @@ def _grid_starts(ls, fs) -> list:
 
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = 1.0 / (ls + shifts[:, None])
+        # U = 1/(L + a) and one residual buffer for both families, in place
+        u = np.add(ls, shifts[:, None])
+        np.divide(1.0, u, out=u)
         gammas = (u @ fs) / np.einsum("ij,ij->i", u, u)
-        for scores, start in (
-            (_row_costs(gammas[:, None] * u - fs), power_shift),
-            (_row_costs(-2.0 * u - fs), lambda a0: (a0,)),
-        ):
+        r = gammas[:, None] * u
+        power = _row_costs(np.subtract(r, fs, out=r))
+        moebius = _row_costs(np.subtract(np.multiply(u, -2.0, out=r), fs, out=r))
+        for scores, start in ((power, power_shift), (moebius, lambda a0: (a0,))):
             polish, kept = [], []
             for side in (~above, above):
                 k = int(np.argmin(np.where(side, scores, math.inf)))

@@ -15,7 +15,6 @@ refinement sigma = d_J D with S(E_L) = C(D).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -573,100 +572,55 @@ class _Model(NamedTuple):
     """A slope model ``value(ls, theta)`` with its Jacobian in closed form.
 
     ``value`` is plain arithmetic on the ``p`` items of ``theta``, so it
-    evaluates on a whole array of L values for a stack of parameter sets
-    (items of shape ``(S, 1)``, from :func:`_columns`) and also on one L
-    with :class:`~lagdeform.expressions.Dual` parameters; the tests use the
+    evaluates on a whole array of L values and also on one L with
+    :class:`~lagdeform.expressions.Dual` parameters; the tests use the
     latter as the oracle for ``jacobian``.
     """
 
     value: Callable
-    jacobian: Callable  # (ls, theta) -> array of shape theta's stack + (len(ls), p)
+    jacobian: Callable  # (ls, theta) -> array of shape (len(ls), p)
 
 
-def _columns(thetas):
-    """The ``(S, p)`` parameter stack as the ``p`` items a model reads, each of shape ``(S, 1)``."""
-    return [thetas[:, k, None] for k in range(thetas.shape[1])]
-
-
-def _costs(model: _Model, thetas, ls, fs):
-    """The residual rows and each row's :func:`_rms`, bit for bit: one
-    pairwise sum per contiguous row."""
-    r = model.value(ls, _columns(thetas)) - fs
-    return r, np.sqrt(np.add.reduce(r * r, axis=1) / len(ls))
-
-
-def _normal(model: _Model, ls, thetas, residuals):
-    """``J^T J`` and ``J^T r`` of each row of the stack: one Jacobian, and per slice
-    the products of one start (``syrk`` and ``gemv`` in BLAS)."""
-    jac = model.jacobian(ls, _columns(thetas))
-    jt = jac.swapaxes(1, 2)
-    return jt @ jac, jt @ residuals[:, :, None]
-
-
-def _solve(a, b):
-    """``np.linalg.solve`` of each slice: one stacked call, or where some
-    slice is singular, one call per slice, with NaN for a singular one."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        x = np.full_like(b, math.nan)
-        for i in range(len(a)):
-            with suppress(np.linalg.LinAlgError):
-                x[i] = np.linalg.solve(a[i], b[i])
-        return x
-
-
-def _gauss_newton(model: _Model, starts: list, ls, fs) -> list:
-    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud from each of
-    ``starts``, with ``(theta, cost)`` per start, the starts in lockstep as
-    the rows of one ``(S, p)`` block. A tick makes one try for each running
-    start, which keeps its own damping and counts and leaves the block after
-    ``_GN_ITERATIONS`` steps, at a cost below 1e-15, or after 8 straight
-    rejected tries. A stack's products and solves are per slice those of one
-    start, so each start ends, bit for bit, where it would alone.
+def _gauss_newton(model: _Model, theta0, ls, fs):
+    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud from
+    ``theta0``, as ``(theta, cost)`` with cost the residual's :func:`_rms`.
+    Each step solves ``(J^T J + lam I) delta = -J^T r`` and is accepted only
+    when its cost is lower; a rejected try, or a singular system, multiplies
+    ``lam`` by 10. The loop stops after ``_GN_ITERATIONS`` steps, at a cost
+    below 1e-15, or after 8 straight rejected tries.
 
     A start whose cost is not finite, as when a denominator is exactly zero
-    somewhere in the cloud, returns ``(theta0, inf)``. A step is accepted
-    only when its cost is lower, so a step to a non-finite cost never is,
-    nor the NaN step of a singular slice."""
-    if not starts:
-        return []
-    thetas = np.array(starts, dtype=float)
-    found = [(theta, math.inf) for theta in thetas.copy()]
-    eye = np.eye(thetas.shape[1])
+    somewhere in the cloud, returns ``(theta0, inf)``; a step to a
+    non-finite cost is never accepted."""
+    theta = np.array(theta0, dtype=float)
+    eye = np.eye(len(theta))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        residuals, cost = _costs(model, thetas, ls, fs)
-        rows = np.flatnonzero(np.isfinite(cost)).tolist()
-        thetas, residuals, cost = thetas[rows], residuals[rows], cost[rows]
-        lam, tries, steps = [1e-3] * len(rows), [0] * len(rows), [0] * len(rows)
-        while rows:
-            fresh = [t == 0 for t in tries]  # the starts that begin an iteration
-            if all(fresh):
-                jtj, jtr = _normal(model, ls, thetas, residuals)
-            elif any(fresh):
-                jtj[fresh], jtr[fresh] = _normal(model, ls, thetas[fresh], residuals[fresh])
-            delta = _solve(jtj + np.array(lam)[:, None, None] * eye, -jtr)
-            candidates = thetas + delta[:, :, 0]
-            cand_res, cand_cost = _costs(model, candidates, ls, fs)
-            better = cand_cost < cost
-            if better.all():
-                thetas, residuals, cost = candidates, cand_res, cand_cost
-            elif better.any():
-                thetas[better], residuals[better], cost[better] = candidates[better], cand_res[better], cand_cost[better]
-            stay = []
-            for k, b in enumerate(better.tolist()):
-                if b:
-                    lam[k], tries[k], steps[k] = max(lam[k] * 0.3, 1e-12), 0, steps[k] + 1
-                else:
-                    lam[k], tries[k] = lam[k] * 10.0, tries[k] + 1
-                if (steps[k] < _GN_ITERATIONS and cost[k] >= 1e-15) if b else tries[k] < 8:
-                    stay.append(k)
-                else:
-                    found[rows[k]] = (thetas[k].copy(), float(cost[k]))
-            if len(stay) < len(rows):
-                rows, lam, tries, steps = ([v[k] for k in stay] for v in (rows, lam, tries, steps))
-                thetas, residuals, cost, jtj, jtr = (v[stay] for v in (thetas, residuals, cost, jtj, jtr))
-    return found
+        residuals = model.value(ls, theta) - fs
+        cost = _rms(residuals)
+        if not math.isfinite(cost):
+            return theta, math.inf
+        lam = 1e-3
+        for _ in range(_GN_ITERATIONS):
+            jac = model.jacobian(ls, theta)
+            jtj, jtr = jac.T @ jac, jac.T @ residuals
+            for _ in range(8):
+                try:
+                    candidate = theta + np.linalg.solve(jtj + lam * eye, -jtr)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                cand_res = model.value(ls, candidate) - fs
+                cand_cost = _rms(cand_res)
+                if cand_cost < cost:
+                    theta, residuals, cost = candidate, cand_res, cand_cost
+                    lam = max(lam * 0.3, 1e-12)
+                    break
+                lam *= 10.0
+            else:  # 8 straight rejected tries
+                break
+            if cost < 1e-15:
+                break
+    return theta, cost
 
 
 def _power_shift(l, theta):
@@ -752,13 +706,11 @@ def _grid_starts(ls, fs) -> list:
 
 
 def _best_fit(model: _Model, polish: list, kept: list, ls, fs):
-    """The lowest finite ``(theta, cost)`` of ``model`` with ``polish``
-    through :func:`_gauss_newton` and ``kept`` as they are, or None; the
-    first of a tie."""
-    found = _gauss_newton(model, polish, ls, fs)
-    if kept:
-        thetas = np.array(kept, dtype=float)
-        found += zip(thetas, _costs(model, thetas, ls, fs)[1].tolist())
+    """The lowest finite ``(theta, cost)`` of ``model``, each start of
+    ``polish`` through :func:`_gauss_newton` and each of ``kept`` as it is,
+    scored by :func:`_rms`, or None; the first of a tie."""
+    found = [_gauss_newton(model, theta0, ls, fs) for theta0 in polish]
+    found += [(theta, _rms(model.value(ls, theta) - fs)) for theta in kept]
     return min((fit for fit in found if math.isfinite(fit[1])), key=lambda fit: fit[1], default=None)
 
 
@@ -768,10 +720,11 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
     parameter. Falls back to :class:`Tabulated` when nothing fits.
 
     Constant and Logarithmic are fitted in closed form. PowerShift and
-    Moebius are scored on one grid of pole shifts and polished from the
-    best shift on each side of the pole (:func:`_grid_starts`), at most two
-    starts each; a best shift at the grid's far end, where PowerShift
-    tends to Constant, stays the unpolished competitor."""
+    Moebius are scored on one grid of pole shifts, and the best shift on
+    each side of the pole (:func:`_grid_starts`), at most two starts a
+    family, is polished on its own by :func:`_gauss_newton`; the lower cost
+    wins, the first of a tie. A best shift at the grid's far end, where
+    PowerShift tends to Constant, stays the unpolished competitor."""
     if len(cloud) < 8:
         raise InsufficientSamples("classification needs at least 8 points")
     ls = np.array([l for l, _ in cloud])

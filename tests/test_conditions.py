@@ -622,9 +622,10 @@ def test_classify_tabulated_fallback():
     assert all(b > a for a, b in zip(ts, ts[1:]))
 
 
-def test_classify_needs_eight_points():
+@pytest.mark.parametrize("count", [5, 7])
+def test_classify_needs_eight_points(count):
     with pytest.raises(InsufficientSamples):
-        classify([(1.0, 1.0)] * 5)
+        classify([(1.0, 1.0)] * count)
 
 
 def _within(got, want):
@@ -720,14 +721,16 @@ def test_gauss_newton_zero_denominator_keeps_start():
     for model, theta0 in ((_model_power_shift, (1.5, 0.5)), (_model_moebius, (0.5,))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(theta, cost)] = _gauss_newton(model, [theta0], ls, fs)
+            theta, cost = _gauss_newton(model, theta0, ls, fs)
         assert list(theta) == list(theta0)
         assert cost == math.inf
+    # the starts off that pole run as the reference loop does
+    _assert_is_the_reference(_model_power_shift, [(1.5, 0.5), (-2.0, 1.5), (1.0, 2.0)], ls, fs)
 
 
 def _ref_gauss_newton(model, theta0, ls, fs):
-    """The damped Gauss-Newton loop of one start, one start per call: the
-    reference each start of the lockstep :func:`_gauss_newton` matches."""
+    """The damped Gauss-Newton loop of one start, frozen: the reference
+    that :func:`_gauss_newton` matches bit for bit."""
     theta = np.array(theta0, dtype=float)
     eye = np.eye(len(theta))
 
@@ -764,14 +767,13 @@ def _ref_gauss_newton(model, theta0, ls, fs):
     return theta, cost
 
 
-def _assert_lockstep_is_the_reference(model, starts, ls, fs):
-    """Every start's ``(theta, cost)`` from one lockstep call equals, bit for
-    bit, the reference loop's from that start alone."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _gauss_newton(model, starts, ls, fs)
-    assert len(got) == len(starts)
-    for start, (theta, cost) in zip(starts, got):
+def _assert_is_the_reference(model, starts, ls, fs):
+    """Each start's ``(theta, cost)`` from :func:`_gauss_newton` equals, bit
+    for bit, the reference loop's from that start."""
+    for start in starts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, cost = _gauss_newton(model, start, ls, fs)
         want_theta, want_cost = _ref_gauss_newton(model, start, ls, fs)
         assert _bits(theta) == _bits(want_theta), (start, theta, want_theta)
         assert _bits(float(cost)) == _bits(float(want_cost)), (start, cost, want_cost)
@@ -813,25 +815,25 @@ _start = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infin
     power=[(-0.45, 0.3), (2.0, 1.0), (-0.1, -30.0), (-0.1, -1.0), (1.0, -2.0)],
     moebius=[(0.5,), (-3.0,)],
 )
-def test_the_lockstep_ends_each_start_where_the_one_start_loop_does(ls, noise, truth, power, moebius):
+def test_gauss_newton_ends_each_start_where_the_reference_loop_does(ls, noise, truth, power, moebius):
     ls = np.array(ls)
     with np.errstate(all="ignore"):  # a pole of the truth gives inf or nan
         fs = truth[0] / (ls + truth[1]) + np.array(noise[: len(ls)]) * 1e-7
-    _assert_lockstep_is_the_reference(_model_power_shift, power, ls, fs)
-    _assert_lockstep_is_the_reference(_model_moebius, moebius, ls, fs)
+    _assert_is_the_reference(_model_power_shift, power, ls, fs)
+    _assert_is_the_reference(_model_moebius, moebius, ls, fs)
     for starts_of in (_classify_starts, _fixed_starts):
         for model, starts in zip((_model_power_shift, _model_moebius), starts_of(ls, fs)):
-            _assert_lockstep_is_the_reference(model, starts, ls, fs)
+            _assert_is_the_reference(model, starts, ls, fs)
 
 
-def test_the_lockstep_on_the_corpus_clouds_is_the_one_start_loop(corpus_reports):
+def test_gauss_newton_on_the_corpus_clouds_is_the_reference_loop(corpus_reports):
     clouds = [doc.dependence.cloud for doc in corpus_reports.values() if doc.dependence is not None]
     assert len(clouds) >= 5
     for cloud in clouds:
         ls, fs = (np.array(v) for v in zip(*cloud))
         for starts_of in (_classify_starts, _fixed_starts):
             for model, starts in zip((_model_power_shift, _model_moebius), starts_of(ls, fs)):
-                _assert_lockstep_is_the_reference(model, starts, ls, fs)
+                _assert_is_the_reference(model, starts, ls, fs)
 
 
 def test_the_chosen_fit_on_the_corpus_clouds_is_the_best_fixed_start_fit(corpus_reports):
@@ -861,19 +863,36 @@ def test_the_chosen_fit_on_the_corpus_clouds_is_the_best_fixed_start_fit(corpus_
     assert chosen >= {PowerShift, Moebius, Constant}
 
 
-def test_a_start_at_a_pole_leaves_the_block_before_its_first_tick():
-    # one L sits exactly on the pole of the first start: it keeps its start
-    # at cost inf while the others run; one start alone runs as in a stack
-    ls = np.linspace(0.5, 4.0, 20)
-    ls[7] = -0.5
-    fs = -2.0 / (ls + 1.0)
-    starts = [(1.5, 0.5), (-2.0, 1.5), (1.0, 2.0), (1.5, 0.5)]
-    _assert_lockstep_is_the_reference(_model_power_shift, starts, ls, fs)
-    [(theta, cost), *_, (last, last_cost)] = _gauss_newton(_model_power_shift, starts, ls, fs)
-    assert (list(theta), cost, list(last), last_cost) == ([1.5, 0.5], math.inf, [1.5, 0.5], math.inf)
-    for start in starts:
-        _assert_lockstep_is_the_reference(_model_power_shift, [start], ls, fs)
-    assert _gauss_newton(_model_power_shift, [], ls, fs) == []
+def test_the_two_starts_of_one_family_keep_the_lower_cost_and_the_first_of_a_tie(monkeypatch):
+    # no corpus cloud polishes two starts of one family; this even cloud has
+    # its best PowerShift pole on each side of the sampled range
+    ls = np.linspace(1.0, 2.0, 12)
+    fs = (ls - 1.5) ** 2
+    (power, kept), _ = conditions._grid_starts(ls, fs)
+    assert len(power) == 2 and not kept
+    assert power[0][1] > -1.0 and power[1][1] < -2.0  # the poles below and above
+    runs = [_ref_gauss_newton(_model_power_shift, start, ls, fs) for start in power]
+    assert runs[0][1] != runs[1][1]
+    theta, cost = min(runs, key=lambda run: run[1])
+    family = classify(list(zip(ls.tolist(), fs.tolist()))).competitors["PowerShift"]
+    assert _bits((family["class"].gamma, family["class"].a)) == _bits(theta)
+    assert _bits(family["residual"]) == _bits(cost)
+    # two starts that polish to one cost: the first wins
+    monkeypatch.setattr(conditions, "_gauss_newton", lambda model, theta0, ls, fs: (theta0, 0.25))
+    assert conditions._best_fit(_model_power_shift, power, [], ls, fs) == (power[0], 0.25)
+    assert conditions._best_fit(_model_power_shift, power[::-1], [], ls, fs) == (power[1], 0.25)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the polish damps with lam * I, which is not scale invariant, and stops short of a far pole "
+    "(FOUND on _gauss_newton's lam * I); Marquardt's lam diag(J^T J) would mend it and move the goldens",
+)
+def test_classify_recovers_an_exact_power_shift_with_its_pole_98_spans_below():
+    ls = np.linspace(1.0, 2.0, 8)
+    fit = classify(list(zip(ls.tolist(), (0.5 / (ls + 99.0)).tolist())))
+    assert isinstance(fit.chosen, PowerShift), fit.chosen
+    assert _within(fit.chosen.gamma, 0.5) and _within(fit.chosen.a, 99.0), fit.chosen
 
 
 def _singular_at_b_zero():
@@ -892,7 +911,7 @@ def _singular_at_b_zero():
     return _Model(value, jacobian)
 
 
-def test_a_singular_slice_is_a_rejected_try_for_that_start_only(monkeypatch):
+def test_a_singular_system_is_a_rejected_try(monkeypatch):
     model = _singular_at_b_zero()
     ls = np.linspace(0.5, 4.0, 20)
     fs = 3e8 * ls + 0.2 * ls * ls
@@ -903,17 +922,16 @@ def test_a_singular_slice_is_a_rejected_try_for_that_start_only(monkeypatch):
         try:
             return solve(a, b)
         except np.linalg.LinAlgError:
-            singular.append(np.ndim(a))
+            singular.append(np.shape(a))
             raise
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    _gauss_newton(model, starts, ls, fs)
-    # the stack raised, then the one singular slice of that tick
-    assert 3 in singular and 2 in singular
-    _assert_lockstep_is_the_reference(model, starts, ls, fs)
+    _gauss_newton(model, (1.0, 0.0), ls, fs)
+    assert singular and set(singular) == {(2, 2)}
+    _assert_is_the_reference(model, starts, ls, fs)
 
 
-def test_starts_leave_the_block_on_their_own_ticks_for_each_reason(monkeypatch):
+def test_each_start_stops_for_its_reason():
     # on exact PowerShift data, two starts reach a cost below 1e-15, two run
     # off towards a -> -inf for all 50 steps, and two stall: 8 rejections
     ls = np.linspace(0.5, 8.0, 24)
@@ -923,23 +941,18 @@ def test_starts_leave_the_block_on_their_own_ticks_for_each_reason(monkeypatch):
     for start in starts:
         evaluated = []
         spy = _Model(lambda l, th: evaluated.append(list(th)) or _power_shift(l, th), _power_shift_jacobian)
-        theta, cost = _ref_gauss_newton(spy, start, ls, fs)
+        theta, cost = _gauss_newton(spy, start, ls, fs)
         stepped_last = evaluated[-1] == list(theta) and len(evaluated) > 1
         reasons.append(("converged" if cost < 1e-15 else "cap") if stepped_last else "rejected")
     assert reasons == ["converged"] * 2 + ["cap"] * 2 + ["rejected"] * 2
-    sizes, solve = [], conditions._solve
-    monkeypatch.setattr(conditions, "_solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
-    _assert_lockstep_is_the_reference(_model_power_shift, starts, ls, fs)
-    # the block shrinks on several ticks, and every start ran on the first
-    assert sizes[0] == len(starts) and len(set(sizes)) >= 4
-    assert sizes == sorted(sizes, reverse=True)
+    _assert_is_the_reference(_model_power_shift, starts, ls, fs)
 
 
 def test_classify_on_the_exp_class_cloud_makes_one_solve_per_tick(corpus_reports, monkeypatch):
     # PowerShift's best pole on each side is the grid's far end, where it
     # runs off towards Constant: both are kept unpolished and make no solve.
-    # Moebius polishes one start, one solve per tick, where the 13 fixed
-    # starts made 133 and one solve per try of each start made 643
+    # Moebius polishes one start, one 1x1 solve per try, where the 13 fixed
+    # starts made 133 solves in lockstep and 643 one start at a time
     cloud = corpus_reports["exp-class"].dependence.cloud
     ls, fs = (np.array(v) for v in zip(*cloud))
     (power, kept), (moebius, _) = conditions._grid_starts(ls, fs)
@@ -949,25 +962,9 @@ def test_classify_on_the_exp_class_cloud_makes_one_solve_per_tick(corpus_reports
     fit = classify(cloud)
     assert isinstance(fit.chosen, Constant)
     assert len(calls) == 15
-    assert all(shape == (1, 1, 1) for shape in calls)
+    assert all(shape == (1, 1) for shape in calls)
     family = fit.competitors["PowerShift"]["class"]
     assert (family.gamma, family.a) in kept
-
-
-def test_a_stacked_cost_is_each_rows_rms_bit_for_bit():
-    # numpy's pairwise sum runs along each contiguous row of the stack as it
-    # does along one array, rows with overflow, NaN and infinities included
-    rng = np.random.default_rng(2028)
-    stub = _Model(lambda ls, theta: np.concatenate(theta, axis=1), None)  # the rows back
-    with np.errstate(all="ignore"):
-        for m in range(1, 701):
-            rows = rng.normal(size=(4, m)) * 10.0 ** rng.integers(-200, 200, size=(4, 1))
-            rows[1, rng.integers(m)] = 1e300  # its square overflows
-            rows[2, rng.integers(m)] = rng.choice([math.nan, math.inf, -math.inf])
-            residuals, costs = conditions._costs(stub, rows, np.zeros(m), np.zeros(m))
-            assert costs.shape == (4,)
-            for row, cost in zip(residuals, costs.tolist()):
-                assert _bits(cost) == _bits(_rms(row)), (m, row.tolist())
 
 
 # ---------------------------------------------------------------------------

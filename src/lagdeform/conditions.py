@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,9 @@ _LEVELS = 32
 _PER_LEVEL = 4
 # Blocks of fiber segments the dependence test draws at most.
 _ATTEMPTS = 12
-# Damped Gauss-Newton steps of one start of the classify fit.
+# Gauss-Newton steps of one start of the classify fit, and halvings of one step.
 _GN_ITERATIONS = 50
+_HALVINGS = 30
 # Distances of the classify fit's candidate poles from the sampled L range, in spans.
 _POLE_DISTANCES = np.logspace(-9.0, 6.0, 48)
 # Shifts a of 1/(L + a) the classify fit also scores, where they lie off the samples.
@@ -568,87 +569,56 @@ def _rms(values: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(values * values)) / values.size)
 
 
-class _Model(NamedTuple):
-    """A slope model ``value(ls, theta)`` with its Jacobian in closed form.
-
-    ``value`` is plain arithmetic on the ``p`` items of ``theta``, so it
-    evaluates on a whole array of L values and also on one L with
-    :class:`~lagdeform.expressions.Dual` parameters; the tests use the
-    latter as the oracle for ``jacobian``.
-    """
-
-    value: Callable
-    jacobian: Callable  # (ls, theta) -> array of shape (len(ls), p)
+def _shifted(a, c, ls, fs):
+    """``U = 1/(L + a)``, the coefficient of the family ``c U`` at the shift
+    ``a``, its residual ``c U - f`` and the residual's :func:`_rms`: ``c`` is
+    PowerShift's ``gamma = U.f / U.U``, projected out, where it is None, and
+    Moebius's -2."""
+    u = 1.0 / (ls + a)
+    coef = u @ fs / (u @ u) if c is None else c
+    r = coef * u - fs
+    return u, coef, r, _rms(r)
 
 
-def _gauss_newton(model: _Model, theta0, ls, fs):
-    """Damped Gauss-Newton over the whole ``(ls, fs)`` cloud from
-    ``theta0``, as ``(theta, cost)`` with cost the residual's :func:`_rms`.
-    Each step solves ``(J^T J + lam I) delta = -J^T r`` and is accepted only
-    when its cost is lower; a rejected try, or a singular system, multiplies
-    ``lam`` by 10. The loop stops after ``_GN_ITERATIONS`` steps, at a cost
-    below 1e-15, or after 8 straight rejected tries.
+def _dr_da(u, coef, c):
+    """The derivative of :func:`_shifted`'s residual in ``a``: ``2u^2`` for
+    Moebius, and for PowerShift Kaufman's ``-gamma (u^2 - (u.u^2 / u.u) u)``,
+    which drops a term along ``u``, orthogonal to the residual, so that its
+    product with the residual is the cost's exact gradient."""
+    u2 = u * u
+    return -coef * (u2 - (u @ u2) / (u @ u) * u) if c is None else -c * u2
+
+
+def _polish(a, c, ls, fs):
+    """Undamped Gauss-Newton in the shift ``a`` alone over the whole ``(ls,
+    fs)`` cloud, as ``(coefficient, a, cost)`` of :func:`_shifted`. Each
+    step is ``-(J.r)/(J.J)``, halved until the cost falls; in one variable
+    it is invariant to the scale of ``a``. The loop stops after
+    ``_GN_ITERATIONS`` steps, at a cost below 1e-15 (a start already below
+    it is returned as it is), or when ``_HALVINGS`` halvings do not lower
+    the cost, as where ``J.J`` is 0 or not finite.
 
     A start whose cost is not finite, as when a denominator is exactly zero
-    somewhere in the cloud, returns ``(theta0, inf)``; a step to a
-    non-finite cost is never accepted."""
-    theta = np.array(theta0, dtype=float)
-    eye = np.eye(len(theta))
+    somewhere in the cloud, returns with cost inf; a step to a non-finite
+    cost is never accepted."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        residuals = model.value(ls, theta) - fs
-        cost = _rms(residuals)
+        u, coef, r, cost = _shifted(a, c, ls, fs)
         if not math.isfinite(cost):
-            return theta, math.inf
-        lam = 1e-3
+            return coef, a, math.inf
         for _ in range(_GN_ITERATIONS):
-            jac = model.jacobian(ls, theta)
-            jtj, jtr = jac.T @ jac, jac.T @ residuals
-            for _ in range(8):
-                try:
-                    candidate = theta + np.linalg.solve(jtj + lam * eye, -jtr)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                cand_res = model.value(ls, candidate) - fs
-                cand_cost = _rms(cand_res)
-                if cand_cost < cost:
-                    theta, residuals, cost = candidate, cand_res, cand_cost
-                    lam = max(lam * 0.3, 1e-12)
-                    break
-                lam *= 10.0
-            else:  # 8 straight rejected tries
-                break
             if cost < 1e-15:
                 break
-    return theta, cost
-
-
-def _power_shift(l, theta):
-    gamma, a = theta
-    return gamma / (l + a)
-
-
-def _power_shift_jacobian(ls, theta):
-    # each column as the dual-number quotient rule evaluates it, bit for bit
-    gamma, a = theta
-    s = ls + a
-    ss = s * s
-    return np.stack((s / ss, -gamma / ss), axis=-1)
-
-
-def _moebius(l, theta):
-    (t,) = theta
-    return -2.0 / (l + t)
-
-
-def _moebius_jacobian(ls, theta):
-    (t,) = theta
-    s = ls + t
-    return np.stack((2.0 / (s * s),), axis=-1)
-
-
-_model_power_shift = _Model(_power_shift, _power_shift_jacobian)
-_model_moebius = _Model(_moebius, _moebius_jacobian)
+            jac = _dr_da(u, coef, c)
+            step = -(jac @ r) / (jac @ jac)
+            for _ in range(_HALVINGS):
+                trial = _shifted(a + step, c, ls, fs)
+                if trial[3] < cost:
+                    a, (u, coef, r, cost) = a + step, trial
+                    break
+                step /= 2.0
+            else:
+                break
+    return coef, a, cost
 
 
 def _pole_grid(ls):
@@ -674,18 +644,13 @@ def _row_costs(residuals):
 
 def _grid_starts(ls, fs) -> list:
     """The PowerShift and Moebius starts of the :func:`classify` fit, as
-    ``(polish, kept)`` per family. ``U = 1/(L + a)`` on the grid of
-    :func:`_pole_grid` scores both: PowerShift ``gamma U`` with ``gamma =
+    ``(polish, kept)`` shifts ``a`` per family. ``U = 1/(L + a)`` on the grid
+    of :func:`_pole_grid` scores both: PowerShift ``gamma U`` with ``gamma =
     U.f / U.U`` projected out, Moebius ``-2U``. The best shift on each side
-    of the pole gives one start, ``(gamma, a)`` with ``gamma`` from that
-    formula or ``(a,)``, to polish; one at the grid's far end is degenerate
-    (the fit runs off towards ``a -> inf`` there) and is kept as it is."""
+    of the pole is a start to polish; one at the grid's far end is
+    degenerate (the fit runs off towards ``a -> inf`` there) and is kept as
+    it is."""
     shifts, above, far = _pole_grid(ls)
-
-    def power_shift(a0):
-        v = 1.0 / (ls + a0)
-        return (float(v @ fs / (v @ v)), a0)
-
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # U = 1/(L + a) and one residual buffer for both families, in place
@@ -695,23 +660,26 @@ def _grid_starts(ls, fs) -> list:
         r = gammas[:, None] * u
         power = _row_costs(np.subtract(r, fs, out=r))
         moebius = _row_costs(np.subtract(np.multiply(u, -2.0, out=r), fs, out=r))
-        for scores, start in ((power, power_shift), (moebius, lambda a0: (a0,))):
+        for scores in (power, moebius):
             polish, kept = [], []
             for side in (~above, above):
                 k = int(np.argmin(np.where(side, scores, math.inf)))
                 if side[k] and math.isfinite(scores[k]):
-                    (kept if far[k] else polish).append(start(float(shifts[k])))
+                    (kept if far[k] else polish).append(float(shifts[k]))
             out.append((polish, kept))
     return out
 
 
-def _best_fit(model: _Model, polish: list, kept: list, ls, fs):
-    """The lowest finite ``(theta, cost)`` of ``model``, each start of
-    ``polish`` through :func:`_gauss_newton` and each of ``kept`` as it is,
-    scored by :func:`_rms`, or None; the first of a tie."""
-    found = [_gauss_newton(model, theta0, ls, fs) for theta0 in polish]
-    found += [(theta, _rms(model.value(ls, theta) - fs)) for theta in kept]
-    return min((fit for fit in found if math.isfinite(fit[1])), key=lambda fit: fit[1], default=None)
+def _best_fit(c, polish: list, kept: list, ls, fs):
+    """The lowest finite ``(coefficient, a, cost)`` of the family ``c U``
+    (``c`` as in :func:`_shifted`), from each shift of ``polish`` through
+    :func:`_polish` and each of ``kept`` as it is, or None; the first of a
+    tie."""
+    found = [_polish(a0, c, ls, fs) for a0 in polish]
+    for a0 in kept:
+        _, coef, _, cost = _shifted(a0, c, ls, fs)
+        found.append((coef, a0, cost))
+    return min((fit for fit in found if math.isfinite(fit[2])), key=lambda fit: fit[2], default=None)
 
 
 def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
@@ -722,9 +690,10 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
     Constant and Logarithmic are fitted in closed form. PowerShift and
     Moebius are scored on one grid of pole shifts, and the best shift on
     each side of the pole (:func:`_grid_starts`), at most two starts a
-    family, is polished on its own by :func:`_gauss_newton`; the lower cost
-    wins, the first of a tie. A best shift at the grid's far end, where
-    PowerShift tends to Constant, stays the unpolished competitor."""
+    family, is polished on its own by :func:`_polish` in the shift alone,
+    PowerShift's ``gamma`` projected out; the lower cost wins, the first of
+    a tie. A best shift at the grid's far end, where PowerShift tends to
+    Constant, stays the unpolished competitor."""
     if len(cloud) < 8:
         raise InsufficientSamples("classification needs at least 8 points")
     ls = np.array([l for l, _ in cloud])
@@ -746,21 +715,16 @@ def classify(cloud: Sequence, tol_fit: float = 1e-6) -> FunctionalFit:
             candidates["Logarithmic"] = (Logarithmic(a_log), resid_log, 1)
 
     power_starts, moebius_starts = _grid_starts(ls, fs)
-    best_ps = _best_fit(_model_power_shift, *power_starts, ls, fs)
+    best_ps = _best_fit(None, *power_starts, ls, fs)
     if best_ps is not None:
-        gamma_ps, a_ps = (float(t) for t in best_ps[0])
+        gamma_ps, a_ps, resid_ps = (float(v) for v in best_ps)
         if abs(gamma_ps) > 1e-8 and abs(gamma_ps + 1.0) > 1e-8:
-            candidates["PowerShift"] = (
-                PowerShift(gamma_ps, a_ps),
-                float(best_ps[1]),
-                2,
-            )
+            candidates["PowerShift"] = (PowerShift(gamma_ps, a_ps), resid_ps, 2)
 
-    best_mb = _best_fit(_model_moebius, *moebius_starts, ls, fs)
+    best_mb = _best_fit(-2.0, *moebius_starts, ls, fs)
     if best_mb is not None:
-        t_mb = float(best_mb[0][0])
         # one identifiable parameter: (c, d) ~ (1, t) up to common scale
-        candidates["Moebius"] = (Moebius.normalised(1.0, t_mb), float(best_mb[1]), 1)
+        candidates["Moebius"] = (Moebius.normalised(1.0, float(best_mb[1])), float(best_mb[2]), 1)
 
     order = ["Affine", "Constant", "PowerShift", "Logarithmic", "Moebius"]
     best_name, best_penalized = None, math.inf

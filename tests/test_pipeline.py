@@ -598,8 +598,8 @@ def test_full_json_report_at_a_moved_seed_matches_pinned_sha256(digest, name, of
 @pytest.mark.parametrize(
     "problem, digest",
     [
-        (rayleigh_problem, "dc8d57094c4b169229b71e14806e243ae7db1b3770c5512b480d9ff25657c650"),
-        (damped_problem, "3192e41a4255a9bd6afb4623227a098940ed42762c32b88d1f37b3717693ff77"),
+        (rayleigh_problem, "e0b852234dd8935022b55139d790d5680b5f546628441f6ad8e60bb0f0a5a26f"),
+        (damped_problem, "ad5c8abde55ea59b15df6197f514ff379f17df131c309b9a6051dda7d80bdcc1"),
     ],
     ids=["rayleigh", "damped"],
 )
